@@ -7,11 +7,13 @@ memoryless target runs.
 """
 
 from .backbones import (BackboneConfig, Model, extract_logits, run_incremental,
-                        train_initial, update_finetune, update_ftplus,
-                        update_lucir_lite, update_lwf, update_siw, update_state)
+                        run_incremental_stack, train_initial, update_finetune,
+                        update_ftplus, update_lucir_lite, update_lwf, update_siw,
+                        update_state)
 from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
                           apply_table, cross_entropy, fit_state_pairs,
-                          fit_table, loss_gradient, regularized_loss, softmax)
+                          fit_table, fit_tables, loss_gradient, regularized_loss,
+                          softmax)
 from .errors import (CalibILError, DataFileError, DataValidationError,
                      MetadataError, NumericError, SchemaError, SpecError)
 from .logits import StateLogits
@@ -30,11 +32,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackboneConfig", "Model", "extract_logits", "run_incremental",
-    "train_initial", "update_finetune", "update_ftplus", "update_lucir_lite",
-    "update_lwf", "update_siw", "update_state",
+    "run_incremental_stack", "train_initial", "update_finetune", "update_ftplus",
+    "update_lucir_lite", "update_lwf", "update_siw", "update_state",
     "CalibConfig", "CalibrationTable", "StateFit", "apply_bic", "apply_table",
-    "cross_entropy", "fit_state_pairs", "fit_table", "loss_gradient",
-    "regularized_loss", "softmax",
+    "cross_entropy", "fit_state_pairs", "fit_table", "fit_tables",
+    "loss_gradient", "regularized_loss", "softmax",
     "CalibILError", "DataFileError", "DataValidationError", "MetadataError",
     "NumericError", "SchemaError", "SpecError",
     "StateLogits", "StateSchedule",

@@ -12,20 +12,39 @@ how they fight forgetting:
 - ``lucir_lite`` cosine-similarity classifier plus feature-direction
                 distillation with an adaptive weight
 
+Training runs on stacks. A stack of R models is a ``Model`` whose weights
+carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
+whose batches are (R, b, d), one dataset per slice; the models share one
+schedule, so ``class_first_state`` and ``frozen`` have no model axis.
+``run_incremental_stack`` trains R datasets in lockstep, reading them
+through ``synth.StackedSets`` so that only the sets it still needs are
+held, and the per-model functions (``train_initial``, ``update_*``,
+``run_incremental``) run a stack of one.
+
+Lockstep is exact: each model of a stack ends with the bits it would have
+had if trained alone. Initial weights, the rows each state appends and
+every epoch's shuffle all come from ``default_rng([config.seed, state])``,
+a stream that depends on the spec seed and the state but not on the
+dataset. Models trained one at a time would each draw the same numbers,
+so the stack draws them once and shares them. Everything else acts per
+slice: a stacked matmul runs the same BLAS call on every slice, and each
+reduction runs over the same axis in the same order as for one model.
+
 Updates never mutate their input model; each returns a fresh one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
-from .synth import StateView
+from .synth import StackedSets, StateSplit, StateView
 
 KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
 
@@ -33,7 +52,6 @@ KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
 ETA_INIT = 10.0
 
 _NORM_FLOOR = 1e-8
-
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -71,12 +89,13 @@ class BackboneConfig:
 
 @dataclass
 class Model:
-    """Two-layer MLP with a growing output head.
+    """Two-layer MLP with a growing output head, or a stack of them.
 
     ``class_first_state[c]`` records the state that introduced class c.
     ``frozen[c]`` marks output rows excluded from updates (ftplus only).
     ``snap_w2``/``snap_b2`` hold each row as it was right after the state
-    that introduced it (siw restores from these).
+    that introduced it (siw restores from these). In a stack every weight
+    array and ``eta`` carry a leading model axis.
     """
 
     w1: np.ndarray
@@ -88,59 +107,81 @@ class Model:
     snap_w2: np.ndarray
     snap_b2: np.ndarray
     cosine: bool = False
-    eta: float = ETA_INIT
+    eta: float | np.ndarray = ETA_INIT
 
     @property
     def num_classes(self) -> int:
-        return self.w2.shape[0]
-
-    def copy(self) -> "Model":
-        return Model(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            class_first_state=self.class_first_state.copy(),
-            frozen=self.frozen.copy(),
-            snap_w2=self.snap_w2.copy(),
-            snap_b2=self.snap_b2.copy(),
-            cosine=self.cosine,
-            eta=self.eta,
-        )
+        return self.w2.shape[-2]
 
     def hidden(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x @ self.w1.T + self.b1, 0.0)
+        h = x @ _t(self.w1)
+        h += self.b1[..., None, :]
+        return np.maximum(h, 0.0, out=h)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         h = self.hidden(x)
         if self.cosine:
             hn, _, _ = _normalize_rows(h)
             wn, _, _ = _normalize_rows(self.w2)
-            return self.eta * (hn @ wn.T)
-        return h @ self.w2.T + self.b2
+            return np.asarray(self.eta)[..., None, None] * (hn @ _t(wn))
+        return h @ _t(self.w2) + self.b2[..., None, :]
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (or of one matrix)."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _lift(model: Model) -> Model:
+    """A stack of one that views ``model``'s arrays."""
+    return Model(
+        w1=model.w1[None], b1=model.b1[None], w2=model.w2[None], b2=model.b2[None],
+        class_first_state=model.class_first_state, frozen=model.frozen,
+        snap_w2=model.snap_w2[None], snap_b2=model.snap_b2[None],
+        cosine=model.cosine, eta=np.array([model.eta], dtype=np.float64),
+    )
+
+
+def _lift_view(view: StateView) -> StateView:
+    """A stacked view of one holding ``view``'s training set, all that
+    training reads."""
+    return StateView(view.state, view.train_x[None], view.train_y[None])
+
+
+def _unstack(stack: Model) -> list[Model]:
+    """The models of a stack, as views of its arrays."""
+    return [
+        Model(
+            w1=stack.w1[r], b1=stack.b1[r], w2=stack.w2[r], b2=stack.b2[r],
+            class_first_state=stack.class_first_state, frozen=stack.frozen,
+            snap_w2=stack.snap_w2[r], snap_b2=stack.snap_b2[r],
+            cosine=stack.cosine, eta=float(stack.eta[r]),
+        )
+        for r in range(len(stack.w1))
+    ]
 
 
 def _normalize_rows(x: np.ndarray):
     """Row directions with a norm floor; returns (unit rows, norms, clipped)."""
-    raw = np.sqrt(np.sum(x * x, axis=1))
+    raw = np.sqrt(np.sum(x * x, axis=-1))
     clipped = raw <= _NORM_FLOOR
     norms = np.maximum(raw, _NORM_FLOOR)
-    return x / norms[:, None], norms, clipped
+    return x / norms[..., None], norms, clipped
 
 
 def _normalize_backward(d_unit, unit, norms, clipped):
     # d/dx (x/||x||) projects out the radial component; where the floor is
     # active the denominator is constant and no projection applies.
-    radial = np.sum(d_unit * unit, axis=1, keepdims=True)
-    out = (d_unit - radial * unit) / norms[:, None]
+    radial = np.sum(d_unit * unit, axis=-1, keepdims=True)
+    out = (d_unit - radial * unit) / norms[..., None]
     if np.any(clipped):
-        out[clipped] = d_unit[clipped] / norms[clipped, None]
+        out[clipped] = d_unit[clipped] / norms[clipped][:, None]
     return out
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def mean_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -177,10 +218,11 @@ def lucir_lambda(num_past: int, num_new: int, lambda_base: float) -> float:
 
 def standardize_rows(w: np.ndarray) -> np.ndarray:
     """Rescale each row to mean 0 / population std 1; constant rows go to
-    zero with a warning since they carry no class-specific direction."""
-    mean = w.mean(axis=1, keepdims=True)
-    std = w.std(axis=1, keepdims=True)
-    flat = std[:, 0] == 0.0
+    zero with a warning since they carry no class-specific direction.
+    Accepts one matrix or a stack of them."""
+    mean = w.mean(axis=-1, keepdims=True)
+    std = w.std(axis=-1, keepdims=True)
+    flat = std[..., 0] == 0.0
     if np.any(flat):
         warnings.warn(f"standardizing {int(flat.sum())} constant row(s) to zero")
         std = np.where(std == 0.0, 1.0, std)
@@ -191,66 +233,72 @@ def standardize_rows(w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# gradients (stacked: x is (R, b, d), y is (R, b))
 
 
-def _head_backward(grads_out, h, relu_mask, x, model, config):
-    """Push d(loss)/d(scores-ish) through the linear head and the relu."""
-    d_w2 = grads_out.T @ h + config.weight_decay * model.w2
-    d_b2 = grads_out.sum(axis=0)
-    d_h = grads_out @ model.w2
-    d_a1 = d_h * relu_mask
-    d_w1 = d_a1.T @ x + config.weight_decay * model.w1
-    d_b1 = d_a1.sum(axis=0)
-    return d_w1, d_b1, d_w2, d_b2
+def _softmax_residual(z, y):
+    """(softmax(z) - onehot(y)) / b for each (b, C) block of a stack."""
+    g = np.exp(_log_softmax(z))
+    r, b = y.shape
+    g[np.arange(r)[:, None], np.arange(b), y] -= 1.0
+    g /= b
+    return g
+
+
+def _relu_backward(d_h, active, x, model, config):
+    """Push d(loss)/d(hidden) through the relu (in place, ``active`` marks
+    positive pre-activations) and the first layer."""
+    d_h *= active
+    d_w1 = _t(d_h) @ x
+    d_w1 += config.weight_decay * model.w1
+    return d_w1, d_h.sum(axis=-2)
 
 
 def _grads_linear(model, x, y, config, teacher=None):
     """CE gradient, optionally plus the soft-target distillation gradient."""
-    a1 = x @ model.w1.T + model.b1
-    h = np.maximum(a1, 0.0)
-    z = h @ model.w2.T + model.b2
-    b = len(y)
-    q = np.exp(_log_softmax(z))
-    g = q.copy()
-    g[np.arange(b), y] -= 1.0
-    g /= b
+    h = model.hidden(x)
+    z = h @ _t(model.w2)
+    z += model.b2[:, None, :]
+    g = _softmax_residual(z, y)
     if teacher is not None and config.distill_weight > 0:
         t = config.distill_temperature
         n_past = teacher.num_classes
-        q_soft = np.exp(_log_softmax(z[:, :n_past] / t))
+        q_soft = np.exp(_log_softmax(z[..., :n_past] / t))
         p_soft = np.exp(_log_softmax(teacher.scores(x) / t))
         # d/dz of weight*T^2*mean(KL) collapses to weight*T*(q-p)/B.
-        g[:, :n_past] += config.distill_weight * t * (q_soft - p_soft) / b
-    return _head_backward(g, h, a1 > 0, x, model, config)
+        g[..., :n_past] += config.distill_weight * t * (q_soft - p_soft) / y.shape[-1]
+    d_w2 = _t(g) @ h
+    d_w2 += config.weight_decay * model.w2
+    # h > 0 exactly where the pre-activation is positive; drop the
+    # activations before the first-layer pass allocates its own.
+    active = h > 0
+    del h, z
+    d_w1, d_b1 = _relu_backward(g @ model.w2, active, x, model, config)
+    return d_w1, d_b1, d_w2, g.sum(axis=-2)
 
 
 def _grads_cosine(model, x, y, config, teacher, lam):
     """Cosine-head CE plus feature-direction distillation gradients."""
-    a1 = x @ model.w1.T + model.b1
-    h = np.maximum(a1, 0.0)
+    h = model.hidden(x)
+    active = h > 0
     hn, h_norms, h_clip = _normalize_rows(h)
+    del h
     wn, w_norms, w_clip = _normalize_rows(model.w2)
-    cos = hn @ wn.T
-    z = model.eta * cos
-    b = len(y)
-    q = np.exp(_log_softmax(z))
-    g = q.copy()
-    g[np.arange(b), y] -= 1.0
-    g /= b
-    d_eta = float(np.sum(g * cos))
-    d_wn = model.eta * (g.T @ hn)
-    d_hn = model.eta * (g @ wn)
+    cos = hn @ _t(wn)
+    eta = model.eta[:, None, None]
+    g = _softmax_residual(eta * cos, y)
+    # One flat sum per model: the bits of a full sum over one (b, C) block.
+    d_eta = np.sum((g * cos).reshape(len(g), -1), axis=1)
+    d_wn = eta * (_t(g) @ hn)
+    d_hn = eta * (g @ wn)
     if teacher is not None and lam > 0:
         tn, _, _ = _normalize_rows(teacher.hidden(x))
         # d/d(hn) of lam*mean(1 - hn.tn); the projection in the backward
         # pass makes the radial part vanish as it must for a direction loss.
-        d_hn = d_hn - (lam / b) * tn
+        d_hn = d_hn - (lam / y.shape[-1]) * tn
     d_w2 = _normalize_backward(d_wn, wn, w_norms, w_clip) + config.weight_decay * model.w2
-    d_h = _normalize_backward(d_hn, hn, h_norms, h_clip)
-    d_a1 = d_h * (a1 > 0)
-    d_w1 = d_a1.T @ x + config.weight_decay * model.w1
-    d_b1 = d_a1.sum(axis=0)
+    d_w1, d_b1 = _relu_backward(_normalize_backward(d_hn, hn, h_norms, h_clip),
+                                active, x, model, config)
     return d_w1, d_b1, d_w2, np.zeros_like(model.b2), d_eta
 
 
@@ -259,46 +307,38 @@ def _grads_cosine(model, x, y, config, teacher, lam):
 
 
 def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
-    """Mini-batch SGD with momentum; honors the model's frozen-row mask."""
-    vel = {
-        "w1": np.zeros_like(model.w1),
-        "b1": np.zeros_like(model.b1),
-        "w2": np.zeros_like(model.w2),
-        "b2": np.zeros_like(model.b2),
-        "eta": 0.0,
-    }
-    frozen = model.frozen.copy()
+    """Mini-batch SGD with momentum on a stack, in place; honors the
+    frozen-row mask.
+
+    ``x`` is (R, n, d) and ``y`` is (R, n). Each epoch draws one
+    permutation and every model of the stack takes its batches in that
+    order, exactly as it would alone.
+    """
+    vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
+    vel_eta = np.zeros_like(model.eta)
+    # Frozen rows must stay bitwise identical, so they are left out of the
+    # step rather than relying on zeroed gradients.
+    live = ~model.frozen if model.frozen.any() else slice(None)
     lr, mu = config.learning_rate, config.momentum
-    n = len(y)
+    n = y.shape[1]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
+            xb, yb = x[:, idx], y[:, idx]
             if model.cosine:
-                d_w1, d_b1, d_w2, d_b2, d_eta = _grads_cosine(
-                    model, xb, yb, config, teacher, lam)
-                vel["eta"] = mu * vel["eta"] + d_eta
-                model.eta = model.eta - lr * vel["eta"]
+                *grads, d_eta = _grads_cosine(model, xb, yb, config, teacher, lam)
+                vel_eta = mu * vel_eta + d_eta
+                model.eta = model.eta - lr * vel_eta
             else:
-                d_w1, d_b1, d_w2, d_b2 = _grads_linear(model, xb, yb, config, teacher)
-            vel["w1"] = mu * vel["w1"] + d_w1
-            vel["b1"] = mu * vel["b1"] + d_b1
-            vel["w2"] = mu * vel["w2"] + d_w2
-            vel["b2"] = mu * vel["b2"] + d_b2
-            if np.any(frozen):
-                # Frozen rows must stay bitwise identical, so the update is
-                # masked out rather than relying on zeroed gradients.
-                keep_w2, keep_b2 = model.w2[frozen], model.b2[frozen]
-                model.w2 = model.w2 - lr * vel["w2"]
-                model.b2 = model.b2 - lr * vel["b2"]
-                model.w2[frozen] = keep_w2
-                model.b2[frozen] = keep_b2
-            else:
-                model.w2 = model.w2 - lr * vel["w2"]
-                model.b2 = model.b2 - lr * vel["b2"]
-            model.w1 = model.w1 - lr * vel["w1"]
-            model.b1 = model.b1 - lr * vel["b1"]
+                grads = _grads_linear(model, xb, yb, config, teacher)
+            for v, g in zip(vel, grads):
+                v *= mu
+                v += g
+            model.w1 -= lr * vel[0]
+            model.b1 -= lr * vel[1]
+            model.w2[:, live] -= lr * vel[2][:, live]
+            model.b2[:, live] -= lr * vel[3][:, live]
     return model
 
 
@@ -306,9 +346,14 @@ def _init_rows(num_rows, dim, rng):
     return rng.normal(0.0, np.sqrt(2.0 / dim), (num_rows, dim))
 
 
+def _shared(rows: np.ndarray, num_models: int) -> np.ndarray:
+    """One draw of initial rows, copied to every model of a stack."""
+    return np.repeat(rows[None], num_models, axis=0)
+
+
 def _check_new_labels(model: Model | None, view: StateView, schedule: StateSchedule):
     sl = schedule.group_slice(view.state, view.state)
-    if len(view.train_y) == 0:
+    if view.train_y.size == 0:
         raise SpecError(f"state {view.state} has no training samples")
     if view.train_y.min() < sl.start or view.train_y.max() >= sl.stop:
         raise SpecError(
@@ -320,27 +365,25 @@ def _check_new_labels(model: Model | None, view: StateView, schedule: StateSched
             f"{view.state} introduces ids from {sl.start}; groups would overlap")
 
 
-def train_initial(config: BackboneConfig, view: StateView,
-                  schedule: StateSchedule) -> Model:
-    """Train the state-1 model from scratch on the first class group."""
+def _train_initial(config: BackboneConfig, view: StateView,
+                   schedule: StateSchedule) -> Model:
     if view.state != 1:
         raise SpecError("initial training expects the state-1 view")
     _check_new_labels(None, view, schedule)
-    d = view.train_x.shape[1]
+    r, _, d = view.train_x.shape
     n_cls = schedule.classes_through(1)
     rng = np.random.default_rng([config.seed, 1])
-    cosine = config.kind == "lucir_lite"
     model = Model(
-        w1=_init_rows(config.hidden_dim, d, rng),
-        b1=np.zeros(config.hidden_dim),
-        w2=_init_rows(n_cls, config.hidden_dim, rng),
-        b2=np.zeros(n_cls),
+        w1=_shared(_init_rows(config.hidden_dim, d, rng), r),
+        b1=np.zeros((r, config.hidden_dim)),
+        w2=_shared(_init_rows(n_cls, config.hidden_dim, rng), r),
+        b2=np.zeros((r, n_cls)),
         class_first_state=np.full(n_cls, 1, dtype=np.int64),
         frozen=np.zeros(n_cls, dtype=bool),
-        snap_w2=np.zeros((n_cls, config.hidden_dim)),
-        snap_b2=np.zeros(n_cls),
-        cosine=cosine,
-        eta=ETA_INIT,
+        snap_w2=np.zeros((r, n_cls, config.hidden_dim)),
+        snap_b2=np.zeros((r, n_cls)),
+        cosine=config.kind == "lucir_lite",
+        eta=np.full(r, ETA_INIT),
     )
     model = _sgd_epochs(model, view.train_x, view.train_y, config,
                         config.epochs_initial, rng)
@@ -351,31 +394,38 @@ def train_initial(config: BackboneConfig, view: StateView,
 
 def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
                rng) -> Model:
-    """Append freshly initialized rows for the state's new classes."""
+    """A copy of the stack with freshly initialized rows for the state's
+    new classes appended."""
     _check_new_labels(model, view, schedule)
     sl = schedule.group_slice(view.state, view.state)
     n_new = sl.stop - sl.start
-    grown = model.copy()
-    grown.w2 = np.concatenate([grown.w2, _init_rows(n_new, grown.w2.shape[1], rng)])
-    grown.b2 = np.concatenate([grown.b2, np.zeros(n_new)])
-    grown.class_first_state = np.concatenate(
-        [grown.class_first_state, np.full(n_new, view.state, dtype=np.int64)])
-    grown.frozen = np.concatenate([grown.frozen, np.zeros(n_new, dtype=bool)])
-    grown.snap_w2 = np.concatenate([grown.snap_w2, np.zeros((n_new, grown.w2.shape[1]))])
-    grown.snap_b2 = np.concatenate([grown.snap_b2, np.zeros(n_new)])
-    return grown
+    r, _, h = model.w2.shape
+    return Model(
+        w1=model.w1.copy(),
+        b1=model.b1.copy(),
+        w2=np.concatenate([model.w2, _shared(_init_rows(n_new, h, rng), r)], axis=1),
+        b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
+        class_first_state=np.concatenate(
+            [model.class_first_state, np.full(n_new, view.state, dtype=np.int64)]),
+        frozen=np.concatenate([model.frozen, np.zeros(n_new, dtype=bool)]),
+        snap_w2=np.concatenate([model.snap_w2, np.zeros((r, n_new, h))], axis=1),
+        snap_b2=np.concatenate([model.snap_b2, np.zeros((r, n_new))], axis=1),
+        cosine=model.cosine,
+        eta=model.eta,
+    )
 
 
 def _snapshot_new(model: Model, state: int) -> Model:
     new = model.class_first_state == state
-    model.snap_w2[new] = model.w2[new]
-    model.snap_b2[new] = model.b2[new]
+    model.snap_w2[:, new] = model.w2[:, new]
+    model.snap_b2[:, new] = model.b2[:, new]
     return model
 
 
-def update_finetune(model: Model, view: StateView, schedule: StateSchedule,
-                    config: BackboneConfig) -> Model:
-    """Plain finetuning on the new group with no forgetting protection."""
+# Stacked update rules: (stack, stacked view, schedule, config) -> new stack.
+
+
+def _finetune(model, view, schedule, config):
     rng = np.random.default_rng([config.seed, view.state])
     grown = _grow_head(model, view, schedule, rng)
     grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
@@ -383,9 +433,7 @@ def update_finetune(model: Model, view: StateView, schedule: StateSchedule,
     return _snapshot_new(grown, view.state)
 
 
-def update_ftplus(model: Model, view: StateView, schedule: StateSchedule,
-                  config: BackboneConfig) -> Model:
-    """Finetune on the new group with all past output rows frozen."""
+def _ftplus(model, view, schedule, config):
     rng = np.random.default_rng([config.seed, view.state])
     grown = _grow_head(model, view, schedule, rng)
     grown.frozen = grown.class_first_state < view.state
@@ -395,95 +443,153 @@ def update_ftplus(model: Model, view: StateView, schedule: StateSchedule,
     return _snapshot_new(grown, view.state)
 
 
+def _siw(model, view, schedule, config):
+    grown = _finetune(model, view, schedule, config)
+    grown.w2 = standardize_rows(grown.snap_w2)
+    grown.b2 = np.zeros_like(grown.b2)
+    return grown
+
+
+def _lwf(model, view, schedule, config):
+    rng = np.random.default_rng([config.seed, view.state])
+    grown = _grow_head(model, view, schedule, rng)
+    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
+                        config.epochs_incremental, rng, teacher=model)
+    return _snapshot_new(grown, view.state)
+
+
+def _lucir_lite(model, view, schedule, config):
+    if not model.cosine:
+        raise SpecError("lucir_lite updates need a cosine-head model")
+    rng = np.random.default_rng([config.seed, view.state])
+    grown = _grow_head(model, view, schedule, rng)
+    sl = schedule.group_slice(view.state, view.state)
+    lam = lucir_lambda(sl.start, sl.stop - sl.start, config.lucir_lambda_base)
+    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
+                        config.epochs_incremental, rng, teacher=model, lam=lam)
+    return _snapshot_new(grown, view.state)
+
+
+_UPDATES = {
+    "ftplus": _ftplus,
+    "siw": _siw,
+    "lwf": _lwf,
+    "lucir_lite": _lucir_lite,
+}
+
+
+def _update_one(rule, model: Model, view: StateView, schedule: StateSchedule,
+                config: BackboneConfig) -> Model:
+    """Run a stacked update rule on one model."""
+    return _unstack(rule(_lift(model), _lift_view(view), schedule, config))[0]
+
+
+def train_initial(config: BackboneConfig, view: StateView,
+                  schedule: StateSchedule) -> Model:
+    """Train the state-1 model from scratch on the first class group."""
+    return _unstack(_train_initial(config, _lift_view(view), schedule))[0]
+
+
+def update_finetune(model: Model, view: StateView, schedule: StateSchedule,
+                    config: BackboneConfig) -> Model:
+    """Plain finetuning on the new group with no forgetting protection."""
+    return _update_one(_finetune, model, view, schedule, config)
+
+
+def update_ftplus(model: Model, view: StateView, schedule: StateSchedule,
+                  config: BackboneConfig) -> Model:
+    """Finetune on the new group with all past output rows frozen."""
+    return _update_one(_ftplus, model, view, schedule, config)
+
+
 def update_siw(model: Model, view: StateView, schedule: StateSchedule,
                config: BackboneConfig) -> Model:
     """Finetune, then restore every class row to its introduction-time
     snapshot and standardize all rows to a shared scale."""
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng)
-    grown = _snapshot_new(grown, view.state)
-    grown.w2 = standardize_rows(grown.snap_w2.copy())
-    grown.b2 = np.zeros_like(grown.b2)
-    return grown
+    return _update_one(_siw, model, view, schedule, config)
 
 
 def update_lwf(model: Model, view: StateView, schedule: StateSchedule,
                config: BackboneConfig) -> Model:
     """Finetune with a soft-target distillation term against the previous
     model on the past columns."""
-    teacher = model.copy()
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng, teacher=teacher)
-    return _snapshot_new(grown, view.state)
+    return _update_one(_lwf, model, view, schedule, config)
 
 
 def update_lucir_lite(model: Model, view: StateView, schedule: StateSchedule,
                       config: BackboneConfig) -> Model:
     """Cosine-classifier finetune with feature-direction distillation whose
     weight grows as sqrt(past classes / new classes)."""
-    if not model.cosine:
-        raise SpecError("lucir_lite updates need a cosine-head model")
-    teacher = model.copy()
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    sl = schedule.group_slice(view.state, view.state)
-    lam = lucir_lambda(sl.start, sl.stop - sl.start, config.lucir_lambda_base)
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng, teacher=teacher, lam=lam)
-    return _snapshot_new(grown, view.state)
-
-
-_UPDATES = {
-    "ftplus": update_ftplus,
-    "siw": update_siw,
-    "lwf": update_lwf,
-    "lucir_lite": update_lucir_lite,
-}
+    return _update_one(_lucir_lite, model, view, schedule, config)
 
 
 def update_state(model: Model, view: StateView, schedule: StateSchedule,
                  config: BackboneConfig) -> Model:
-    return _UPDATES[config.kind](model, view, schedule, config)
+    return _update_one(_UPDATES[config.kind], model, view, schedule, config)
+
+
+def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
+                  schedule: StateSchedule, datasets, backbone: str,
+                  seeds) -> list[StateLogits]:
+    """Per-model logits of a stack on stacked inputs (R, n, d).
+
+    Models are scored one at a time, so the hidden activations held at
+    once are those of one model, not of the whole stack."""
+    if model.num_classes != schedule.classes_through(state):
+        raise SpecError(
+            f"model covers {model.num_classes} classes but state {state} "
+            f"has seen {schedule.classes_through(state)}")
+    return [StateLogits(state=state, matrix=one.scores(x[r]), labels=labels[r],
+                        schedule=schedule, dataset=datasets[r], backbone=backbone,
+                        seed=seeds[r])
+            for r, one in enumerate(_unstack(model))]
 
 
 def extract_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
                    schedule: StateSchedule, dataset: str = "", backbone: str = "",
                    seed: int = 0) -> StateLogits:
     """Raw scores over all classes seen so far, bundled with labels."""
-    if model.num_classes != schedule.classes_through(state):
-        raise SpecError(
-            f"model covers {model.num_classes} classes but state {state} "
-            f"has seen {schedule.classes_through(state)}")
-    return StateLogits(
-        state=state,
-        matrix=model.scores(x),
-        labels=labels,
-        schedule=schedule,
-        dataset=dataset,
-        backbone=backbone,
-        seed=seed,
-    )
+    return _stack_logits(_lift(model), x[None], labels[None], state, schedule,
+                         [dataset], backbone, [seed])[0]
 
 
-def run_incremental(config: BackboneConfig, split, dataset: str = "",
+def run_incremental_stack(config: BackboneConfig, splits: Iterable[StateSplit],
+                          datasets: list[str], seeds: list[int],
+                          sets: tuple[str, ...] = ("val", "test")):
+    """Train one model per split through all states, all in one lockstep.
+
+    ``splits`` may be any iterable, e.g. a generator that builds each
+    split on demand; it is read once, one split at a time, and only the
+    sets the run reads are kept (``StackedSets``). The splits must share one
+    schedule and have equal per-state sample counts, as the datasets
+    generated from one spec do. ``datasets`` and ``seeds`` label each
+    model's logits. Returns one list per entry of ``sets`` ("val",
+    "test"): for each model, its per-state logits on that evaluation set.
+    """
+    data = StackedSets(splits, sets)
+    out = {name: [[] for _ in datasets] for name in sets}
+    model = None
+    for state in range(1, data.schedule.num_states + 1):
+        # Each stacked set is dropped after use, so at most one is held
+        # besides the model.
+        view = StateView(state, *data.train(state))
+        if model is None:
+            model = _train_initial(config, view, data.schedule)
+        else:
+            model = _UPDATES[config.kind](model, view, data.schedule, config)
+        del view
+        for name in sets:
+            x, y = data.evaluation(name, state)
+            logits = _stack_logits(model, x, y, state, data.schedule, datasets,
+                                   config.kind, seeds)
+            for per_model, state_logits in zip(out[name], logits, strict=True):
+                per_model.append(state_logits)
+            del x
+    return tuple(out[name] for name in sets)
+
+
+def run_incremental(config: BackboneConfig, split: StateSplit, dataset: str = "",
                     seed: int = 0):
     """Train through all states; returns (val logits, test logits) lists."""
-    schedule = split.schedule
-    model = train_initial(config, split.views[0], schedule)
-    val_out, test_out = [], []
-
-    def collect(view):
-        val_out.append(extract_logits(model, view.val_x, view.val_y, view.state,
-                                      schedule, dataset, config.kind, seed))
-        test_out.append(extract_logits(model, view.test_x, view.test_y, view.state,
-                                       schedule, dataset, config.kind, seed))
-
-    collect(split.views[0])
-    for view in split.views[1:]:
-        model = update_state(model, view, schedule, config)
-        collect(view)
-    return val_out, test_out
+    val, test = run_incremental_stack(config, [split], [dataset], [seed])
+    return val[0], test[0]

@@ -9,6 +9,15 @@ The fit minimizes mean cross-entropy of the corrected softmax plus an L2
 penalty anchored at the identity pair (alpha=1, beta=0). Corrected scores
 are linear in the parameters, so the objective is convex and the analytic
 gradient is a plain per-group sum of softmax residuals.
+
+``fit_tables`` fits the tables of R references in lockstep: at each state
+one Adam run steps all R fits together on (R, n, C) batches. Lockstep is
+exact. The shuffle stream is seeded from (config.seed, state) and the
+references of one spec have equal validation sizes, so every fit draws the
+same permutations and the stack draws them once. Every other operation
+acts per reference slice, over the same axis and in the same order as a
+fit run alone, so each table gets the bits it would get alone.
+``fit_state_pairs`` and ``fit_table`` are the one-reference case.
 """
 
 from __future__ import annotations
@@ -32,9 +41,10 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("softmax of an empty score vector is undefined")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    exp = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
 
 
 def cross_entropy(probs: np.ndarray, labels) -> float:
@@ -194,6 +204,38 @@ def _group_starts(schedule: StateSchedule, state: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
 
 
+# Models per block of the full-set loss are chosen so that a block spans
+# about this many score entries (1 MiB of float64): a block that stays in
+# cache beats one pass over a large stack.
+_LOSS_BLOCK_ENTRIES = 1 << 17
+
+
+def _corrected(matrix, alpha, beta, col) -> np.ndarray:
+    """Scores of a stack (R, n, C) corrected by each reference's pairs
+    (R, s); ``col`` maps columns to groups."""
+    out = matrix * alpha[:, col][:, None, :]
+    out += beta[:, col][:, None, :]
+    return out
+
+
+def _losses(matrix, labels, alpha, beta, col, config: CalibConfig) -> np.ndarray:
+    """``regularized_loss`` of each reference of a stack: matrix (R, n, C),
+    labels (R, n), alpha and beta (R, s).
+
+    Only the label entries of the softmax are divided out; they carry the
+    same bits as in the full softmax.
+    """
+    corrected = _corrected(matrix, alpha, beta, col)
+    corrected -= corrected.max(axis=-1, keepdims=True)
+    exp = np.exp(corrected, out=corrected)
+    refs, n = labels.shape
+    picked = exp[np.arange(refs)[:, None], np.arange(n), labels] / exp.sum(axis=-1)
+    data = np.mean(-np.log(np.maximum(picked, PROB_FLOOR)), axis=-1)
+    penalty = (config.l2_alpha * np.sum((alpha - 1.0) ** 2, axis=-1)
+               + config.l2_beta * np.sum(beta**2, axis=-1))
+    return data + penalty
+
+
 def regularized_loss(
     matrix: np.ndarray,
     labels: np.ndarray,
@@ -204,13 +246,25 @@ def regularized_loss(
     config: CalibConfig,
 ) -> float:
     """Mean corrected cross-entropy plus the identity-anchored L2 penalty."""
-    groups = schedule.column_groups(state)
-    corrected = matrix * alpha[groups - 1] + beta[groups - 1]
-    data = cross_entropy(softmax(corrected), labels)
-    penalty = config.l2_alpha * np.sum((alpha - 1.0) ** 2) + config.l2_beta * np.sum(
-        beta**2
-    )
-    return data + float(penalty)
+    return float(_losses(matrix[None], np.asarray(labels)[None], alpha[None], beta[None],
+                         schedule.column_groups(state) - 1, config)[0])
+
+
+def _gradient(matrix, labels, alpha, beta, col, starts, config: CalibConfig):
+    """``loss_gradient`` of a stack: matrix (R, b, C), labels (R, b),
+    alpha and beta (R, s); returns (R, s) gradients."""
+    residual = softmax(_corrected(matrix, alpha, beta, col))
+    refs, b = labels.shape
+    residual[np.arange(refs)[:, None], np.arange(b), labels] -= 1.0
+    residual /= b
+
+    per_col_alpha = (residual * matrix).sum(axis=1)
+    per_col_beta = residual.sum(axis=1)
+    grad_alpha = np.add.reduceat(per_col_alpha, starts, axis=1)
+    grad_beta = np.add.reduceat(per_col_beta, starts, axis=1)
+    grad_alpha += 2.0 * config.l2_alpha * (alpha - 1.0)
+    grad_beta += 2.0 * config.l2_beta * beta
+    return grad_alpha, grad_beta
 
 
 def loss_gradient(
@@ -231,21 +285,10 @@ def loss_gradient(
     """
     if matrix.shape[0] == 0:
         raise ValueError("gradient of an empty batch is undefined")
-    groups = schedule.column_groups(state)
-    corrected = matrix * alpha[groups - 1] + beta[groups - 1]
-    q = softmax(corrected)
-    residual = q.copy()
-    residual[np.arange(len(labels)), labels] -= 1.0
-    residual /= len(labels)
-
-    starts = _group_starts(schedule, state)
-    per_col_alpha = (residual * matrix).sum(axis=0)
-    per_col_beta = residual.sum(axis=0)
-    grad_alpha = np.add.reduceat(per_col_alpha, starts)
-    grad_beta = np.add.reduceat(per_col_beta, starts)
-    grad_alpha += 2.0 * config.l2_alpha * (alpha - 1.0)
-    grad_beta += 2.0 * config.l2_beta * beta
-    return grad_alpha, grad_beta
+    grad_alpha, grad_beta = _gradient(
+        matrix[None], np.asarray(labels)[None], alpha[None], beta[None],
+        schedule.column_groups(state) - 1, _group_starts(schedule, state), config)
+    return grad_alpha[0], grad_beta[0]
 
 
 @dataclass
@@ -266,24 +309,83 @@ class StateFit:
 
 
 class _Adam:
-    """Plain Adam with bias correction over a flat parameter vector."""
+    """Plain Adam with bias correction over a stack of parameter vectors."""
 
-    def __init__(self, size: int, config: CalibConfig):
+    def __init__(self, shape: tuple[int, ...], config: CalibConfig):
         self.lr = config.learning_rate
         self.b1 = config.adam_beta1
         self.b2 = config.adam_beta2
         self.eps = config.adam_eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``params`` in place."""
         self.t += 1
-        self.m = self.b1 * self.m + (1.0 - self.b1) * grad
-        self.v = self.b2 * self.v + (1.0 - self.b2) * grad**2
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1.0 - self.b2) * grad**2
         m_hat = self.m / (1.0 - self.b1**self.t)
         v_hat = self.v / (1.0 - self.b2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _fit_states(stack: list[StateLogits], config: CalibConfig) -> list[StateFit]:
+    """Fit one state's pairs for R references in lockstep.
+
+    ``stack`` holds each reference's validation logits at one state; all
+    must share the schedule, the state and the sample count.
+    """
+    first = stack[0]
+    s, schedule = first.state, first.schedule
+    if s < 2:
+        raise ValueError("state 1 has no pairs to fit")
+    for logits in stack:
+        if (logits.state, logits.schedule, logits.matrix.shape) != (
+                s, schedule, first.matrix.shape):
+            raise ValueError("stacked fits need one state, schedule and shape")
+        counts = logits.group_counts()
+        missing = [k for k, n in counts.items() if n == 0]
+        if missing:
+            raise ValueError(f"validation set has no samples for groups {missing}")
+
+    col = schedule.column_groups(s) - 1
+    starts = _group_starts(schedule, s)
+    matrix = np.stack([logits.matrix for logits in stack])
+    labels = np.stack([logits.labels for logits in stack])
+    refs, n, cols = matrix.shape
+    params = np.concatenate([np.ones((refs, s)), np.zeros((refs, s))], axis=1)
+    block = max(1, _LOSS_BLOCK_ENTRIES // (n * cols))
+
+    def full_losses():
+        return np.concatenate([
+            _losses(matrix[lo:lo + block], labels[lo:lo + block],
+                    params[lo:lo + block, :s], params[lo:lo + block, s:], col, config)
+            for lo in range(0, refs, block)])
+
+    best_loss = full_losses()
+    initial_loss = best_loss.copy()
+    best = params.copy()
+
+    rng = np.random.default_rng([config.seed, s])
+    opt = _Adam(params.shape, config)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        shuffled, shuffled_labels = matrix[:, order], labels[:, order]
+        for start in range(0, n, config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            ga, gb = _gradient(shuffled[:, batch], shuffled_labels[:, batch],
+                               params[:, :s], params[:, s:], col, starts, config)
+            opt.step(params, np.concatenate([ga, gb], axis=1))
+        loss = full_losses()
+        improved = loss < best_loss
+        best_loss[improved] = loss[improved]
+        best[improved] = params[improved]
+    return [StateFit(s, best[r, :s].copy(), best[r, s:].copy(), float(initial_loss[r]),
+                     float(best_loss[r]))
+            for r in range(refs)]
 
 
 def fit_state_pairs(val_logits: StateLogits, config: CalibConfig) -> StateFit:
@@ -295,49 +397,12 @@ def fit_state_pairs(val_logits: StateLogits, config: CalibConfig) -> StateFit:
     initialization. The shuffling stream is seeded from (config.seed,
     state), which makes fits independent of the order states are visited.
     """
-    s = val_logits.state
-    if s < 2:
-        raise ValueError("state 1 has no pairs to fit")
-    counts = val_logits.group_counts()
-    missing = [k for k, n in counts.items() if n == 0]
-    if missing:
-        raise ValueError(f"validation set has no samples for groups {missing}")
-
-    schedule = val_logits.schedule
-    matrix, labels = val_logits.matrix, val_logits.labels
-    alpha = np.ones(s)
-    beta = np.zeros(s)
-
-    def full_loss(a, b):
-        return regularized_loss(matrix, labels, a, b, schedule, s, config)
-
-    best_loss = full_loss(alpha, beta)
-    initial_loss = best_loss
-    best = (alpha.copy(), beta.copy())
-
-    rng = np.random.default_rng([config.seed, s])
-    opt = _Adam(2 * s, config)
-    params = np.concatenate([alpha, beta])
-    n = len(labels)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            ga, gb = loss_gradient(
-                matrix[idx], labels[idx], params[:s], params[s:], schedule, s, config
-            )
-            params = opt.step(params, np.concatenate([ga, gb]))
-        loss = full_loss(params[:s], params[s:])
-        if loss < best_loss:
-            best_loss = loss
-            best = (params[:s].copy(), params[s:].copy())
-    return StateFit(s, best[0], best[1], initial_loss, best_loss)
+    return _fit_states([val_logits], config)[0]
 
 
-def fit_table(
-    per_state_val_logits: list[StateLogits], config: CalibConfig
-) -> tuple[CalibrationTable, list[StateFit]]:
-    """Fit every state 2..S independently and assemble the full table."""
+def _by_state(per_state_val_logits: list[StateLogits]) -> dict[int, StateLogits]:
+    """Index one reference's validation logits by state, checking that they
+    cover exactly states 2..S of one schedule."""
     if not per_state_val_logits:
         raise ValueError("need validation logits for states 2..S")
     schedule = per_state_val_logits[0].schedule
@@ -358,11 +423,35 @@ def fit_table(
         raise ValueError(
             f"unexpected validation logits for states {unexpected}; "
             "the fit covers states 2..S")
+    return by_state
 
-    entries = {}
-    fits = []
-    for s in range(2, num_states + 1):
-        fit = fit_state_pairs(by_state[s], config)
-        entries.update(fit.pairs())
-        fits.append(fit)
-    return CalibrationTable(num_states, entries), fits
+
+def fit_tables(
+    per_reference_val_logits: list[list[StateLogits]], config: CalibConfig
+) -> list[tuple[CalibrationTable, list[StateFit]]]:
+    """Fit the tables of R references in lockstep, one stacked fit per state.
+
+    Each entry of ``per_reference_val_logits`` is one reference's
+    validation logits for states 2..S; the references must share one
+    schedule and have equal validation sizes. Returns, per reference, the
+    full table and its per-state fits.
+    """
+    by_state = [_by_state(logits) for logits in per_reference_val_logits]
+    num_states = per_reference_val_logits[0][0].schedule.num_states
+    fits = [_fit_states([states[s] for states in by_state], config)
+            for s in range(2, num_states + 1)]
+    out = []
+    for r in range(len(by_state)):
+        mine = [per_state[r] for per_state in fits]
+        entries = {}
+        for fit in mine:
+            entries.update(fit.pairs())
+        out.append((CalibrationTable(num_states, entries), mine))
+    return out
+
+
+def fit_table(
+    per_state_val_logits: list[StateLogits], config: CalibConfig
+) -> tuple[CalibrationTable, list[StateFit]]:
+    """Fit every state 2..S independently and assemble the full table."""
+    return fit_tables([per_state_val_logits], config)[0]

@@ -72,7 +72,6 @@ class RunMetrics:
     schedule: StateSchedule
     per_state_accuracy: list[float]
     group_accuracy: dict[tuple[int, int], float]
-    score_stats: dict[tuple[int, int], tuple[float, float]]
     average_incremental_accuracy: float
     method: str = ""
     notes: dict = field(default_factory=dict)
@@ -90,22 +89,17 @@ def compute_run_metrics(
         raise ValueError("need one score matrix per state 1..S")
     accs = []
     group_acc = {}
-    score_stats = {}
     for s, (scores, labels) in enumerate(zip(per_state_scores, per_state_labels), start=1):
         overall, by_group = per_state_accuracy(predict(scores), labels, schedule, s)
         accs.append(overall)
         for k, value in by_group.items():
             group_acc[(s, k)] = value
-        logits = StateLogits(s, scores, labels, schedule)
-        for k, pair in mean_scores_by_group(logits).items():
-            score_stats[(s, k)] = pair
     # A single-state run has no incremental part to average.
     average = avg_incremental_accuracy(accs) if len(accs) > 1 else float("nan")
     return RunMetrics(
         schedule=schedule,
         per_state_accuracy=accs,
         group_accuracy=group_acc,
-        score_stats=score_stats,
         average_incremental_accuracy=average,
         method=method,
         notes=dict(notes or {}),

@@ -17,20 +17,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .backbones import BackboneConfig, run_incremental
-from .calibration import CalibConfig, CalibrationTable, fit_table
+from .backbones import BackboneConfig, run_incremental_stack
+from .calibration import CalibConfig, CalibrationTable, fit_tables
 from .errors import SchemaError, SpecError
 from .metrics import RunMetrics
 from .plots import Series, render_heat_grid, render_line_chart, write_svg
 from .schedule import StateSchedule
-from .storage import (_atomic_write, _fmt, read_metrics_rows, read_table,
-                      write_dataset, write_logits, write_metrics, write_table)
+from .storage import (_atomic_write, _fmt, _read_csv_rows, read_metrics_rows,
+                      read_table, write_dataset, write_logits, write_metrics,
+                      write_table)
 from .synth import SynthSpec, StateSplit, gen_synthetic_dataset, halve_train_split, split_states
 from .transfer import apply_transfer, average_tables, oracle_select
 
@@ -214,50 +214,63 @@ class ReferenceRun:
     fits: list
 
 
-def build_reference(spec: RunSpec, index: int) -> ReferenceRun:
-    """Train one reference incrementally and fit its calibration table."""
-    name = f"ref_{index}"
-    split = make_split(spec, reference_seeds(spec)[index], name)
-    val_logits, _ = run_incremental(spec.backbone, split, dataset=name,
-                                    seed=reference_seeds(spec)[index])
-    table, fits = fit_table(val_logits[1:], spec.calibration)
-    return ReferenceRun(index, table, val_logits, fits)
+def reference_runs(spec: RunSpec, indices) -> list[ReferenceRun]:
+    """Train the references ``indices`` as one stack and fit their tables
+    in lockstep."""
+    names = [f"ref_{i}" for i in indices]
+    seeds = [reference_seeds(spec)[i] for i in indices]
+    (val_logits,) = run_incremental_stack(
+        spec.backbone, (make_split(spec, seed, name) for seed, name in zip(seeds, names)),
+        names, seeds, sets=("val",))
+    fitted = fit_tables([logits[1:] for logits in val_logits], spec.calibration)
+    return [ReferenceRun(i, table, logits, fits)
+            for i, logits, (table, fits) in zip(indices, val_logits, fitted)]
 
 
-def target_test_logits(spec: RunSpec, index: int, halve: bool = False):
-    name = f"target_{index}"
-    split = make_split(spec, target_seeds(spec)[index], name, halve=halve)
-    _, test_logits = run_incremental(spec.backbone, split, dataset=name,
-                                     seed=target_seeds(spec)[index])
+def target_logits(spec: RunSpec, indices, halve: bool = False) -> list[list]:
+    """Per-state test logits of the targets ``indices``, trained as one stack."""
+    names = [f"target_{j}" for j in indices]
+    seeds = [target_seeds(spec)[j] for j in indices]
+    (test_logits,) = run_incremental_stack(
+        spec.backbone, (make_split(spec, seed, name, halve=halve)
+                        for seed, name in zip(seeds, names)),
+        names, seeds, sets=("test",))
     return test_logits
 
 
 def _pool_map(fn, args_list, jobs: int):
     if jobs <= 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
+    # Imported here: the pool machinery costs every --jobs 1 process ~1.6 MiB.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args_list))
 
 
-def _build_reference_cell(args):
-    spec, index = args
-    return build_reference(spec, index)
+def _call(args):
+    fn, *rest = args
+    return fn(*rest)
 
 
-def _target_cell(args):
-    spec, index, halve = args
-    return target_test_logits(spec, index, halve)
+def _in_chunks(fn, spec: RunSpec, count: int, jobs: int, *extra) -> list:
+    """``fn(spec, indices, *extra)`` over ``range(count)`` split into
+    ``jobs`` contiguous chunks, one stack per worker; results in index
+    order."""
+    k = min(jobs, count)
+    bounds = [count * c // k for c in range(k + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    results = _pool_map(_call, [(fn, spec, chunk, *extra) for chunk in chunks], jobs)
+    return [item for chunk in results for item in chunk]
 
 
 def build_all_references(spec: RunSpec, jobs: int = 1) -> list[ReferenceRun]:
     """All reference runs, in index order regardless of pool scheduling."""
-    return _pool_map(_build_reference_cell,
-                     [(spec, i) for i in range(spec.num_references)], jobs)
+    return _in_chunks(reference_runs, spec, spec.num_references, jobs)
 
 
 def all_target_logits(spec: RunSpec, jobs: int = 1, halve: bool = False):
-    return _pool_map(_target_cell,
-                     [(spec, j, halve) for j in range(spec.num_targets)], jobs)
+    return _in_chunks(target_logits, spec, spec.num_targets, jobs, halve)
 
 
 def evaluate_target(test_logits, tables: list[CalibrationTable]) -> dict[str, RunMetrics]:
@@ -280,24 +293,14 @@ def cmd_gen(spec: RunSpec, out: Path) -> list[Path]:
     """Materialize every reference and target dataset as CSV files."""
     out = Path(out)
     written = []
-    for i, seed in enumerate(reference_seeds(spec)):
-        dataset = gen_synthetic_dataset(dataclasses.replace(spec.synth, seed=seed),
-                                        name=f"ref_{i}")
-        dataset = split_states(dataset, spec.schedule.num_states,
-                               list(spec.schedule.classes_per_state)).dataset
-        path = out / "data" / f"ref_{i}.csv"
-        write_dataset(path, dataset)
-        written.append(path)
-        log.info(kv(event="gen", role="reference", index=i, seed=seed, path=path))
-    for j, seed in enumerate(target_seeds(spec)):
-        dataset = gen_synthetic_dataset(dataclasses.replace(spec.synth, seed=seed),
-                                        name=f"target_{j}")
-        dataset = split_states(dataset, spec.schedule.num_states,
-                               list(spec.schedule.classes_per_state)).dataset
-        path = out / "data" / f"target_{j}.csv"
-        write_dataset(path, dataset)
-        written.append(path)
-        log.info(kv(event="gen", role="target", index=j, seed=seed, path=path))
+    for role, prefix, seeds in (("reference", "ref", reference_seeds(spec)),
+                                ("target", "target", target_seeds(spec))):
+        for index, seed in enumerate(seeds):
+            name = f"{prefix}_{index}"
+            path = out / "data" / f"{name}.csv"
+            write_dataset(path, make_split(spec, seed, name).dataset)
+            written.append(path)
+            log.info(kv(event="gen", role=role, index=index, seed=seed, path=path))
     return written
 
 
@@ -400,6 +403,7 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
     _atomic_write(path, "\n".join(rows) + "\n")
 
     if spec.sweep_halved:
+        del all_logits  # free the full-data logits before the halved stack trains
         averaged = average_tables(tables)
         halved_logits = all_target_logits(spec, jobs=jobs, halve=True)
         lines = ["target,method,avg_incremental_accuracy,gain"]
@@ -417,23 +421,14 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
     return path
 
 
-def _read_csv_table(path: Path, expected_header: list[str]) -> list[list[str]]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(path, "missing input file (run the producing subcommand first)")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split(",") != expected_header:
-        raise SchemaError(
-            path, f"expected columns {expected_header}, got {lines[0] if lines else 'nothing'}")
-    return [line.split(",") for line in lines[1:] if line]
-
-
 def cmd_plot(spec: RunSpec, out: Path) -> list[Path]:
     """Render accuracy line charts and group-accuracy heat grids from the
     CSVs produced by run-target."""
     out = Path(out)
-    rows = _read_csv_table(out / "per_state.csv",
-                           ["target", "method", "state", "accuracy"])
+    path = out / "per_state.csv"
+    header, rows = _read_csv_rows(path, "input")
+    if header != ["target", "method", "state", "accuracy"] or any(len(r) != 4 for r in rows):
+        raise SchemaError(path, f"expected columns target,method,state,accuracy, got {header}")
     by_target: dict[str, dict[str, list[tuple[int, float]]]] = {}
     for target, method, state, acc in rows:
         by_target.setdefault(target, {}).setdefault(method, []).append(

@@ -10,6 +10,7 @@ between datasets.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,22 +138,114 @@ def gen_synthetic_dataset(spec: SynthSpec, name: str = "") -> IncrementalDataset
 @dataclass
 class StateView:
     """Data visible in one state: new-class training data plus cumulative
-    validation and test data over every class seen so far."""
+    validation and test data over every class seen so far.
+
+    In a stacked view each array carries a leading model axis, one slice
+    per dataset: ``train_x`` is then (R, n, d) and ``train_y`` (R, n).
+    Training reads only the training set; the evaluation sets may be None.
+    """
 
     state: int
     train_x: np.ndarray
     train_y: np.ndarray
-    val_x: np.ndarray
-    val_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
+    val_x: np.ndarray | None = None
+    val_y: np.ndarray | None = None
+    test_x: np.ndarray | None = None
+    test_y: np.ndarray | None = None
+
+
+_SPLIT_TAGS = {"train": "train", "val": "validation", "test": "test"}
 
 
 @dataclass
 class StateSplit:
+    """A dataset with its incremental protocol installed.
+
+    Views are built on demand, so a split holds no more memory than its
+    dataset.
+    """
+
     dataset: IncrementalDataset
     schedule: StateSchedule
-    views: list[StateView]
+
+    def view(self, state: int) -> StateView:
+        """Training data of the classes new in ``state``; validation and
+        test data of every class seen through it."""
+        group = self.schedule.group_slice(state, state)
+        new = np.arange(group.start, group.stop)
+        seen = np.arange(self.schedule.classes_through(state))
+        train_x, train_y = self.dataset.subset("train", new)
+        val_x, val_y = self.dataset.subset("validation", seen)
+        test_x, test_y = self.dataset.subset("test", seen)
+        return StateView(state, train_x, train_y, val_x, val_y, test_x, test_y)
+
+    @property
+    def views(self) -> list[StateView]:
+        """The view of every state, built afresh on each access."""
+        return [self.view(s) for s in range(1, self.schedule.num_states + 1)]
+
+
+class StackedSets:
+    """What a lockstep run reads from R splits, stacked on a leading model
+    axis per state: features (R, n, d) and labels (R, n).
+
+    The splits are read one at a time, so a caller that generates them
+    lazily holds one dataset at most. Only the training set of each state
+    and the final-state evaluation sets named in ``sets`` ("val", "test")
+    are kept: an earlier state's evaluation set is the final one cut to the
+    classes seen by then, in the same row order as ``StateSplit.view``.
+    Each state's training set can be taken once and is released then. The
+    splits must share the schedule and have equal per-state sample counts,
+    as the datasets generated from one spec do.
+    """
+
+    def __init__(self, splits: Iterable[StateSplit], sets: tuple[str, ...]):
+        self.schedule = None
+        self._train: list[list | None] = []
+        self._eval = {name: [] for name in sets}
+        for split in splits:
+            if self.schedule is None:
+                self.schedule = split.schedule
+                self._train = [[] for _ in range(self.schedule.num_states)]
+            elif split.schedule != self.schedule:
+                raise ValueError("stacked sets need splits with one schedule")
+            for state, parts in enumerate(self._train, start=1):
+                group = self.schedule.group_slice(state, state)
+                parts.append(split.dataset.subset("train", np.arange(group.start, group.stop)))
+            for name, parts in self._eval.items():
+                parts.append(split.dataset.subset(_SPLIT_TAGS[name]))
+        if self.schedule is None:
+            raise ValueError("stacked sets need at least one split")
+
+    def train(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked training set of ``state``, released from here."""
+        parts, self._train[state - 1] = self._train[state - 1], None
+        if parts is None:
+            raise ValueError(f"the state {state} training set was already taken")
+        return _stack(parts, len(parts), state, "train")
+
+    def evaluation(self, name: str, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked ``name`` set of ``state``: every class seen through it."""
+        seen = self.schedule.classes_through(state)
+        parts = self._eval[name]
+        return _stack(((x[y < seen], y[y < seen]) for x, y in parts), len(parts),
+                      state, _SPLIT_TAGS[name])
+
+
+def _stack(parts: Iterable[tuple[np.ndarray, np.ndarray]], count: int, state: int,
+           tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fill (count, n, d) features and (count, n) labels one part at a time."""
+    xs = ys = None
+    for r, (x, y) in enumerate(parts):
+        if xs is None:
+            xs = np.empty((count,) + x.shape)
+            ys = np.empty((count,) + y.shape, dtype=y.dtype)
+        elif x.shape != xs.shape[1:]:
+            raise ValueError(
+                f"state {state} {tag} sets cannot be stacked: {len(y)} samples "
+                f"in split {r}, {ys.shape[1]} in split 0")
+        xs[r], ys[r] = x, y
+    return xs, ys
 
 
 def split_states(
@@ -173,16 +266,7 @@ def split_states(
             raise ValueError("per-state sizes disagree with num_states")
     else:
         schedule = StateSchedule.equal_split(dataset.schedule.num_classes, num_states)
-    tagged = replace(dataset, schedule=schedule)
-    views = []
-    for s in range(1, num_states + 1):
-        new = np.arange(schedule.group_slice(s, s).start, schedule.group_slice(s, s).stop)
-        seen = np.arange(schedule.classes_through(s))
-        train_x, train_y = tagged.subset("train", new)
-        val_x, val_y = tagged.subset("validation", seen)
-        test_x, test_y = tagged.subset("test", seen)
-        views.append(StateView(s, train_x, train_y, val_x, val_y, test_x, test_y))
-    return StateSplit(tagged, schedule, views)
+    return StateSplit(replace(dataset, schedule=schedule), schedule)
 
 
 def halve_train_split(dataset: IncrementalDataset) -> IncrementalDataset:

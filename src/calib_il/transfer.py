@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibrationTable, apply_table, softmax
+from .calibration import CalibrationTable, apply_table
 from .logits import StateLogits
 from .metrics import RunMetrics, compute_run_metrics, per_state_accuracy, predict
 
@@ -60,16 +60,17 @@ def apply_transfer(
     table: CalibrationTable | None,
     method: str = "transfer",
 ) -> TransferResult:
-    """Correct states 2..S with ``table`` and predict by corrected softmax.
+    """Correct states 2..S with ``table`` and predict the top corrected score.
 
-    State 1 predictions are the raw argmax. Passing ``table=None`` scores
+    Predictions follow the rule the metrics score (``predict``); state 1
+    predictions are the raw argmax. Passing ``table=None`` scores
     the uncorrected run.
     """
     _check_states(per_state_logits)
     if table is not None and table.num_states < len(per_state_logits):
         raise ValueError("table does not cover the target schedule")
     corrected = [_corrected_scores(lg, table) for lg in per_state_logits]
-    predictions = [predict(softmax(scores)) for scores in corrected]
+    predictions = [predict(scores) for scores in corrected]
     metrics = compute_run_metrics(
         corrected,
         [lg.labels for lg in per_state_logits],

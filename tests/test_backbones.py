@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from calib_il.backbones import (ETA_INIT, BackboneConfig, Model,
+from calib_il.backbones import (ETA_INIT, KINDS, BackboneConfig, Model,
                                 distillation_loss, extract_logits,
                                 feature_distillation_loss, lucir_lambda,
-                                mean_loss, run_incremental, standardize_rows,
+                                mean_loss, run_incremental,
+                                run_incremental_stack, standardize_rows,
                                 train_initial, update_finetune, update_ftplus,
                                 update_lucir_lite, update_lwf, update_siw,
                                 update_state)
@@ -313,6 +314,34 @@ class TestRunIncremental:
         via_dispatch = update_state(m1, split.views[1], split.schedule, config)
         direct = update_siw(m1, split.views[1], split.schedule, config)
         assert model_bytes(via_dispatch) == model_bytes(direct)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_equals_one_at_a_time(self, kind):
+        """Three datasets with distinct seeds trained as one stack: every
+        model's val and test logits at every state carry the bits it gets
+        when trained alone. Batches of 7 over 30 samples per state end each
+        epoch on a partial batch."""
+        splits = [quick_split(seed=20 + r) for r in range(3)]
+        names, seeds = ["d0", "d1", "d2"], [20, 21, 22]
+        config = quick_config(kind, batch_size=7)
+        val, test = run_incremental_stack(config, splits, names, seeds)
+        for r, split in enumerate(splits):
+            alone_val, alone_test = run_incremental(config, split, names[r], seeds[r])
+            for got, want in zip(val[r] + test[r], alone_val + alone_test, strict=True):
+                assert got.state == want.state
+                assert got.dataset == want.dataset == names[r]
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+                assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_stack_needs_equal_sample_counts(self):
+        small = split_states(gen_synthetic_dataset(SynthSpec(
+            num_classes=6, feature_dim=8, train_per_class=10, val_per_class=5,
+            test_per_class=5, seed=1)), 3)
+        with pytest.raises(ValueError, match="cannot be stacked"):
+            run_incremental_stack(quick_config(), [quick_split(), small],
+                                  ["a", "b"], [0, 1])
 
 
 class TestGuards:

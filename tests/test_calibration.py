@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calib_il import calibration
 from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
                                   apply_table, cross_entropy, fit_state_pairs,
-                                  fit_table, loss_gradient, regularized_loss,
-                                  softmax)
+                                  fit_table, fit_tables, loss_gradient,
+                                  regularized_loss, softmax)
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
 
@@ -405,6 +406,34 @@ class TestFitTable:
         logits = self.make_states(2, (2, 2))
         with pytest.raises(ValueError, match="duplicate"):
             fit_table(logits + logits, CalibConfig(epochs=5))
+
+    @pytest.mark.parametrize("block_entries", [None, 1, 1200])
+    def test_lockstep_fit_equals_one_at_a_time(self, block_entries, monkeypatch):
+        """Three references fitted in lockstep get the bits each gets alone.
+        Groups of 9 columns take numpy's unrolled sums, and 30 samples in
+        batches of 8 end each epoch on a partial batch. The full-set loss
+        runs over the whole stack by default, and over blocks of one and of
+        two references (30 x 20 entries each) when the block is smaller."""
+        if block_entries is not None:
+            monkeypatch.setattr(calibration, "_LOSS_BLOCK_ENTRIES", block_entries)
+        refs = [self.make_states(40 + r, (9, 9, 2)) for r in range(3)]
+        config = CalibConfig(epochs=6, batch_size=8)
+        for logits, (table, fits) in zip(refs, fit_tables(refs, config), strict=True):
+            alone_table, alone_fits = fit_table(logits, config)
+            assert table == alone_table
+            for got, want in zip(fits, alone_fits, strict=True):
+                assert got.state == want.state
+                assert got.alpha.tobytes() == want.alpha.tobytes()
+                assert got.beta.tobytes() == want.beta.tobytes()
+                assert got.initial_loss == want.initial_loss
+                assert got.final_loss == want.final_loss
+
+    def test_lockstep_fit_needs_equal_shapes(self):
+        sched = StateSchedule((2, 2))
+        rng = np.random.default_rng(5)
+        short = [StateLogits(2, rng.normal(0, 2, (20, 4)), rng.integers(0, 4, 20), sched)]
+        with pytest.raises(ValueError, match="one state, schedule and shape"):
+            fit_tables([self.make_states(4, (2, 2)), short], CalibConfig(epochs=2))
 
 
 class TestCalibConfig:

@@ -17,11 +17,11 @@ import pytest
 from calib_il import cli
 from calib_il.calibration import CalibrationTable
 from calib_il.errors import SchemaError, SpecError
-from calib_il.pipeline import (build_all_references, cmd_gen, cmd_plot,
-                               cmd_run_reference, cmd_run_target, cmd_sweep,
-                               evaluate_target, kv, load_run_spec, make_split,
-                               parse_run_spec, reference_seeds, target_seeds,
-                               target_test_logits)
+from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
+                               cmd_plot, cmd_run_reference, cmd_run_target,
+                               cmd_sweep, evaluate_target, kv, load_run_spec,
+                               make_split, parse_run_spec, reference_seeds,
+                               target_logits, target_seeds)
 from calib_il.plots import Series, render_heat_grid, render_line_chart
 from calib_il.storage import read_table, write_table
 
@@ -147,7 +147,7 @@ class TestSeedsAndSplits:
 class TestEvaluateTarget:
     def test_identity_tables_reproduce_raw(self):
         spec = tiny_spec()
-        logits = target_test_logits(spec, 0)
+        logits = target_logits(spec, [0])[0]
         results = evaluate_target(logits, [CalibrationTable.identity(2)] * 2)
         assert set(results) == {"raw", "bic", "adbic", "oracle"}
         for method in ("bic", "adbic", "oracle"):
@@ -155,12 +155,28 @@ class TestEvaluateTarget:
                     == results["raw"].per_state_accuracy)
 
     def test_jobs_do_not_change_results(self):
+        """--jobs 2 splits each two-model stack into two one-model chunks;
+        every table, fit and logits matrix must match the single stack
+        bitwise, for references, targets and halved targets alike."""
         spec = tiny_spec()
         serial = build_all_references(spec, jobs=1)
         pooled = build_all_references(spec, jobs=2)
-        for a, b in zip(serial, pooled):
-            assert a.index == b.index
+        assert [run.index for run in serial] == [run.index for run in pooled] == [0, 1]
+        for a, b in zip(serial, pooled, strict=True):
             assert a.table == b.table
+            assert ([(f.alpha.tobytes(), f.beta.tobytes(), f.initial_loss, f.final_loss)
+                     for f in a.fits]
+                    == [(f.alpha.tobytes(), f.beta.tobytes(), f.initial_loss, f.final_loss)
+                        for f in b.fits])
+            assert ([lg.matrix.tobytes() for lg in a.val_logits]
+                    == [lg.matrix.tobytes() for lg in b.val_logits])
+        for halve in (False, True):
+            serial = all_target_logits(spec, jobs=1, halve=halve)
+            pooled = all_target_logits(spec, jobs=2, halve=halve)
+            assert len(serial) == len(pooled) == 2
+            for a, b in zip(serial, pooled, strict=True):
+                assert [lg.dataset for lg in a] == [lg.dataset for lg in b]
+                assert [lg.matrix.tobytes() for lg in a] == [lg.matrix.tobytes() for lg in b]
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from calib_il.synth import (IncrementalDataset, SynthSpec, _cayley_rotation,
-                            gen_synthetic_dataset, halve_train_split,
-                            split_states)
+from calib_il.synth import (IncrementalDataset, StackedSets, SynthSpec,
+                            _cayley_rotation, gen_synthetic_dataset,
+                            halve_train_split, split_states)
 
 
 def small_spec(**kw):
@@ -130,6 +130,42 @@ class TestSplitStates:
             split_states(data, 3, classes_per_state=[2, 2])
         with pytest.raises(ValueError, match="split evenly"):
             split_states(data, 3)
+
+
+class TestStackedSets:
+    def shuffled_split(self, seed):
+        """A three-state split whose rows are not sorted by class or tag."""
+        data = gen_synthetic_dataset(small_spec(num_classes=6, seed=seed))
+        order = np.random.default_rng(seed).permutation(len(data.labels))
+        data = IncrementalDataset(data.features[order], data.labels[order],
+                                  data.split[order], data.schedule)
+        return split_states(data, 3)
+
+    def test_sets_equal_the_per_split_views(self):
+        """Every stacked set holds, slice by slice, the arrays of that
+        split's own view, in the same row order."""
+        splits = [self.shuffled_split(seed) for seed in (1, 2, 3)]
+        sets = StackedSets(iter(splits), ("val", "test"))
+        for state in (1, 2, 3):
+            stacked = {"train": sets.train(state), "val": sets.evaluation("val", state),
+                       "test": sets.evaluation("test", state)}
+            for r, split in enumerate(splits):
+                view = split.view(state)
+                for name, (xs, ys) in stacked.items():
+                    assert xs[r].tobytes() == getattr(view, f"{name}_x").tobytes()
+                    assert ys[r].tobytes() == getattr(view, f"{name}_y").tobytes()
+
+    def test_training_set_is_taken_once(self):
+        sets = StackedSets([self.shuffled_split(1)], ())
+        sets.train(1)
+        with pytest.raises(ValueError, match="already taken"):
+            sets.train(1)
+
+    def test_unequal_sizes_rejected(self):
+        small = split_states(gen_synthetic_dataset(small_spec(train_per_class=4)), 2)
+        sets = StackedSets([split_states(gen_synthetic_dataset(small_spec()), 2), small], ())
+        with pytest.raises(ValueError, match="cannot be stacked"):
+            sets.train(1)
 
 
 class TestHalving:
