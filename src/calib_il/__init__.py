@@ -7,9 +7,8 @@ memoryless target runs.
 """
 
 from .backbones import (BackboneConfig, Model, extract_logits, run_incremental,
-                        run_incremental_stack, train_initial, update_finetune,
-                        update_ftplus, update_lucir_lite, update_lwf, update_siw,
-                        update_state)
+                        run_incremental_stack, train_initial, update_ftplus,
+                        update_lucir_lite, update_lwf, update_siw, update_state)
 from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
                           apply_table, cross_entropy, fit_state_pairs,
                           fit_table, fit_tables, loss_gradient, regularized_loss,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackboneConfig", "Model", "extract_logits", "run_incremental",
-    "run_incremental_stack", "train_initial", "update_finetune", "update_ftplus",
+    "run_incremental_stack", "train_initial", "update_ftplus",
     "update_lucir_lite", "update_lwf", "update_siw", "update_state",
     "CalibConfig", "CalibrationTable", "StateFit", "apply_bic", "apply_table",
     "cross_entropy", "fit_state_pairs", "fit_table", "fit_tables",

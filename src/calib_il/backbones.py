@@ -490,12 +490,6 @@ def train_initial(config: BackboneConfig, view: StateView,
     return _unstack(_train_initial(config, _lift_view(view), schedule))[0]
 
 
-def update_finetune(model: Model, view: StateView, schedule: StateSchedule,
-                    config: BackboneConfig) -> Model:
-    """Plain finetuning on the new group with no forgetting protection."""
-    return _update_one(_finetune, model, view, schedule, config)
-
-
 def update_ftplus(model: Model, view: StateView, schedule: StateSchedule,
                   config: BackboneConfig) -> Model:
     """Finetune on the new group with all past output rows frozen."""

@@ -94,14 +94,51 @@ class CalibrationTable:
     """Triangular bank of (alpha, beta) pairs for states 2..S.
 
     State s holds one pair per group k in [1, s], i.e. (2+3+...+S) pairs
-    and (S+2)(S-1) stored scalars in total.
+    and (S+2)(S-1) stored scalars in total. ``alpha`` and ``beta`` are
+    read-only float64 arrays of shape (S-1, S): row s-2 holds the pairs
+    of groups 1..s of state s, and the cells past a row's state hold the
+    identity pair (1, 0).
     """
 
-    def __init__(self, num_states: int, entries: dict[tuple[int, int], tuple[float, float]]):
+    def __init__(self, alpha, beta):
+        alpha = np.array(alpha, dtype=np.float64)
+        beta = np.array(beta, dtype=np.float64)
+        num_states = alpha.shape[-1] if alpha.ndim == 2 else 0
+        if num_states < 2 or {alpha.shape, beta.shape} != {(num_states - 1, num_states)}:
+            raise ValueError(f"a calibration table needs alpha and beta of shape (S-1, S) "
+                             f"with S >= 2, got {alpha.shape} and {beta.shape}")
+        bad = np.argwhere(~(np.isfinite(alpha) & np.isfinite(beta)))
+        if len(bad):
+            row, col = (int(i) for i in bad[0])
+            raise ValueError(f"non-finite pair at {(row + 2, col + 1)}: "
+                             f"({alpha[row, col]}, {beta[row, col]})")
+        past = ~np.tri(num_states - 1, num_states, k=1, dtype=bool)
+        if np.any(alpha[past] != 1.0) or np.any(beta[past] != 0.0):
+            raise ValueError("cells past each state's groups must hold the identity pair")
+        alpha.flags.writeable = False
+        beta.flags.writeable = False
+        self.num_states = num_states
+        self.alpha = alpha
+        self.beta = beta
+
+    @classmethod
+    def identity(cls, num_states: int) -> "CalibrationTable":
+        shape = (num_states - 1, num_states)
+        return cls(np.ones(shape), np.zeros(shape))
+
+    @classmethod
+    def from_pairs(cls, num_states: int, items) -> "CalibrationTable":
+        """Build a table from ``((state, group), (alpha, beta))`` items, which
+        must name each group 1..s of each state 2..S exactly once."""
         if num_states < 2:
             raise ValueError("a calibration table needs at least 2 states")
+        pairs = {}
+        for key, pair in items:
+            if key in pairs:
+                raise ValueError(f"duplicate table entry for (s={key[0]}, k={key[1]})")
+            pairs[key] = pair
         expected = {(s, k) for s in range(2, num_states + 1) for k in range(1, s + 1)}
-        keys = set(entries)
+        keys = set(pairs)
         if keys != expected:
             missing = sorted(expected - keys)
             extra = sorted(keys - expected)
@@ -111,37 +148,18 @@ class CalibrationTable:
             if extra:
                 parts.append(f"unexpected pairs {extra}")
             raise ValueError("incomplete calibration table: " + "; ".join(parts))
-        clean = {}
-        for key, (alpha, beta) in entries.items():
-            alpha, beta = float(alpha), float(beta)
-            if not (np.isfinite(alpha) and np.isfinite(beta)):
-                raise ValueError(f"non-finite pair at {key}: ({alpha}, {beta})")
-            clean[key] = (alpha, beta)
-        self.num_states = int(num_states)
-        self.entries = clean
-
-    @classmethod
-    def identity(cls, num_states: int) -> "CalibrationTable":
-        entries = {
-            (s, k): (1.0, 0.0)
-            for s in range(2, num_states + 1)
-            for k in range(1, s + 1)
-        }
-        return cls(num_states, entries)
-
-    def pair(self, state: int, group: int) -> tuple[float, float]:
-        try:
-            return self.entries[(state, group)]
-        except KeyError:
-            raise ValueError(f"no pair stored for state {state}, group {group}") from None
+        shape = (num_states - 1, num_states)
+        alpha, beta = np.ones(shape), np.zeros(shape)
+        for (s, k), (a, b) in pairs.items():
+            alpha[s - 2, k - 1], beta[s - 2, k - 1] = a, b
+        return cls(alpha, beta)
 
     def pairs_for_state(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """Alpha and beta vectors over groups 1..state."""
         if not 2 <= state <= self.num_states:
-            raise ValueError(f"state {state} not covered by this table")
-        alpha = np.array([self.entries[(state, k)][0] for k in range(1, state + 1)])
-        beta = np.array([self.entries[(state, k)][1] for k in range(1, state + 1)])
-        return alpha, beta
+            raise ValueError(f"table does not cover state {state}: it covers states "
+                             f"up to {self.num_states}, from state 2")
+        return self.alpha[state - 2, :state], self.beta[state - 2, :state]
 
     def collapse_to_single_pair(self) -> "CalibrationTable":
         """Keep only each state's newest-group pair; past groups go identity.
@@ -149,22 +167,20 @@ class CalibrationTable:
         The result applies the classic single-pair correction of the raw
         new-class scores while leaving past scores untouched.
         """
-        entries = {}
-        for s in range(2, self.num_states + 1):
-            for k in range(1, s):
-                entries[(s, k)] = (1.0, 0.0)
-            entries[(s, s)] = self.entries[(s, s)]
-        return CalibrationTable(self.num_states, entries)
+        newest = np.eye(self.num_states - 1, self.num_states, k=1, dtype=bool)
+        return CalibrationTable(np.where(newest, self.alpha, 1.0),
+                                np.where(newest, self.beta, 0.0))
 
     def __eq__(self, other):
         return (
             isinstance(other, CalibrationTable)
-            and self.num_states == other.num_states
-            and self.entries == other.entries
+            and np.array_equal(self.alpha, other.alpha)
+            and np.array_equal(self.beta, other.beta)
         )
 
     def __repr__(self):
-        return f"CalibrationTable(num_states={self.num_states}, pairs={len(self.entries)})"
+        pairs = (self.num_states + 2) * (self.num_states - 1) // 2
+        return f"CalibrationTable(num_states={self.num_states}, pairs={pairs})"
 
 
 def apply_bic(logits: StateLogits, alpha: float, beta: float) -> np.ndarray:
@@ -183,20 +199,9 @@ def apply_bic(logits: StateLogits, alpha: float, beta: float) -> np.ndarray:
 
 def apply_table(logits: StateLogits, table: CalibrationTable) -> np.ndarray:
     """Apply the per-group pairs of ``table`` for the logits' state."""
-    s = logits.state
-    if s < 2:
-        raise ValueError("state 1 has no correction pairs")
-    if table.num_states < s:
-        raise ValueError(
-            f"table covers states up to {table.num_states}, logits are at state {s}"
-        )
-    alpha, beta = table.pairs_for_state(s)
-    groups = logits.schedule.column_groups(s)
-    if len(groups) != logits.matrix.shape[1]:
-        raise ValueError("group map inconsistent with column count")
-    col_alpha = alpha[groups - 1]
-    col_beta = beta[groups - 1]
-    return logits.matrix * col_alpha + col_beta
+    alpha, beta = table.pairs_for_state(logits.state)
+    col = logits.schedule.column_groups(logits.state) - 1
+    return logits.matrix * alpha[col] + beta[col]
 
 
 def _group_starts(schedule: StateSchedule, state: int) -> np.ndarray:
@@ -300,12 +305,6 @@ class StateFit:
     beta: np.ndarray
     initial_loss: float
     final_loss: float
-
-    def pairs(self) -> dict[tuple[int, int], tuple[float, float]]:
-        return {
-            (self.state, k + 1): (float(self.alpha[k]), float(self.beta[k]))
-            for k in range(self.state)
-        }
 
 
 class _Adam:
@@ -438,16 +437,16 @@ def fit_tables(
     """
     by_state = [_by_state(logits) for logits in per_reference_val_logits]
     num_states = per_reference_val_logits[0][0].schedule.num_states
-    fits = [_fit_states([states[s] for states in by_state], config)
-            for s in range(2, num_states + 1)]
-    out = []
-    for r in range(len(by_state)):
-        mine = [per_state[r] for per_state in fits]
-        entries = {}
-        for fit in mine:
-            entries.update(fit.pairs())
-        out.append((CalibrationTable(num_states, entries), mine))
-    return out
+    shape = (len(by_state), num_states - 1, num_states)
+    alpha, beta = np.ones(shape), np.zeros(shape)
+    fits = []
+    for s in range(2, num_states + 1):
+        state_fits = _fit_states([states[s] for states in by_state], config)
+        alpha[:, s - 2, :s] = [fit.alpha for fit in state_fits]
+        beta[:, s - 2, :s] = [fit.beta for fit in state_fits]
+        fits.append(state_fits)
+    return [(CalibrationTable(alpha[r], beta[r]), [state_fits[r] for state_fits in fits])
+            for r in range(len(by_state))]
 
 
 def fit_table(

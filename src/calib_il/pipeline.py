@@ -82,10 +82,16 @@ def _reject_unknown(section: dict, allowed: set, where: str):
         raise SpecError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _build_config(cls, section: dict, where: str, seed: int):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    _reject_unknown(section, allowed, where)
-    kwargs = dict(section)
+def _section(raw: dict, key: str, allowed: set) -> dict:
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise SpecError(f"{key} section must be a JSON object, got {section!r}")
+    _reject_unknown(section, allowed, key)
+    return dict(section)
+
+
+def _build_config(cls, raw: dict, where: str, seed: int):
+    kwargs = _section(raw, where, {f.name for f in dataclasses.fields(cls)})
     kwargs.setdefault("seed", seed)
     try:
         return cls(**kwargs)
@@ -112,20 +118,20 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
     _reject_unknown(raw, _TOP_KEYS, "run-spec")
     if "seed" not in raw:
         raise SpecError("run-spec must state a seed")
-    seed = int(raw["seed"]) if seed_override is None else int(seed_override)
+    try:
+        seed = int(raw["seed"] if seed_override is None else seed_override)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"seed must be an integer, got {raw['seed']!r}") from exc
     if seed < 0:
         raise SpecError("seed must be >= 0")
 
-    data = dict(raw.get("data", {}))
-    _reject_unknown(data, _DATA_KEYS, "data")
+    data = _section(raw, "data", _DATA_KEYS)
     for key in ("num_classes", "feature_dim"):
         if key not in data:
             raise SpecError(f"data section must state {key}")
-    num_references = int(data.pop("num_references", 10))
-    num_targets = int(data.pop("num_targets", 10))
-    if not 1 <= num_references <= 500 or not 1 <= num_targets <= 500:
-        raise SpecError("num_references and num_targets must be in [1, 500]")
     try:
+        num_references = int(data.pop("num_references", 10))
+        num_targets = int(data.pop("num_targets", 10))
         synth = SynthSpec(
             num_classes=int(data["num_classes"]),
             feature_dim=int(data["feature_dim"]),
@@ -137,11 +143,12 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
             drift_scale=float(data.get("drift_scale", 0.0)),
             seed=0,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"invalid data section: {exc}") from exc
+    if not 1 <= num_references <= 500 or not 1 <= num_targets <= 500:
+        raise SpecError("num_references and num_targets must be in [1, 500]")
 
-    sched = dict(raw.get("schedule", {}))
-    _reject_unknown(sched, _SCHEDULE_KEYS, "schedule")
+    sched = _section(raw, "schedule", _SCHEDULE_KEYS)
     try:
         if "classes_per_state" in sched:
             schedule = StateSchedule(tuple(int(p) for p in sched["classes_per_state"]))
@@ -151,27 +158,29 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
             schedule = StateSchedule.equal_split(synth.num_classes, int(sched["num_states"]))
         else:
             raise SpecError("schedule must state num_states or classes_per_state")
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"invalid schedule section: {exc}") from exc
     if schedule.num_classes != synth.num_classes:
         raise SpecError("schedule classes disagree with data num_classes")
     if schedule.num_states < 2:
         raise SpecError("the pipeline needs at least 2 states")
 
-    backbone = _build_config(BackboneConfig, dict(raw.get("backbone", {})), "backbone", seed)
-    calibration = _build_config(CalibConfig, dict(raw.get("calibration", {})), "calibration", seed)
+    backbone = _build_config(BackboneConfig, raw, "backbone", seed)
+    calibration = _build_config(CalibConfig, raw, "calibration", seed)
 
-    sweep = dict(raw.get("sweep", {}))
-    _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
+    sweep = _section(raw, "sweep", _SWEEP_KEYS)
     default_r = tuple(dict.fromkeys(
         r for r in (1, 3, 5, 9, num_references) if r <= num_references))
-    r_values = tuple(int(r) for r in sweep.get("r_values", default_r))
+    try:
+        r_values = tuple(int(r) for r in sweep.get("r_values", default_r))
+        num_samplings = int(sweep.get("num_samplings", 10))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"invalid sweep section: {exc}") from exc
     if len(set(r_values)) != len(r_values) or any(r < 1 for r in r_values):
         raise SpecError("sweep r_values must be distinct positive integers")
     if any(r > num_references for r in r_values):
         raise SpecError(
             f"sweep r_values {r_values} exceed the {num_references} available references")
-    num_samplings = int(sweep.get("num_samplings", 10))
     if num_samplings < 1:
         raise SpecError("sweep num_samplings must be >= 1")
 
@@ -273,9 +282,10 @@ def all_target_logits(spec: RunSpec, jobs: int = 1, halve: bool = False):
     return _in_chunks(target_logits, spec, spec.num_targets, jobs, halve)
 
 
-def evaluate_target(test_logits, tables: list[CalibrationTable]) -> dict[str, RunMetrics]:
-    """Raw, single-pair, per-group and oracle metrics for one target."""
-    averaged = average_tables(tables)
+def evaluate_target(test_logits, tables: list[CalibrationTable],
+                    averaged: CalibrationTable) -> dict[str, RunMetrics]:
+    """Raw, single-pair, per-group and oracle metrics for one target;
+    ``averaged`` is ``average_tables(tables)``."""
     return {
         "raw": apply_transfer(test_logits, None, method="raw").metrics,
         "bic": apply_transfer(test_logits, averaged.collapse_to_single_pair(),
@@ -336,7 +346,8 @@ def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
     """Evaluate raw vs single-pair vs per-group vs oracle on every target."""
     out = Path(out)
     tables = _load_or_build_tables(spec, out, jobs)
-    write_table(out / "tables" / "averaged.table.json", average_tables(tables))
+    averaged = average_tables(tables)
+    write_table(out / "tables" / "averaged.table.json", averaged)
     comparison = ["target,method,avg_incremental_accuracy,gain"]
     per_state = ["target,method,state,accuracy"]
     all_logits = all_target_logits(spec, jobs=jobs)
@@ -345,7 +356,7 @@ def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
         test_logits = all_logits[j]
         for logits in test_logits:
             write_logits(out / "logits" / f"{name}_state_{logits.state}.csv", logits)
-        results = evaluate_target(test_logits, tables)
+        results = evaluate_target(test_logits, tables, averaged)
         raw_acc = results["raw"].average_incremental_accuracy
         for method in METHODS:
             metrics = results[method]

@@ -175,10 +175,9 @@ def read_logits(path) -> StateLogits:
 
 
 def write_table(path, table: CalibrationTable):
-    entries = [
-        {"s": s, "k": k, "alpha": float(a), "beta": float(b)}
-        for (s, k), (a, b) in sorted(table.entries.items())
-    ]
+    entries = [{"s": s, "k": k, "alpha": float(a), "beta": float(b)}
+               for s in range(2, table.num_states + 1)
+               for k, (a, b) in enumerate(zip(*table.pairs_for_state(s)), start=1)]
     _write_json(Path(path), {
         "schema_version": SCHEMA_VERSION,
         "num_states": table.num_states,
@@ -190,17 +189,18 @@ def read_table(path) -> CalibrationTable:
     path = Path(path)
     meta = _read_json(path, "calibration table")
     _require(meta, ["num_states", "entries"], path)
-    entries = {}
+    if not isinstance(meta["entries"], list):
+        raise MetadataError(path, "table entries must be a list")
+    items = []
     for item in meta["entries"]:
-        if not isinstance(item, dict) or not {"s", "k", "alpha", "beta"} <= set(item):
-            raise MetadataError(path, f"malformed table entry {item!r}")
-        key = (int(item["s"]), int(item["k"]))
-        if key in entries:
-            raise MetadataError(path, f"duplicate table entry for (s={key[0]}, k={key[1]})")
-        entries[key] = (float(item["alpha"]), float(item["beta"]))
+        try:
+            items.append(((int(item["s"]), int(item["k"])),
+                          (float(item["alpha"]), float(item["beta"]))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MetadataError(path, f"malformed table entry {item!r}: {exc}") from exc
     try:
-        return CalibrationTable(int(meta["num_states"]), entries)
-    except ValueError as exc:
+        return CalibrationTable.from_pairs(int(meta["num_states"]), items)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MetadataError(path, str(exc)) from exc
 
 

@@ -9,7 +9,7 @@ not a deployable method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,12 @@ def average_tables(tables: list[CalibrationTable]) -> CalibrationTable:
     num_states = tables[0].num_states
     if any(t.num_states != num_states for t in tables):
         raise ValueError("all tables must cover the same number of states")
-    entries = {}
-    for key in tables[0].entries:
-        alphas = [t.entries[key][0] for t in tables]
-        betas = [t.entries[key][1] for t in tables]
-        entries[key] = (float(np.mean(alphas)), float(np.mean(betas)))
-    return CalibrationTable(num_states, entries)
+    # The tables go on the last, contiguous axis: numpy then sums each
+    # pair's R values in the order np.mean uses on a 1-D array, which an
+    # axis-0 mean does not do for R >= 8.
+    alpha = np.stack([t.alpha for t in tables], axis=-1).mean(axis=-1)
+    beta = np.stack([t.beta for t in tables], axis=-1).mean(axis=-1)
+    return CalibrationTable(alpha, beta)
 
 
 def _corrected_scores(logits: StateLogits, table: CalibrationTable | None) -> np.ndarray:
@@ -67,8 +67,6 @@ def apply_transfer(
     the uncorrected run.
     """
     _check_states(per_state_logits)
-    if table is not None and table.num_states < len(per_state_logits):
-        raise ValueError("table does not cover the target schedule")
     corrected = [_corrected_scores(lg, table) for lg in per_state_logits]
     predictions = [predict(scores) for scores in corrected]
     metrics = compute_run_metrics(
@@ -86,7 +84,6 @@ class OracleResult:
 
     chosen: dict[int, int]
     metrics: RunMetrics
-    predictions: list[np.ndarray] = field(default_factory=list)
 
 
 def oracle_select(
@@ -125,8 +122,7 @@ def oracle_select(
         method="oracle",
         notes={"deployable": False, "selection": "target test labels (upper bound)"},
     )
-    predictions = [predict(s) for s in scores_by_state]
-    return OracleResult(chosen, metrics, predictions)
+    return OracleResult(chosen, metrics)
 
 
 def _check_states(per_state_logits: list[StateLogits]) -> None:

@@ -88,7 +88,8 @@ def harness():
     references = build_all_references(spec)
     tables = [run.table for run in references]
     targets = all_target_logits(spec)
-    results = [evaluate_target(logits, tables) for logits in targets]
+    averaged = average_tables(tables)
+    results = [evaluate_target(logits, tables, averaged) for logits in targets]
     elapsed = time.perf_counter() - start
     return {"spec": spec, "tables": tables, "targets": targets,
             "results": results, "elapsed": elapsed}
@@ -224,7 +225,7 @@ def test_criterion_05_reduction_to_single_pair():
         entries = {(s, k): (1.0, 0.0)
                    for s in range(2, S + 1) for k in range(1, s + 1)}
         entries[(S, S)] = (alpha, beta)
-        diff = np.abs(apply_table(logits, CalibrationTable(S, entries))
+        diff = np.abs(apply_table(logits, CalibrationTable.from_pairs(S, entries.items()))
                       - apply_bic(logits, alpha, beta)).max()
         worst = max(worst, float(diff))
     ok = worst <= 1e-12
@@ -346,9 +347,9 @@ def test_criterion_11_serialization(tmp_path):
         == logits.matrix.tobytes()
 
     rng = np.random.default_rng(0)
-    table = CalibrationTable(3, {(s, k): (float(rng.normal(1, 0.3)),
-                                          float(rng.normal(0, 0.3)))
-                                 for s in (2, 3) for k in range(1, s + 1)})
+    table = CalibrationTable.from_pairs(3, {(s, k): (float(rng.normal(1, 0.3)),
+                                                     float(rng.normal(0, 0.3)))
+                                            for s in (2, 3) for k in range(1, s + 1)}.items())
     write_table(tmp_path / "t.table.json", table)
     table_ok = read_table(tmp_path / "t.table.json") == table
 

@@ -11,17 +11,23 @@ import math
 import numpy as np
 import pytest
 
+from calib_il import backbones
 from calib_il.backbones import (ETA_INIT, KINDS, BackboneConfig, Model,
                                 distillation_loss, extract_logits,
                                 feature_distillation_loss, lucir_lambda,
                                 mean_loss, run_incremental,
                                 run_incremental_stack, standardize_rows,
-                                train_initial, update_finetune, update_ftplus,
+                                train_initial, update_ftplus,
                                 update_lucir_lite, update_lwf, update_siw,
                                 update_state)
 from calib_il.errors import SpecError
 from calib_il.metrics import per_state_accuracy
 from calib_il.synth import SynthSpec, gen_synthetic_dataset, split_states
+
+
+def update_finetune(model, view, schedule, config):
+    """Plain finetuning on the new group with no forgetting protection."""
+    return backbones._update_one(backbones._finetune, model, view, schedule, config)
 
 
 def quick_split(seed=11, num_classes=6, num_states=3, noise=1.0, dim=8):

@@ -77,31 +77,44 @@ class TestCalibrationTable:
     def test_identity_has_triangular_count(self):
         for S in (2, 5, 10):
             table = CalibrationTable.identity(S)
-            assert len(table.entries) == (S + 2) * (S - 1) // 2
+            assert table.alpha.shape == table.beta.shape == (S - 1, S)
+            pairs = sum(len(table.pairs_for_state(s)[0]) for s in range(2, S + 1))
+            assert pairs == (S + 2) * (S - 1) // 2
 
     def test_missing_pair_named(self):
         entries = {(s, k): (1.0, 0.0) for s in (2, 3) for k in range(1, s + 1)}
         del entries[(3, 2)]
         with pytest.raises(ValueError, match=r"missing pairs \[\(3, 2\)\]"):
-            CalibrationTable(3, entries)
+            CalibrationTable.from_pairs(3, entries.items())
 
     def test_extra_pair_named(self):
         entries = {(s, k): (1.0, 0.0) for s in (2, 3) for k in range(1, s + 1)}
         entries[(4, 1)] = (1.0, 0.0)
         with pytest.raises(ValueError, match=r"unexpected pairs \[\(4, 1\)\]"):
-            CalibrationTable(3, entries)
+            CalibrationTable.from_pairs(3, entries.items())
 
     def test_non_finite_rejected(self):
         entries = {(2, 1): (1.0, 0.0), (2, 2): (np.nan, 0.0)}
         with pytest.raises(ValueError, match="non-finite"):
-            CalibrationTable(2, entries)
+            CalibrationTable.from_pairs(2, entries.items())
+
+    def test_array_layout_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            CalibrationTable(np.ones((2, 3)), np.zeros((3, 2)))
+        alpha = np.ones((2, 3))
+        alpha[0, 2] = 2.0  # state 2 has no group 3
+        with pytest.raises(ValueError, match="identity pair"):
+            CalibrationTable(alpha, np.zeros((2, 3)))
+        table = CalibrationTable.identity(3)
+        with pytest.raises(ValueError, match="read-only"):
+            table.alpha[0, 0] = 2.0
 
     def test_collapse_keeps_only_newest_pair(self):
         entries = {(s, k): (2.0 + s, 0.5 * k) for s in (2, 3) for k in range(1, s + 1)}
-        collapsed = CalibrationTable(3, entries).collapse_to_single_pair()
-        assert collapsed.pair(3, 3) == (5.0, 1.5)
-        assert collapsed.pair(3, 1) == (1.0, 0.0)
-        assert collapsed.pair(3, 2) == (1.0, 0.0)
+        collapsed = CalibrationTable.from_pairs(3, entries.items()).collapse_to_single_pair()
+        assert (collapsed.alpha[1, 2], collapsed.beta[1, 2]) == (5.0, 1.5)
+        assert (collapsed.alpha[1, 0], collapsed.beta[1, 0]) == (1.0, 0.0)
+        assert (collapsed.alpha[1, 1], collapsed.beta[1, 1]) == (1.0, 0.0)
 
 
 class TestApplyCorrections:
@@ -120,7 +133,7 @@ class TestApplyCorrections:
         logits = make_logits(2, (1, 2, 2), n=6)
         entries = {(2, 1): (0.5, 0.1), (2, 2): (2.0, -1.0),
                    (3, 1): (1.1, 0.2), (3, 2): (0.9, -0.4), (3, 3): (3.0, 0.0)}
-        table = CalibrationTable(3, entries)
+        table = CalibrationTable.from_pairs(3, entries.items())
         out = apply_table(logits, table)
         pair_by_col = [(1.1, 0.2), (0.9, -0.4), (0.9, -0.4), (3.0, 0.0), (3.0, 0.0)]
         for i in range(6):
@@ -151,7 +164,7 @@ class TestApplyCorrections:
             entries = {(s, k): (1.0, 0.0)
                        for s in range(2, S + 1) for k in range(1, s + 1)}
             entries[(S, S)] = (a, b)
-            table = CalibrationTable(S, entries)
+            table = CalibrationTable.from_pairs(S, entries.items())
             np.testing.assert_allclose(apply_table(logits, table),
                                        apply_bic(logits, a, b), atol=1e-12)
 

@@ -24,6 +24,7 @@ from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
                                target_logits, target_seeds)
 from calib_il.plots import Series, render_heat_grid, render_line_chart
 from calib_il.storage import read_table, write_table
+from calib_il.transfer import average_tables
 
 TINY = {
     "seed": 3,
@@ -148,7 +149,8 @@ class TestEvaluateTarget:
     def test_identity_tables_reproduce_raw(self):
         spec = tiny_spec()
         logits = target_logits(spec, [0])[0]
-        results = evaluate_target(logits, [CalibrationTable.identity(2)] * 2)
+        tables = [CalibrationTable.identity(2)] * 2
+        results = evaluate_target(logits, tables, average_tables(tables))
         assert set(results) == {"raw", "bic", "adbic", "oracle"}
         for method in ("bic", "adbic", "oracle"):
             assert (results[method].per_state_accuracy
@@ -211,9 +213,11 @@ class TestFlows:
         tables = [read_table(flow_out / "tables" / f"ref_{i}.table.json")
                   for i in range(2)]
         averaged = read_table(flow_out / "tables" / "averaged.table.json")
-        for key, (a, b) in averaged.entries.items():
-            pair = [(t.entries[key][0], t.entries[key][1]) for t in tables]
-            np.testing.assert_allclose((a, b), np.mean(pair, axis=0), rtol=1e-15)
+        for k in (1, 2):
+            assert averaged.alpha[0, k - 1] == float(
+                np.mean([t.alpha[0, k - 1] for t in tables]))
+            assert averaged.beta[0, k - 1] == float(
+                np.mean([t.beta[0, k - 1] for t in tables]))
 
     def test_comparison_rows_and_gain_arithmetic(self, flow_out):
         lines = (flow_out / "comparison.csv").read_text().splitlines()
@@ -359,6 +363,41 @@ class TestCLI:
                       env_extra={"CALIB_IL_SEED": "not-a-number"})
         assert res.returncode == 2
         assert "CALIB_IL_SEED" in res.stdout
+
+    @pytest.mark.parametrize("mangle", [
+        lambda r: r.update(seed="abc"),
+        lambda r: r.update(seed=None),
+        lambda r: r["data"].update(num_references="ten"),
+        lambda r: r["data"].update(num_classes=[4]),
+        lambda r: r.update(schedule={"classes_per_state": 5}),
+        lambda r: r.update(schedule={"num_states": "two"}),
+        lambda r: r.update(sweep={"r_values": 5}),
+        lambda r: r.update(sweep={"num_samplings": "x"}),
+        lambda r: r.update(sweep=5),
+        lambda r: r.update(data="abc"),
+    ], ids=["seed-str", "seed-null", "num-references-str", "num-classes-list",
+            "classes-per-state-int", "num-states-str", "r-values-int",
+            "num-samplings-str", "sweep-int", "data-str"])
+    def test_uncoercible_spec_values_exit_2(self, mangle, tmp_path):
+        raw = json.loads(json.dumps(TINY))
+        mangle(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("gen", "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout.splitlines()[-1].startswith("event=error kind=spec")
+
+    def test_corrupt_table_exits_3(self, spec_file, tmp_path):
+        for i in range(2):
+            write_table(tmp_path / "tables" / f"ref_{i}.table.json",
+                        CalibrationTable.identity(2))
+        path = tmp_path / "tables" / "ref_0.table.json"
+        payload = json.loads(path.read_text())
+        payload["entries"][0]["alpha"] = "oops"
+        path.write_text(json.dumps(payload))
+        res = run_cli("run-target", "--spec", str(spec_file), "--out", str(tmp_path))
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert res.stdout.splitlines()[-1].startswith("event=error kind=data")
 
     def test_plot_before_run_target_exits_3(self, spec_file, tmp_path):
         res = run_cli("plot", "--spec", str(spec_file), "--out", str(tmp_path))

@@ -129,7 +129,7 @@ class TestTableRoundTrip:
         rng = np.random.default_rng(0)
         entries = {(s, k): (float(rng.normal(1, 0.3)), float(rng.normal(0, 0.3)))
                    for s in range(2, 6) for k in range(1, s + 1)}
-        table = CalibrationTable(5, entries)
+        table = CalibrationTable.from_pairs(5, entries.items())
         path = tmp_path / "t.table.json"
         write_table(path, table)
         payload = json.loads(path.read_text())
@@ -153,6 +153,26 @@ class TestTableRoundTrip:
         payload["entries"].append(dict(payload["entries"][0]))
         path.write_text(json.dumps(payload))
         with pytest.raises(MetadataError, match="duplicate table entry"):
+            read_table(path)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda p: p.update(entries=5),
+        lambda p: p.update(entries={"s": 2}),
+        lambda p: p.update(num_states="three"),
+        lambda p: p["entries"][0].update(alpha="oops"),
+        lambda p: p["entries"][0].update(beta=[0.0]),
+        lambda p: p["entries"][0].update(s="two"),
+        lambda p: p["entries"][0].update(k=None),
+        lambda p: p["entries"].__setitem__(0, 5),
+    ], ids=["entries-int", "entries-object", "num-states-str", "alpha-str",
+            "beta-list", "s-str", "k-null", "entry-int"])
+    def test_unparseable_fields_rejected(self, tmp_path, mangle):
+        path = tmp_path / "t.table.json"
+        write_table(path, CalibrationTable.identity(2))
+        payload = json.loads(path.read_text())
+        mangle(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MetadataError):
             read_table(path)
 
     def test_malformed_entry_rejected(self, tmp_path):

@@ -16,7 +16,7 @@ def random_table(seed, num_states):
     for s in range(2, num_states + 1):
         for k in range(1, s + 1):
             entries[(s, k)] = (float(rng.normal(1, 0.4)), float(rng.normal(0, 0.4)))
-    return CalibrationTable(num_states, entries)
+    return CalibrationTable.from_pairs(num_states, entries.items())
 
 
 def make_run(seed, sizes, n=25):
@@ -46,7 +46,9 @@ class TestParamCount:
 
     def test_matches_identity_table(self):
         for S in (2, 5, 10, 20):
-            assert param_count(S) == 2 * len(CalibrationTable.identity(S).entries)
+            table = CalibrationTable.identity(S)
+            pairs = sum(len(table.pairs_for_state(s)[0]) for s in range(2, S + 1))
+            assert param_count(S) == 2 * pairs
 
     def test_small_states_rejected(self):
         with pytest.raises(ValueError):
@@ -55,13 +57,17 @@ class TestParamCount:
 
 class TestAverageTables:
     def test_elementwise_mean(self):
-        tables = [random_table(i, 3) for i in range(4)]
-        avg = average_tables(tables)
-        for key in avg.entries:
-            np.testing.assert_allclose(
-                avg.entries[key],
-                np.mean([t.entries[key] for t in tables], axis=0),
-                rtol=1e-15)
+        """Each pair is bitwise the per-entry mean, at R=3 and at R=10;
+        numpy reduces a stack along axis 0 in another order once R >= 8."""
+        for num_tables in (3, 10):
+            tables = [random_table(i, 3) for i in range(num_tables)]
+            avg = average_tables(tables)
+            for s in (2, 3):
+                for k in range(1, s + 1):
+                    assert avg.alpha[s - 2, k - 1] == float(
+                        np.mean([t.alpha[s - 2, k - 1] for t in tables]))
+                    assert avg.beta[s - 2, k - 1] == float(
+                        np.mean([t.beta[s - 2, k - 1] for t in tables]))
 
     def test_single_table_unchanged(self):
         table = random_table(7, 4)
@@ -145,8 +151,8 @@ class TestOracle:
             StateLogits(1, clean[:, :2], np.clip(labels, 0, 1), sched),
             StateLogits(2, corrupted, labels, sched),
         ]
-        repair = CalibrationTable(2, {(2, 1): (1.0, 0.0), (2, 2): (4.0, 12.0)})
-        wreck = CalibrationTable(2, {(2, 1): (1.0, 0.0), (2, 2): (0.1, -5.0)})
+        repair = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (4.0, 12.0))])
+        wreck = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (0.1, -5.0))])
         oracle = oracle_select([wreck, repair], run)
         assert oracle.chosen == {2: 1}
 
