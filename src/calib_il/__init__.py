@@ -6,13 +6,11 @@ validation memory, average them, and transfer the averaged table to
 memoryless target runs.
 """
 
-from .backbones import (BackboneConfig, Model, extract_logits, run_incremental,
-                        run_incremental_stack, train_initial, update_ftplus,
-                        update_lucir_lite, update_lwf, update_siw, update_state)
+from .backbones import (BackboneConfig, Model, run_incremental_stack,
+                        train_initial, update_state)
 from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
-                          apply_table, cross_entropy, fit_state_pairs,
-                          fit_table, fit_tables, loss_gradient, regularized_loss,
-                          softmax)
+                          apply_table, fit_states, fit_tables, loss_gradient,
+                          regularized_loss, softmax)
 from .errors import (CalibILError, DataFileError, DataValidationError,
                      MetadataError, NumericError, SchemaError, SpecError)
 from .logits import StateLogits
@@ -30,12 +28,10 @@ from .transfer import (OracleResult, TransferResult, apply_transfer,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackboneConfig", "Model", "extract_logits", "run_incremental",
-    "run_incremental_stack", "train_initial", "update_ftplus",
-    "update_lucir_lite", "update_lwf", "update_siw", "update_state",
+    "BackboneConfig", "Model", "run_incremental_stack", "train_initial",
+    "update_state",
     "CalibConfig", "CalibrationTable", "StateFit", "apply_bic", "apply_table",
-    "cross_entropy", "fit_state_pairs", "fit_table", "fit_tables",
-    "loss_gradient", "regularized_loss", "softmax",
+    "fit_states", "fit_tables", "loss_gradient", "regularized_loss", "softmax",
     "CalibILError", "DataFileError", "DataValidationError", "MetadataError",
     "NumericError", "SchemaError", "SpecError",
     "StateLogits", "StateSchedule",

@@ -16,10 +16,10 @@ Training runs on stacks. A stack of R models is a ``Model`` whose weights
 carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
 whose batches are (R, b, d), one dataset per slice; the models share one
 schedule, so ``class_first_state`` and ``frozen`` have no model axis.
-``run_incremental_stack`` trains R datasets in lockstep, reading them
-through ``synth.StackedSets`` so that only the sets it still needs are
-held, and the per-model functions (``train_initial``, ``update_*``,
-``run_incremental``) run a stack of one.
+``train_initial`` and ``update_state`` are the per-state steps of a
+stack; ``run_incremental_stack`` runs them through all states, reading the
+R datasets through ``synth.StackedSets`` so that only the sets it still
+needs are held. One model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import NumericError, SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
 from .synth import StackedSets, StateSplit, StateView
@@ -130,22 +130,6 @@ class Model:
 def _t(x: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack (or of one matrix)."""
     return np.swapaxes(x, -1, -2)
-
-
-def _lift(model: Model) -> Model:
-    """A stack of one that views ``model``'s arrays."""
-    return Model(
-        w1=model.w1[None], b1=model.b1[None], w2=model.w2[None], b2=model.b2[None],
-        class_first_state=model.class_first_state, frozen=model.frozen,
-        snap_w2=model.snap_w2[None], snap_b2=model.snap_b2[None],
-        cosine=model.cosine, eta=np.array([model.eta], dtype=np.float64),
-    )
-
-
-def _lift_view(view: StateView) -> StateView:
-    """A stacked view of one holding ``view``'s training set, all that
-    training reads."""
-    return StateView(view.state, view.train_x[None], view.train_y[None])
 
 
 def _unstack(stack: Model) -> list[Model]:
@@ -365,8 +349,10 @@ def _check_new_labels(model: Model | None, view: StateView, schedule: StateSched
             f"{view.state} introduces ids from {sl.start}; groups would overlap")
 
 
-def _train_initial(config: BackboneConfig, view: StateView,
-                   schedule: StateSchedule) -> Model:
+def train_initial(config: BackboneConfig, view: StateView,
+                  schedule: StateSchedule) -> Model:
+    """Train a stack of state-1 models from scratch on the first class
+    group, one per slice of the stacked ``view``."""
     if view.state != 1:
         raise SpecError("initial training expects the state-1 view")
     _check_new_labels(None, view, schedule)
@@ -422,104 +408,45 @@ def _snapshot_new(model: Model, state: int) -> Model:
     return model
 
 
-# Stacked update rules: (stack, stacked view, schedule, config) -> new stack.
+def _train_new_group(model: Model, view: StateView, schedule: StateSchedule,
+                     config: BackboneConfig, freeze_past: bool = False,
+                     teacher: Model | None = None, lam: float = 0.0) -> Model:
+    """Grow the head by the state's new group, train with SGD and snapshot
+    the new rows: the step every update rule shares.
 
-
-def _finetune(model, view, schedule, config):
+    ``freeze_past`` keeps the rows of earlier groups bitwise fixed during
+    training; ``teacher`` adds the distillation term of the model's head
+    (soft targets for a linear head, feature directions weighted by
+    ``lam`` for a cosine one).
+    """
     rng = np.random.default_rng([config.seed, view.state])
     grown = _grow_head(model, view, schedule, rng)
+    if freeze_past:
+        grown.frozen = grown.class_first_state < view.state
     grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng)
-    return _snapshot_new(grown, view.state)
-
-
-def _ftplus(model, view, schedule, config):
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    grown.frozen = grown.class_first_state < view.state
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng)
+                        config.epochs_incremental, rng, teacher=teacher, lam=lam)
     grown.frozen[:] = False
     return _snapshot_new(grown, view.state)
 
 
-def _siw(model, view, schedule, config):
-    grown = _finetune(model, view, schedule, config)
-    grown.w2 = standardize_rows(grown.snap_w2)
-    grown.b2 = np.zeros_like(grown.b2)
-    return grown
-
-
-def _lwf(model, view, schedule, config):
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng, teacher=model)
-    return _snapshot_new(grown, view.state)
-
-
-def _lucir_lite(model, view, schedule, config):
-    if not model.cosine:
-        raise SpecError("lucir_lite updates need a cosine-head model")
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    sl = schedule.group_slice(view.state, view.state)
-    lam = lucir_lambda(sl.start, sl.stop - sl.start, config.lucir_lambda_base)
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng, teacher=model, lam=lam)
-    return _snapshot_new(grown, view.state)
-
-
-_UPDATES = {
-    "ftplus": _ftplus,
-    "siw": _siw,
-    "lwf": _lwf,
-    "lucir_lite": _lucir_lite,
-}
-
-
-def _update_one(rule, model: Model, view: StateView, schedule: StateSchedule,
-                config: BackboneConfig) -> Model:
-    """Run a stacked update rule on one model."""
-    return _unstack(rule(_lift(model), _lift_view(view), schedule, config))[0]
-
-
-def train_initial(config: BackboneConfig, view: StateView,
-                  schedule: StateSchedule) -> Model:
-    """Train the state-1 model from scratch on the first class group."""
-    return _unstack(_train_initial(config, _lift_view(view), schedule))[0]
-
-
-def update_ftplus(model: Model, view: StateView, schedule: StateSchedule,
-                  config: BackboneConfig) -> Model:
-    """Finetune on the new group with all past output rows frozen."""
-    return _update_one(_ftplus, model, view, schedule, config)
-
-
-def update_siw(model: Model, view: StateView, schedule: StateSchedule,
-               config: BackboneConfig) -> Model:
-    """Finetune, then restore every class row to its introduction-time
-    snapshot and standardize all rows to a shared scale."""
-    return _update_one(_siw, model, view, schedule, config)
-
-
-def update_lwf(model: Model, view: StateView, schedule: StateSchedule,
-               config: BackboneConfig) -> Model:
-    """Finetune with a soft-target distillation term against the previous
-    model on the past columns."""
-    return _update_one(_lwf, model, view, schedule, config)
-
-
-def update_lucir_lite(model: Model, view: StateView, schedule: StateSchedule,
-                      config: BackboneConfig) -> Model:
-    """Cosine-classifier finetune with feature-direction distillation whose
-    weight grows as sqrt(past classes / new classes)."""
-    return _update_one(_lucir_lite, model, view, schedule, config)
-
-
 def update_state(model: Model, view: StateView, schedule: StateSchedule,
                  config: BackboneConfig) -> Model:
-    return _update_one(_UPDATES[config.kind], model, view, schedule, config)
+    """Advance a stack by one state with the update rule ``config.kind``
+    (see the module docstring); ``view`` is the state's stacked view."""
+    kind = config.kind
+    lam = 0.0
+    if kind == "lucir_lite":
+        if not model.cosine:
+            raise SpecError("lucir_lite updates need a cosine-head model")
+        sl = schedule.group_slice(view.state, view.state)
+        lam = lucir_lambda(sl.start, sl.stop - sl.start, config.lucir_lambda_base)
+    teacher = model if kind in ("lwf", "lucir_lite") else None
+    grown = _train_new_group(model, view, schedule, config,
+                             freeze_past=kind == "ftplus", teacher=teacher, lam=lam)
+    if kind == "siw":
+        grown.w2 = standardize_rows(grown.snap_w2)
+        grown.b2 = np.zeros_like(grown.b2)
+    return grown
 
 
 def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
@@ -528,23 +455,22 @@ def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
     """Per-model logits of a stack on stacked inputs (R, n, d).
 
     Models are scored one at a time, so the hidden activations held at
-    once are those of one model, not of the whole stack."""
+    once are those of one model, not of the whole stack. A model with a
+    non-finite score has diverged: ``NumericError``."""
     if model.num_classes != schedule.classes_through(state):
         raise SpecError(
             f"model covers {model.num_classes} classes but state {state} "
             f"has seen {schedule.classes_through(state)}")
-    return [StateLogits(state=state, matrix=one.scores(x[r]), labels=labels[r],
-                        schedule=schedule, dataset=datasets[r], backbone=backbone,
-                        seed=seeds[r])
-            for r, one in enumerate(_unstack(model))]
-
-
-def extract_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
-                   schedule: StateSchedule, dataset: str = "", backbone: str = "",
-                   seed: int = 0) -> StateLogits:
-    """Raw scores over all classes seen so far, bundled with labels."""
-    return _stack_logits(_lift(model), x[None], labels[None], state, schedule,
-                         [dataset], backbone, [seed])[0]
+    out = []
+    for r, one in enumerate(_unstack(model)):
+        scores = one.scores(x[r])
+        if not np.all(np.isfinite(scores)):
+            raise NumericError(f"dataset {datasets[r]!r}, state {state}: {backbone} "
+                               "training diverged to non-finite scores")
+        out.append(StateLogits(state=state, matrix=scores, labels=labels[r],
+                               schedule=schedule, dataset=datasets[r], backbone=backbone,
+                               seed=seeds[r]))
+    return out
 
 
 def run_incremental_stack(config: BackboneConfig, splits: Iterable[StateSplit],
@@ -568,9 +494,9 @@ def run_incremental_stack(config: BackboneConfig, splits: Iterable[StateSplit],
         # besides the model.
         view = StateView(state, *data.train(state))
         if model is None:
-            model = _train_initial(config, view, data.schedule)
+            model = train_initial(config, view, data.schedule)
         else:
-            model = _UPDATES[config.kind](model, view, data.schedule, config)
+            model = update_state(model, view, data.schedule, config)
         del view
         for name in sets:
             x, y = data.evaluation(name, state)
@@ -580,10 +506,3 @@ def run_incremental_stack(config: BackboneConfig, splits: Iterable[StateSplit],
                 per_model.append(state_logits)
             del x
     return tuple(out[name] for name in sets)
-
-
-def run_incremental(config: BackboneConfig, split: StateSplit, dataset: str = "",
-                    seed: int = 0):
-    """Train through all states; returns (val logits, test logits) lists."""
-    val, test = run_incremental_stack(config, [split], [dataset], [seed])
-    return val[0], test[0]

@@ -17,7 +17,7 @@ references of one spec have equal validation sizes, so every fit draws the
 same permutations and the stack draws them once. Every other operation
 acts per reference slice, over the same axis and in the same order as a
 fit run alone, so each table gets the bits it would get alone.
-``fit_state_pairs`` and ``fit_table`` are the one-reference case.
+``fit_states`` is the fit of one state; one reference is a stack of one.
 """
 
 from __future__ import annotations
@@ -45,22 +45,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     np.exp(exp, out=exp)
     exp /= exp.sum(axis=-1, keepdims=True)
     return exp
-
-
-def cross_entropy(probs: np.ndarray, labels) -> float:
-    """Mean negative log-probability of the true classes.
-
-    ``probs`` may be one probability vector with an integer label, or a
-    matrix with one label per row. Probabilities are floored at 1e-12 so
-    pathological inputs cannot produce -inf.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-        labels = np.asarray([labels])
-    labels = np.asarray(labels, dtype=np.int64)
-    picked = probs[np.arange(len(labels)), labels]
-    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
 @dataclass(frozen=True)
@@ -331,11 +315,17 @@ class _Adam:
         params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _fit_states(stack: list[StateLogits], config: CalibConfig) -> list[StateFit]:
-    """Fit one state's pairs for R references in lockstep.
+def fit_states(stack: list[StateLogits], config: CalibConfig) -> list[StateFit]:
+    """Fit the (alpha, beta) pairs of one state for R references in
+    lockstep, one fit per entry of ``stack``.
 
     ``stack`` holds each reference's validation logits at one state; all
-    must share the schedule, the state and the sample count.
+    must share the schedule, the state and the sample count. Each fit
+    starts from the identity pairs and runs Adam over shuffled mini-batches
+    for ``config.epochs`` passes. The iterate with the lowest full-set
+    regularized loss is kept, so the result never ends above the identity
+    initialization. The shuffling stream is seeded from (config.seed,
+    state), which makes fits independent of the order states are visited.
     """
     first = stack[0]
     s, schedule = first.state, first.schedule
@@ -387,18 +377,6 @@ def _fit_states(stack: list[StateLogits], config: CalibConfig) -> list[StateFit]
             for r in range(refs)]
 
 
-def fit_state_pairs(val_logits: StateLogits, config: CalibConfig) -> StateFit:
-    """Fit the (alpha, beta) pairs of one state on its validation scores.
-
-    Starts from the identity pairs and runs Adam over shuffled mini-batches
-    for ``config.epochs`` passes. The iterate with the lowest full-set
-    regularized loss is kept, so the result never ends above the identity
-    initialization. The shuffling stream is seeded from (config.seed,
-    state), which makes fits independent of the order states are visited.
-    """
-    return _fit_states([val_logits], config)[0]
-
-
 def _by_state(per_state_val_logits: list[StateLogits]) -> dict[int, StateLogits]:
     """Index one reference's validation logits by state, checking that they
     cover exactly states 2..S of one schedule."""
@@ -441,16 +419,9 @@ def fit_tables(
     alpha, beta = np.ones(shape), np.zeros(shape)
     fits = []
     for s in range(2, num_states + 1):
-        state_fits = _fit_states([states[s] for states in by_state], config)
+        state_fits = fit_states([states[s] for states in by_state], config)
         alpha[:, s - 2, :s] = [fit.alpha for fit in state_fits]
         beta[:, s - 2, :s] = [fit.beta for fit in state_fits]
         fits.append(state_fits)
     return [(CalibrationTable(alpha[r], beta[r]), [state_fits[r] for state_fits in fits])
             for r in range(len(by_state))]
-
-
-def fit_table(
-    per_state_val_logits: list[StateLogits], config: CalibConfig
-) -> tuple[CalibrationTable, list[StateFit]]:
-    """Fit every state 2..S independently and assemble the full table."""
-    return fit_tables([per_state_val_logits], config)[0]

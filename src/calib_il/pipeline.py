@@ -24,13 +24,13 @@ import numpy as np
 
 from .backbones import BackboneConfig, run_incremental_stack
 from .calibration import CalibConfig, CalibrationTable, fit_tables
-from .errors import SchemaError, SpecError
+from .errors import MetadataError, SchemaError, SpecError
 from .metrics import RunMetrics
 from .plots import Series, render_heat_grid, render_line_chart, write_svg
 from .schedule import StateSchedule
-from .storage import (_atomic_write, _fmt, _read_csv_rows, read_metrics_rows,
-                      read_table, write_dataset, write_logits, write_metrics,
-                      write_table)
+from .storage import (_atomic_write, _fmt, _parse_float, _read_csv_rows,
+                      read_metrics_rows, read_table, write_dataset, write_logits,
+                      write_metrics, write_table)
 from .synth import SynthSpec, StateSplit, gen_synthetic_dataset, halve_train_split, split_states
 from .transfer import apply_transfer, average_tables, oracle_select
 
@@ -335,7 +335,12 @@ def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Path]:
 def _load_or_build_tables(spec: RunSpec, out: Path, jobs: int) -> list[CalibrationTable]:
     paths = [out / "tables" / f"ref_{i}.table.json" for i in range(spec.num_references)]
     if all(p.exists() for p in paths):
-        return [read_table(p) for p in paths]
+        tables = [read_table(p) for p in paths]
+        for path, table in zip(paths, tables):
+            if table.num_states != spec.schedule.num_states:
+                raise MetadataError(path, f"table covers {table.num_states} states but the "
+                                          f"spec's schedule has {spec.schedule.num_states}")
+        return tables
     tables = [run.table for run in build_all_references(spec, jobs=jobs)]
     for path, table in zip(paths, tables):
         write_table(path, table)
@@ -441,9 +446,10 @@ def cmd_plot(spec: RunSpec, out: Path) -> list[Path]:
     if header != ["target", "method", "state", "accuracy"] or any(len(r) != 4 for r in rows):
         raise SchemaError(path, f"expected columns target,method,state,accuracy, got {header}")
     by_target: dict[str, dict[str, list[tuple[int, float]]]] = {}
-    for target, method, state, acc in rows:
+    for i, (target, method, state, acc) in enumerate(rows, start=2):
         by_target.setdefault(target, {}).setdefault(method, []).append(
-            (int(state), float(acc)))
+            (int(_parse_float(state, path, f"row {i} state")),
+             _parse_float(acc, path, f"row {i} accuracy")))
     written = []
     for target in sorted(by_target):
         series = []

@@ -288,5 +288,7 @@ def read_metrics_rows(path) -> list[tuple[int, int, float]]:
     for i, row in enumerate(rows):
         if len(row) != 3:
             raise SchemaError(path, f"row {i + 2}: expected 3 fields")
-        out.append((int(row[0]), int(row[1]), _parse_float(row[2], path, f"row {i + 2}")))
+        out.append((int(_parse_float(row[0], path, f"row {i + 2} state")),
+                    int(_parse_float(row[1], path, f"row {i + 2} group")),
+                    _parse_float(row[2], path, f"row {i + 2}")))
     return out

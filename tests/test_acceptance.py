@@ -16,11 +16,12 @@ import time
 import numpy as np
 import pytest
 
+from calib_il import backbones
 from calib_il.backbones import (BackboneConfig, distillation_loss,
                                 feature_distillation_loss, lucir_lambda,
-                                train_initial, update_ftplus, update_siw)
+                                train_initial, update_state)
 from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
-                                  apply_table, fit_state_pairs, loss_gradient,
+                                  apply_table, fit_states, loss_gradient,
                                   regularized_loss)
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
@@ -33,7 +34,7 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,
                               write_metrics, write_table)
-from calib_il.synth import SynthSpec, gen_synthetic_dataset, split_states
+from calib_il.synth import StateView, SynthSpec, gen_synthetic_dataset, split_states
 from calib_il.transfer import (apply_transfer, average_tables, oracle_select,
                                param_count)
 
@@ -186,7 +187,7 @@ def test_criterion_03_fit_matches_grid_search():
     z[:, 2:] *= 1.8
     logits = StateLogits(2, z, labels, sched)
     config = CalibConfig()
-    fit = fit_state_pairs(logits, config)
+    fit = fit_states([logits], config)[0]
 
     a1, b1, a2, b2 = 1.0, 0.0, 1.0, 0.0
     best = np.inf
@@ -288,18 +289,20 @@ def test_criterion_09_backbone_contracts():
     split = split_states(gen_synthetic_dataset(spec), 3)
     config = BackboneConfig(kind="ftplus", epochs_initial=20,
                             epochs_incremental=10)
-    m1 = train_initial(config, split.views[0], split.schedule)
-    m2 = update_ftplus(m1, split.views[1], split.schedule, config)
-    frozen_ok = (m2.w2[:2].tobytes() == m1.w2.tobytes()
-                 and m2.b2[:2].tobytes() == m1.b2.tobytes())
+    view1, view2 = (StateView(v.state, v.train_x[None], v.train_y[None])
+                    for v in split.views[:2])
+    m1 = train_initial(config, view1, split.schedule)
+    m2 = update_state(m1, view2, split.schedule, config)
+    frozen_ok = (m2.w2[:, :2].tobytes() == m1.w2.tobytes()
+                 and m2.b2[:, :2].tobytes() == m1.b2.tobytes())
 
-    siw = update_siw(m1, split.views[1], split.schedule,
-                     dataclasses.replace(config, kind="siw"))
-    mean_err = float(np.abs(siw.w2.mean(axis=1)).max())
-    std_err = float(np.abs(siw.w2.std(axis=1) - 1.0).max())
+    siw = update_state(m1, view2, split.schedule, dataclasses.replace(config, kind="siw"))
+    mean_err = float(np.abs(siw.w2.mean(axis=-1)).max())
+    std_err = float(np.abs(siw.w2.std(axis=-1) - 1.0).max())
     siw_ok = mean_err < 1e-9 and std_err < 1e-9
 
     x = split.views[0].val_x
+    (m1,) = backbones._unstack(m1)
     lwf_term = abs(distillation_loss(m1, m1, x, 2.0, 1.0))
     lucir_term = abs(feature_distillation_loss(m1, m1, x, 5.0))
     distill_ok = lwf_term < 1e-12 and lucir_term < 1e-12

@@ -13,21 +13,37 @@ import pytest
 
 from calib_il import backbones
 from calib_il.backbones import (ETA_INIT, KINDS, BackboneConfig, Model,
-                                distillation_loss, extract_logits,
-                                feature_distillation_loss, lucir_lambda,
-                                mean_loss, run_incremental,
-                                run_incremental_stack, standardize_rows,
-                                train_initial, update_ftplus,
-                                update_lucir_lite, update_lwf, update_siw,
-                                update_state)
+                                distillation_loss, feature_distillation_loss,
+                                lucir_lambda, mean_loss, run_incremental_stack,
+                                standardize_rows, train_initial, update_state)
 from calib_il.errors import SpecError
 from calib_il.metrics import per_state_accuracy
-from calib_il.synth import SynthSpec, gen_synthetic_dataset, split_states
+from calib_il.synth import StateView, SynthSpec, gen_synthetic_dataset, split_states
+
+
+def stacked(view):
+    """The stacked view of one dataset's state: its training set, all that
+    training reads, with a model axis of length one."""
+    return StateView(view.state, view.train_x[None], view.train_y[None])
+
+
+def one(stack):
+    """The only model of a stack of one."""
+    (model,) = backbones._unstack(stack)
+    return model
+
+
+def train_one(config, split):
+    return train_initial(config, stacked(split.views[0]), split.schedule)
+
+
+def update_one(model, split, state, config):
+    return update_state(model, stacked(split.views[state - 1]), split.schedule, config)
 
 
 def update_finetune(model, view, schedule, config):
     """Plain finetuning on the new group with no forgetting protection."""
-    return backbones._update_one(backbones._finetune, model, view, schedule, config)
+    return backbones._train_new_group(model, view, schedule, config)
 
 
 def quick_split(seed=11, num_classes=6, num_states=3, noise=1.0, dim=8):
@@ -46,7 +62,7 @@ def quick_config(kind="ftplus", **kw):
 def model_bytes(model):
     return tuple(arr.tobytes() for arr in
                  (model.w1, model.b1, model.w2, model.b2,
-                  model.snap_w2, model.snap_b2)) + (model.eta,)
+                  model.snap_w2, model.snap_b2, model.eta))
 
 
 class TestBackboneConfig:
@@ -96,9 +112,9 @@ class TestInitialTraining:
         """Zero noise collapses each class onto its center, so the trained
         state-1 model classifies its own training set perfectly."""
         split = quick_split(seed=3, noise=0.0)
-        model = train_initial(quick_config(), split.views[0], split.schedule)
+        model = train_one(quick_config(), split)
         view = split.views[0]
-        preds = np.argmax(model.scores(view.train_x), axis=1)
+        preds = np.argmax(model.scores(view.train_x[None])[0], axis=1)
         np.testing.assert_array_equal(preds, view.train_y)
 
     def test_training_reduces_loss(self):
@@ -106,8 +122,8 @@ class TestInitialTraining:
         reach a lower train loss than one epoch on this separable data."""
         split = quick_split(seed=4)
         view = split.views[0]
-        short = train_initial(quick_config(epochs_initial=1), view, split.schedule)
-        long = train_initial(quick_config(epochs_initial=40), view, split.schedule)
+        short = one(train_one(quick_config(epochs_initial=1), split))
+        long = one(train_one(quick_config(epochs_initial=40), split))
         loss_long = mean_loss(long, view.train_x, view.train_y)
         assert loss_long < mean_loss(short, view.train_x, view.train_y)
         assert loss_long < math.log(2)  # better than chance over 2 classes
@@ -115,12 +131,12 @@ class TestInitialTraining:
     def test_wrong_state_rejected(self):
         split = quick_split()
         with pytest.raises(SpecError):
-            train_initial(quick_config(), split.views[1], split.schedule)
+            train_initial(quick_config(), stacked(split.views[1]), split.schedule)
 
     def test_deterministic(self):
         split = quick_split(seed=5)
-        a = train_initial(quick_config(), split.views[0], split.schedule)
-        b = train_initial(quick_config(), split.views[0], split.schedule)
+        a = train_one(quick_config(), split)
+        b = train_one(quick_config(), split)
         assert model_bytes(a) == model_bytes(b)
 
 
@@ -128,38 +144,38 @@ class TestFreezing:
     def test_past_rows_bitwise_frozen(self):
         split = quick_split()
         config = quick_config("ftplus")
-        m1 = train_initial(config, split.views[0], split.schedule)
-        m2 = update_ftplus(m1, split.views[1], split.schedule, config)
-        assert m2.w2[:2].tobytes() == m1.w2.tobytes()
-        assert m2.b2[:2].tobytes() == m1.b2.tobytes()
+        m1 = train_one(config, split)
+        m2 = update_one(m1, split, 2, config)
+        assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
+        assert m2.b2[:, :2].tobytes() == m1.b2.tobytes()
         assert not m2.frozen.any()  # mask cleared once the update is done
 
     def test_new_rows_actually_train(self):
         split = quick_split()
         config = quick_config("ftplus")
-        m1 = train_initial(config, split.views[0], split.schedule)
-        trained = update_ftplus(m1, split.views[1], split.schedule, config)
-        untrained = update_ftplus(m1, split.views[1], split.schedule,
-                                  dataclasses.replace(config, epochs_incremental=0))
-        assert trained.w2[2:4].tobytes() != untrained.w2[2:4].tobytes()
+        m1 = train_one(config, split)
+        trained = update_one(m1, split, 2, config)
+        untrained = update_one(m1, split, 2,
+                               dataclasses.replace(config, epochs_incremental=0))
+        assert trained.w2[:, 2:4].tobytes() != untrained.w2[:, 2:4].tobytes()
 
     def test_zero_epochs_changes_nothing_but_the_head(self):
         split = quick_split()
         config = quick_config("ftplus", epochs_incremental=0)
-        m1 = train_initial(config, split.views[0], split.schedule)
-        m2 = update_ftplus(m1, split.views[1], split.schedule, config)
+        m1 = train_one(config, split)
+        m2 = update_one(m1, split, 2, config)
         assert m2.w1.tobytes() == m1.w1.tobytes()
         assert m2.b1.tobytes() == m1.b1.tobytes()
-        assert m2.w2[:2].tobytes() == m1.w2.tobytes()
+        assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
         assert m2.num_classes == 4
 
     def test_input_model_never_mutated(self):
         split = quick_split()
         for kind in ("ftplus", "siw", "lwf", "lucir_lite"):
             config = quick_config(kind)
-            m1 = train_initial(config, split.views[0], split.schedule)
+            m1 = train_one(config, split)
             before = model_bytes(m1)
-            update_state(m1, split.views[1], split.schedule, config)
+            update_one(m1, split, 2, config)
             assert model_bytes(m1) == before
 
 
@@ -167,10 +183,10 @@ class TestSIW:
     def test_rows_standardized_and_bias_cleared(self):
         split = quick_split()
         config = quick_config("siw")
-        m1 = train_initial(config, split.views[0], split.schedule)
-        m2 = update_siw(m1, split.views[1], split.schedule, config)
-        np.testing.assert_allclose(m2.w2.mean(axis=1), 0.0, atol=1e-9)
-        np.testing.assert_allclose(m2.w2.std(axis=1), 1.0, atol=1e-9)
+        m1 = train_one(config, split)
+        m2 = update_one(m1, split, 2, config)
+        np.testing.assert_allclose(m2.w2.mean(axis=-1), 0.0, atol=1e-9)
+        np.testing.assert_allclose(m2.w2.std(axis=-1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(m2.b2, 0.0)
 
     def test_head_rebuilt_from_snapshots(self):
@@ -178,10 +194,10 @@ class TestSIW:
         past classes keep their introduction-time directions."""
         split = quick_split()
         config = quick_config("siw")
-        m1 = train_initial(config, split.views[0], split.schedule)
-        m2 = update_siw(m1, split.views[1], split.schedule, config)
+        m1 = train_one(config, split)
+        m2 = update_one(m1, split, 2, config)
         np.testing.assert_array_equal(m2.w2, standardize_rows(m2.snap_w2))
-        np.testing.assert_array_equal(m2.snap_w2[:2], m1.snap_w2)
+        np.testing.assert_array_equal(m2.snap_w2[:, :2], m1.snap_w2)
 
 
 class TestLwF:
@@ -190,15 +206,15 @@ class TestLwF:
         entirely, so the update is bitwise the plain finetune."""
         split = quick_split()
         config = quick_config("lwf", distill_weight=0.0)
-        m1 = train_initial(config, split.views[0], split.schedule)
-        a = update_lwf(m1, split.views[1], split.schedule, config)
-        b = update_finetune(m1, split.views[1], split.schedule, config)
+        m1 = train_one(config, split)
+        a = update_one(m1, split, 2, config)
+        b = update_finetune(m1, stacked(split.views[1]), split.schedule, config)
         assert model_bytes(a) == model_bytes(b)
 
     def test_distillation_zero_at_teacher(self):
         split = quick_split()
         config = quick_config("lwf")
-        m1 = train_initial(config, split.views[0], split.schedule)
+        m1 = one(train_one(config, split))
         loss = distillation_loss(m1, m1, split.views[0].val_x, 2.0, 1.0)
         assert abs(loss) < 1e-12
 
@@ -235,11 +251,11 @@ class TestLwF:
                              center_scale=1.0, noise_scale=1.0, seed=seed)
             split = split_states(gen_synthetic_dataset(spec), 5)
             config = dataclasses.replace(base, distill_weight=distill_weight)
-            model = train_initial(config, split.views[0], split.schedule)
-            for view in split.views[1:]:
-                model = update_state(model, view, split.schedule, config)
+            model = train_one(config, split)
+            for state in range(2, 6):
+                model = update_one(model, split, state, config)
             view = split.views[-1]
-            preds = np.argmax(model.scores(view.test_x), axis=1)
+            preds = np.argmax(model.scores(view.test_x[None])[0], axis=1)
             _, by_group = per_state_accuracy(preds, view.test_y, split.schedule, 5)
             return float(np.mean([by_group[k] for k in range(1, 5)]))
 
@@ -258,31 +274,28 @@ class TestLucirLite:
     def test_scores_bounded_by_eta(self):
         split = quick_split()
         config = quick_config("lucir_lite")
-        m1 = train_initial(config, split.views[0], split.schedule)
-        m2 = update_lucir_lite(m1, split.views[1], split.schedule, config)
-        scores = m2.scores(split.views[1].test_x)
-        assert np.abs(scores).max() <= abs(m2.eta) + 1e-9
+        m1 = train_one(config, split)
+        m2 = update_one(m1, split, 2, config)
+        scores = m2.scores(split.views[1].test_x[None])
+        assert np.abs(scores).max() <= abs(m2.eta[0]) + 1e-9
 
     def test_eta_is_trained(self):
         split = quick_split()
-        model = train_initial(quick_config("lucir_lite"), split.views[0],
-                              split.schedule)
-        assert model.eta != ETA_INIT
+        model = train_one(quick_config("lucir_lite"), split)
+        assert model.eta[0] != ETA_INIT
 
     def test_feature_distillation_zero_at_teacher(self):
         split = quick_split()
-        model = train_initial(quick_config("lucir_lite"), split.views[0],
-                              split.schedule)
+        model = one(train_one(quick_config("lucir_lite"), split))
         loss = feature_distillation_loss(model, model, split.views[0].val_x, 5.0)
         assert abs(loss) < 1e-12
 
     def test_linear_model_rejected(self):
         split = quick_split()
         config = quick_config("lucir_lite")
-        linear = train_initial(quick_config("ftplus"), split.views[0],
-                               split.schedule)
+        linear = train_one(quick_config("ftplus"), split)
         with pytest.raises(SpecError, match="cosine-head"):
-            update_lucir_lite(linear, split.views[1], split.schedule, config)
+            update_one(linear, split, 2, config)
 
     def test_degenerate_features_stay_finite(self):
         """A dead hidden layer produces zero feature vectors; the norm floor
@@ -302,24 +315,16 @@ class TestRunIncremental:
     def test_shapes_states_and_determinism(self):
         split = quick_split(seed=9)
         config = quick_config()
-        val, test = run_incremental(config, split, dataset="d0", seed=9)
+        (val,), (test,) = run_incremental_stack(config, [split], ["d0"], [9])
         assert [lg.state for lg in val] == [1, 2, 3]
         assert [lg.state for lg in test] == [1, 2, 3]
         for s, lg in enumerate(val, start=1):
             assert lg.matrix.shape[1] == split.schedule.classes_through(s)
             np.testing.assert_array_equal(lg.labels, split.views[s - 1].val_y)
             assert lg.dataset == "d0" and lg.backbone == "ftplus"
-        val2, _ = run_incremental(config, split, dataset="d0", seed=9)
+        (val2,), _ = run_incremental_stack(config, [split], ["d0"], [9])
         for a, b in zip(val, val2):
             assert a.matrix.tobytes() == b.matrix.tobytes()
-
-    def test_dispatch_matches_direct_update(self):
-        split = quick_split()
-        config = quick_config("siw")
-        m1 = train_initial(config, split.views[0], split.schedule)
-        via_dispatch = update_state(m1, split.views[1], split.schedule, config)
-        direct = update_siw(m1, split.views[1], split.schedule, config)
-        assert model_bytes(via_dispatch) == model_bytes(direct)
 
 
 class TestLockstep:
@@ -327,14 +332,15 @@ class TestLockstep:
     def test_stack_equals_one_at_a_time(self, kind):
         """Three datasets with distinct seeds trained as one stack: every
         model's val and test logits at every state carry the bits it gets
-        when trained alone. Batches of 7 over 30 samples per state end each
-        epoch on a partial batch."""
+        when trained alone, as a stack of one. Batches of 7 over 30 samples
+        per state end each epoch on a partial batch."""
         splits = [quick_split(seed=20 + r) for r in range(3)]
         names, seeds = ["d0", "d1", "d2"], [20, 21, 22]
         config = quick_config(kind, batch_size=7)
         val, test = run_incremental_stack(config, splits, names, seeds)
         for r, split in enumerate(splits):
-            alone_val, alone_test = run_incremental(config, split, names[r], seeds[r])
+            (alone_val,), (alone_test,) = run_incremental_stack(
+                config, [split], [names[r]], [seeds[r]])
             for got, want in zip(val[r] + test[r], alone_val + alone_test, strict=True):
                 assert got.state == want.state
                 assert got.dataset == want.dataset == names[r]
@@ -354,25 +360,27 @@ class TestGuards:
     def test_labels_outside_group_rejected(self):
         split = quick_split()
         config = quick_config()
-        m1 = train_initial(config, split.views[0], split.schedule)
-        bad = dataclasses.replace(split.views[1], train_y=split.views[0].train_y)
+        m1 = train_one(config, split)
+        bad = dataclasses.replace(stacked(split.views[1]),
+                                  train_y=split.views[0].train_y[None])
         with pytest.raises(SpecError, match="new group"):
-            update_ftplus(m1, bad, split.schedule, config)
+            update_state(m1, bad, split.schedule, config)
 
     def test_skipping_a_state_rejected(self):
         split = quick_split()
         config = quick_config()
-        m1 = train_initial(config, split.views[0], split.schedule)
+        m1 = train_one(config, split)
         with pytest.raises(SpecError, match="overlap"):
-            update_ftplus(m1, split.views[2], split.schedule, config)
+            update_one(m1, split, 3, config)
 
     def test_logits_require_matching_state(self):
         split = quick_split()
         config = quick_config()
-        m1 = train_initial(config, split.views[0], split.schedule)
+        m1 = train_one(config, split)
+        view = split.views[1]
         with pytest.raises(SpecError, match="model covers"):
-            extract_logits(m1, split.views[1].val_x, split.views[1].val_y, 2,
-                           split.schedule)
+            backbones._stack_logits(m1, view.val_x[None], view.val_y[None], 2,
+                                    split.schedule, ["d0"], "ftplus", [0])
 
     def test_mean_loss_hand_case(self):
         model = Model(w1=np.eye(2), b1=np.zeros(2),

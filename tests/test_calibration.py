@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from calib_il import calibration
 from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
-                                  apply_table, cross_entropy, fit_state_pairs,
-                                  fit_table, fit_tables, loss_gradient,
-                                  regularized_loss, softmax)
+                                  apply_table, fit_states, fit_tables,
+                                  loss_gradient, regularized_loss, softmax)
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
 
@@ -55,22 +54,6 @@ class TestSoftmax:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p >= 0)
         np.testing.assert_allclose(softmax(z + shift), p, atol=1e-12)
-
-
-class TestCrossEntropy:
-    def test_hand_value(self):
-        # -mean(log p_true) for two rows picked by label
-        probs = np.array([[0.7, 0.3], [0.2, 0.8]])
-        expect = -(math.log(0.7) + math.log(0.8)) / 2
-        np.testing.assert_allclose(cross_entropy(probs, [0, 1]), expect, rtol=1e-15)
-
-    def test_floor_blocks_infinity(self):
-        value = cross_entropy(np.array([[1.0, 0.0]]), [1])
-        np.testing.assert_allclose(value, -math.log(1e-12))
-
-    def test_vector_form(self):
-        np.testing.assert_allclose(cross_entropy(np.array([0.25, 0.75]), 1),
-                                   -math.log(0.75), rtol=1e-15)
 
 
 class TestCalibrationTable:
@@ -311,20 +294,20 @@ class TestFit:
         config = CalibConfig(epochs=40)
         for seed in (0, 1, 2):
             logits = make_logits(seed, (2, 2, 2), n=60)
-            fit = fit_state_pairs(logits, config)
+            fit = fit_states([logits], config)[0]
             assert fit.final_loss <= fit.initial_loss
 
     def test_matches_grid_search_oracle(self):
         config = CalibConfig()
         logits = realizable_case(1)
-        fit = fit_state_pairs(logits, config)
+        fit = fit_states([logits], config)[0]
         oracle = block_grid_search(logits, config)
         assert abs(fit.final_loss - oracle) < 1e-3
 
     def test_recovers_pure_scale_corruption(self):
         """Scale-only corruption by 1.8 should fit alpha near 1/1.8 for the
         new group and leave the old group near identity."""
-        fit = fit_state_pairs(realizable_case(3), CalibConfig())
+        fit = fit_states([realizable_case(3)], CalibConfig())[0]
         assert abs(fit.alpha[1] - 1 / 1.8) < 0.08
         assert abs(fit.alpha[0] - 1.0) < 0.08
         assert abs(fit.beta[0]) < 0.1 and abs(fit.beta[1]) < 0.1
@@ -332,14 +315,14 @@ class TestFit:
     def test_identity_data_stays_near_identity(self):
         """Uncorrupted realizable scores need no correction; the penalty
         keeps the fit close to (1, 0)."""
-        fit = fit_state_pairs(realizable_case(4, scale=1.0), CalibConfig(epochs=150))
+        fit = fit_states([realizable_case(4, scale=1.0)], CalibConfig(epochs=150))[0]
         np.testing.assert_allclose(fit.alpha, 1.0, atol=0.08)
         np.testing.assert_allclose(fit.beta, 0.0, atol=0.08)
 
     def test_state1_rejected(self):
         logits = make_logits(6, (2, 2), state=1)
         with pytest.raises(ValueError):
-            fit_state_pairs(logits, CalibConfig())
+            fit_states([logits], CalibConfig())
 
     def test_empty_group_rejected(self):
         sched = StateSchedule((2, 2))
@@ -348,7 +331,7 @@ class TestFit:
         labels = np.full(10, 3)  # nothing from group 1
         logits = StateLogits(2, matrix, labels, sched)
         with pytest.raises(ValueError, match=r"groups \[1\]"):
-            fit_state_pairs(logits, CalibConfig())
+            fit_states([logits], CalibConfig())
 
     def test_duplicate_batch_invariance(self):
         """Loss and gradient are per-sample means, so duplicating every
@@ -374,9 +357,9 @@ class TestFit:
         config = CalibConfig(epochs=25)
         s3 = make_logits(11, (2, 2, 2), state=3, n=40)
         s2 = make_logits(12, (2, 2, 2), state=2, n=40)
-        direct = fit_state_pairs(s3, config)
-        fit_state_pairs(s2, config)
-        after = fit_state_pairs(s3, config)
+        direct = fit_states([s3], config)[0]
+        fit_states([s2], config)
+        after = fit_states([s3], config)[0]
         np.testing.assert_array_equal(direct.alpha, after.alpha)
         np.testing.assert_array_equal(direct.beta, after.beta)
 
@@ -395,7 +378,7 @@ class TestFitTable:
 
     def test_assembles_complete_table(self):
         logits = self.make_states(0, (2, 1, 2))
-        table, fits = fit_table(logits, CalibConfig(epochs=5))
+        ((table, fits),) = fit_tables([logits], CalibConfig(epochs=5))
         assert table.num_states == 3
         assert len(fits) == 2
         assert all(f.final_loss <= f.initial_loss for f in fits)
@@ -403,26 +386,27 @@ class TestFitTable:
     def test_missing_state_rejected(self):
         logits = self.make_states(1, (2, 1, 2))
         with pytest.raises(ValueError, match=r"missing validation logits for states \[3\]"):
-            fit_table(logits[:1], CalibConfig(epochs=5))
+            fit_tables([logits[:1]], CalibConfig(epochs=5))
 
     def test_state_one_rejected(self):
         # State 1 has a single group and nothing to correct; feeding it in
-        # (e.g. the full output of run_incremental) should be named as such.
+        # (e.g. the full output of run_incremental_stack) should be named as such.
         logits = self.make_states(3, (2, 1, 2))
         sched = logits[0].schedule
         rng = np.random.default_rng(30)
         first = StateLogits(1, rng.normal(0, 2, (30, 2)), rng.integers(0, 2, 30), sched)
         with pytest.raises(ValueError, match=r"unexpected validation logits for states \[1\]"):
-            fit_table([first] + logits, CalibConfig(epochs=5))
+            fit_tables([[first] + logits], CalibConfig(epochs=5))
 
     def test_duplicate_state_rejected(self):
         logits = self.make_states(2, (2, 2))
         with pytest.raises(ValueError, match="duplicate"):
-            fit_table(logits + logits, CalibConfig(epochs=5))
+            fit_tables([logits + logits], CalibConfig(epochs=5))
 
     @pytest.mark.parametrize("block_entries", [None, 1, 1200])
     def test_lockstep_fit_equals_one_at_a_time(self, block_entries, monkeypatch):
-        """Three references fitted in lockstep get the bits each gets alone.
+        """Three references fitted in lockstep get the bits each gets alone,
+        as a stack of one.
         Groups of 9 columns take numpy's unrolled sums, and 30 samples in
         batches of 8 end each epoch on a partial batch. The full-set loss
         runs over the whole stack by default, and over blocks of one and of
@@ -432,7 +416,7 @@ class TestFitTable:
         refs = [self.make_states(40 + r, (9, 9, 2)) for r in range(3)]
         config = CalibConfig(epochs=6, batch_size=8)
         for logits, (table, fits) in zip(refs, fit_tables(refs, config), strict=True):
-            alone_table, alone_fits = fit_table(logits, config)
+            ((alone_table, alone_fits),) = fit_tables([logits], config)
             assert table == alone_table
             for got, want in zip(fits, alone_fits, strict=True):
                 assert got.state == want.state

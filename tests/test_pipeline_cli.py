@@ -8,8 +8,10 @@ byte-identical-rerun guarantee end to end.
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +348,9 @@ def spec_file(tmp_path_factory):
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("CALIB_IL_SEED", None)
+    # The subprocess imports the package this test imported, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     return subprocess.run([sys.executable, "-m", "calib_il.cli", *args],
                           capture_output=True, text=True, env=env)
@@ -398,6 +403,59 @@ class TestCLI:
         res = run_cli("run-target", "--spec", str(spec_file), "--out", str(tmp_path))
         assert res.returncode == 3, res.stdout + res.stderr
         assert res.stdout.splitlines()[-1].startswith("event=error kind=data")
+
+    def test_stale_tables_exit_3(self, tmp_path):
+        """Complete tables of a 2-state run under --out do not cover a
+        3-state spec: a data error before any target trains."""
+        for i in range(2):
+            write_table(tmp_path / "tables" / f"ref_{i}.table.json",
+                        CalibrationTable.identity(2))
+        raw = json.loads(json.dumps(TINY))
+        raw["schedule"] = {"classes_per_state": [2, 1, 1]}
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("run-target", "--spec", str(path), "--out", str(tmp_path))
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert res.stdout.splitlines()[-1].startswith("event=error kind=data")
+        assert "ref_0.table.json" in res.stdout
+        assert not (tmp_path / "logits").exists()
+
+    @pytest.mark.parametrize("rel,row,column,value", [
+        ("metrics/target_0_raw.csv", 1, 0, "x"),
+        ("metrics/target_0_adbic.csv", 2, 1, "k"),
+        ("per_state.csv", 1, 2, "x"),
+        ("per_state.csv", 3, 3, "oops"),
+    ], ids=["metrics-state", "metrics-group", "per-state-state", "per-state-accuracy"])
+    def test_unparseable_plot_inputs_exit_3(self, flow_out, tmp_path, rel, row, column,
+                                            value):
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        lines = (out / rel).read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        (out / rel).write_text("\n".join(lines) + "\n")
+        res = run_cli("plot", "--out", str(out))
+        assert res.returncode == 3, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=data")
+        assert f"row {row + 1}" in last and repr(value) in last
+
+    def test_diverging_backbone_exits_4(self, tmp_path):
+        """The README demo spec with a huge learning rate drives the scores
+        to infinity during state-1 training."""
+        raw = {"seed": 7, "name": "demo",
+               "data": {"num_classes": 20, "feature_dim": 32,
+                        "num_references": 2, "num_targets": 2},
+               "schedule": {"num_states": 5},
+               "backbone": {"kind": "ftplus", "learning_rate": 1e6}}
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("run-reference", "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 4, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=numeric")
+        assert "'ref_0', state 1: ftplus" in last
 
     def test_plot_before_run_target_exits_3(self, spec_file, tmp_path):
         res = run_cli("plot", "--spec", str(spec_file), "--out", str(tmp_path))
