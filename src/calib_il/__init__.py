@@ -9,7 +9,7 @@ memoryless target runs.
 from .backbones import (BackboneConfig, Model, run_incremental_stack,
                         train_initial, update_state)
 from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
-                          apply_table, fit_states, fit_tables, loss_gradient,
+                          apply_table, fit_state, fit_tables, loss_gradient,
                           regularized_loss, softmax)
 from .errors import (CalibILError, DataFileError, DataValidationError,
                      MetadataError, NumericError, SchemaError, SpecError)
@@ -31,7 +31,7 @@ __all__ = [
     "BackboneConfig", "Model", "run_incremental_stack", "train_initial",
     "update_state",
     "CalibConfig", "CalibrationTable", "StateFit", "apply_bic", "apply_table",
-    "fit_states", "fit_tables", "loss_gradient", "regularized_loss", "softmax",
+    "fit_state", "fit_tables", "loss_gradient", "regularized_loss", "softmax",
     "CalibILError", "DataFileError", "DataValidationError", "MetadataError",
     "NumericError", "SchemaError", "SpecError",
     "StateLogits", "StateSchedule",

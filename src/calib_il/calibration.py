@@ -7,17 +7,11 @@ amount of correction can differ for classes learned at different times.
 
 The fit minimizes mean cross-entropy of the corrected softmax plus an L2
 penalty anchored at the identity pair (alpha=1, beta=0). Corrected scores
-are linear in the parameters, so the objective is convex and the analytic
-gradient is a plain per-group sum of softmax residuals.
-
-``fit_tables`` fits the tables of R references in lockstep: at each state
-one Adam run steps all R fits together on (R, n, C) batches. Lockstep is
-exact. The shuffle stream is seeded from (config.seed, state) and the
-references of one spec have equal validation sizes, so every fit draws the
-same permutations and the stack draws them once. Every other operation
-acts per reference slice, over the same axis and in the same order as a
-fit run alone, so each table gets the bits it would get alone.
-``fit_states`` is the fit of one state; one reference is a stack of one.
+are linear in the parameters, so the objective is convex, the analytic
+gradient is a plain per-group sum of softmax residuals, and the Hessian is
+the mean of J^T (diag q - q q^T) J over samples plus the penalty's diagonal.
+``fit_state`` solves it with damped Newton steps until the gradient norm is
+below ``GRAD_TOL``; a fit that cannot be certified raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -26,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .logits import StateLogits
 from .schedule import StateSchedule
 
@@ -49,29 +44,14 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibConfig:
-    """Optimizer settings for the calibration fit."""
+    """Penalty weights of the calibration objective."""
 
-    epochs: int = 300
-    learning_rate: float = 1e-3
     l2_alpha: float = 5e-3
     l2_beta: float = 5e-2
-    batch_size: int = 128
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2_alpha < 0 or self.l2_beta < 0:
-            raise ValueError("L2 penalties must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not (0 <= self.l2_alpha < np.inf and 0 <= self.l2_beta < np.inf):
+            raise ValueError("L2 penalties must be finite and >= 0")
 
 
 class CalibrationTable:
@@ -193,23 +173,24 @@ def _group_starts(schedule: StateSchedule, state: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
 
 
-# Models per block of the full-set loss are chosen so that a block spans
-# about this many score entries (1 MiB of float64): a block that stays in
-# cache beats one pass over a large stack.
-_LOSS_BLOCK_ENTRIES = 1 << 17
+# The fit stops once the gradient 2-norm is at most GRAD_TOL. Tighter
+# tolerances hit rounding: one demo fit stalled at a floor of 2.1e-9.
+GRAD_TOL = 1e-6
+MAX_NEWTON_STEPS = 50
+_ARMIJO_SLOPE = 1e-4
+_MIN_STEP = 1e-10
 
 
 def _corrected(matrix, alpha, beta, col) -> np.ndarray:
-    """Scores of a stack (R, n, C) corrected by each reference's pairs
-    (R, s); ``col`` maps columns to groups."""
-    out = matrix * alpha[:, col][:, None, :]
-    out += beta[:, col][:, None, :]
+    """Scores (n, C) corrected by the pairs (s,); ``col`` maps columns to
+    groups."""
+    out = matrix * alpha[col]
+    out += beta[col]
     return out
 
 
-def _losses(matrix, labels, alpha, beta, col, config: CalibConfig) -> np.ndarray:
-    """``regularized_loss`` of each reference of a stack: matrix (R, n, C),
-    labels (R, n), alpha and beta (R, s).
+def _loss(matrix, labels, alpha, beta, col, config: CalibConfig) -> float:
+    """``regularized_loss`` with the column-to-group map precomputed.
 
     Only the label entries of the softmax are divided out; they carry the
     same bits as in the full softmax.
@@ -217,12 +198,11 @@ def _losses(matrix, labels, alpha, beta, col, config: CalibConfig) -> np.ndarray
     corrected = _corrected(matrix, alpha, beta, col)
     corrected -= corrected.max(axis=-1, keepdims=True)
     exp = np.exp(corrected, out=corrected)
-    refs, n = labels.shape
-    picked = exp[np.arange(refs)[:, None], np.arange(n), labels] / exp.sum(axis=-1)
-    data = np.mean(-np.log(np.maximum(picked, PROB_FLOOR)), axis=-1)
-    penalty = (config.l2_alpha * np.sum((alpha - 1.0) ** 2, axis=-1)
-               + config.l2_beta * np.sum(beta**2, axis=-1))
-    return data + penalty
+    picked = exp[np.arange(len(labels)), labels] / exp.sum(axis=-1)
+    data = np.mean(-np.log(np.maximum(picked, PROB_FLOOR)))
+    penalty = (config.l2_alpha * np.sum((alpha - 1.0) ** 2)
+               + config.l2_beta * np.sum(beta**2))
+    return float(data + penalty)
 
 
 def regularized_loss(
@@ -235,25 +215,43 @@ def regularized_loss(
     config: CalibConfig,
 ) -> float:
     """Mean corrected cross-entropy plus the identity-anchored L2 penalty."""
-    return float(_losses(matrix[None], np.asarray(labels)[None], alpha[None], beta[None],
-                         schedule.column_groups(state) - 1, config)[0])
+    return _loss(matrix, np.asarray(labels), alpha, beta,
+                 schedule.column_groups(state) - 1, config)
 
 
-def _gradient(matrix, labels, alpha, beta, col, starts, config: CalibConfig):
-    """``loss_gradient`` of a stack: matrix (R, b, C), labels (R, b),
-    alpha and beta (R, s); returns (R, s) gradients."""
-    residual = softmax(_corrected(matrix, alpha, beta, col))
-    refs, b = labels.shape
-    residual[np.arange(refs)[:, None], np.arange(b), labels] -= 1.0
-    residual /= b
-
-    per_col_alpha = (residual * matrix).sum(axis=1)
-    per_col_beta = residual.sum(axis=1)
-    grad_alpha = np.add.reduceat(per_col_alpha, starts, axis=1)
-    grad_beta = np.add.reduceat(per_col_beta, starts, axis=1)
+def _gradient(matrix, labels, q, alpha, beta, starts, config: CalibConfig):
+    """``loss_gradient`` given ``q``, the softmax of the corrected scores."""
+    residual = q.copy()
+    n = len(labels)
+    residual[np.arange(n), labels] -= 1.0
+    residual /= n
+    grad_alpha = np.add.reduceat((residual * matrix).sum(axis=0), starts)
+    grad_beta = np.add.reduceat(residual.sum(axis=0), starts)
     grad_alpha += 2.0 * config.l2_alpha * (alpha - 1.0)
     grad_beta += 2.0 * config.l2_beta * beta
     return grad_alpha, grad_beta
+
+
+def _hessian(matrix, q, starts, config: CalibConfig) -> np.ndarray:
+    """Hessian of the regularized loss in (alpha, beta), given ``q``.
+
+    J_i^T q_i stacks the group sums of q_i * o_i (alpha) and of q_i (beta);
+    J_i^T diag(q_i) J_i is block diagonal over groups.
+    """
+    n, s = len(q), len(starts)
+    weighted = q * matrix
+    u = np.concatenate([np.add.reduceat(weighted, starts, axis=1),
+                        np.add.reduceat(q, starts, axis=1)], axis=1)
+    hess = u.T @ u
+    hess /= -n
+    sums = u.sum(axis=0) / n
+    k = np.arange(s)
+    hess[k, k] += (np.add.reduceat((weighted * matrix).sum(axis=0), starts) / n
+                   + 2.0 * config.l2_alpha)
+    hess[k, k + s] += sums[:s]
+    hess[k + s, k] += sums[:s]
+    hess[k + s, k + s] += sums[s:] + 2.0 * config.l2_beta
+    return hess
 
 
 def loss_gradient(
@@ -274,107 +272,83 @@ def loss_gradient(
     """
     if matrix.shape[0] == 0:
         raise ValueError("gradient of an empty batch is undefined")
-    grad_alpha, grad_beta = _gradient(
-        matrix[None], np.asarray(labels)[None], alpha[None], beta[None],
-        schedule.column_groups(state) - 1, _group_starts(schedule, state), config)
-    return grad_alpha[0], grad_beta[0]
+    q = softmax(_corrected(matrix, alpha, beta, schedule.column_groups(state) - 1))
+    return _gradient(matrix, np.asarray(labels), q, alpha, beta,
+                     _group_starts(schedule, state), config)
 
 
 @dataclass
 class StateFit:
-    """Fitted pairs for one state, with the fit's loss trajectory endpoints."""
+    """Fitted pairs for one state, with the loss at the identity and at the
+    fit, the Newton steps taken and the gradient norm at the fit."""
 
     state: int
     alpha: np.ndarray
     beta: np.ndarray
     initial_loss: float
     final_loss: float
+    iterations: int
+    grad_norm: float
 
 
-class _Adam:
-    """Plain Adam with bias correction over a stack of parameter vectors."""
+def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
+    """Fit the (alpha, beta) pairs of one state on validation logits.
 
-    def __init__(self, shape: tuple[int, ...], config: CalibConfig):
-        self.lr = config.learning_rate
-        self.b1 = config.adam_beta1
-        self.b2 = config.adam_beta2
-        self.eps = config.adam_eps
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """Update ``params`` in place."""
-        self.t += 1
-        self.m *= self.b1
-        self.m += (1.0 - self.b1) * grad
-        self.v *= self.b2
-        self.v += (1.0 - self.b2) * grad**2
-        m_hat = self.m / (1.0 - self.b1**self.t)
-        v_hat = self.v / (1.0 - self.b2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def fit_states(stack: list[StateLogits], config: CalibConfig) -> list[StateFit]:
-    """Fit the (alpha, beta) pairs of one state for R references in
-    lockstep, one fit per entry of ``stack``.
-
-    ``stack`` holds each reference's validation logits at one state; all
-    must share the schedule, the state and the sample count. Each fit
-    starts from the identity pairs and runs Adam over shuffled mini-batches
-    for ``config.epochs`` passes. The iterate with the lowest full-set
-    regularized loss is kept, so the result never ends above the identity
-    initialization. The shuffling stream is seeded from (config.seed,
-    state), which makes fits independent of the order states are visited.
+    Damped Newton from the identity pairs: each step solves the 2s x 2s
+    Newton system and backtracks until the Armijo condition holds, so the
+    loss never rises above its identity value. The fit is certified when
+    the gradient norm is at most ``GRAD_TOL``; a fit that is not certified
+    within ``MAX_NEWTON_STEPS`` steps, or whose loss, gradient or Hessian
+    is non-finite, raises ``NumericError``.
     """
-    first = stack[0]
-    s, schedule = first.state, first.schedule
+    s, schedule = logits.state, logits.schedule
     if s < 2:
         raise ValueError("state 1 has no pairs to fit")
-    for logits in stack:
-        if (logits.state, logits.schedule, logits.matrix.shape) != (
-                s, schedule, first.matrix.shape):
-            raise ValueError("stacked fits need one state, schedule and shape")
-        counts = logits.group_counts()
-        missing = [k for k, n in counts.items() if n == 0]
-        if missing:
-            raise ValueError(f"validation set has no samples for groups {missing}")
+    missing = [k for k, n in logits.group_counts().items() if n == 0]
+    if missing:
+        raise ValueError(f"validation set has no samples for groups {missing}")
 
+    def fail(reason):
+        return NumericError(f"dataset {logits.dataset!r}, state {s}: calibration fit {reason}")
+
+    matrix, labels = logits.matrix, logits.labels
     col = schedule.column_groups(s) - 1
     starts = _group_starts(schedule, s)
-    matrix = np.stack([logits.matrix for logits in stack])
-    labels = np.stack([logits.labels for logits in stack])
-    refs, n, cols = matrix.shape
-    params = np.concatenate([np.ones((refs, s)), np.zeros((refs, s))], axis=1)
-    block = max(1, _LOSS_BLOCK_ENTRIES // (n * cols))
-
-    def full_losses():
-        return np.concatenate([
-            _losses(matrix[lo:lo + block], labels[lo:lo + block],
-                    params[lo:lo + block, :s], params[lo:lo + block, s:], col, config)
-            for lo in range(0, refs, block)])
-
-    best_loss = full_losses()
-    initial_loss = best_loss.copy()
-    best = params.copy()
-
-    rng = np.random.default_rng([config.seed, s])
-    opt = _Adam(params.shape, config)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        shuffled, shuffled_labels = matrix[:, order], labels[:, order]
-        for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            ga, gb = _gradient(shuffled[:, batch], shuffled_labels[:, batch],
-                               params[:, :s], params[:, s:], col, starts, config)
-            opt.step(params, np.concatenate([ga, gb], axis=1))
-        loss = full_losses()
-        improved = loss < best_loss
-        best_loss[improved] = loss[improved]
-        best[improved] = params[improved]
-    return [StateFit(s, best[r, :s].copy(), best[r, s:].copy(), float(initial_loss[r]),
-                     float(best_loss[r]))
-            for r in range(refs)]
+    params = np.concatenate([np.ones(s), np.zeros(s)])
+    # Overflow shows up as non-finite values, which are checked below.
+    with np.errstate(all="ignore"):
+        loss = initial_loss = _loss(matrix, labels, params[:s], params[s:], col, config)
+        for iterations in range(MAX_NEWTON_STEPS + 1):
+            q = softmax(_corrected(matrix, params[:s], params[s:], col))
+            grad = np.concatenate(_gradient(matrix, labels, q, params[:s], params[s:],
+                                            starts, config))
+            grad_norm = float(np.linalg.norm(grad))
+            if not np.isfinite(loss) or not np.isfinite(grad_norm):
+                raise fail(f"has a non-finite loss or gradient after {iterations} steps")
+            if grad_norm <= GRAD_TOL:
+                return StateFit(s, params[:s].copy(), params[s:].copy(), initial_loss,
+                                loss, iterations, grad_norm)
+            if iterations == MAX_NEWTON_STEPS:
+                break
+            hess = _hessian(matrix, q, starts, config)
+            if not np.all(np.isfinite(hess)):
+                raise fail(f"has a non-finite Hessian after {iterations} steps")
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                raise fail(f"has a singular Hessian after {iterations} steps") from None
+            slope, t = float(grad @ step), 1.0
+            while t >= _MIN_STEP:
+                trial = params + t * step
+                trial_loss = _loss(matrix, labels, trial[:s], trial[s:], col, config)
+                if trial_loss <= loss + _ARMIJO_SLOPE * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break
+            params, loss = trial, trial_loss
+    raise fail(f"not certified: gradient norm {grad_norm:.3g} > {GRAD_TOL:g} "
+               f"after {iterations} Newton steps")
 
 
 def _by_state(per_state_val_logits: list[StateLogits]) -> dict[int, StateLogits]:
@@ -406,22 +380,20 @@ def _by_state(per_state_val_logits: list[StateLogits]) -> dict[int, StateLogits]
 def fit_tables(
     per_reference_val_logits: list[list[StateLogits]], config: CalibConfig
 ) -> list[tuple[CalibrationTable, list[StateFit]]]:
-    """Fit the tables of R references in lockstep, one stacked fit per state.
+    """Fit one table per reference, one ``fit_state`` per state.
 
     Each entry of ``per_reference_val_logits`` is one reference's
-    validation logits for states 2..S; the references must share one
-    schedule and have equal validation sizes. Returns, per reference, the
-    full table and its per-state fits.
+    validation logits for states 2..S. Returns, per reference, the full
+    table and its per-state fits.
     """
-    by_state = [_by_state(logits) for logits in per_reference_val_logits]
-    num_states = per_reference_val_logits[0][0].schedule.num_states
-    shape = (len(by_state), num_states - 1, num_states)
-    alpha, beta = np.ones(shape), np.zeros(shape)
-    fits = []
-    for s in range(2, num_states + 1):
-        state_fits = fit_states([states[s] for states in by_state], config)
-        alpha[:, s - 2, :s] = [fit.alpha for fit in state_fits]
-        beta[:, s - 2, :s] = [fit.beta for fit in state_fits]
-        fits.append(state_fits)
-    return [(CalibrationTable(alpha[r], beta[r]), [state_fits[r] for state_fits in fits])
-            for r in range(len(by_state))]
+    fitted = []
+    for val_logits in per_reference_val_logits:
+        by_state = _by_state(val_logits)
+        fits = [fit_state(by_state[s], config) for s in sorted(by_state)]
+        shape = (len(fits), len(fits) + 1)
+        alpha, beta = np.ones(shape), np.zeros(shape)
+        for fit in fits:
+            alpha[fit.state - 2, :fit.state] = fit.alpha
+            beta[fit.state - 2, :fit.state] = fit.beta
+        fitted.append((CalibrationTable(alpha, beta), fits))
+    return fitted

@@ -90,9 +90,8 @@ def _section(raw: dict, key: str, allowed: set) -> dict:
     return dict(section)
 
 
-def _build_config(cls, raw: dict, where: str, seed: int):
-    kwargs = _section(raw, where, {f.name for f in dataclasses.fields(cls)})
-    kwargs.setdefault("seed", seed)
+def _build_config(cls, raw: dict, where: str, **defaults):
+    kwargs = {**defaults, **_section(raw, where, {f.name for f in dataclasses.fields(cls)})}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -165,8 +164,8 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
     if schedule.num_states < 2:
         raise SpecError("the pipeline needs at least 2 states")
 
-    backbone = _build_config(BackboneConfig, raw, "backbone", seed)
-    calibration = _build_config(CalibConfig, raw, "calibration", seed)
+    backbone = _build_config(BackboneConfig, raw, "backbone", seed=seed)
+    calibration = _build_config(CalibConfig, raw, "calibration")
 
     sweep = _section(raw, "sweep", _SWEEP_KEYS)
     default_r = tuple(dict.fromkeys(
@@ -224,8 +223,8 @@ class ReferenceRun:
 
 
 def reference_runs(spec: RunSpec, indices) -> list[ReferenceRun]:
-    """Train the references ``indices`` as one stack and fit their tables
-    in lockstep."""
+    """Train the references ``indices`` as one stack and fit each one's
+    table."""
     names = [f"ref_{i}" for i in indices]
     seeds = [reference_seeds(spec)[i] for i in indices]
     (val_logits,) = run_incremental_stack(
@@ -322,7 +321,8 @@ def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Path]:
         name = f"ref_{run.index}"
         for fit in run.fits:
             log.info(kv(event="fit", dataset=name, state=fit.state,
-                        initial_loss=fit.initial_loss, final_loss=fit.final_loss))
+                        initial_loss=fit.initial_loss, final_loss=fit.final_loss,
+                        iterations=fit.iterations, grad_norm=fit.grad_norm))
         for logits in run.val_logits:
             write_logits(out / "logits" / f"{name}_state_{logits.state}.csv", logits)
         path = out / "tables" / f"{name}.table.json"

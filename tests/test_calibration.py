@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_il import calibration
-from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
-                                  apply_table, fit_states, fit_tables,
+from calib_il.calibration import (GRAD_TOL, CalibConfig, CalibrationTable,
+                                  apply_bic, apply_table, fit_state, fit_tables,
                                   loss_gradient, regularized_loss, softmax)
+from calib_il.errors import NumericError
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
 
@@ -194,6 +195,34 @@ class TestGradient:
             np.testing.assert_allclose(ga, na, rtol=1e-4, atol=1e-8)
             np.testing.assert_allclose(gb, nb, rtol=1e-4, atol=1e-8)
 
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        config = CalibConfig()
+        rng = np.random.default_rng(43)
+        h = 1e-6
+        for _ in range(10):
+            S = int(rng.integers(2, 6))
+            sched = StateSchedule(tuple(int(v) for v in rng.integers(1, 4, S)))
+            cols = sched.classes_through(S)
+            n = int(rng.integers(5, 40))
+            matrix = rng.normal(0, 3, (n, cols))
+            labels = rng.integers(0, cols, n)
+            params = np.concatenate([rng.normal(1, 0.5, S), rng.normal(0, 0.5, S)])
+            numeric = np.empty((2 * S, 2 * S))
+            for j in range(2 * S):
+                up, down = params.copy(), params.copy()
+                up[j] += h
+                down[j] -= h
+                numeric[:, j] = (
+                    np.concatenate(loss_gradient(matrix, labels, up[:S], up[S:], sched, S,
+                                                 config))
+                    - np.concatenate(loss_gradient(matrix, labels, down[:S], down[S:],
+                                                   sched, S, config))) / (2 * h)
+            col = sched.column_groups(S) - 1
+            q = softmax(matrix * params[:S][col] + params[S:][col])
+            analytic = calibration._hessian(matrix, q, calibration._group_starts(sched, S),
+                                            config)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
     def test_single_sample_closed_form(self):
         """One sample, two one-class groups: gradients reduce to softmax
         residuals times the raw score (alpha) or one (beta), plus the
@@ -291,23 +320,23 @@ def block_grid_search(logits, config, rounds=2):
 
 class TestFit:
     def test_final_never_above_identity(self):
-        config = CalibConfig(epochs=40)
+        config = CalibConfig()
         for seed in (0, 1, 2):
             logits = make_logits(seed, (2, 2, 2), n=60)
-            fit = fit_states([logits], config)[0]
+            fit = fit_state(logits, config)
             assert fit.final_loss <= fit.initial_loss
 
     def test_matches_grid_search_oracle(self):
         config = CalibConfig()
         logits = realizable_case(1)
-        fit = fit_states([logits], config)[0]
+        fit = fit_state(logits, config)
         oracle = block_grid_search(logits, config)
-        assert abs(fit.final_loss - oracle) < 1e-3
+        assert abs(fit.final_loss - oracle) < 1e-4
 
     def test_recovers_pure_scale_corruption(self):
         """Scale-only corruption by 1.8 should fit alpha near 1/1.8 for the
         new group and leave the old group near identity."""
-        fit = fit_states([realizable_case(3)], CalibConfig())[0]
+        fit = fit_state(realizable_case(3), CalibConfig())
         assert abs(fit.alpha[1] - 1 / 1.8) < 0.08
         assert abs(fit.alpha[0] - 1.0) < 0.08
         assert abs(fit.beta[0]) < 0.1 and abs(fit.beta[1]) < 0.1
@@ -315,14 +344,14 @@ class TestFit:
     def test_identity_data_stays_near_identity(self):
         """Uncorrupted realizable scores need no correction; the penalty
         keeps the fit close to (1, 0)."""
-        fit = fit_states([realizable_case(4, scale=1.0)], CalibConfig(epochs=150))[0]
+        fit = fit_state(realizable_case(4, scale=1.0), CalibConfig())
         np.testing.assert_allclose(fit.alpha, 1.0, atol=0.08)
         np.testing.assert_allclose(fit.beta, 0.0, atol=0.08)
 
     def test_state1_rejected(self):
         logits = make_logits(6, (2, 2), state=1)
         with pytest.raises(ValueError):
-            fit_states([logits], CalibConfig())
+            fit_state(logits, CalibConfig())
 
     def test_empty_group_rejected(self):
         sched = StateSchedule((2, 2))
@@ -331,7 +360,7 @@ class TestFit:
         labels = np.full(10, 3)  # nothing from group 1
         logits = StateLogits(2, matrix, labels, sched)
         with pytest.raises(ValueError, match=r"groups \[1\]"):
-            fit_states([logits], CalibConfig())
+            fit_state(logits, CalibConfig())
 
     def test_duplicate_batch_invariance(self):
         """Loss and gradient are per-sample means, so duplicating every
@@ -352,41 +381,80 @@ class TestFit:
         np.testing.assert_allclose(gb, gb2, rtol=1e-12, atol=1e-15)
 
     def test_deterministic_and_state_order_free(self):
-        """The shuffle stream is seeded per state, so fitting state 3 gives
-        the same pairs whether or not state 2 was fitted first."""
-        config = CalibConfig(epochs=25)
+        """A fit keeps no state between calls, so fitting state 3 gives the
+        same pairs whether or not state 2 was fitted first."""
+        config = CalibConfig()
         s3 = make_logits(11, (2, 2, 2), state=3, n=40)
         s2 = make_logits(12, (2, 2, 2), state=2, n=40)
-        direct = fit_states([s3], config)[0]
-        fit_states([s2], config)
-        after = fit_states([s3], config)[0]
+        direct = fit_state(s3, config)
+        fit_state(s2, config)
+        after = fit_state(s3, config)
         np.testing.assert_array_equal(direct.alpha, after.alpha)
         np.testing.assert_array_equal(direct.beta, after.beta)
 
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.5, 10.0), st.integers(2, 5),
+           st.booleans())
+    def test_every_fit_is_certified(self, seed, scale, num_states, realizable):
+        """At every returned fit the gradient norm is within the tolerance,
+        on random labels and on labels drawn from the scores' own softmax
+        with the newest group inflated."""
+        rng = np.random.default_rng(seed)
+        sched = StateSchedule(tuple(int(v) for v in rng.integers(1, 4, num_states)))
+        cols = sched.classes_through(num_states)
+        n = int(rng.integers(20, 200))
+        z = rng.normal(0.0, scale, (n, cols))
+        if realizable:
+            labels = np.array([rng.choice(cols, p=row) for row in softmax(z)])
+            z[:, sched.group_slice(num_states, num_states)] *= 1.8
+        else:
+            labels = rng.integers(0, cols, n)
+        # Every group needs a sample: give row k the first class of group k+1.
+        labels[:num_states] = np.cumsum((0,) + sched.classes_per_state[:-1])
+        config = CalibConfig()
+        fit = fit_state(StateLogits(num_states, z, labels, sched), config)
+        grad = np.concatenate(loss_gradient(z, labels, fit.alpha, fit.beta, sched,
+                                            num_states, config))
+        assert np.linalg.norm(grad) <= GRAD_TOL
+        assert fit.grad_norm == np.linalg.norm(grad)
+        assert fit.final_loss <= fit.initial_loss
+
+    @pytest.mark.parametrize("scale,max_steps", [(1e200, 50), (3.0, 1)],
+                             ids=["huge-scores", "step-cap"])
+    def test_uncertified_fit_raises(self, scale, max_steps, monkeypatch):
+        """Scores of a diverged backbone overflow the Hessian, and a fit
+        still above the tolerance at the step cap is not certified."""
+        monkeypatch.setattr(calibration, "MAX_NEWTON_STEPS", max_steps)
+        logits = make_logits(13, (2, 2), n=40, scale=scale)
+        logits.dataset = "ref_4"
+        with pytest.raises(NumericError, match="dataset 'ref_4', state 2: calibration fit"):
+            fit_state(logits, CalibConfig())
+
 
 class TestFitTable:
-    def make_states(self, seed, sizes):
+    def make_states(self, seed, sizes, n=30):
         sched = StateSchedule(sizes)
         rng = np.random.default_rng(seed)
         out = []
         for s in range(2, sched.num_states + 1):
             cols = sched.classes_through(s)
-            matrix = rng.normal(0, 2, (30, cols))
-            labels = rng.integers(0, cols, 30)
+            matrix = rng.normal(0, 2, (n, cols))
+            labels = rng.integers(0, cols, n)
             out.append(StateLogits(s, matrix, labels, sched))
         return out
 
     def test_assembles_complete_table(self):
         logits = self.make_states(0, (2, 1, 2))
-        ((table, fits),) = fit_tables([logits], CalibConfig(epochs=5))
+        ((table, fits),) = fit_tables([logits], CalibConfig())
         assert table.num_states == 3
-        assert len(fits) == 2
+        assert [f.state for f in fits] == [2, 3]
         assert all(f.final_loss <= f.initial_loss for f in fits)
+        assert all(f.grad_norm <= GRAD_TOL for f in fits)
 
     def test_missing_state_rejected(self):
         logits = self.make_states(1, (2, 1, 2))
         with pytest.raises(ValueError, match=r"missing validation logits for states \[3\]"):
-            fit_tables([logits[:1]], CalibConfig(epochs=5))
+            fit_tables([logits[:1]], CalibConfig())
 
     def test_state_one_rejected(self):
         # State 1 has a single group and nothing to correct; feeding it in
@@ -396,25 +464,18 @@ class TestFitTable:
         rng = np.random.default_rng(30)
         first = StateLogits(1, rng.normal(0, 2, (30, 2)), rng.integers(0, 2, 30), sched)
         with pytest.raises(ValueError, match=r"unexpected validation logits for states \[1\]"):
-            fit_tables([[first] + logits], CalibConfig(epochs=5))
+            fit_tables([[first] + logits], CalibConfig())
 
     def test_duplicate_state_rejected(self):
         logits = self.make_states(2, (2, 2))
         with pytest.raises(ValueError, match="duplicate"):
-            fit_tables([logits + logits], CalibConfig(epochs=5))
+            fit_tables([logits + logits], CalibConfig())
 
-    @pytest.mark.parametrize("block_entries", [None, 1, 1200])
-    def test_lockstep_fit_equals_one_at_a_time(self, block_entries, monkeypatch):
-        """Three references fitted in lockstep get the bits each gets alone,
-        as a stack of one.
-        Groups of 9 columns take numpy's unrolled sums, and 30 samples in
-        batches of 8 end each epoch on a partial batch. The full-set loss
-        runs over the whole stack by default, and over blocks of one and of
-        two references (30 x 20 entries each) when the block is smaller."""
-        if block_entries is not None:
-            monkeypatch.setattr(calibration, "_LOSS_BLOCK_ENTRIES", block_entries)
-        refs = [self.make_states(40 + r, (9, 9, 2)) for r in range(3)]
-        config = CalibConfig(epochs=6, batch_size=8)
+    def test_fit_tables_equals_one_at_a_time(self):
+        """References of unequal validation sizes each get the bits they
+        get when fitted alone."""
+        refs = [self.make_states(40 + r, (9, 9, 2), n=30 + 5 * r) for r in range(3)]
+        config = CalibConfig()
         for logits, (table, fits) in zip(refs, fit_tables(refs, config), strict=True):
             ((alone_table, alone_fits),) = fit_tables([logits], config)
             assert table == alone_table
@@ -425,26 +486,16 @@ class TestFitTable:
                 assert got.initial_loss == want.initial_loss
                 assert got.final_loss == want.final_loss
 
-    def test_lockstep_fit_needs_equal_shapes(self):
-        sched = StateSchedule((2, 2))
-        rng = np.random.default_rng(5)
-        short = [StateLogits(2, rng.normal(0, 2, (20, 4)), rng.integers(0, 4, 20), sched)]
-        with pytest.raises(ValueError, match="one state, schedule and shape"):
-            fit_tables([self.make_states(4, (2, 2)), short], CalibConfig(epochs=2))
-
 
 class TestCalibConfig:
     def test_defaults(self):
         config = CalibConfig()
-        assert config.epochs == 300
-        assert config.learning_rate == 1e-3
         assert config.l2_alpha == 5e-3
         assert config.l2_beta == 5e-2
-        assert config.batch_size == 128
 
     @pytest.mark.parametrize("bad", [
-        dict(epochs=0), dict(learning_rate=0.0), dict(l2_alpha=-1e-3),
-        dict(batch_size=0), dict(seed=-1),
+        dict(l2_alpha=-1e-3), dict(l2_beta=-1e-3), dict(l2_alpha=np.inf),
+        dict(l2_beta=np.nan), dict(l2_alpha=np.nan),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):

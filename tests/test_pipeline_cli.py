@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from calib_il import cli
-from calib_il.calibration import CalibrationTable
+from calib_il.calibration import CalibConfig, CalibrationTable
 from calib_il.errors import SchemaError, SpecError
 from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
                                cmd_plot, cmd_run_reference, cmd_run_target,
@@ -37,7 +37,6 @@ TINY = {
     "schedule": {"num_states": 2},
     "backbone": {"kind": "ftplus", "hidden_dim": 16, "epochs_initial": 8,
                  "epochs_incremental": 4},
-    "calibration": {"epochs": 12},
     "sweep": {"r_values": [1, 2], "num_samplings": 3},
 }
 
@@ -61,7 +60,7 @@ class TestParseRunSpec:
         assert spec.num_references == 10 and spec.num_targets == 10
         assert spec.schedule.classes_per_state == (2,) * 5
         assert spec.backbone.kind == "ftplus"
-        assert spec.calibration.epochs == 300
+        assert spec.calibration == CalibConfig(l2_alpha=5e-3, l2_beta=5e-2)
         assert spec.sweep_r_values == (1, 3, 5, 9, 10)
         assert spec.sweep_samplings == 10
         assert spec.sweep_halved is True
@@ -90,7 +89,7 @@ class TestParseRunSpec:
         (lambda r: r.update(sweep={"r_values": [99]}), "exceed"),
         (lambda r: r.update(sweep={"num_samplings": 0}), ">= 1"),
         (lambda r: r.update(backbone={"kind": "replay"}), "backbone"),
-        (lambda r: r.update(calibration={"epochs": 0}), "calibration"),
+        (lambda r: r.update(calibration={"l2_alpha": -1.0}), "calibration"),
         (lambda r: r["data"].update(num_references=0), r"\[1, 500\]"),
     ])
     def test_invalid_specs_rejected(self, mangle, message):
@@ -111,7 +110,6 @@ class TestParseRunSpec:
     def test_config_seeds_default_to_spec_seed(self):
         spec = tiny_spec()
         assert spec.backbone.seed == 3
-        assert spec.calibration.seed == 3
         raw = json.loads(json.dumps(TINY))
         raw["backbone"]["seed"] = 11
         assert parse_run_spec(raw).backbone.seed == 11
@@ -456,6 +454,30 @@ class TestCLI:
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=numeric")
         assert "'ref_0', state 1: ftplus" in last
+
+    def test_diverging_backbone_with_finite_scores_exits_4(self, tmp_path):
+        """With lr 1e12 the tiny spec's scores stay finite but reach ~1e278;
+        no calibration fit on them can be certified."""
+        raw = json.loads(json.dumps(TINY))
+        raw["backbone"]["learning_rate"] = 1e12
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("run-reference", "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 4, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=numeric")
+        assert "'ref_0', state 2: calibration fit" in last
+
+    def test_removed_calibration_key_exits_2(self, tmp_path):
+        raw = json.loads(json.dumps(TINY))
+        raw["calibration"] = {"epochs": 12}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("run-reference", "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=spec")
+        assert "unknown keys ['epochs'] in calibration" in last
 
     def test_plot_before_run_target_exits_3(self, spec_file, tmp_path):
         res = run_cli("plot", "--spec", str(spec_file), "--out", str(tmp_path))
