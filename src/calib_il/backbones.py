@@ -12,10 +12,15 @@ how they fight forgetting:
 - ``lucir_lite`` cosine-similarity classifier plus feature-direction
                 distillation with an adaptive weight
 
+The previous model is a fixed teacher while a state trains, so its targets
+(soft targets for ``lwf``, unit feature directions for ``lucir_lite``) are
+evaluated once per state on the whole training set, as LwF records the old
+network's responses before training; each batch reads its rows.
+
 Training runs on stacks. A stack of R models is a ``Model`` whose weights
 carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
 whose batches are (R, b, d), one dataset per slice; the models share one
-schedule, so ``class_first_state`` and ``frozen`` have no model axis.
+schedule, so ``class_first_state`` has no model axis.
 ``train_initial`` and ``update_state`` are the per-state steps of a
 stack; ``run_incremental_stack`` runs them through all states, reading the
 R datasets through ``synth.StackedSets`` so that only the sets it still
@@ -92,7 +97,6 @@ class Model:
     """Two-layer MLP with a growing output head, or a stack of them.
 
     ``class_first_state[c]`` records the state that introduced class c.
-    ``frozen[c]`` marks output rows excluded from updates (ftplus only).
     ``snap_w2``/``snap_b2`` hold each row as it was right after the state
     that introduced it (siw restores from these). In a stack every weight
     array and ``eta`` carry a leading model axis.
@@ -103,7 +107,6 @@ class Model:
     w2: np.ndarray
     b2: np.ndarray
     class_first_state: np.ndarray
-    frozen: np.ndarray
     snap_w2: np.ndarray
     snap_b2: np.ndarray
     cosine: bool = False
@@ -137,7 +140,7 @@ def _unstack(stack: Model) -> list[Model]:
     return [
         Model(
             w1=stack.w1[r], b1=stack.b1[r], w2=stack.w2[r], b2=stack.b2[r],
-            class_first_state=stack.class_first_state, frozen=stack.frozen,
+            class_first_state=stack.class_first_state,
             snap_w2=stack.snap_w2[r], snap_b2=stack.snap_b2[r],
             cosine=stack.cosine, eta=float(stack.eta[r]),
         )
@@ -238,17 +241,18 @@ def _relu_backward(d_h, active, x, model, config):
     return d_w1, d_h.sum(axis=-2)
 
 
-def _grads_linear(model, x, y, config, teacher=None):
-    """CE gradient, optionally plus the soft-target distillation gradient."""
+def _grads_linear(model, x, y, config, p_soft=None):
+    """CE gradient, plus the soft-target distillation gradient when the
+    teacher's soft targets ``p_soft`` (R, b, n_past) for the batch are
+    given."""
     h = model.hidden(x)
     z = h @ _t(model.w2)
     z += model.b2[:, None, :]
     g = _softmax_residual(z, y)
-    if teacher is not None and config.distill_weight > 0:
+    if p_soft is not None:
         t = config.distill_temperature
-        n_past = teacher.num_classes
+        n_past = p_soft.shape[-1]
         q_soft = np.exp(_log_softmax(z[..., :n_past] / t))
-        p_soft = np.exp(_log_softmax(teacher.scores(x) / t))
         # d/dz of weight*T^2*mean(KL) collapses to weight*T*(q-p)/B.
         g[..., :n_past] += config.distill_weight * t * (q_soft - p_soft) / y.shape[-1]
     d_w2 = _t(g) @ h
@@ -261,8 +265,10 @@ def _grads_linear(model, x, y, config, teacher=None):
     return d_w1, d_b1, d_w2, g.sum(axis=-2)
 
 
-def _grads_cosine(model, x, y, config, teacher, lam):
-    """Cosine-head CE plus feature-direction distillation gradients."""
+def _grads_cosine(model, x, y, config, t_dir=None, lam=0.0):
+    """Cosine-head CE gradients, plus the feature-direction distillation
+    gradient when the teacher's unit features ``t_dir`` (R, b, h) for the
+    batch are given."""
     h = model.hidden(x)
     active = h > 0
     hn, h_norms, h_clip = _normalize_rows(h)
@@ -275,11 +281,10 @@ def _grads_cosine(model, x, y, config, teacher, lam):
     d_eta = np.sum((g * cos).reshape(len(g), -1), axis=1)
     d_wn = eta * (_t(g) @ hn)
     d_hn = eta * (g @ wn)
-    if teacher is not None and lam > 0:
-        tn, _, _ = _normalize_rows(teacher.hidden(x))
+    if t_dir is not None:
         # d/d(hn) of lam*mean(1 - hn.tn); the projection in the backward
         # pass makes the radial part vanish as it must for a direction loss.
-        d_hn = d_hn - (lam / y.shape[-1]) * tn
+        d_hn = d_hn - (lam / y.shape[-1]) * t_dir
     d_w2 = _normalize_backward(d_wn, wn, w_norms, w_clip) + config.weight_decay * model.w2
     d_w1, d_b1 = _relu_backward(_normalize_backward(d_hn, hn, h_norms, h_clip),
                                 active, x, model, config)
@@ -290,19 +295,34 @@ def _grads_cosine(model, x, y, config, teacher, lam):
 # training loop
 
 
-def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
-    """Mini-batch SGD with momentum on a stack, in place; honors the
-    frozen-row mask.
+def _teacher_targets(teacher, x, config, lam):
+    """The fixed teacher's distillation targets on the stacked training set
+    ``x`` (R, n, d): soft targets (R, n, n_past) for a linear head, unit
+    feature directions (R, n, h) for a cosine one; None when the update
+    has no distillation term."""
+    if teacher is None:
+        return None
+    if teacher.cosine:
+        return _normalize_rows(teacher.hidden(x))[0] if lam > 0 else None
+    if config.distill_weight <= 0:
+        return None
+    return np.exp(_log_softmax(teacher.scores(x) / config.distill_temperature))
+
+
+def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
+                frozen_rows=0):
+    """Mini-batch SGD with momentum on a stack, in place.
 
     ``x`` is (R, n, d) and ``y`` is (R, n). Each epoch draws one
     permutation and every model of the stack takes its batches in that
-    order, exactly as it would alone.
+    order, exactly as it would alone. The teacher's targets are evaluated
+    once, before the first epoch. The first ``frozen_rows`` output rows
+    stay bitwise fixed: they are left out of the step rather than relying
+    on zeroed gradients.
     """
     vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
     vel_eta = np.zeros_like(model.eta)
-    # Frozen rows must stay bitwise identical, so they are left out of the
-    # step rather than relying on zeroed gradients.
-    live = ~model.frozen if model.frozen.any() else slice(None)
+    targets = _teacher_targets(teacher, x, config, lam)
     lr, mu = config.learning_rate, config.momentum
     n = y.shape[1]
     for _ in range(epochs):
@@ -310,19 +330,20 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[:, idx], y[:, idx]
+            tb = None if targets is None else targets[:, idx]
             if model.cosine:
-                *grads, d_eta = _grads_cosine(model, xb, yb, config, teacher, lam)
+                *grads, d_eta = _grads_cosine(model, xb, yb, config, tb, lam)
                 vel_eta = mu * vel_eta + d_eta
                 model.eta = model.eta - lr * vel_eta
             else:
-                grads = _grads_linear(model, xb, yb, config, teacher)
+                grads = _grads_linear(model, xb, yb, config, tb)
             for v, g in zip(vel, grads):
                 v *= mu
                 v += g
             model.w1 -= lr * vel[0]
             model.b1 -= lr * vel[1]
-            model.w2[:, live] -= lr * vel[2][:, live]
-            model.b2[:, live] -= lr * vel[3][:, live]
+            model.w2[:, frozen_rows:] -= lr * vel[2][:, frozen_rows:]
+            model.b2[:, frozen_rows:] -= lr * vel[3][:, frozen_rows:]
     return model
 
 
@@ -365,7 +386,6 @@ def train_initial(config: BackboneConfig, view: StateView,
         w2=_shared(_init_rows(n_cls, config.hidden_dim, rng), r),
         b2=np.zeros((r, n_cls)),
         class_first_state=np.full(n_cls, 1, dtype=np.int64),
-        frozen=np.zeros(n_cls, dtype=bool),
         snap_w2=np.zeros((r, n_cls, config.hidden_dim)),
         snap_b2=np.zeros((r, n_cls)),
         cosine=config.kind == "lucir_lite",
@@ -393,7 +413,6 @@ def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
         b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
         class_first_state=np.concatenate(
             [model.class_first_state, np.full(n_new, view.state, dtype=np.int64)]),
-        frozen=np.concatenate([model.frozen, np.zeros(n_new, dtype=bool)]),
         snap_w2=np.concatenate([model.snap_w2, np.zeros((r, n_new, h))], axis=1),
         snap_b2=np.concatenate([model.snap_b2, np.zeros((r, n_new))], axis=1),
         cosine=model.cosine,
@@ -414,18 +433,16 @@ def _train_new_group(model: Model, view: StateView, schedule: StateSchedule,
     """Grow the head by the state's new group, train with SGD and snapshot
     the new rows: the step every update rule shares.
 
-    ``freeze_past`` keeps the rows of earlier groups bitwise fixed during
-    training; ``teacher`` adds the distillation term of the model's head
-    (soft targets for a linear head, feature directions weighted by
-    ``lam`` for a cosine one).
+    ``freeze_past`` keeps the rows of earlier groups, a prefix of the
+    head, bitwise fixed during training; ``teacher`` adds the distillation
+    term of the model's head (soft targets for a linear head, feature
+    directions weighted by ``lam`` for a cosine one).
     """
     rng = np.random.default_rng([config.seed, view.state])
     grown = _grow_head(model, view, schedule, rng)
-    if freeze_past:
-        grown.frozen = grown.class_first_state < view.state
     grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng, teacher=teacher, lam=lam)
-    grown.frozen[:] = False
+                        config.epochs_incremental, rng, teacher=teacher, lam=lam,
+                        frozen_rows=model.num_classes if freeze_past else 0)
     return _snapshot_new(grown, view.state)
 
 

@@ -10,6 +10,12 @@ calibration table each; targets are memoryless and receive the averaged
 table. Dataset seeds are derived as ``seed*1000 + i`` for reference i and
 ``seed*1000 + 500 + j`` for target j, which keeps them disjoint for any
 R, T <= 500.
+
+Every table JSON and logits sidecar records ``spec_fingerprint`` of the
+spec that made it. ``run-target`` and ``sweep`` reuse the reference tables
+and the target logits under ``--out`` only when every file carries the
+spec's fingerprint; otherwise they rebuild and overwrite them. Each
+decision is logged as one ``event=cache`` line.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ import numpy as np
 from .backbones import BackboneConfig, run_incremental_stack
 from .calibration import CalibConfig, CalibrationTable, fit_tables
 from .errors import MetadataError, SchemaError, SpecError
+from .logits import StateLogits
 from .metrics import RunMetrics
 from .plots import Series, render_heat_grid, render_line_chart, write_svg
 from .schedule import StateSchedule
-from .storage import (_atomic_write, _fmt, _parse_float, _read_csv_rows,
-                      read_metrics_rows, read_table, write_dataset, write_logits,
-                      write_metrics, write_table)
+from .storage import (SCHEMA_VERSION, _atomic_write, _fmt, _parse_float, _read_csv_rows,
+                      _sidecar, read_fingerprint, read_logits, read_metrics_rows,
+                      read_table, write_dataset, write_logits, write_metrics, write_table)
 from .synth import SynthSpec, StateSplit, gen_synthetic_dataset, halve_train_split, split_states
 from .transfer import apply_transfer, average_tables, oracle_select
 
@@ -198,6 +205,29 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
     )
 
 
+def spec_fingerprint(spec: RunSpec, calibration: bool = False) -> str:
+    """SHA-256 of the canonical JSON of the validated spec sections that
+    determine an artifact: schema version, seed, synthetic data, schedule
+    and backbone, plus the calibration penalties when ``calibration`` (for
+    tables). The name, the sweep grid and the reference and target counts
+    change no artifact, so they are left out."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "seed": spec.seed,
+        "synth": dataclasses.asdict(spec.synth),
+        "schedule": list(spec.schedule.classes_per_state),
+        "backbone": dataclasses.asdict(spec.backbone),
+    }
+    if calibration:
+        payload["calibration"] = dataclasses.asdict(spec.calibration)
+    # Imported here: its OpenSSL binding adds ~5 ms to every process start,
+    # and gen and plot never fingerprint.
+    import hashlib
+
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def reference_seeds(spec: RunSpec) -> list[int]:
     return [spec.seed * 1000 + i for i in range(spec.num_references)]
 
@@ -316,6 +346,7 @@ def cmd_gen(spec: RunSpec, out: Path) -> list[Path]:
 def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Path]:
     """Fit one calibration table per reference and write them all."""
     out = Path(out)
+    logits_fp, table_fp = spec_fingerprint(spec), spec_fingerprint(spec, calibration=True)
     written = []
     for run in build_all_references(spec, jobs=jobs):
         name = f"ref_{run.index}"
@@ -324,17 +355,36 @@ def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Path]:
                         initial_loss=fit.initial_loss, final_loss=fit.final_loss,
                         iterations=fit.iterations, grad_norm=fit.grad_norm))
         for logits in run.val_logits:
-            write_logits(out / "logits" / f"{name}_state_{logits.state}.csv", logits)
+            write_logits(out / "logits" / f"{name}_state_{logits.state}.csv", logits,
+                         logits_fp)
         path = out / "tables" / f"{name}.table.json"
-        write_table(path, run.table)
+        write_table(path, run.table, table_fp)
         written.append(path)
         log.info(kv(event="table", dataset=name, path=path))
     return written
 
 
+def _reusable(artifact: str, files: list[Path], metas: list[Path], fingerprint: str) -> bool:
+    """Whether the stored ``files`` of ``artifact`` were made from a spec
+    with ``fingerprint``, read from their JSON ``metas``; logs the decision.
+    A meta without a fingerprint is a data error (exit 3), and nothing but
+    the fingerprints of a mismatched artifact is read."""
+    if all(p.exists() for p in files):
+        stored = [read_fingerprint(p) for p in metas]
+        if all(fp == fingerprint for fp in stored):
+            log.info(kv(event="cache", artifact=artifact, action="reuse"))
+            return True
+        reason = "fingerprint"
+    else:
+        reason = "missing"
+    log.info(kv(event="cache", artifact=artifact, action="rebuild", reason=reason))
+    return False
+
+
 def _load_or_build_tables(spec: RunSpec, out: Path, jobs: int) -> list[CalibrationTable]:
     paths = [out / "tables" / f"ref_{i}.table.json" for i in range(spec.num_references)]
-    if all(p.exists() for p in paths):
+    fingerprint = spec_fingerprint(spec, calibration=True)
+    if _reusable("tables", paths, paths, fingerprint):
         tables = [read_table(p) for p in paths]
         for path, table in zip(paths, tables):
             if table.num_states != spec.schedule.num_states:
@@ -343,8 +393,39 @@ def _load_or_build_tables(spec: RunSpec, out: Path, jobs: int) -> list[Calibrati
         return tables
     tables = [run.table for run in build_all_references(spec, jobs=jobs)]
     for path, table in zip(paths, tables):
-        write_table(path, table)
+        write_table(path, table, fingerprint)
     return tables
+
+
+def _read_target_logits(path: Path, spec: RunSpec, j: int, state: int) -> StateLogits:
+    """One reused logits file, checked against what the spec would make."""
+    logits = read_logits(path)
+    want = (f"target_{j}", target_seeds(spec)[j], state, spec.schedule)
+    if (logits.dataset, logits.seed, logits.state, logits.schedule) != want:
+        raise MetadataError(_sidecar(path), (
+            f"sidecar describes dataset {logits.dataset!r} seed {logits.seed} state "
+            f"{logits.state}, but the spec makes {want[0]!r} seed {want[1]} state "
+            f"{state} on its own schedule"))
+    return logits
+
+
+def _load_or_build_target_logits(spec: RunSpec, out: Path, jobs: int) -> list[list]:
+    """Per-state test logits of every target: read from ``out/logits`` when
+    they carry the spec's fingerprint, else trained and written there."""
+    states = range(1, spec.schedule.num_states + 1)
+    paths = [[out / "logits" / f"target_{j}_state_{s}.csv" for s in states]
+             for j in range(spec.num_targets)]
+    csvs = [p for per_target in paths for p in per_target]
+    metas = [_sidecar(p) for p in csvs]
+    fingerprint = spec_fingerprint(spec)
+    if _reusable("target_logits", csvs + metas, metas, fingerprint):
+        return [[_read_target_logits(p, spec, j, s) for s, p in zip(states, per_target)]
+                for j, per_target in enumerate(paths)]
+    all_logits = all_target_logits(spec, jobs=jobs)
+    for per_target, test_logits in zip(paths, all_logits):
+        for path, logits in zip(per_target, test_logits):
+            write_logits(path, logits, fingerprint)
+    return all_logits
 
 
 def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
@@ -352,15 +433,14 @@ def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
     out = Path(out)
     tables = _load_or_build_tables(spec, out, jobs)
     averaged = average_tables(tables)
-    write_table(out / "tables" / "averaged.table.json", averaged)
+    write_table(out / "tables" / "averaged.table.json", averaged,
+                spec_fingerprint(spec, calibration=True))
     comparison = ["target,method,avg_incremental_accuracy,gain"]
     per_state = ["target,method,state,accuracy"]
-    all_logits = all_target_logits(spec, jobs=jobs)
+    all_logits = _load_or_build_target_logits(spec, out, jobs)
     for j in range(spec.num_targets):
         name = f"target_{j}"
         test_logits = all_logits[j]
-        for logits in test_logits:
-            write_logits(out / "logits" / f"{name}_state_{logits.state}.csv", logits)
         results = evaluate_target(test_logits, tables, averaged)
         raw_acc = results["raw"].average_incremental_accuracy
         for method in METHODS:
@@ -395,7 +475,7 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
     halved-training-data protocol on the targets."""
     out = Path(out)
     tables = _load_or_build_tables(spec, out, jobs)
-    all_logits = all_target_logits(spec, jobs=jobs)
+    all_logits = _load_or_build_target_logits(spec, out, jobs)
     raw_accs = [apply_transfer(lg, None, method="raw").metrics.average_incremental_accuracy
                 for lg in all_logits]
     raw_mean = float(np.mean(raw_accs))

@@ -4,6 +4,10 @@ Floats are rendered with Python's shortest round-trip repr so that
 write → read returns the same IEEE-754 bits. All writers go through a
 temp-file rename, so a crashed run never leaves a half-written artifact.
 UTF-8, LF line endings, '.' decimal point — no locale dependence.
+
+Table JSONs and logits sidecars may carry a ``fingerprint``: a digest of
+the spec sections that produced the artifact (see
+``pipeline.spec_fingerprint``), which decides whether it may be reused.
 """
 
 from __future__ import annotations
@@ -73,6 +77,29 @@ def _require(payload: dict, keys: list[str], path: Path):
         raise MetadataError(path, f"metadata missing keys {missing}")
 
 
+def _int_field(meta: dict, key: str, path: Path) -> int:
+    try:
+        return int(meta[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MetadataError(path, f"{key} must be an integer, got {meta[key]!r}") from exc
+
+
+def _with_fingerprint(payload: dict, fingerprint: str | None) -> dict:
+    return payload if fingerprint is None else {**payload, "fingerprint": fingerprint}
+
+
+def read_fingerprint(path) -> str:
+    """The spec fingerprint stored in a table JSON or a logits sidecar; an
+    artifact without one cannot be told apart from a stale one, so it is a
+    ``MetadataError``."""
+    path = Path(path)
+    meta = _read_json(path, "artifact")
+    if "fingerprint" not in meta:
+        raise MetadataError(path, "artifact has no spec fingerprint, so it may be stale; "
+                                  "remove it to rebuild")
+    return str(meta["fingerprint"])
+
+
 def _sidecar(path) -> Path:
     return Path(str(path) + ".meta.json")
 
@@ -83,9 +110,9 @@ def _schedule_from_meta(meta: dict, path: Path) -> StateSchedule:
         raise MetadataError(path, "class_to_state must be a list")
     try:
         schedule = StateSchedule.from_mapping({c: int(s) for c, s in enumerate(raw)})
-    except ValueError as exc:
-        raise MetadataError(path, str(exc)) from exc
-    if schedule.num_states != int(meta["num_states"]):
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MetadataError(path, f"class_to_state: {exc}") from exc
+    if schedule.num_states != _int_field(meta, "num_states", path):
         raise MetadataError(
             path,
             f"num_states {meta['num_states']} disagrees with the "
@@ -118,8 +145,9 @@ def _read_csv_rows(path: Path, what: str):
 # logits
 
 
-def write_logits(path, logits: StateLogits):
-    """CSV `id,label,c<j>...` plus a JSON sidecar with the protocol."""
+def write_logits(path, logits: StateLogits, fingerprint: str | None = None):
+    """CSV `id,label,c<j>...` plus a JSON sidecar with the protocol and,
+    when given, the spec fingerprint."""
     path = Path(path)
     cols = logits.matrix.shape[1]
     buf = io.StringIO()
@@ -128,7 +156,7 @@ def write_logits(path, logits: StateLogits):
         scores = ",".join(_fmt(v) for v in logits.matrix[i])
         buf.write(f"{i},{int(logits.labels[i])},{scores}\n")
     _atomic_write(path, buf.getvalue())
-    _write_json(_sidecar(path), {
+    _write_json(_sidecar(path), _with_fingerprint({
         "schema_version": SCHEMA_VERSION,
         "state": logits.state,
         "num_states": logits.schedule.num_states,
@@ -136,16 +164,18 @@ def write_logits(path, logits: StateLogits):
         "dataset": logits.dataset,
         "backbone": logits.backbone,
         "seed": logits.seed,
-    })
+    }, fingerprint))
 
 
 def read_logits(path) -> StateLogits:
     path = Path(path)
-    meta = _read_json(_sidecar(path), "logits")
+    meta_path = _sidecar(path)
+    meta = _read_json(meta_path, "logits")
     _require(meta, ["state", "num_states", "class_to_state", "dataset",
-                    "backbone", "seed"], _sidecar(path))
-    schedule = _schedule_from_meta(meta, _sidecar(path))
-    state = int(meta["state"])
+                    "backbone", "seed"], meta_path)
+    schedule = _schedule_from_meta(meta, meta_path)
+    state = _int_field(meta, "state", meta_path)
+    seed = _int_field(meta, "seed", meta_path)
     header, rows = _read_csv_rows(path, "logits")
     expect = schedule.classes_through(state) if 1 <= state <= schedule.num_states else -1
     want = ["id", "label"] + [f"c{j}" for j in range(max(expect, 0))]
@@ -154,18 +184,30 @@ def read_logits(path) -> StateLogits:
             path,
             f"header {header[:4]}...({len(header) - 2} score columns) does not "
             f"match the sidecar protocol ({expect} classes through state {state})")
-    labels = np.empty(len(rows), dtype=np.int64)
-    matrix = np.empty((len(rows), expect))
-    for i, row in enumerate(rows):
-        if len(row) != len(want):
-            raise SchemaError(path, f"row {i + 2}: expected {len(want)} fields, got {len(row)}")
-        labels[i] = int(_parse_float(row[1], path, f"row {i + 2} label"))
-        for j in range(expect):
-            matrix[i, j] = _parse_float(row[2 + j], path, f"row {i + 2} column c{j}")
+    try:
+        cells = np.array(rows, dtype=float)
+        parsed = (cells.shape == (len(rows), len(want))
+                  and bool(np.all(np.isfinite(cells[:, 1:]))))
+    except (TypeError, ValueError):
+        parsed = False
+    if parsed:
+        labels = cells[:, 1].astype(np.int64)
+        matrix = np.ascontiguousarray(cells[:, 2:])
+    else:
+        # Cell by cell, so that the error names the first bad row and column.
+        labels = np.empty(len(rows), dtype=np.int64)
+        matrix = np.empty((len(rows), expect))
+        for i, row in enumerate(rows):
+            if len(row) != len(want):
+                raise SchemaError(path, f"row {i + 2}: expected {len(want)} fields, "
+                                        f"got {len(row)}")
+            labels[i] = int(_parse_float(row[1], path, f"row {i + 2} label"))
+            for j in range(expect):
+                matrix[i, j] = _parse_float(row[2 + j], path, f"row {i + 2} column c{j}")
     try:
         return StateLogits(state=state, matrix=matrix, labels=labels,
                            schedule=schedule, dataset=str(meta["dataset"]),
-                           backbone=str(meta["backbone"]), seed=int(meta["seed"]))
+                           backbone=str(meta["backbone"]), seed=seed)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -174,15 +216,15 @@ def read_logits(path) -> StateLogits:
 # calibration tables
 
 
-def write_table(path, table: CalibrationTable):
+def write_table(path, table: CalibrationTable, fingerprint: str | None = None):
     entries = [{"s": s, "k": k, "alpha": float(a), "beta": float(b)}
                for s in range(2, table.num_states + 1)
                for k, (a, b) in enumerate(zip(*table.pairs_for_state(s)), start=1)]
-    _write_json(Path(path), {
+    _write_json(Path(path), _with_fingerprint({
         "schema_version": SCHEMA_VERSION,
         "num_states": table.num_states,
         "entries": entries,
-    })
+    }, fingerprint))
 
 
 def read_table(path) -> CalibrationTable:
@@ -231,6 +273,7 @@ def read_dataset(path) -> IncrementalDataset:
     meta = _read_json(_sidecar(path), "dataset")
     _require(meta, ["num_states", "class_to_state", "name", "seed"], _sidecar(path))
     schedule = _schedule_from_meta(meta, _sidecar(path))
+    seed = _int_field(meta, "seed", _sidecar(path))
     header, rows = _read_csv_rows(path, "dataset")
     if len(header) < 3 or header[-2:] != ["label", "split"]:
         raise SchemaError(path, "dataset header must end with label,split")
@@ -254,7 +297,7 @@ def read_dataset(path) -> IncrementalDataset:
     try:
         return IncrementalDataset(features=features, labels=labels, split=split,
                                   schedule=schedule, name=str(meta["name"]),
-                                  seed=int(meta["seed"]))
+                                  seed=seed)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

@@ -148,7 +148,6 @@ class TestFreezing:
         m2 = update_one(m1, split, 2, config)
         assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
         assert m2.b2[:, :2].tobytes() == m1.b2.tobytes()
-        assert not m2.frozen.any()  # mask cleared once the update is done
 
     def test_new_rows_actually_train(self):
         split = quick_split()
@@ -224,7 +223,6 @@ class TestLwF:
             return Model(w1=np.eye(2), b1=np.zeros(2),
                          w2=np.array(w2_rows), b2=np.zeros(2),
                          class_first_state=np.ones(2, dtype=np.int64),
-                         frozen=np.zeros(2, dtype=bool),
                          snap_w2=np.zeros((2, 2)), snap_b2=np.zeros(2))
         student = toy([[1.0, 0.0], [0.0, 2.0]])
         teacher = toy([[0.5, 0.5], [1.0, 0.0]])
@@ -237,6 +235,28 @@ class TestLwF:
         kl = sum(p * (math.log(p) - math.log(q)) for p, q in zip(pt, ps))
         np.testing.assert_allclose(distillation_loss(student, teacher, x, T, w),
                                    w * T**2 * kl, rtol=1e-12)
+
+    def test_precomputed_soft_targets_match_per_batch_teacher(self):
+        """Soft targets evaluated once on the whole training set and indexed
+        per batch give the gradient of the per-batch teacher formula; the
+        student is the teacher finetuned without distillation."""
+        split = quick_split()
+        config = quick_config("lwf")
+        teacher = train_one(config, split)
+        view = stacked(split.views[1])
+        student = update_finetune(teacher, view, split.schedule, config)
+        targets = backbones._teacher_targets(teacher, view.train_x, config, 0.0)
+        assert targets.shape == (1, 30, 2)
+        idx = np.random.default_rng(6).permutation(30)[:7]
+        xb, yb = view.train_x[:, idx], view.train_y[:, idx]
+        per_batch = np.exp(backbones._log_softmax(
+            teacher.scores(xb) / config.distill_temperature))
+        got = backbones._grads_linear(student, xb, yb, config, targets[:, idx])
+        want = backbones._grads_linear(student, xb, yb, config, per_batch)
+        plain = backbones._grads_linear(student, xb, yb, config)
+        assert np.abs(got[2] - plain[2]).max() > 1e-3
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
     def test_protects_past_accuracy(self):
         """Paired-seed comparison: on a fixed 20-class / 5-state regime a
@@ -290,6 +310,22 @@ class TestLucirLite:
         loss = feature_distillation_loss(model, model, split.views[0].val_x, 5.0)
         assert abs(loss) < 1e-12
 
+    def test_precomputed_feature_directions_match_per_batch_teacher(self):
+        split = quick_split()
+        config = quick_config("lucir_lite")
+        teacher = train_one(config, split)
+        view = stacked(split.views[1])
+        student = update_finetune(teacher, view, split.schedule, config)
+        targets = backbones._teacher_targets(teacher, view.train_x, config, 2.5)
+        assert backbones._teacher_targets(teacher, view.train_x, config, 0.0) is None
+        idx = np.random.default_rng(6).permutation(30)[:7]
+        xb, yb = view.train_x[:, idx], view.train_y[:, idx]
+        per_batch, _, _ = backbones._normalize_rows(teacher.hidden(xb))
+        got = backbones._grads_cosine(student, xb, yb, config, targets[:, idx], 2.5)
+        want = backbones._grads_cosine(student, xb, yb, config, per_batch, 2.5)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
     def test_linear_model_rejected(self):
         split = quick_split()
         config = quick_config("lucir_lite")
@@ -303,7 +339,6 @@ class TestLucirLite:
         model = Model(w1=np.zeros((4, 3)), b1=np.zeros(4),
                       w2=np.ones((2, 4)), b2=np.zeros(2),
                       class_first_state=np.ones(2, dtype=np.int64),
-                      frozen=np.zeros(2, dtype=bool),
                       snap_w2=np.zeros((2, 4)), snap_b2=np.zeros(2),
                       cosine=True)
         scores = model.scores(np.array([[1.0, -2.0, 0.5]]))
@@ -387,7 +422,6 @@ class TestGuards:
                       w2=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
                       b2=np.array([0.0, 0.1, -0.1]),
                       class_first_state=np.ones(3, dtype=np.int64),
-                      frozen=np.zeros(3, dtype=bool),
                       snap_w2=np.zeros((3, 2)), snap_b2=np.zeros(3))
         x = np.array([[2.0, 1.0]])
         z = [2.0, 1.1, 1.4]

@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calib_il import cli
+from calib_il import cli, pipeline
 from calib_il.calibration import CalibConfig, CalibrationTable
-from calib_il.errors import SchemaError, SpecError
+from calib_il.errors import MetadataError, SchemaError, SpecError
 from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
                                cmd_plot, cmd_run_reference, cmd_run_target,
                                cmd_sweep, evaluate_target, kv, load_run_spec,
                                make_split, parse_run_spec, reference_seeds,
-                               target_logits, target_seeds)
+                               spec_fingerprint, target_logits, target_seeds)
 from calib_il.plots import Series, render_heat_grid, render_line_chart
 from calib_il.storage import read_table, write_table
 from calib_il.transfer import average_tables
@@ -279,12 +279,14 @@ class TestFlows:
                 assert heat.count('class="masked"') == 1  # S=2: one k>s cell
 
     def test_run_target_reuses_existing_tables(self, flow_out, tmp_path):
-        """Pre-seeded identity tables must be picked up instead of refitting,
-        which makes every correction a no-op against raw."""
+        """Pre-seeded identity tables that carry the spec's fingerprint must
+        be picked up instead of refitting, which makes every correction a
+        no-op against raw."""
         spec = tiny_spec()
         for i in range(2):
             write_table(tmp_path / "tables" / f"ref_{i}.table.json",
-                        CalibrationTable.identity(2))
+                        CalibrationTable.identity(2),
+                        spec_fingerprint(spec, calibration=True))
         cmd_run_target(spec, tmp_path)
         for line in (tmp_path / "comparison.csv").read_text().splitlines()[1:]:
             target, method, acc, gain = line.split(",")
@@ -303,6 +305,125 @@ class TestFlows:
     def test_plot_without_inputs_raises_located_error(self, tmp_path):
         with pytest.raises(SchemaError, match="missing input file"):
             cmd_plot(tiny_spec(), tmp_path)
+
+
+def tiny_variant(**sections):
+    """TINY with some spec sections' keys replaced, as a parsed spec."""
+    raw = json.loads(json.dumps(TINY))
+    for key, value in sections.items():
+        if isinstance(value, dict):
+            raw[key] = {**raw.get(key, {}), **value}
+        else:
+            raw[key] = value
+    return parse_run_spec(raw)
+
+
+def cache_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("event=cache")]
+
+
+class TestArtifactCache:
+    def test_fingerprint_covers_what_makes_the_artifacts(self):
+        base = tiny_spec()
+        same = [
+            tiny_variant(name="other"),
+            tiny_variant(sweep={"r_values": [2], "num_samplings": 5, "halved": False}),
+            tiny_variant(data={"num_references": 3, "num_targets": 1}),
+            tiny_variant(backbone={"learning_rate": 0.05, "momentum": 0.9},
+                         calibration={"l2_alpha": 5e-3}),
+        ]
+        for spec in same:
+            for calibration in (False, True):
+                assert spec_fingerprint(spec, calibration) == \
+                    spec_fingerprint(base, calibration)
+        for spec in (tiny_variant(backbone={"learning_rate": 0.01}),
+                     tiny_variant(data={"noise_scale": 1.5}),
+                     tiny_variant(seed=4),
+                     tiny_variant(schedule={"classes_per_state": [3, 1]})):
+            assert spec_fingerprint(spec) != spec_fingerprint(base)
+        penalised = tiny_variant(calibration={"l2_beta": 0.5})
+        assert spec_fingerprint(penalised) == spec_fingerprint(base)
+        assert spec_fingerprint(penalised, True) != spec_fingerprint(base, True)
+        assert len(spec_fingerprint(base)) == 64
+
+    def test_sweep_after_run_target_trains_only_the_halved_stack(
+            self, flow_out, tmp_path, monkeypatch):
+        """sweep reads run-target's logits: one target stack (the halved
+        one) trains, and its CSVs equal those of a sweep into a fresh
+        --out, which trains references, targets and halved targets."""
+        spec = tiny_spec()
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        shutil.copytree(flow_out, out)
+        stacks = []
+        real = pipeline.run_incremental_stack
+
+        def counting(config, splits, datasets, seeds, sets=("val", "test")):
+            stacks.append(tuple(datasets))
+            return real(config, splits, datasets, seeds, sets)
+
+        monkeypatch.setattr(pipeline, "run_incremental_stack", counting)
+        cmd_sweep(spec, out)
+        assert stacks == [("target_0", "target_1")]
+        cmd_sweep(spec, fresh)
+        assert len(stacks) == 4
+        for name in ("sweep.csv", "halved.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+            assert (out / name).read_bytes() == (flow_out / name).read_bytes()
+
+    def test_irrelevant_changes_reuse_and_relevant_ones_rebuild(
+            self, flow_out, tmp_path, caplog):
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        caplog.set_level("INFO", logger="calib_il")
+        cmd_run_target(tiny_variant(name="renamed", sweep={"num_samplings": 9}), out)
+        assert cache_lines(caplog) == [
+            "event=cache artifact=tables action=reuse",
+            "event=cache artifact=target_logits action=reuse"]
+        for rel in ("comparison.csv", "per_state.csv"):
+            assert (out / rel).read_bytes() == (flow_out / rel).read_bytes()
+        for changed in (tiny_variant(backbone={"learning_rate": 0.02}),
+                        tiny_variant(data={"noise_scale": 1.5})):
+            caplog.clear()
+            cmd_run_target(changed, out)
+            assert cache_lines(caplog) == [
+                "event=cache artifact=tables action=rebuild reason=fingerprint",
+                "event=cache artifact=target_logits action=rebuild reason=fingerprint"]
+            table = out / "tables" / "ref_0.table.json"
+            sidecar = out / "logits" / "target_1_state_2.csv.meta.json"
+            assert json.loads(table.read_text())["fingerprint"] == \
+                spec_fingerprint(changed, calibration=True)
+            assert json.loads(sidecar.read_text())["fingerprint"] == \
+                spec_fingerprint(changed)
+
+    def test_missing_files_are_logged_as_missing(self, tmp_path, caplog):
+        caplog.set_level("INFO", logger="calib_il")
+        cmd_run_target(tiny_spec(), tmp_path)
+        assert cache_lines(caplog) == [
+            "event=cache artifact=tables action=rebuild reason=missing",
+            "event=cache artifact=target_logits action=rebuild reason=missing"]
+
+    def test_sidecar_without_fingerprint_is_a_data_error(self, flow_out, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        sidecar = out / "logits" / "target_1_state_2.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["fingerprint"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MetadataError, match="no spec fingerprint") as err:
+            cmd_sweep(tiny_spec(), out)
+        assert err.value.path == str(sidecar)
+
+    def test_reused_sidecar_seed_checked_against_the_spec(self, flow_out, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        sidecar = out / "logits" / "target_0_state_1.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["seed"] = target_seeds(tiny_spec())[1]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MetadataError, match="seed 3501 state 1") as err:
+            cmd_sweep(tiny_spec(), out)
+        assert err.value.path == str(sidecar)
 
 
 class TestRenderers:
@@ -417,6 +538,56 @@ class TestCLI:
         assert res.stdout.splitlines()[-1].startswith("event=error kind=data")
         assert "ref_0.table.json" in res.stdout
         assert not (tmp_path / "logits").exists()
+
+    def test_corrupt_target_sidecar_fails_sweep_with_exit_3(self, spec_file, tmp_path):
+        """A reused sidecar whose fingerprint matches but whose state does
+        not parse is a data error, not a traceback."""
+        out = tmp_path / "out"
+        for command in ("run-reference", "run-target"):
+            assert run_cli(command, "--spec", str(spec_file), "--out",
+                           str(out)).returncode == 0
+        sidecar = out / "logits" / "target_0_state_2.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["state"] = "two"
+        sidecar.write_text(json.dumps(meta))
+        res = run_cli("sweep", "--spec", str(spec_file), "--out", str(out))
+        assert res.returncode == 3, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=data")
+        assert "target_0_state_2.csv.meta.json" in last and "state must be" in last
+
+    def test_tables_of_another_seed_are_rebuilt(self, spec_file, tmp_path):
+        """run-reference at the spec seed, then run-target with the seed
+        overridden into the same --out: the tables are refitted, byte-equal
+        to a fresh run-reference at the overriding seed."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        seed4 = {"CALIB_IL_SEED": "4"}
+        assert run_cli("run-reference", "--spec", str(spec_file), "--out",
+                       str(out)).returncode == 0
+        res = run_cli("run-target", "--spec", str(spec_file), "--out", str(out),
+                      env_extra=seed4)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "event=cache artifact=tables action=rebuild reason=fingerprint" in res.stdout
+        assert run_cli("run-reference", "--spec", str(spec_file), "--out", str(fresh),
+                       env_extra=seed4).returncode == 0
+        for i in range(2):
+            rel = Path("tables") / f"ref_{i}.table.json"
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes()
+
+    def test_tables_of_another_learning_rate_are_rebuilt_and_diverge(self, spec_file,
+                                                                     tmp_path):
+        """Tables fitted at lr 0.05 are not reused by a run-target at lr
+        1e12: its refit cannot be certified, so it exits 4."""
+        out = tmp_path / "out"
+        assert run_cli("run-reference", "--spec", str(spec_file), "--out",
+                       str(out)).returncode == 0
+        raw = json.loads(json.dumps(TINY))
+        raw["backbone"]["learning_rate"] = 1e12
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("run-target", "--spec", str(path), "--out", str(out))
+        assert res.returncode == 4, res.stdout + res.stderr
+        assert res.stdout.splitlines()[-1].startswith("event=error kind=numeric")
 
     @pytest.mark.parametrize("rel,row,column,value", [
         ("metrics/target_0_raw.csv", 1, 0, "x"),

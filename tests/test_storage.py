@@ -15,9 +15,9 @@ from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
 from calib_il.metrics import compute_run_metrics
 from calib_il.schedule import StateSchedule
-from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
-                              read_table, write_dataset, write_logits,
-                              write_metrics, write_table)
+from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
+                              read_metrics_rows, read_table, write_dataset,
+                              write_logits, write_metrics, write_table)
 from calib_il.synth import SynthSpec, gen_synthetic_dataset, split_states
 
 
@@ -123,6 +123,55 @@ class TestLogitsRoundTrip:
             read_logits(path)
         assert str(tmp_path) in err.value.path
 
+    @pytest.mark.parametrize("key,value", [
+        ("state", "two"), ("seed", [1]), ("num_states", None),
+    ])
+    def test_uncoercible_sidecar_field_is_metadata_error(self, tmp_path, key, value):
+        path = tmp_path / "lg.csv"
+        write_logits(path, tricky_logits())
+        sidecar = tmp_path / "lg.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MetadataError, match=key) as err:
+            read_logits(path)
+        assert err.value.path == str(sidecar)
+
+    def test_bulk_parse_equals_cell_by_cell(self, tmp_path):
+        """A file whose id column does not parse takes the per-cell path,
+        which ignores ids; both paths return the same bits."""
+        path = tmp_path / "lg.csv"
+        logits = tricky_logits()
+        write_logits(path, logits)
+        bulk = read_logits(path)
+        lines = path.read_text().splitlines()
+        lines[1] = "a" + lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        cells = read_logits(path)
+        for back in (bulk, cells):
+            assert back.matrix.tobytes() == logits.matrix.tobytes()
+            assert back.labels.tobytes() == logits.labels.tobytes()
+            assert back.matrix.flags.c_contiguous
+
+
+class TestFingerprint:
+    def test_written_only_when_given(self, tmp_path):
+        write_logits(tmp_path / "a.csv", tricky_logits())
+        write_logits(tmp_path / "b.csv", tricky_logits(), "abc")
+        write_table(tmp_path / "t.json", CalibrationTable.identity(3), "def")
+        assert "fingerprint" not in json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert read_fingerprint(tmp_path / "b.csv.meta.json") == "abc"
+        assert read_fingerprint(tmp_path / "t.json") == "def"
+        assert read_logits(tmp_path / "b.csv").matrix.tobytes() \
+            == tricky_logits().matrix.tobytes()
+        assert read_table(tmp_path / "t.json") == CalibrationTable.identity(3)
+
+    def test_missing_fingerprint_names_the_file(self, tmp_path):
+        write_table(tmp_path / "t.json", CalibrationTable.identity(2))
+        with pytest.raises(MetadataError, match="no spec fingerprint") as err:
+            read_fingerprint(tmp_path / "t.json")
+        assert err.value.path == str(tmp_path / "t.json")
+
 
 class TestTableRoundTrip:
     def test_values_and_entry_count(self, tmp_path):
@@ -202,6 +251,17 @@ class TestDatasetRoundTrip:
         np.testing.assert_array_equal(back.split, data.split)
         assert back.schedule == data.schedule
         assert back.name == "ref_1" and back.seed == 8
+
+    @pytest.mark.parametrize("key,value", [("seed", [1]), ("num_states", None)])
+    def test_uncoercible_sidecar_field_is_metadata_error(self, tmp_path, key, value):
+        path = tmp_path / "d.csv"
+        write_dataset(path, self.make())
+        sidecar = tmp_path / "d.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MetadataError, match=key):
+            read_dataset(path)
 
     def test_label_outside_schedule_located(self, tmp_path):
         path = tmp_path / "d.csv"
