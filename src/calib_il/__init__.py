@@ -11,8 +11,8 @@ from .backbones import (BackboneConfig, Model, run_incremental_stack,
 from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
                           apply_table, fit_state, fit_tables, loss_gradient,
                           regularized_loss, softmax)
-from .errors import (CalibILError, DataFileError, DataValidationError,
-                     MetadataError, NumericError, SchemaError, SpecError)
+from .errors import (CalibILError, DataFileError, MetadataError, NumericError,
+                     SchemaError, SpecError)
 from .logits import StateLogits
 from .metrics import (RunMetrics, accuracy_matrix, avg_incremental_accuracy,
                       compute_run_metrics, mean_scores_by_group,
@@ -32,8 +32,8 @@ __all__ = [
     "update_state",
     "CalibConfig", "CalibrationTable", "StateFit", "apply_bic", "apply_table",
     "fit_state", "fit_tables", "loss_gradient", "regularized_loss", "softmax",
-    "CalibILError", "DataFileError", "DataValidationError", "MetadataError",
-    "NumericError", "SchemaError", "SpecError",
+    "CalibILError", "DataFileError", "MetadataError", "NumericError",
+    "SchemaError", "SpecError",
     "StateLogits", "StateSchedule",
     "RunMetrics", "accuracy_matrix", "avg_incremental_accuracy",
     "compute_run_metrics", "mean_scores_by_group", "per_state_accuracy",

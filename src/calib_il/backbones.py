@@ -97,8 +97,8 @@ class Model:
     """Two-layer MLP with a growing output head, or a stack of them.
 
     ``class_first_state[c]`` records the state that introduced class c.
-    ``snap_w2``/``snap_b2`` hold each row as it was right after the state
-    that introduced it (siw restores from these). In a stack every weight
+    ``snap_w2`` holds each row as it was right after the state that
+    introduced it (siw restores from it). In a stack every weight
     array and ``eta`` carry a leading model axis.
     """
 
@@ -108,7 +108,6 @@ class Model:
     b2: np.ndarray
     class_first_state: np.ndarray
     snap_w2: np.ndarray
-    snap_b2: np.ndarray
     cosine: bool = False
     eta: float | np.ndarray = ETA_INIT
 
@@ -141,7 +140,7 @@ def _unstack(stack: Model) -> list[Model]:
         Model(
             w1=stack.w1[r], b1=stack.b1[r], w2=stack.w2[r], b2=stack.b2[r],
             class_first_state=stack.class_first_state,
-            snap_w2=stack.snap_w2[r], snap_b2=stack.snap_b2[r],
+            snap_w2=stack.snap_w2[r],
             cosine=stack.cosine, eta=float(stack.eta[r]),
         )
         for r in range(len(stack.w1))
@@ -387,14 +386,12 @@ def train_initial(config: BackboneConfig, view: StateView,
         b2=np.zeros((r, n_cls)),
         class_first_state=np.full(n_cls, 1, dtype=np.int64),
         snap_w2=np.zeros((r, n_cls, config.hidden_dim)),
-        snap_b2=np.zeros((r, n_cls)),
         cosine=config.kind == "lucir_lite",
         eta=np.full(r, ETA_INIT),
     )
     model = _sgd_epochs(model, view.train_x, view.train_y, config,
                         config.epochs_initial, rng)
     model.snap_w2 = model.w2.copy()
-    model.snap_b2 = model.b2.copy()
     return model
 
 
@@ -414,7 +411,6 @@ def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
         class_first_state=np.concatenate(
             [model.class_first_state, np.full(n_new, view.state, dtype=np.int64)]),
         snap_w2=np.concatenate([model.snap_w2, np.zeros((r, n_new, h))], axis=1),
-        snap_b2=np.concatenate([model.snap_b2, np.zeros((r, n_new))], axis=1),
         cosine=model.cosine,
         eta=model.eta,
     )
@@ -423,7 +419,6 @@ def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
 def _snapshot_new(model: Model, state: int) -> Model:
     new = model.class_first_state == state
     model.snap_w2[:, new] = model.w2[:, new]
-    model.snap_b2[:, new] = model.b2[:, new]
     return model
 
 

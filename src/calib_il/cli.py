@@ -14,7 +14,7 @@ import sys
 
 from .errors import DataFileError, NumericError, SpecError
 from .pipeline import (cmd_gen, cmd_plot, cmd_run_reference, cmd_run_target,
-                       cmd_sweep, load_run_spec)
+                       cmd_sweep, kv, load_run_spec)
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -85,20 +85,16 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "plot":
             cmd_plot(spec, args.out)
     except SpecError as exc:
-        log.error(kv_error("spec", exc))
+        log.error(kv(event="error", kind="spec", message=repr(str(exc))))
         return EXIT_SPEC
     except DataFileError as exc:
-        log.error(kv_error("data", exc))
+        log.error(kv(event="error", kind="data", message=repr(str(exc))))
         return EXIT_DATA
     except NumericError as exc:
-        log.error(kv_error("numeric", exc))
+        log.error(kv(event="error", kind="numeric", message=repr(str(exc))))
         return EXIT_NUMERIC
-    log.info("event=done command=%s" % args.command)
+    log.info(kv(event="done", command=args.command))
     return EXIT_OK
-
-
-def kv_error(kind: str, exc: Exception) -> str:
-    return f"event=error kind={kind} message={str(exc)!r}"
 
 
 if __name__ == "__main__":

@@ -25,10 +25,6 @@ class SchemaError(DataFileError):
     """File structure is malformed: bad header, missing or duplicate fields."""
 
 
-class DataValidationError(DataFileError):
-    """File parsed, but its values violate the owning type's invariants."""
-
-
 class MetadataError(DataFileError):
     """Sidecar metadata and the main file disagree."""
 

@@ -45,14 +45,15 @@ log = logging.getLogger("calib_il")
 
 METHODS = ("raw", "bic", "adbic", "oracle")
 
-_TOP_KEYS = {"seed", "name", "data", "schedule", "backbone", "calibration", "sweep"}
-_DATA_KEYS = {
-    "num_classes", "feature_dim", "train_per_class", "val_per_class",
-    "test_per_class", "center_scale", "noise_scale", "drift_scale",
-    "num_references", "num_targets",
-}
-_SCHEDULE_KEYS = {"num_states", "classes_per_state"}
-_SWEEP_KEYS = {"r_values", "num_samplings", "halved"}
+# Types of the keys no dataclass declares; the data, backbone and
+# calibration keys take theirs from SynthSpec, BackboneConfig and CalibConfig.
+_TOP_TYPES = {"seed": "int", "name": "str", "data": "dict", "schedule": "dict",
+              "backbone": "dict", "calibration": "dict", "sweep": "dict"}
+_COUNT_TYPES = {"num_references": "int", "num_targets": "int"}
+_SCHEDULE_TYPES = {"num_states": "int", "classes_per_state": "list[int]"}
+_SWEEP_TYPES = {"r_values": "list[int]", "num_samplings": "int", "halved": "bool"}
+_EXACT_TYPES = {"int": int, "bool": bool, "str": str, "dict": dict}
+_FLOAT_MAX = 1.7976931348623157e308
 
 
 def kv(**fields) -> str:
@@ -83,25 +84,44 @@ class RunSpec:
     sweep_halved: bool
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
-    unknown = sorted(set(section) - allowed)
+def _coerce(kind: str, value, where: str):
+    """The JSON ``value`` of spec key ``where`` as type ``kind``: an int is
+    an integer or an integral number, a float any finite number (so ``1``
+    and ``1.0`` are one value), a bool, str, list or dict only itself."""
+    if kind == "list[int]" and type(value) is list:
+        return tuple(_coerce("int", item, where) for item in value)
+    if kind == "int" and type(value) is float and value.is_integer():
+        return int(value)
+    # NaN fails both comparisons, and so does an int past the float range.
+    if kind == "float" and type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    if type(value) is _EXACT_TYPES.get(kind):
+        return value
+    raise SpecError(f"{where} must be {kind}, got {value!r}")
+
+
+def _read(section: dict, where: str, types: dict[str, str]) -> dict:
+    """``section`` with each value coerced by its type in ``types``; keys
+    missing from ``types`` are refused."""
+    unknown = sorted(section.keys() - types)
     if unknown:
-        raise SpecError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
+        raise SpecError(f"unknown keys {unknown} in {where}; allowed: {sorted(types)}")
+    return {key: _coerce(types[key], value, f"{where}.{key}") for key, value in section.items()}
 
 
-def _section(raw: dict, key: str, allowed: set) -> dict:
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise SpecError(f"{key} section must be a JSON object, got {section!r}")
-    _reject_unknown(section, allowed, key)
-    return dict(section)
+def _field_types(cls, *skip: str) -> dict[str, str]:
+    # The modules postpone annotations, so each type is its source spelling.
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _build_config(cls, raw: dict, where: str, **defaults):
-    kwargs = {**defaults, **_section(raw, where, {f.name for f in dataclasses.fields(cls)})}
+def _build(cls, where: str, values: dict):
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING and f.name not in values]
+    if missing:
+        raise SpecError(f"{where} section must state {', '.join(missing)}")
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise SpecError(f"invalid {where} section: {exc}") from exc
 
 
@@ -121,67 +141,46 @@ def load_run_spec(path, seed_override: int | None = None) -> RunSpec:
 
 
 def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
-    _reject_unknown(raw, _TOP_KEYS, "run-spec")
-    if "seed" not in raw:
+    top = _read(raw, "run-spec", _TOP_TYPES)
+    if "seed" not in top:
         raise SpecError("run-spec must state a seed")
-    try:
-        seed = int(raw["seed"] if seed_override is None else seed_override)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"seed must be an integer, got {raw['seed']!r}") from exc
+    seed = top["seed"] if seed_override is None else seed_override
     if seed < 0:
         raise SpecError("seed must be >= 0")
 
-    data = _section(raw, "data", _DATA_KEYS)
-    for key in ("num_classes", "feature_dim"):
-        if key not in data:
-            raise SpecError(f"data section must state {key}")
-    try:
-        num_references = int(data.pop("num_references", 10))
-        num_targets = int(data.pop("num_targets", 10))
-        synth = SynthSpec(
-            num_classes=int(data["num_classes"]),
-            feature_dim=int(data["feature_dim"]),
-            train_per_class=int(data.get("train_per_class", 40)),
-            val_per_class=int(data.get("val_per_class", 10)),
-            test_per_class=int(data.get("test_per_class", 10)),
-            center_scale=float(data.get("center_scale", 1.0)),
-            noise_scale=float(data.get("noise_scale", 1.0)),
-            drift_scale=float(data.get("drift_scale", 0.0)),
-            seed=0,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"invalid data section: {exc}") from exc
+    data = _read(top.get("data", {}), "data", {**_field_types(SynthSpec, "seed"), **_COUNT_TYPES})
+    num_references = data.pop("num_references", 10)
+    num_targets = data.pop("num_targets", 10)
     if not 1 <= num_references <= 500 or not 1 <= num_targets <= 500:
         raise SpecError("num_references and num_targets must be in [1, 500]")
+    synth = _build(SynthSpec, "data", data)
 
-    sched = _section(raw, "schedule", _SCHEDULE_KEYS)
+    sched = _read(top.get("schedule", {}), "schedule", _SCHEDULE_TYPES)
     try:
         if "classes_per_state" in sched:
-            schedule = StateSchedule(tuple(int(p) for p in sched["classes_per_state"]))
-            if "num_states" in sched and int(sched["num_states"]) != schedule.num_states:
+            schedule = StateSchedule(sched["classes_per_state"])
+            if "num_states" in sched and sched["num_states"] != schedule.num_states:
                 raise SpecError("num_states disagrees with classes_per_state")
         elif "num_states" in sched:
-            schedule = StateSchedule.equal_split(synth.num_classes, int(sched["num_states"]))
+            schedule = StateSchedule.equal_split(synth.num_classes, sched["num_states"])
         else:
             raise SpecError("schedule must state num_states or classes_per_state")
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecError(f"invalid schedule section: {exc}") from exc
     if schedule.num_classes != synth.num_classes:
         raise SpecError("schedule classes disagree with data num_classes")
     if schedule.num_states < 2:
         raise SpecError("the pipeline needs at least 2 states")
 
-    backbone = _build_config(BackboneConfig, raw, "backbone", seed=seed)
-    calibration = _build_config(CalibConfig, raw, "calibration")
+    backbone = _build(BackboneConfig, "backbone", {
+        "seed": seed, **_read(top.get("backbone", {}), "backbone", _field_types(BackboneConfig))})
+    calibration = _build(CalibConfig, "calibration", _read(
+        top.get("calibration", {}), "calibration", _field_types(CalibConfig)))
 
-    sweep = _section(raw, "sweep", _SWEEP_KEYS)
-    default_r = tuple(dict.fromkeys(
-        r for r in (1, 3, 5, 9, num_references) if r <= num_references))
-    try:
-        r_values = tuple(int(r) for r in sweep.get("r_values", default_r))
-        num_samplings = int(sweep.get("num_samplings", 10))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"invalid sweep section: {exc}") from exc
+    sweep = _read(top.get("sweep", {}), "sweep", _SWEEP_TYPES)
+    r_values = sweep.get("r_values", tuple(dict.fromkeys(
+        r for r in (1, 3, 5, 9, num_references) if r <= num_references)))
+    num_samplings = sweep.get("num_samplings", 10)
     if len(set(r_values)) != len(r_values) or any(r < 1 for r in r_values):
         raise SpecError("sweep r_values must be distinct positive integers")
     if any(r > num_references for r in r_values):
@@ -192,7 +191,7 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
 
     return RunSpec(
         seed=seed,
-        name=str(raw.get("name", "experiment")),
+        name=top.get("name", "experiment"),
         synth=synth,
         num_references=num_references,
         num_targets=num_targets,
@@ -201,7 +200,7 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
         calibration=calibration,
         sweep_r_values=r_values,
         sweep_samplings=num_samplings,
-        sweep_halved=bool(sweep.get("halved", True)),
+        sweep_halved=sweep.get("halved", True),
     )
 
 
@@ -343,12 +342,14 @@ def cmd_gen(spec: RunSpec, out: Path) -> list[Path]:
     return written
 
 
-def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Path]:
-    """Fit one calibration table per reference and write them all."""
+def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[CalibrationTable]:
+    """Train and fit every reference, log its fits, and write its logits and
+    table; returns the tables in index order. ``run-target`` and ``sweep``
+    rebuild stale tables with it too."""
     out = Path(out)
     logits_fp, table_fp = spec_fingerprint(spec), spec_fingerprint(spec, calibration=True)
-    written = []
-    for run in build_all_references(spec, jobs=jobs):
+    runs = build_all_references(spec, jobs=jobs)
+    for run in runs:
         name = f"ref_{run.index}"
         for fit in run.fits:
             log.info(kv(event="fit", dataset=name, state=fit.state,
@@ -359,9 +360,8 @@ def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Path]:
                          logits_fp)
         path = out / "tables" / f"{name}.table.json"
         write_table(path, run.table, table_fp)
-        written.append(path)
         log.info(kv(event="table", dataset=name, path=path))
-    return written
+    return [run.table for run in runs]
 
 
 def _reusable(artifact: str, files: list[Path], metas: list[Path], fingerprint: str) -> bool:
@@ -383,17 +383,13 @@ def _reusable(artifact: str, files: list[Path], metas: list[Path], fingerprint: 
 
 def _load_or_build_tables(spec: RunSpec, out: Path, jobs: int) -> list[CalibrationTable]:
     paths = [out / "tables" / f"ref_{i}.table.json" for i in range(spec.num_references)]
-    fingerprint = spec_fingerprint(spec, calibration=True)
-    if _reusable("tables", paths, paths, fingerprint):
-        tables = [read_table(p) for p in paths]
-        for path, table in zip(paths, tables):
-            if table.num_states != spec.schedule.num_states:
-                raise MetadataError(path, f"table covers {table.num_states} states but the "
-                                          f"spec's schedule has {spec.schedule.num_states}")
-        return tables
-    tables = [run.table for run in build_all_references(spec, jobs=jobs)]
+    if not _reusable("tables", paths, paths, spec_fingerprint(spec, calibration=True)):
+        return cmd_run_reference(spec, out, jobs)
+    tables = [read_table(p) for p in paths]
     for path, table in zip(paths, tables):
-        write_table(path, table, fingerprint)
+        if table.num_states != spec.schedule.num_states:
+            raise MetadataError(path, f"table covers {table.num_states} states but the "
+                                      f"spec's schedule has {spec.schedule.num_states}")
     return tables
 
 

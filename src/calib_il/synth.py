@@ -26,9 +26,9 @@ class SynthSpec:
 
     num_classes: int
     feature_dim: int
-    train_per_class: int
-    val_per_class: int
-    test_per_class: int
+    train_per_class: int = 40
+    val_per_class: int = 10
+    test_per_class: int = 10
     center_scale: float = 1.0
     noise_scale: float = 1.0
     drift_scale: float = 0.0

@@ -62,7 +62,7 @@ def quick_config(kind="ftplus", **kw):
 def model_bytes(model):
     return tuple(arr.tobytes() for arr in
                  (model.w1, model.b1, model.w2, model.b2,
-                  model.snap_w2, model.snap_b2, model.eta))
+                  model.snap_w2, model.eta))
 
 
 class TestBackboneConfig:
@@ -223,7 +223,7 @@ class TestLwF:
             return Model(w1=np.eye(2), b1=np.zeros(2),
                          w2=np.array(w2_rows), b2=np.zeros(2),
                          class_first_state=np.ones(2, dtype=np.int64),
-                         snap_w2=np.zeros((2, 2)), snap_b2=np.zeros(2))
+                         snap_w2=np.zeros((2, 2)))
         student = toy([[1.0, 0.0], [0.0, 2.0]])
         teacher = toy([[0.5, 0.5], [1.0, 0.0]])
         x = np.array([[1.0, 2.0]])
@@ -339,7 +339,7 @@ class TestLucirLite:
         model = Model(w1=np.zeros((4, 3)), b1=np.zeros(4),
                       w2=np.ones((2, 4)), b2=np.zeros(2),
                       class_first_state=np.ones(2, dtype=np.int64),
-                      snap_w2=np.zeros((2, 4)), snap_b2=np.zeros(2),
+                      snap_w2=np.zeros((2, 4)),
                       cosine=True)
         scores = model.scores(np.array([[1.0, -2.0, 0.5]]))
         assert np.all(np.isfinite(scores))
@@ -422,7 +422,7 @@ class TestGuards:
                       w2=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
                       b2=np.array([0.0, 0.1, -0.1]),
                       class_first_state=np.ones(3, dtype=np.int64),
-                      snap_w2=np.zeros((3, 2)), snap_b2=np.zeros(3))
+                      snap_w2=np.zeros((3, 2)))
         x = np.array([[2.0, 1.0]])
         z = [2.0, 1.1, 1.4]
         expect = -math.log(math.exp(z[1]) / sum(math.exp(v) for v in z))

@@ -7,6 +7,7 @@ byte-identical-rerun guarantee end to end.
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,8 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calib_il import cli, pipeline
+from calib_il.backbones import BackboneConfig
 from calib_il.calibration import CalibConfig, CalibrationTable
 from calib_il.errors import MetadataError, SchemaError, SpecError
 from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
@@ -42,6 +46,50 @@ TINY = {
 
 MINIMAL = {"seed": 1, "data": {"num_classes": 10, "feature_dim": 4},
            "schedule": {"num_states": 5}}
+
+
+# TINY with every key of every section written out, so each can be mutated.
+FULL = json.loads(json.dumps(dict(
+    TINY,
+    data=dict(TINY["data"], center_scale=1.0, noise_scale=1.0, drift_scale=0.0),
+    schedule={"num_states": 2, "classes_per_state": [2, 2]},
+    backbone=dataclasses.asdict(BackboneConfig(**TINY["backbone"], seed=3)),
+    calibration=dataclasses.asdict(CalibConfig()),
+    sweep=dict(TINY["sweep"], halved=True),
+)))
+FULL_PATHS = ([(key,) for key in FULL]
+              + [(section, key) for section, body in FULL.items()
+                 if isinstance(body, dict) for key in body]
+              + [("schedule", "classes_per_state", 0), ("sweep", "r_values", 1)])
+
+SPEC_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.sampled_from(["1", "55", "nan", "false", "Infinity"]),
+    st.integers(-3, 40), st.integers(-3, 40).map(float),
+    st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
+    # Huge magnitudes lie past the index range (~9.2e18): an index-sized
+    # count is a valid int, and StateSchedule builds one map entry per
+    # class while the spec is parsed.
+    st.floats(1e20, 1e308), st.floats(-1e308, -1e20),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.lists(st.lists(st.integers(0, 4), max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 4), max_size=1),
+)
+
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def assert_declared_types(obj):
+    """Every field of a (nested) spec dataclass holds exactly its declared type."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            assert_declared_types(value)
+        elif f.type == "tuple[int, ...]":
+            assert type(value) is tuple and all(type(v) is int for v in value), (f.name, value)
+        else:
+            assert type(value) is _SCALARS[f.type], (f.name, value)
 
 
 def tiny_spec(**overrides):
@@ -97,6 +145,62 @@ class TestParseRunSpec:
         mangle(raw)
         with pytest.raises(SpecError, match=message):
             parse_run_spec(raw)
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(st.lists(st.tuples(st.sampled_from(FULL_PATHS), SPEC_VALUES),
+                    min_size=1, max_size=3))
+    def test_mutated_values_are_refused_or_read_as_declared(self, mutations):
+        """Parsing only: a mutated spec never reaches training."""
+        raw = json.loads(json.dumps(FULL))
+        for path, value in mutations:
+            node = raw
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation replaced the container
+        raw = json.loads(json.dumps(raw))
+        try:
+            spec = parse_run_spec(raw)
+        except SpecError:
+            return
+        assert_declared_types(spec)
+
+    @pytest.mark.parametrize("section,key,value,read", [
+        ("backbone", "batch_size", 4.0, lambda spec: spec.backbone.batch_size == 4),
+        ("data", "num_classes", 4.0, lambda spec: spec.synth.num_classes == 4),
+        ("backbone", "learning_rate", 1, lambda spec: spec.backbone.learning_rate == 1.0),
+        ("sweep", "r_values", [1.0, 2], lambda spec: spec.sweep_r_values == (1, 2)),
+    ])
+    def test_numbers_are_read_as_the_declared_type(self, section, key, value, read):
+        raw = json.loads(json.dumps(FULL))
+        raw[section][key] = value
+        spec = parse_run_spec(raw)
+        assert read(spec)
+        assert_declared_types(spec)
+
+    @pytest.mark.parametrize("section,key,a,b", [
+        ("backbone", "learning_rate", 1, 1.0),
+        ("backbone", "hidden_dim", 64, 64.0),
+        ("calibration", "l2_beta", 1, 1.0),
+        ("data", "center_scale", 2, 2.0),
+    ])
+    def test_number_spellings_fingerprint_alike(self, section, key, a, b):
+        specs = []
+        for value in (a, b):
+            raw = json.loads(json.dumps(FULL))
+            raw[section][key] = value
+            specs.append(parse_run_spec(raw))
+        assert specs[0] == specs[1]
+        for calibration in (False, True):
+            assert (spec_fingerprint(specs[0], calibration=calibration)
+                    == spec_fingerprint(specs[1], calibration=calibration))
+
+    def test_overridden_seed_must_still_be_an_integer(self):
+        with pytest.raises(SpecError, match="seed must be int"):
+            parse_run_spec(dict(MINIMAL, seed="abc"), seed_override=4)
+        assert parse_run_spec(dict(MINIMAL, seed=2.0), seed_override=4).seed == 4
 
     def test_explicit_classes_per_state(self):
         raw = dict(MINIMAL, schedule={"classes_per_state": [4, 3, 3]})
@@ -480,7 +584,8 @@ class TestCLI:
         res = run_cli("gen", "--spec", str(tmp_path / "no.json"),
                       "--out", str(tmp_path))
         assert res.returncode == 2
-        assert "event=error kind=spec" in res.stdout
+        message = f"run-spec file {tmp_path / 'no.json'} does not exist"
+        assert res.stdout.splitlines()[-1] == f"event=error kind=spec message={message!r}"
 
     def test_bad_env_seed_exits_2(self, spec_file, tmp_path):
         res = run_cli("gen", "--spec", str(spec_file), "--out", str(tmp_path),
@@ -499,9 +604,23 @@ class TestCLI:
         lambda r: r.update(sweep={"num_samplings": "x"}),
         lambda r: r.update(sweep=5),
         lambda r: r.update(data="abc"),
+        lambda r: r["backbone"].update(batch_size=4.5),
+        lambda r: r["sweep"].update(halved="false"),
+        lambda r: r["backbone"].update(hidden_dim=8.5),
+        lambda r: r["backbone"].update(seed=1.5),
+        lambda r: r["data"].update(center_scale="nan"),
+        lambda r: r["data"].update(noise_scale=float("inf")),
+        lambda r: r["data"].update(num_classes=4.9),
+        lambda r: r["data"].update(feature_dim=True),
+        lambda r: r.update(schedule={"classes_per_state": "22"}),
+        lambda r: r["sweep"].update(r_values="12"),
+        lambda r: r["data"].update(drift_scale=float("nan")),
     ], ids=["seed-str", "seed-null", "num-references-str", "num-classes-list",
             "classes-per-state-int", "num-states-str", "r-values-int",
-            "num-samplings-str", "sweep-int", "data-str"])
+            "num-samplings-str", "sweep-int", "data-str", "batch-size-4.5",
+            "halved-str", "hidden-dim-8.5", "backbone-seed-1.5", "center-scale-str",
+            "noise-scale-1e400", "num-classes-4.9", "feature-dim-true",
+            "classes-per-state-str", "r-values-str", "drift-scale-nan"])
     def test_uncoercible_spec_values_exit_2(self, mangle, tmp_path):
         raw = json.loads(json.dumps(TINY))
         mangle(raw)
@@ -568,11 +687,17 @@ class TestCLI:
                       env_extra=seed4)
         assert res.returncode == 0, res.stdout + res.stderr
         assert "event=cache artifact=tables action=rebuild reason=fingerprint" in res.stdout
-        assert run_cli("run-reference", "--spec", str(spec_file), "--out", str(fresh),
-                       env_extra=seed4).returncode == 0
-        for i in range(2):
-            rel = Path("tables") / f"ref_{i}.table.json"
-            assert (out / rel).read_bytes() == (fresh / rel).read_bytes()
+        fresh_run = run_cli("run-reference", "--spec", str(spec_file), "--out", str(fresh),
+                            env_extra=seed4)
+        assert fresh_run.returncode == 0
+        fits = [[line for line in r.stdout.splitlines() if line.startswith("event=fit ")]
+                for r in (res, fresh_run)]
+        assert fits[0] == fits[1] and len(fits[0]) == 2
+        rels = [Path("tables") / f"ref_{i}.table.json" for i in range(2)]
+        rels += [p.relative_to(fresh) for p in sorted((fresh / "logits").glob("ref_*"))]
+        assert len(rels) == 2 + 2 * 2 * 2  # tables; 2 refs x 2 states x (csv, sidecar)
+        for rel in rels:
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
 
     def test_tables_of_another_learning_rate_are_rebuilt_and_diverge(self, spec_file,
                                                                      tmp_path):
