@@ -14,7 +14,7 @@ from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
 from .errors import (CalibILError, DataFileError, MetadataError, NumericError,
                      SchemaError, SpecError)
 from .logits import StateLogits
-from .metrics import (RunMetrics, accuracy_matrix, avg_incremental_accuracy,
+from .metrics import (RunMetrics, avg_incremental_accuracy,
                       compute_run_metrics, mean_scores_by_group,
                       per_state_accuracy, predict)
 from .schedule import StateSchedule
@@ -22,8 +22,8 @@ from .storage import (read_dataset, read_logits, read_metrics_rows, read_table,
                       write_dataset, write_logits, write_metrics, write_table)
 from .synth import (IncrementalDataset, SynthSpec, gen_synthetic_dataset,
                     halve_train_split, split_states)
-from .transfer import (OracleResult, TransferResult, apply_transfer,
-                       average_tables, oracle_select, param_count)
+from .transfer import (apply_transfer, average_tables, oracle_select,
+                       param_count)
 
 __version__ = "0.1.0"
 
@@ -35,14 +35,13 @@ __all__ = [
     "CalibILError", "DataFileError", "MetadataError", "NumericError",
     "SchemaError", "SpecError",
     "StateLogits", "StateSchedule",
-    "RunMetrics", "accuracy_matrix", "avg_incremental_accuracy",
+    "RunMetrics", "avg_incremental_accuracy",
     "compute_run_metrics", "mean_scores_by_group", "per_state_accuracy",
     "predict",
     "read_dataset", "read_logits", "read_metrics_rows", "read_table",
     "write_dataset", "write_logits", "write_metrics", "write_table",
     "IncrementalDataset", "SynthSpec", "gen_synthetic_dataset",
     "halve_train_split", "split_states",
-    "OracleResult", "TransferResult", "apply_transfer", "average_tables",
-    "oracle_select", "param_count",
+    "apply_transfer", "average_tables", "oracle_select", "param_count",
     "__version__",
 ]

@@ -1,14 +1,14 @@
 """Accuracy metrics and score diagnostics for incremental runs.
 
-Accuracies are fractions in [0, 1]; the CLI renders percentages. Standard
-deviations are population deviations, and the headline number is the mean
-top-1 accuracy over states 2..S: the first state is not incremental, so
-its accuracy is discarded.
+Accuracies are fractions in [0, 1], and the CLI writes them as fractions.
+Standard deviations are population deviations, and the headline number is
+the mean top-1 accuracy over states 2..S: the first state is not
+incremental, so its accuracy is discarded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,11 @@ def per_state_accuracy(
     labels: np.ndarray,
     schedule: StateSchedule,
     state: int,
-) -> tuple[float, dict[int, float]]:
+) -> tuple[float, np.ndarray]:
     """Overall fraction correct plus the fraction per first-seen group.
 
-    Group k's accuracy is computed over the samples whose true class was
-    first learned in state k. Groups with no samples are reported as nan.
+    Entry k-1 of the group vector is the accuracy over the samples whose
+    true class was first learned in state k; a group with no samples is nan.
     """
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
@@ -40,16 +40,16 @@ def per_state_accuracy(
         raise ValueError("cannot score an empty evaluation set")
     hits = predictions == labels
     overall = float(np.mean(hits))
-    groups = schedule.column_groups(state)
-    label_groups = groups[labels]
-    by_group = {}
-    for k in range(1, state + 1):
-        mask = label_groups == k
-        by_group[k] = float(np.mean(hits[mask])) if mask.any() else float("nan")
-    return overall, by_group
+    label_groups = schedule.column_groups(state)[labels] - 1
+    # Hit and sample counts are exact in float64, so each ratio has the bits
+    # of np.mean over that group's hits.
+    correct = np.bincount(label_groups, weights=hits, minlength=state)
+    counts = np.bincount(label_groups, minlength=state)
+    with np.errstate(invalid="ignore"):
+        return overall, correct / counts
 
 
-def avg_incremental_accuracy(per_state: list[float]) -> float:
+def avg_incremental_accuracy(per_state: list[float] | np.ndarray) -> float:
     """Mean accuracy over states 2..S; the first state does not count."""
     if len(per_state) < 2:
         raise ValueError("need at least 2 states for an incremental average")
@@ -65,55 +65,33 @@ def mean_scores_by_group(logits: StateLogits) -> dict[int, tuple[float, float]]:
     return stats
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunMetrics:
-    """Everything measured on one incremental run of S states."""
+    """Everything measured on one incremental run of S states.
 
-    schedule: StateSchedule
-    per_state_accuracy: list[float]
-    group_accuracy: dict[tuple[int, int], float]
+    ``group_accuracy[s-1, k-1]`` is the accuracy at state s on the classes
+    first seen in state k; it is nan above the diagonal and for empty groups.
+    """
+
+    per_state_accuracy: np.ndarray
+    group_accuracy: np.ndarray
     average_incremental_accuracy: float
-    method: str = ""
-    notes: dict = field(default_factory=dict)
 
 
 def compute_run_metrics(
     per_state_scores: list[np.ndarray],
     per_state_labels: list[np.ndarray],
     schedule: StateSchedule,
-    method: str = "",
-    notes: dict | None = None,
 ) -> RunMetrics:
     """Score one run from its per-state score matrices and labels."""
-    if len(per_state_scores) != schedule.num_states:
+    num_states = schedule.num_states
+    if len(per_state_scores) != num_states:
         raise ValueError("need one score matrix per state 1..S")
-    accs = []
-    group_acc = {}
+    accs = np.empty(num_states)
+    groups = np.full((num_states, num_states), np.nan)
     for s, (scores, labels) in enumerate(zip(per_state_scores, per_state_labels), start=1):
-        overall, by_group = per_state_accuracy(predict(scores), labels, schedule, s)
-        accs.append(overall)
-        for k, value in by_group.items():
-            group_acc[(s, k)] = value
+        accs[s - 1], groups[s - 1, :s] = per_state_accuracy(
+            predict(scores), labels, schedule, s)
     # A single-state run has no incremental part to average.
-    average = avg_incremental_accuracy(accs) if len(accs) > 1 else float("nan")
-    return RunMetrics(
-        schedule=schedule,
-        per_state_accuracy=accs,
-        group_accuracy=group_acc,
-        average_incremental_accuracy=average,
-        method=method,
-        notes=dict(notes or {}),
-    )
-
-
-def accuracy_matrix(metrics: RunMetrics) -> np.ndarray:
-    """Lower-triangular (S x S) group-accuracy matrix; nan above the diagonal.
-
-    Row s holds the accuracy at state s on classes first seen in state k,
-    for k <= s.
-    """
-    S = metrics.schedule.num_states
-    out = np.full((S, S), np.nan)
-    for (s, k), value in metrics.group_accuracy.items():
-        out[s - 1, k - 1] = value
-    return out
+    average = avg_incremental_accuracy(accs) if num_states > 1 else float("nan")
+    return RunMetrics(accs, groups, average)

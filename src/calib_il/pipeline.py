@@ -315,11 +315,10 @@ def evaluate_target(test_logits, tables: list[CalibrationTable],
     """Raw, single-pair, per-group and oracle metrics for one target;
     ``averaged`` is ``average_tables(tables)``."""
     return {
-        "raw": apply_transfer(test_logits, None, method="raw").metrics,
-        "bic": apply_transfer(test_logits, averaged.collapse_to_single_pair(),
-                              method="bic").metrics,
-        "adbic": apply_transfer(test_logits, averaged, method="adbic").metrics,
-        "oracle": oracle_select(tables, test_logits).metrics,
+        "raw": apply_transfer(test_logits, None),
+        "bic": apply_transfer(test_logits, averaged.collapse_to_single_pair()),
+        "adbic": apply_transfer(test_logits, averaged),
+        "oracle": oracle_select(tables, test_logits),
     }
 
 
@@ -457,8 +456,9 @@ def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
 
 
 def _sampling_indices(spec: RunSpec, r: int) -> list[np.ndarray]:
-    """Reference subsets for one sweep cell: 10 draws without replacement,
-    or the single full subset when r covers every reference."""
+    """Reference subsets for one sweep cell: ``spec.sweep_samplings`` draws
+    without replacement, or the single full subset when r covers every
+    reference."""
     if r == spec.num_references:
         return [np.arange(r)]
     rng = np.random.default_rng([spec.seed, 77, r])
@@ -472,8 +472,7 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
     out = Path(out)
     tables = _load_or_build_tables(spec, out, jobs)
     all_logits = _load_or_build_target_logits(spec, out, jobs)
-    raw_accs = [apply_transfer(lg, None, method="raw").metrics.average_incremental_accuracy
-                for lg in all_logits]
+    raw_accs = [apply_transfer(lg, None).average_incremental_accuracy for lg in all_logits]
     raw_mean = float(np.mean(raw_accs))
 
     rows = ["r,samplings,raw_mean,corrected_mean,corrected_std,gain_mean"]
@@ -482,8 +481,8 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
         subsets = _sampling_indices(spec, r)
         for subset in subsets:
             averaged = average_tables([tables[i] for i in subset])
-            accs = [apply_transfer(lg, averaged, method="adbic")
-                    .metrics.average_incremental_accuracy for lg in all_logits]
+            accs = [apply_transfer(lg, averaged).average_incremental_accuracy
+                    for lg in all_logits]
             samples.append(float(np.mean(accs)))
         mean = float(np.mean(samples))
         std = float(np.std(samples))
@@ -501,8 +500,8 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
         lines = ["target,method,avg_incremental_accuracy,gain"]
         gains = []
         for j, test_logits in enumerate(halved_logits):
-            raw = apply_transfer(test_logits, None, method="raw").metrics
-            cor = apply_transfer(test_logits, averaged, method="adbic").metrics
+            raw = apply_transfer(test_logits, None)
+            cor = apply_transfer(test_logits, averaged)
             gain = (cor.average_incremental_accuracy - raw.average_incremental_accuracy)
             gains.append(gain)
             lines.append(f"target_{j},raw,{_fmt(raw.average_incremental_accuracy)},{_fmt(0.0)}")
@@ -545,15 +544,7 @@ def cmd_plot(spec: RunSpec, out: Path) -> list[Path]:
         written.append(path)
 
         for method in ("raw", "adbic"):
-            mpath = out / "metrics" / f"{target}_{method}.csv"
-            if not mpath.exists():
-                continue
-            cells = read_metrics_rows(mpath)
-            n = max(s for s, _, _ in cells)
-            matrix = np.full((n, n), np.nan)
-            for s, k, acc in cells:
-                if s >= 1 and k >= 1:
-                    matrix[s - 1, k - 1] = acc
+            matrix, _ = read_metrics_rows(out / "metrics" / f"{target}_{method}.csv")
             markup = render_heat_grid(f"{target} {method}: group accuracy", matrix)
             hpath = out / "plots" / f"heat_{target}_{method}.svg"
             write_svg(hpath, markup)

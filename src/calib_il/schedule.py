@@ -7,7 +7,7 @@ therefore always refers to class id j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class StateSchedule:
     """
 
     classes_per_state: tuple[int, ...]
-    class_to_state: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = tuple(int(p) for p in self.classes_per_state)
@@ -30,11 +29,7 @@ class StateSchedule:
             raise ValueError("schedule needs at least one state")
         if any(p < 1 for p in sizes):
             raise ValueError(f"every state must introduce >= 1 class, got {sizes}")
-        mapping = []
-        for state, size in enumerate(sizes, start=1):
-            mapping.extend([state] * size)
         object.__setattr__(self, "classes_per_state", sizes)
-        object.__setattr__(self, "class_to_state", tuple(mapping))
 
     @classmethod
     def from_mapping(cls, class_to_state: dict[int, int]) -> "StateSchedule":
@@ -63,6 +58,12 @@ class StateSchedule:
         return cls((num_classes // num_states,) * num_states)
 
     @property
+    def class_to_state(self) -> tuple[int, ...]:
+        """First-seen state of each class id 0..C-1."""
+        return tuple(state for state, size in enumerate(self.classes_per_state, start=1)
+                     for _ in range(size))
+
+    @property
     def num_states(self) -> int:
         return len(self.classes_per_state)
 
@@ -86,8 +87,7 @@ class StateSchedule:
     def column_groups(self, state: int) -> np.ndarray:
         """First-seen state of each score column at ``state``."""
         self._check_state(state)
-        n = self.classes_through(state)
-        return np.asarray(self.class_to_state[:n], dtype=np.int64)
+        return np.repeat(np.arange(1, state + 1), self.classes_per_state[:state])
 
     def _check_state(self, state: int) -> None:
         if not 1 <= state <= self.num_states:

@@ -307,31 +307,49 @@ def read_dataset(path) -> IncrementalDataset:
 
 
 def write_metrics(path, metrics: RunMetrics):
-    """One `(state, group, accuracy)` row per matrix cell plus a summary row.
+    """One `(state, group, accuracy)` row per lower-triangle cell of the
+    group-accuracy matrix plus a summary row.
 
     The summary row uses group 0 and carries the average incremental
     accuracy over states 2..S.
     """
     buf = io.StringIO()
     buf.write("state,group,accuracy\n")
-    schedule = metrics.schedule
-    for s in range(1, schedule.num_states + 1):
+    for s, row in enumerate(metrics.group_accuracy, start=1):
         for k in range(1, s + 1):
-            buf.write(f"{s},{k},{_fmt(metrics.group_accuracy[(s, k)])}\n")
+            buf.write(f"{s},{k},{_fmt(row[k - 1])}\n")
     buf.write(f"0,0,{_fmt(metrics.average_incremental_accuracy)}\n")
     _atomic_write(Path(path), buf.getvalue())
 
 
-def read_metrics_rows(path) -> list[tuple[int, int, float]]:
+def read_metrics_rows(path) -> tuple[np.ndarray, float]:
+    """The (S, S) group-accuracy matrix and the average that ``write_metrics``
+    wrote: rows (s, k) for 1 <= k <= s <= S in order, then one `0,0` summary
+    row. An empty group's `nan` reads back as nan."""
     path = Path(path)
     header, rows = _read_csv_rows(path, "metrics")
     if header != ["state", "group", "accuracy"]:
         raise SchemaError(path, f"unexpected metrics header {header}")
-    out = []
-    for i, row in enumerate(rows):
+    cells, s, k = [], 1, 1  # (s, k) is the cell the next row must hold
+    for i, row in enumerate(rows, start=2):
         if len(row) != 3:
-            raise SchemaError(path, f"row {i + 2}: expected 3 fields")
-        out.append((int(_parse_float(row[0], path, f"row {i + 2} state")),
-                    int(_parse_float(row[1], path, f"row {i + 2} group")),
-                    _parse_float(row[2], path, f"row {i + 2}")))
-    return out
+            raise SchemaError(path, f"row {i}: expected 3 fields")
+        where = (_parse_float(row[0], path, f"row {i} state"),
+                 _parse_float(row[1], path, f"row {i} group"))
+        value = float("nan") if row[2] == "nan" else _parse_float(row[2], path, f"row {i}")
+        if where == (s, k):
+            cells.append(value)
+            s, k = (s, k + 1) if k < s else (s + 1, 1)
+        elif where == (0, 0) and k == 1 and s > 1:
+            if i <= len(rows):
+                raise SchemaError(path, f"row {i + 1}: a row after the 0,0 summary row")
+            matrix = np.full((s - 1, s - 1), np.nan)
+            matrix[np.tril_indices(s - 1)] = cells
+            return matrix, value
+        else:
+            raise SchemaError(path, f"row {i}: expected {_cell(s, k)}, got {row[0]},{row[1]}")
+    raise SchemaError(path, f"row {len(rows) + 2}: expected {_cell(s, k)}, got end of file")
+
+
+def _cell(s: int, k: int) -> str:
+    return f"state {s} group {k}" + (" or the 0,0 summary row" if k == 1 and s > 1 else "")

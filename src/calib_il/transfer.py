@@ -9,8 +9,6 @@ not a deployable method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calibration import CalibrationTable, apply_table
@@ -46,50 +44,24 @@ def _corrected_scores(logits: StateLogits, table: CalibrationTable | None) -> np
     return apply_table(logits, table)
 
 
-@dataclass
-class TransferResult:
-    """Per-state corrected predictions plus the run's metrics."""
-
-    predictions: list[np.ndarray]
-    corrected: list[np.ndarray]
-    metrics: RunMetrics
-
-
 def apply_transfer(
     per_state_logits: list[StateLogits],
     table: CalibrationTable | None,
-    method: str = "transfer",
-) -> TransferResult:
-    """Correct states 2..S with ``table`` and predict the top corrected score.
-
-    Predictions follow the rule the metrics score (``predict``); state 1
-    predictions are the raw argmax. Passing ``table=None`` scores
-    the uncorrected run.
-    """
+) -> RunMetrics:
+    """Score the run with states 2..S corrected by ``table``; state 1 is
+    scored raw. Passing ``table=None`` scores the uncorrected run."""
     _check_states(per_state_logits)
-    corrected = [_corrected_scores(lg, table) for lg in per_state_logits]
-    predictions = [predict(scores) for scores in corrected]
-    metrics = compute_run_metrics(
-        corrected,
+    return compute_run_metrics(
+        [_corrected_scores(lg, table) for lg in per_state_logits],
         [lg.labels for lg in per_state_logits],
         per_state_logits[0].schedule,
-        method=method,
     )
-    return TransferResult(predictions, corrected, metrics)
-
-
-@dataclass
-class OracleResult:
-    """Best per-state reference choice and the resulting metrics."""
-
-    chosen: dict[int, int]
-    metrics: RunMetrics
 
 
 def oracle_select(
     tables: list[CalibrationTable],
     per_state_logits: list[StateLogits],
-) -> OracleResult:
+) -> RunMetrics:
     """Per state, keep the table with the best corrected top-1 accuracy.
 
     Ties break toward the lowest table index. Selection uses the target
@@ -99,30 +71,19 @@ def oracle_select(
         raise ValueError("oracle needs at least one table")
     _check_states(per_state_logits)
     schedule = per_state_logits[0].schedule
-    chosen = {}
-    scores_by_state = []
-    for logits in per_state_logits:
-        if logits.state == 1:
-            scores_by_state.append(logits.matrix)
-            continue
-        best_idx, best_acc, best_scores = 0, -1.0, None
-        for idx, table in enumerate(tables):
+    scores_by_state = [per_state_logits[0].matrix]
+    for logits in per_state_logits[1:]:
+        best_acc, best_scores = -1.0, None
+        for table in tables:
             corrected = apply_table(logits, table)
             acc, _ = per_state_accuracy(
                 predict(corrected), logits.labels, schedule, logits.state
             )
             if acc > best_acc:
-                best_idx, best_acc, best_scores = idx, acc, corrected
-        chosen[logits.state] = best_idx
+                best_acc, best_scores = acc, corrected
         scores_by_state.append(best_scores)
-    metrics = compute_run_metrics(
-        scores_by_state,
-        [lg.labels for lg in per_state_logits],
-        schedule,
-        method="oracle",
-        notes={"deployable": False, "selection": "target test labels (upper bound)"},
-    )
-    return OracleResult(chosen, metrics)
+    return compute_run_metrics(
+        scores_by_state, [lg.labels for lg in per_state_logits], schedule)
 
 
 def _check_states(per_state_logits: list[StateLogits]) -> None:

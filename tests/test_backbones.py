@@ -277,7 +277,7 @@ class TestLwF:
             view = split.views[-1]
             preds = np.argmax(model.scores(view.test_x[None])[0], axis=1)
             _, by_group = per_state_accuracy(preds, view.test_y, split.schedule, 5)
-            return float(np.mean([by_group[k] for k in range(1, 5)]))
+            return float(np.mean(by_group[:4]))
 
         wins = sum(final_past_acc(10.0, 100 + i) > final_past_acc(0.0, 100 + i)
                    for i in range(10))

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from calib_il.logits import StateLogits
-from calib_il.metrics import (accuracy_matrix, avg_incremental_accuracy,
-                              compute_run_metrics, mean_scores_by_group,
-                              per_state_accuracy, predict)
+from calib_il.metrics import (avg_incremental_accuracy, compute_run_metrics,
+                              mean_scores_by_group, per_state_accuracy, predict)
 from calib_il.schedule import StateSchedule
 
 
@@ -40,16 +39,17 @@ class TestPerStateAccuracy:
                 hits += 1
                 group_hits[k] += 1
         assert overall == hits / total
+        assert len(by_group) == 3
         for k in (1, 2, 3):
-            assert by_group[k] == group_hits[k] / group_total[k]
+            assert by_group[k - 1] == group_hits[k] / group_total[k]
 
     def test_empty_group_reports_nan(self):
         sched = StateSchedule((1, 1))
         labels = np.zeros(5, dtype=int)  # only group 1 present
         overall, by_group = per_state_accuracy(labels, labels, sched, 2)
         assert overall == 1.0
-        assert by_group[1] == 1.0
-        assert math.isnan(by_group[2])
+        assert by_group[0] == 1.0
+        assert math.isnan(by_group[1])
 
     def test_misaligned_rejected(self):
         sched = StateSchedule((1, 1))
@@ -67,8 +67,35 @@ class TestPerStateAccuracy:
         preds = rng.integers(0, 4, 37)
         overall, by_group = per_state_accuracy(preds, labels, sched, 2)
         counts = {k: int(np.sum(sched.column_groups(2)[labels] == k)) for k in (1, 2)}
-        weighted = sum(by_group[k] * counts[k] for k in (1, 2)) / len(labels)
+        weighted = sum(by_group[k - 1] * counts[k] for k in (1, 2)) / len(labels)
         np.testing.assert_allclose(overall, weighted, rtol=1e-14)
+
+    def test_bincount_groups_bitwise_equal_per_mask_mean(self):
+        """Each group entry has the bits of np.mean over that group's hits;
+        a group without samples is nan."""
+        rng = np.random.default_rng(2)
+        empty = 0
+        for trial in range(50):
+            sched = StateSchedule(tuple(int(v) for v in rng.integers(1, 5, 4)))
+            state = int(rng.integers(1, 5))
+            cols = sched.classes_through(state)
+            n = int(rng.integers(1, 300))
+            labels = rng.integers(0, cols, n)
+            if trial % 5 == 0 and state > 1:  # empty out the newest group
+                labels = labels % sched.classes_through(state - 1)
+            preds = np.where(rng.random(n) < rng.random(), labels, rng.integers(0, cols, n))
+            overall, by_group = per_state_accuracy(preds, labels, sched, state)
+            hits = preds == labels
+            label_groups = sched.column_groups(state)[labels]
+            assert overall == float(np.mean(hits))
+            for k in range(1, state + 1):
+                mask = label_groups == k
+                if mask.any():
+                    assert by_group[k - 1].tobytes() == np.float64(np.mean(hits[mask])).tobytes()
+                else:
+                    assert math.isnan(by_group[k - 1])
+                    empty += 1
+        assert empty > 0
 
 
 class TestAverages:
@@ -109,14 +136,12 @@ def make_run_scores(seed, sizes, n=30):
 class TestRunMetrics:
     def test_consistent_with_per_state_calls(self):
         scores, labels, sched = make_run_scores(0, (2, 1, 2))
-        metrics = compute_run_metrics(scores, labels, sched, method="raw")
-        assert metrics.method == "raw"
+        metrics = compute_run_metrics(scores, labels, sched)
         for s in range(1, 4):
             overall, by_group = per_state_accuracy(
                 predict(scores[s - 1]), labels[s - 1], sched, s)
             assert metrics.per_state_accuracy[s - 1] == overall
-            for k, value in by_group.items():
-                assert metrics.group_accuracy[(s, k)] == value
+            np.testing.assert_array_equal(metrics.group_accuracy[s - 1, :s], by_group)
         np.testing.assert_allclose(
             metrics.average_incremental_accuracy,
             np.mean(metrics.per_state_accuracy[1:]), rtol=1e-15)
@@ -126,7 +151,7 @@ class TestRunMetrics:
         metrics = compute_run_metrics(scores, labels, sched)
         assert len(metrics.per_state_accuracy) == 1
         assert math.isnan(metrics.average_incremental_accuracy)
-        assert accuracy_matrix(metrics).shape == (1, 1)
+        assert metrics.group_accuracy.shape == (1, 1)
 
     def test_state_count_mismatch_rejected(self):
         scores, labels, sched = make_run_scores(2, (2, 2))
@@ -138,12 +163,13 @@ class TestAccuracyMatrix:
     def test_lower_triangular_layout(self):
         scores, labels, sched = make_run_scores(3, (2, 2, 2))
         metrics = compute_run_metrics(scores, labels, sched)
-        matrix = accuracy_matrix(metrics)
+        matrix = metrics.group_accuracy
         assert matrix.shape == (3, 3)
         for s in range(1, 4):
+            _, by_group = per_state_accuracy(predict(scores[s - 1]), labels[s - 1], sched, s)
             for k in range(1, 4):
                 if k <= s:
-                    value = metrics.group_accuracy[(s, k)]
+                    value = by_group[k - 1]
                     if math.isnan(value):
                         assert math.isnan(matrix[s - 1, k - 1])
                     else:

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,9 @@ SPEC_VALUES = st.one_of(
     st.sampled_from(["1", "55", "nan", "false", "Infinity"]),
     st.integers(-3, 40), st.integers(-3, 40).map(float),
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
-    # Huge magnitudes lie past the index range (~9.2e18): an index-sized
-    # count is a valid int, and StateSchedule builds one map entry per
-    # class while the spec is parsed.
+    # Index-sized counts are valid ints; parsing materializes nothing per
+    # class, so a huge class count costs no memory until data is generated.
+    st.integers(2**31, 2**62),
     st.floats(1e20, 1e308), st.floats(-1e308, -1e20),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.lists(st.integers(-1, 4), max_size=3),
@@ -197,6 +198,19 @@ class TestParseRunSpec:
             assert (spec_fingerprint(specs[0], calibration=calibration)
                     == spec_fingerprint(specs[1], calibration=calibration))
 
+    def test_huge_class_count_parses_in_constant_memory(self):
+        """The schedule stores one size per state, not one entry per class."""
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["data"]["num_classes"] = 2_000_000
+        tracemalloc.start()
+        try:
+            spec = parse_run_spec(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.schedule.classes_per_state == (400_000,) * 5
+        assert peak < 2**20
+
     def test_overridden_seed_must_still_be_an_integer(self):
         with pytest.raises(SpecError, match="seed must be int"):
             parse_run_spec(dict(MINIMAL, seed="abc"), seed_override=4)
@@ -257,8 +271,10 @@ class TestEvaluateTarget:
         results = evaluate_target(logits, tables, average_tables(tables))
         assert set(results) == {"raw", "bic", "adbic", "oracle"}
         for method in ("bic", "adbic", "oracle"):
-            assert (results[method].per_state_accuracy
-                    == results["raw"].per_state_accuracy)
+            np.testing.assert_array_equal(results[method].per_state_accuracy,
+                                          results["raw"].per_state_accuracy)
+            np.testing.assert_array_equal(results[method].group_accuracy,
+                                          results["raw"].group_accuracy)
 
     def test_jobs_do_not_change_results(self):
         """--jobs 2 splits each two-model stack into two one-model chunks;
@@ -734,6 +750,31 @@ class TestCLI:
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=data")
         assert f"row {row + 1}" in last and repr(value) in last
+
+    @pytest.mark.parametrize("rows,message", [
+        ([], "row 2: expected state 1 group 1, got end of file"),
+        (["0,0,0.5"], "row 2: expected state 1 group 1, got 0,0"),
+        (["2,7,0.5"], "row 2: expected state 1 group 1, got 2,7"),
+        (["-3,1,0.5"], "row 2: expected state 1 group 1, got -3,1"),
+        (["1e9,1,0.5"], "row 2: expected state 1 group 1, got 1e9,1"),
+        (None, "missing metrics file"),
+    ], ids=["header-only", "summary-only", "group-past-state", "negative-state",
+            "huge-state", "missing"])
+    def test_malformed_metrics_files_fail_plot_with_exit_3(self, flow_out, tmp_path, rows,
+                                                           message):
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        path = out / "metrics" / "target_1_adbic.csv"
+        if rows is None:
+            path.unlink()
+        else:
+            path.write_text("\n".join(["state,group,accuracy", *rows]) + "\n")
+        res = run_cli("plot", "--out", str(out))
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert "Traceback" not in res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=data")
+        assert "target_1_adbic.csv" in last and message in last
 
     def test_diverging_backbone_exits_4(self, tmp_path):
         """The README demo spec with a huge learning rate drives the scores

@@ -307,13 +307,42 @@ class TestMetricsFile:
         metrics = self.make_metrics()
         path = tmp_path / "m.csv"
         write_metrics(path, metrics)
-        rows = read_metrics_rows(path)
         S = 3
-        assert len(rows) == S * (S + 1) // 2 + 1
-        for state, group, value in rows[:-1]:
-            assert value == metrics.group_accuracy[(state, group)]
-        assert rows[-1][:2] == (0, 0)
-        assert rows[-1][2] == metrics.average_incremental_accuracy
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + S * (S + 1) // 2 + 1
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{s},{k}" for s in range(1, S + 1) for k in range(1, s + 1)] + ["0,0"]
+        matrix, average = read_metrics_rows(path)
+        assert matrix.tobytes() == metrics.group_accuracy.tobytes()
+        assert average == metrics.average_incremental_accuracy
+
+    def test_empty_group_round_trips_as_nan(self, tmp_path):
+        sched = StateSchedule((1, 1))
+        scores = [np.zeros((3, 1)), np.zeros((3, 2))]
+        labels = [np.zeros(3, dtype=int)] * 2  # group 2 has no samples
+        metrics = compute_run_metrics(scores, labels, sched)
+        path = tmp_path / "m.csv"
+        write_metrics(path, metrics)
+        assert "2,2,nan" in path.read_text()
+        matrix, average = read_metrics_rows(path)
+        np.testing.assert_array_equal(matrix, [[1.0, np.nan], [1.0, np.nan]])
+        assert average == 1.0
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines + ["0,0,0.5"], "row 6: a row after the 0,0 summary row"),
+        (lambda lines: lines[:2] + lines[3:],
+         "row 3: expected state 2 group 1 or the 0,0 summary row, got 2,2"),
+        (lambda lines: lines[:3] + lines[4:], "row 4: expected state 2 group 2, got 0,0"),
+        (lambda lines: lines[:-1],
+         "row 5: expected state 3 group 1 or the 0,0 summary row, got end of file"),
+        (lambda lines: lines[:2] + ["2,1,inf"] + lines[3:], "row 3: non-finite value 'inf'"),
+    ], ids=["row-after-summary", "missing-cell", "early-summary", "no-summary", "inf"])
+    def test_anything_but_the_triangle_and_summary_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "m.csv"
+        write_metrics(path, self.make_metrics(sizes=(1, 1)))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(SchemaError, match=message):
+            read_metrics_rows(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from calib_il.calibration import CalibrationTable, apply_table
 from calib_il.logits import StateLogits
+from calib_il.metrics import RunMetrics, compute_run_metrics
 from calib_il.schedule import StateSchedule
 from calib_il.transfer import (apply_transfer, average_tables, oracle_select,
                                param_count)
@@ -17,6 +18,12 @@ def random_table(seed, num_states):
         for k in range(1, s + 1):
             entries[(s, k)] = (float(rng.normal(1, 0.4)), float(rng.normal(0, 0.4)))
     return CalibrationTable.from_pairs(num_states, entries.items())
+
+
+def assert_same_metrics(a: RunMetrics, b: RunMetrics):
+    np.testing.assert_array_equal(a.per_state_accuracy, b.per_state_accuracy)
+    np.testing.assert_array_equal(a.group_accuracy, b.group_accuracy)
+    assert a.average_incremental_accuracy == b.average_incremental_accuracy
 
 
 def make_run(seed, sizes, n=25):
@@ -90,25 +97,22 @@ class TestApplyTransfer:
     def test_corrected_scores_match_apply_table(self):
         run = make_run(0, (2, 2, 1))
         table = random_table(3, 3)
-        result = apply_transfer(run, table)
-        np.testing.assert_array_equal(result.corrected[0], run[0].matrix)
-        for lg, scores in zip(run[1:], result.corrected[1:]):
-            np.testing.assert_array_equal(scores, apply_table(lg, table))
+        scores = [run[0].matrix] + [apply_table(lg, table) for lg in run[1:]]
+        assert_same_metrics(
+            apply_transfer(run, table),
+            compute_run_metrics(scores, [lg.labels for lg in run], run[0].schedule))
 
     def test_none_table_scores_raw_run(self):
         run = make_run(1, (2, 2))
-        result = apply_transfer(run, None, method="raw")
-        for lg, scores in zip(run, result.corrected):
-            np.testing.assert_array_equal(scores, lg.matrix)
-        assert result.metrics.method == "raw"
+        assert_same_metrics(
+            apply_transfer(run, None),
+            compute_run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
+                                run[0].schedule))
 
     def test_identity_table_equals_raw(self):
         run = make_run(2, (2, 2, 2))
-        raw = apply_transfer(run, None)
-        ident = apply_transfer(run, CalibrationTable.identity(3))
-        assert raw.metrics.per_state_accuracy == ident.metrics.per_state_accuracy
-        for p, q in zip(raw.predictions, ident.predictions):
-            np.testing.assert_array_equal(p, q)
+        assert_same_metrics(apply_transfer(run, None),
+                            apply_transfer(run, CalibrationTable.identity(3)))
 
     def test_short_table_rejected(self):
         run = make_run(3, (2, 2, 2))
@@ -133,8 +137,7 @@ class TestOracle:
         for table in tables:
             single = apply_transfer(run, table)
             for s in range(2, 4):
-                assert (oracle.metrics.per_state_accuracy[s - 1]
-                        >= single.metrics.per_state_accuracy[s - 1])
+                assert oracle.per_state_accuracy[s - 1] >= single.per_state_accuracy[s - 1]
 
     def test_picks_the_winning_table(self):
         """One table undoes a known corruption, the other worsens it; the
@@ -153,20 +156,29 @@ class TestOracle:
         ]
         repair = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (4.0, 12.0))])
         wreck = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (0.1, -5.0))])
-        oracle = oracle_select([wreck, repair], run)
-        assert oracle.chosen == {2: 1}
+        repaired = apply_transfer(run, repair)
+        assert (repaired.per_state_accuracy[1]
+                > apply_transfer(run, wreck).per_state_accuracy[1])
+        assert_same_metrics(oracle_select([wreck, repair], run), repaired)
 
     def test_ties_break_to_lowest_index(self):
-        run = make_run(7, (2, 2))
-        table = random_table(20, 2)
-        oracle = oracle_select([table, table, table], run)
-        assert oracle.chosen == {2: 0}
-
-    def test_flagged_not_deployable(self):
-        run = make_run(8, (1, 1))
-        oracle = oracle_select([CalibrationTable.identity(2)], run)
-        assert oracle.metrics.notes["deployable"] is False
-        assert oracle.metrics.method == "oracle"
+        """Boosting group 1 fixes sample 0 and boosting group 2 fixes
+        sample 1: both tables score 1/2 at state 2, with opposite group
+        accuracies, so the oracle's group row is the first table's."""
+        sched = StateSchedule((2, 2))
+        run = [
+            StateLogits(1, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), sched),
+            StateLogits(2, np.array([[1.0, 0.0, 1.5, 0.0], [1.5, 0.0, 1.0, 0.0]]),
+                        np.array([0, 2]), sched),
+        ]
+        boost_old = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 1.0)), ((2, 2), (1.0, 0.0))])
+        boost_new = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (1.0, 1.0))])
+        for first, second, row in ((boost_old, boost_new, [1.0, 0.0]),
+                                   (boost_new, boost_old, [0.0, 1.0])):
+            oracle = oracle_select([first, second], run)
+            assert oracle.per_state_accuracy[1] == 0.5
+            np.testing.assert_array_equal(oracle.group_accuracy[1], row)
+            assert_same_metrics(oracle, apply_transfer(run, first))
 
     def test_empty_tables_rejected(self):
         run = make_run(9, (2, 2))
