@@ -315,21 +315,28 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
     ``x`` is (R, n, d) and ``y`` is (R, n). Each epoch draws one
     permutation and every model of the stack takes its batches in that
     order, exactly as it would alone. The teacher's targets are evaluated
-    once, before the first epoch. The first ``frozen_rows`` output rows
-    stay bitwise fixed: they are left out of the step rather than relying
-    on zeroed gradients.
+    once, before the first epoch. Each epoch gathers the samples in its
+    order once, into buffers reused across epochs, so that a batch is a
+    slice. The first ``frozen_rows`` output rows stay bitwise fixed: they
+    are left out of the step rather than relying on zeroed gradients.
     """
     vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
     vel_eta = np.zeros_like(model.eta)
     targets = _teacher_targets(teacher, x, config, lam)
+    xs, ys = np.empty_like(x), np.empty_like(y)
+    ts = None if targets is None else np.empty_like(targets)
     lr, mu = config.learning_rate, config.momentum
     n = y.shape[1]
     for _ in range(epochs):
         order = rng.permutation(n)
+        np.take(x, order, axis=1, out=xs)
+        np.take(y, order, axis=1, out=ys)
+        if ts is not None:
+            np.take(targets, order, axis=1, out=ts)
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[:, idx], y[:, idx]
-            tb = None if targets is None else targets[:, idx]
+            batch = slice(start, start + config.batch_size)
+            xb, yb = xs[:, batch], ys[:, batch]
+            tb = None if ts is None else ts[:, batch]
             if model.cosine:
                 *grads, d_eta = _grads_cosine(model, xb, yb, config, tb, lam)
                 vel_eta = mu * vel_eta + d_eta

@@ -35,8 +35,8 @@ from .logits import StateLogits
 from .metrics import RunMetrics
 from .plots import Series, render_heat_grid, render_line_chart, write_svg
 from .schedule import StateSchedule
-from .storage import (SCHEMA_VERSION, _atomic_write, _fmt, _parse_float, _read_csv_rows,
-                      _sidecar, read_fingerprint, read_logits, read_metrics_rows,
+from .storage import (SCHEMA_VERSION, _atomic_write, _fmt, _parse_float, _parse_int,
+                      _read_csv_rows, _sidecar, read_fingerprint, read_logits, read_metrics_rows,
                       read_table, write_dataset, write_logits, write_metrics, write_table)
 from .synth import SynthSpec, StateSplit, gen_synthetic_dataset, halve_train_split, split_states
 from .transfer import apply_transfer, average_tables, oracle_select
@@ -514,19 +514,25 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1) -> Path:
 
 def cmd_plot(spec: RunSpec, out: Path) -> list[Path]:
     """Render accuracy line charts and group-accuracy heat grids from the
-    CSVs produced by run-target."""
+    CSVs produced by run-target. Each state must be an integer in 1..S,
+    with S from the spec's schedule or, without a spec, from the
+    target's metrics files."""
     out = Path(out)
     path = out / "per_state.csv"
     header, rows = _read_csv_rows(path, "input")
     if header != ["target", "method", "state", "accuracy"] or any(len(r) != 4 for r in rows):
         raise SchemaError(path, f"expected columns target,method,state,accuracy, got {header}")
+    targets = sorted({row[0] for row in rows})
+    grids = {(target, method): read_metrics_rows(out / "metrics" / f"{target}_{method}.csv")[0]
+             for target in targets for method in ("raw", "adbic")}
     by_target: dict[str, dict[str, list[tuple[int, float]]]] = {}
     for i, (target, method, state, acc) in enumerate(rows, start=2):
+        num_states = len(grids[target, "raw"]) if spec is None else spec.schedule.num_states
         by_target.setdefault(target, {}).setdefault(method, []).append(
-            (int(_parse_float(state, path, f"row {i} state")),
+            (_parse_int(state, path, f"row {i} state", 1, num_states),
              _parse_float(acc, path, f"row {i} accuracy")))
     written = []
-    for target in sorted(by_target):
+    for target in targets:
         series = []
         for method in METHODS:
             if method not in by_target[target]:
@@ -544,8 +550,8 @@ def cmd_plot(spec: RunSpec, out: Path) -> list[Path]:
         written.append(path)
 
         for method in ("raw", "adbic"):
-            matrix, _ = read_metrics_rows(out / "metrics" / f"{target}_{method}.csv")
-            markup = render_heat_grid(f"{target} {method}: group accuracy", matrix)
+            markup = render_heat_grid(f"{target} {method}: group accuracy",
+                                      grids[target, method])
             hpath = out / "plots" / f"heat_{target}_{method}.svg"
             write_svg(hpath, markup)
             written.append(hpath)

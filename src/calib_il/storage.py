@@ -1,9 +1,10 @@
 """Bit-exact CSV/JSON serialization for logits, tables, datasets, metrics.
 
 Floats are rendered with Python's shortest round-trip repr so that
-write → read returns the same IEEE-754 bits. All writers go through a
-temp-file rename, so a crashed run never leaves a half-written artifact.
-UTF-8, LF line endings, '.' decimal point — no locale dependence.
+write → read returns the same IEEE-754 bits. All writers stream their rows
+into a temp file and rename it into place, so a crashed run never leaves a
+half-written artifact. UTF-8, LF line endings, '.' decimal point — no
+locale dependence.
 
 Table JSONs and logits sidecars may carry a ``fingerprint``: a digest of
 the spec sections that produced the artifact (see
@@ -17,6 +18,8 @@ import io
 import json
 import os
 import tempfile
+import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +40,22 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: Path, text: str):
+def _row(values: list) -> str:
+    # repr of a Python float is the shortest string that round-trips; the
+    # caller passes ``ndarray.tolist()`` so no numpy scalar is boxed per cell.
+    return ",".join(map(repr, values))
+
+
+def _atomic_write(path: Path, chunks):
+    """Write ``chunks``, one str or an iterable of str streamed in order, to
+    a temp file next to ``path`` and rename it over ``path``. If anything
+    fails, the temp file is removed and ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,6 +142,15 @@ def _parse_float(text: str, path: Path, where: str) -> float:
     return value
 
 
+def _parse_int(text: str, path: Path, where: str, low: int, high: int) -> int:
+    value = _parse_float(text, path, where)
+    if not value.is_integer():
+        raise SchemaError(path, f"{where}: {text!r} is not an integer")
+    if not low <= value <= high:
+        raise SchemaError(path, f"{where}: {text!r} outside the schedule's {low}..{high}")
+    return int(value)
+
+
 def _read_csv_rows(path: Path, what: str):
     path = Path(path)
     if not path.exists():
@@ -150,12 +171,10 @@ def write_logits(path, logits: StateLogits, fingerprint: str | None = None):
     when given, the spec fingerprint."""
     path = Path(path)
     cols = logits.matrix.shape[1]
-    buf = io.StringIO()
-    buf.write("id,label," + ",".join(f"c{j}" for j in range(cols)) + "\n")
-    for i in range(logits.num_samples):
-        scores = ",".join(_fmt(v) for v in logits.matrix[i])
-        buf.write(f"{i},{int(logits.labels[i])},{scores}\n")
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, chain(
+        ["id,label," + ",".join(f"c{j}" for j in range(cols)) + "\n"],
+        (f"{i},{label},{_row(scores.tolist())}\n"
+         for i, (label, scores) in enumerate(zip(logits.labels.tolist(), logits.matrix)))))
     _write_json(_sidecar(path), _with_fingerprint({
         "schema_version": SCHEMA_VERSION,
         "state": logits.state,
@@ -176,40 +195,67 @@ def read_logits(path) -> StateLogits:
     schedule = _schedule_from_meta(meta, meta_path)
     state = _int_field(meta, "state", meta_path)
     seed = _int_field(meta, "seed", meta_path)
-    header, rows = _read_csv_rows(path, "logits")
+    if not path.exists():
+        raise SchemaError(path, "missing logits file")
+    with open(path, encoding="utf-8") as fh:  # '\r\n' and '\r' read as '\n'
+        first, body = fh.readline(), fh.read()
+    if not first:
+        raise SchemaError(path, "empty logits file")
+    header = next(csv.reader([first]))
     expect = schedule.classes_through(state) if 1 <= state <= schedule.num_states else -1
-    want = ["id", "label"] + [f"c{j}" for j in range(max(expect, 0))]
-    if expect < 0 or header != want:
+    if expect < 0 or header != ["id", "label"] + [f"c{j}" for j in range(expect)]:
         raise SchemaError(
             path,
             f"header {header[:4]}...({len(header) - 2} score columns) does not "
             f"match the sidecar protocol ({expect} classes through state {state})")
-    try:
-        cells = np.array(rows, dtype=float)
-        parsed = (cells.shape == (len(rows), len(want))
-                  and bool(np.all(np.isfinite(cells[:, 1:]))))
-    except (TypeError, ValueError):
-        parsed = False
-    if parsed:
-        labels = cells[:, 1].astype(np.int64)
-        matrix = np.ascontiguousarray(cells[:, 2:])
-    else:
-        # Cell by cell, so that the error names the first bad row and column.
-        labels = np.empty(len(rows), dtype=np.int64)
-        matrix = np.empty((len(rows), expect))
-        for i, row in enumerate(rows):
-            if len(row) != len(want):
-                raise SchemaError(path, f"row {i + 2}: expected {len(want)} fields, "
-                                        f"got {len(row)}")
-            labels[i] = int(_parse_float(row[1], path, f"row {i + 2} label"))
-            for j in range(expect):
-                matrix[i, j] = _parse_float(row[2 + j], path, f"row {i + 2} column c{j}")
+    # The last row may lack its newline.
+    num_rows = body.count("\n") + (not body.endswith("\n") and bool(body))
+    if num_rows == 0:
+        raise SchemaError(path, "no data rows")
+    labels, matrix = _bulk_logits(body, num_rows, expect) or _cell_logits(path, body, expect)
     try:
         return StateLogits(state=state, matrix=matrix, labels=labels,
                            schedule=schedule, dataset=str(meta["dataset"]),
                            backbone=str(meta["backbone"]), seed=seed)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
+
+
+def _bulk_logits(body: str, num_rows: int, expect: int):
+    """Labels and scores of a logits body parsed in one C call, or None
+    unless that gives ``num_rows`` rows of ``expect`` finite scores and an
+    in-range integral label each. ``comments=None``, or a cell like
+    ``1.5#x`` would be cut at the '#'."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            cells = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    # loadtxt skips blank lines, so a short count means one was there.
+    if cells.shape != (num_rows, expect + 2):
+        return None
+    labels, scores = cells[:, 1], cells[:, 2:]
+    if not (np.all(np.isfinite(scores))
+            and np.all((labels >= 0) & (labels < expect) & (labels == np.floor(labels)))):
+        return None
+    return labels.astype(np.int64), np.ascontiguousarray(scores)
+
+
+def _cell_logits(path: Path, body: str, expect: int):
+    """Labels and scores of a logits body cell by cell, so that an error
+    names the first bad row and column."""
+    rows = list(csv.reader(io.StringIO(body)))
+    labels = np.empty(len(rows), dtype=np.int64)
+    matrix = np.empty((len(rows), expect))
+    for i, row in enumerate(rows):
+        if len(row) != expect + 2:
+            raise SchemaError(path, f"row {i + 2}: expected {expect + 2} fields, "
+                                    f"got {len(row)}")
+        labels[i] = _parse_int(row[1], path, f"row {i + 2} label", 0, expect - 1)
+        for j in range(expect):
+            matrix[i, j] = _parse_float(row[2 + j], path, f"row {i + 2} column c{j}")
+    return labels, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +299,11 @@ def read_table(path) -> CalibrationTable:
 def write_dataset(path, dataset: IncrementalDataset):
     path = Path(path)
     dim = dataset.features.shape[1]
-    buf = io.StringIO()
-    buf.write(",".join(f"x{j}" for j in range(dim)) + ",label,split\n")
-    for i in range(len(dataset.labels)):
-        feats = ",".join(_fmt(v) for v in dataset.features[i])
-        buf.write(f"{feats},{int(dataset.labels[i])},{dataset.split[i]}\n")
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, chain(
+        [",".join(f"x{j}" for j in range(dim)) + ",label,split\n"],
+        (f"{_row(feats.tolist())},{label},{tag}\n"
+         for feats, label, tag in zip(dataset.features, dataset.labels.tolist(),
+                                      dataset.split.tolist()))))
     _write_json(_sidecar(path), {
         "schema_version": SCHEMA_VERSION,
         "num_states": dataset.schedule.num_states,
@@ -288,9 +333,8 @@ def read_dataset(path) -> IncrementalDataset:
             raise SchemaError(path, f"row {i + 2}: expected {dim + 2} fields, got {len(row)}")
         for j in range(dim):
             features[i, j] = _parse_float(row[j], path, f"row {i + 2} feature x{j}")
-        labels[i] = int(_parse_float(row[dim], path, f"row {i + 2} label"))
-        if labels[i] < 0 or labels[i] >= schedule.num_classes:
-            raise SchemaError(path, f"row {i + 2}: label {labels[i]} outside the schedule")
+        labels[i] = _parse_int(row[dim], path, f"row {i + 2} label", 0,
+                               schedule.num_classes - 1)
         if row[dim + 1] not in SPLITS:
             raise SchemaError(path, f"row {i + 2}: unknown split tag {row[dim + 1]!r}")
         split[i] = row[dim + 1]
@@ -313,13 +357,11 @@ def write_metrics(path, metrics: RunMetrics):
     The summary row uses group 0 and carries the average incremental
     accuracy over states 2..S.
     """
-    buf = io.StringIO()
-    buf.write("state,group,accuracy\n")
-    for s, row in enumerate(metrics.group_accuracy, start=1):
-        for k in range(1, s + 1):
-            buf.write(f"{s},{k},{_fmt(row[k - 1])}\n")
-    buf.write(f"0,0,{_fmt(metrics.average_incremental_accuracy)}\n")
-    _atomic_write(Path(path), buf.getvalue())
+    _atomic_write(Path(path), chain(
+        ["state,group,accuracy\n"],
+        (f"{s},{k},{_fmt(row[k - 1])}\n"
+         for s, row in enumerate(metrics.group_accuracy, start=1) for k in range(1, s + 1)),
+        [f"0,0,{_fmt(metrics.average_incremental_accuracy)}\n"]))
 
 
 def read_metrics_rows(path) -> tuple[np.ndarray, float]:

@@ -391,6 +391,54 @@ class TestLockstep:
                                   ["a", "b"], [0, 1])
 
 
+def per_batch_sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
+                         frozen_rows=0):
+    """``_sgd_epochs`` gathering every batch from the unshuffled arrays by
+    fancy indexing: the oracle for the one gather per epoch."""
+    vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
+    vel_eta = np.zeros_like(model.eta)
+    targets = backbones._teacher_targets(teacher, x, config, lam)
+    lr, mu = config.learning_rate, config.momentum
+    for _ in range(epochs):
+        order = rng.permutation(y.shape[1])
+        for start in range(0, y.shape[1], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            tb = None if targets is None else targets[:, idx]
+            if model.cosine:
+                *grads, d_eta = backbones._grads_cosine(model, x[:, idx], y[:, idx], config,
+                                                        tb, lam)
+                vel_eta = mu * vel_eta + d_eta
+                model.eta = model.eta - lr * vel_eta
+            else:
+                grads = backbones._grads_linear(model, x[:, idx], y[:, idx], config, tb)
+            for v, g in zip(vel, grads):
+                v *= mu
+                v += g
+            model.w1 -= lr * vel[0]
+            model.b1 -= lr * vel[1]
+            model.w2[:, frozen_rows:] -= lr * vel[2][:, frozen_rows:]
+            model.b2[:, frozen_rows:] -= lr * vel[3][:, frozen_rows:]
+    return model
+
+
+class TestEpochGather:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bits_equal_per_batch_gather(self, kind, monkeypatch):
+        """Two stacked datasets through every state, batches of 7 over 30
+        samples: each epoch's one gather gives the bits of gathering each
+        batch alone, for every update rule (teacher targets, frozen rows
+        and the cosine head included)."""
+        splits = [quick_split(seed=40 + r) for r in range(2)]
+        config = quick_config(kind, batch_size=7)
+        got = run_incremental_stack(config, splits, ["d0", "d1"], [40, 41])
+        monkeypatch.setattr(backbones, "_sgd_epochs", per_batch_sgd_epochs)
+        want = run_incremental_stack(config, splits, ["d0", "d1"], [40, 41])
+        for got_set, want_set in zip(got, want, strict=True):
+            for got_model, want_model in zip(got_set, want_set, strict=True):
+                for a, b in zip(got_model, want_model, strict=True):
+                    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
 class TestGuards:
     def test_labels_outside_group_rejected(self):
         split = quick_split()

@@ -751,6 +751,40 @@ class TestCLI:
         assert last.startswith("event=error kind=data")
         assert f"row {row + 1}" in last and repr(value) in last
 
+    @pytest.mark.parametrize("value,spec", [
+        ("1e300", False), ("-5", False), ("2.5", False), ("0", False), ("3", False),
+        ("3", True),
+    ], ids=["huge", "negative", "non-integral", "zero", "past-last", "past-last-spec"])
+    def test_plot_state_outside_the_schedule_exits_3(self, flow_out, spec_file, tmp_path,
+                                                     value, spec):
+        """The tiny spec has 2 states; S comes from the spec when one is
+        given and from the target's metrics files otherwise."""
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        lines = (out / "per_state.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = value
+        lines[2] = ",".join(cells)
+        (out / "per_state.csv").write_text("\n".join(lines) + "\n")
+        res = run_cli("plot", "--out", str(out), *(["--spec", str(spec_file)] if spec else []))
+        assert res.returncode == 3, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=data")
+        assert f"row 3 state: {value!r}" in last
+
+    def test_header_only_target_logits_fail_sweep_with_exit_3(self, flow_out, spec_file,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(flow_out, out)
+        path = out / "logits" / "target_0_state_2.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        res = run_cli("sweep", "--spec", str(spec_file), "--out", str(out))
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert "Traceback" not in res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=data")
+        assert "target_0_state_2.csv" in last and "no data rows" in last
+
     @pytest.mark.parametrize("rows,message", [
         ([], "row 2: expected state 1 group 1, got end of file"),
         (["0,0,0.5"], "row 2: expected state 1 group 1, got 0,0"),

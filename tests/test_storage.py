@@ -6,10 +6,12 @@ or raise a DataFileError subtype that names the offending file.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from calib_il import storage
 from calib_il.calibration import CalibrationTable
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
@@ -18,7 +20,8 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
                               read_metrics_rows, read_table, write_dataset,
                               write_logits, write_metrics, write_table)
-from calib_il.synth import SynthSpec, gen_synthetic_dataset, split_states
+from calib_il.synth import (SPLITS, IncrementalDataset, SynthSpec, gen_synthetic_dataset,
+                            split_states)
 
 
 def tricky_logits():
@@ -29,6 +32,33 @@ def tricky_logits():
                        [1 / 3, 2 / 3, -1.0, 12345.6789]])
     return StateLogits(2, matrix, np.array([0, 3]), sched,
                        dataset="ref_0", backbone="ftplus", seed=4)
+
+
+# Edits to the two data rows of a ``tricky_logits`` file, with the error
+# both parses must report (None: both return the written bits).
+BODY_MUTATIONS = {
+    "clean": (lambda rows: rows, None),
+    "bad-id": (lambda rows: ["a" + rows[0], rows[1]], None),
+    "blank-line": (lambda rows: [rows[0], "", rows[1]], "row 3: expected 6 fields, got 0"),
+    "trailing-blank-line": (lambda rows: [*rows, ""], "row 4: expected 6 fields, got 0"),
+    "hash": (lambda rows: [rows[0].replace("3.5", "3.5#x"), rows[1]],
+             "row 2 column c3: '3.5#x' is not a number"),
+    "quoted": (lambda rows: [rows[0].replace("0.1", '"0.1"'), rows[1]], None),
+    "crlf": (lambda rows: [row + "\r" for row in rows], None),
+    "ragged": (lambda rows: [rows[0], rows[1].rsplit(",", 1)[0]],
+               "row 3: expected 6 fields, got 5"),
+    "header-only": (lambda rows: [], "no data rows"),
+    "trailing-spaces": (lambda rows: [row + "  " for row in rows], None),
+    "label-2.0": (lambda rows: [rows[0].replace("0,0,", "0,0.0,", 1), rows[1]], None),
+    "label-2.5": (lambda rows: [rows[0].replace("0,0,", "0,2.5,", 1), rows[1]],
+                  "row 2 label: '2.5' is not an integer"),
+    "label-past-state": (lambda rows: [rows[0].replace("0,0,", "0,4,", 1), rows[1]],
+                         "row 2 label: '4' outside the schedule's 0..3"),
+    "label-huge": (lambda rows: [rows[0].replace("0,0,", "0,1e300,", 1), rows[1]],
+                   "row 2 label: '1e300' outside the schedule's 0..3"),
+    "nan-score": (lambda rows: [rows[0].replace("0.1", "nan"), rows[1]],
+                  "row 2 column c0: non-finite value 'nan'"),
+}
 
 
 class TestLogitsRoundTrip:
@@ -137,21 +167,87 @@ class TestLogitsRoundTrip:
             read_logits(path)
         assert err.value.path == str(sidecar)
 
-    def test_bulk_parse_equals_cell_by_cell(self, tmp_path):
-        """A file whose id column does not parse takes the per-cell path,
-        which ignores ids; both paths return the same bits."""
-        path = tmp_path / "lg.csv"
+    def test_bulk_parse_equals_cell_by_cell(self, tmp_path, monkeypatch):
+        """The one-call parse and the per-cell parse agree on every file in
+        ``BODY_MUTATIONS``: the written bits, or the same located error. A
+        file whose id column does not parse takes the per-cell path, which
+        ignores ids. Neither path warns."""
         logits = tricky_logits()
-        write_logits(path, logits)
-        bulk = read_logits(path)
-        lines = path.read_text().splitlines()
-        lines[1] = "a" + lines[1]
-        path.write_text("\n".join(lines) + "\n")
-        cells = read_logits(path)
-        for back in (bulk, cells):
-            assert back.matrix.tobytes() == logits.matrix.tobytes()
-            assert back.labels.tobytes() == logits.labels.tobytes()
-            assert back.matrix.flags.c_contiguous
+        for name, (mutate, error) in BODY_MUTATIONS.items():
+            path = tmp_path / f"{name}.csv"
+            write_logits(path, logits)
+            header, *rows = path.read_text().splitlines()
+            path.write_bytes("".join(line + "\n" for line in [header, *mutate(rows)]).encode())
+
+            def outcome():
+                try:
+                    back = read_logits(path)
+                except SchemaError as exc:
+                    return str(exc)
+                assert back.matrix.flags.c_contiguous
+                return back.matrix.tobytes(), back.labels.tobytes()
+
+            with warnings.catch_warnings(), monkeypatch.context() as patch:
+                warnings.simplefilter("error")
+                bulk = outcome()
+                patch.setattr(storage, "_bulk_logits", lambda *args: None)
+                cells = outcome()
+            assert bulk == cells, name
+            if error is None:
+                assert bulk == (logits.matrix.tobytes(), logits.labels.tobytes()), name
+            else:
+                assert error in bulk and str(path) in bulk, (name, bulk)
+
+    def test_well_formed_body_takes_the_bulk_path(self, tmp_path):
+        path = tmp_path / "lg.csv"
+        write_logits(path, tricky_logits())
+        body = path.read_text().split("\n", 1)[1]
+        labels, matrix = storage._bulk_logits(body, 2, 4)
+        assert matrix.tobytes() == tricky_logits().matrix.tobytes()
+        assert labels.tolist() == [0, 3]
+
+
+class TestPinnedBytes:
+    """The writers render each float with its shortest round-trip repr."""
+
+    EDGES = np.array([[-0.0, 5e-324], [1e16, 1e-05], [1.7976931348623157e308, 3.0]])
+
+    def test_logits_bytes(self, tmp_path):
+        path = tmp_path / "lg.csv"
+        write_logits(path, StateLogits(1, self.EDGES, np.array([1, 0, 1]), StateSchedule((2,))))
+        assert path.read_bytes() == (b"id,label,c0,c1\n"
+                                     b"0,1,-0.0,5e-324\n"
+                                     b"1,0,1e+16,1e-05\n"
+                                     b"2,1,1.7976931348623157e+308,3.0\n")
+
+    def test_dataset_bytes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset(path, IncrementalDataset(
+            features=self.EDGES, labels=np.zeros(3, dtype=np.int64),
+            split=np.array(SPLITS, dtype=object), schedule=StateSchedule((1,)),
+            name="edges", seed=0))
+        assert path.read_bytes() == (b"x0,x1,label,split\n"
+                                     b"-0.0,5e-324,0,train\n"
+                                     b"1e+16,1e-05,0,validation\n"
+                                     b"1.7976931348623157e+308,3.0,0,test\n")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_repr_of_each_value(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(0, 10.0 ** rng.integers(-300, 300, (9, 3)), (9, 3))
+        matrix[0, 0] = -0.0
+        labels = np.repeat(np.arange(3), 3)
+        split = np.array(SPLITS * 3, dtype=object)
+        write_logits(tmp_path / "lg.csv", StateLogits(1, matrix, labels, StateSchedule((3,))))
+        rows = (tmp_path / "lg.csv").read_text().splitlines()[1:]
+        assert rows == [f"{i},{labels[i]}," + ",".join(repr(float(v)) for v in matrix[i])
+                        for i in range(9)]
+        write_dataset(tmp_path / "d.csv", IncrementalDataset(
+            features=matrix, labels=labels, split=split, schedule=StateSchedule((3,)),
+            name="r", seed=seed))
+        rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
+        assert rows == [",".join(repr(float(v)) for v in matrix[i]) + f",{labels[i]},{split[i]}"
+                        for i in range(9)]
 
 
 class TestFingerprint:
@@ -375,6 +471,31 @@ class TestAtomicity:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_stream_leaves_no_file(self, tmp_path, existing):
+        """A row iterable that raises midway leaves neither the target nor a
+        temp file, and an existing target keeps its bytes."""
+        path = tmp_path / "a.csv"
+        if existing:
+            path.write_text("old\n")
+
+        def rows():
+            yield "header\n"
+            yield "1,2\n"
+            raise RuntimeError("row 3 failed")
+
+        with pytest.raises(RuntimeError, match="row 3 failed"):
+            storage._atomic_write(path, rows())
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
+
+    def test_streamed_chunks_and_one_string_write_the_same_bytes(self, tmp_path):
+        storage._atomic_write(tmp_path / "a.txt", iter(["x,1\n", "y,2\n"]))
+        storage._atomic_write(tmp_path / "b.txt", "x,1\ny,2\n")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes() \
+            == b"x,1\ny,2\n"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
