@@ -45,10 +45,6 @@ class StateLogits:
         ):
             raise ValueError("labels must be class ids seen by this state")
 
-    @property
-    def num_samples(self) -> int:
-        return self.matrix.shape[0]
-
     def group_counts(self) -> dict[int, int]:
         """Number of samples whose true class was first seen in each state."""
         groups = self.schedule.column_groups(self.state)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .storage import _atomic_write
-
 WIDTH, HEIGHT = 480, 320
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 34, 44
 
@@ -159,7 +157,3 @@ def render_heat_grid(title: str, matrix: np.ndarray) -> str:
                    f'y="{_fmt(y0 + n * cell + 14)}" text-anchor="middle">k={s}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_svg(path, markup: str):
-    _atomic_write(path, markup)

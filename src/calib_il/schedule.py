@@ -40,12 +40,13 @@ class StateSchedule:
         if sorted(class_to_state) != list(range(total)):
             raise ValueError("class ids must be exactly 0..C-1")
         states = [class_to_state[c] for c in range(total)]
-        if any(b < a for a, b in zip(states, states[1:])):
+        steps = [b - a for a, b in zip(states, states[1:])]
+        if any(step < 0 for step in steps):
             raise ValueError("class ids must be ordered by first-seen state")
-        num_states = states[-1]
-        if sorted(set(states)) != list(range(1, num_states + 1)):
+        # Checked step by step, so a huge state costs nothing: S <= C after.
+        if states[0] != 1 or any(step > 1 for step in steps):
             raise ValueError("states must be consecutive starting at 1")
-        sizes = [states.count(s) for s in range(1, num_states + 1)]
+        sizes = [states.count(s) for s in range(1, states[-1] + 1)]
         return cls(tuple(sizes))
 
     @classmethod

@@ -12,8 +12,10 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Names the pipeline stopped calling before the tracer moved to the stacked
-# entry points; see ROADMAP item 1.
-STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax"}
+# entry points (see ROADMAP item 1), and pipeline._atomic_write, whose
+# writes now go through storage.write_rows and storage.write_svg.
+STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax",
+         "pipeline._atomic_write"}
 
 
 def load_tracer():
