@@ -21,7 +21,7 @@ from .schedule import StateSchedule
 from .storage import (read_dataset, read_logits, read_metrics_rows, read_table,
                       write_dataset, write_logits, write_metrics, write_table)
 from .synth import (IncrementalDataset, SynthSpec, gen_synthetic_dataset,
-                    halve_train_split, split_states)
+                    halve_train_split)
 from .transfer import (apply_transfer, average_tables, oracle_select,
                        param_count)
 
@@ -41,7 +41,7 @@ __all__ = [
     "read_dataset", "read_logits", "read_metrics_rows", "read_table",
     "write_dataset", "write_logits", "write_metrics", "write_table",
     "IncrementalDataset", "SynthSpec", "gen_synthetic_dataset",
-    "halve_train_split", "split_states",
+    "halve_train_split",
     "apply_transfer", "average_tables", "oracle_select", "param_count",
     "__version__",
 ]

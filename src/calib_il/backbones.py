@@ -23,8 +23,8 @@ whose batches are (R, b, d), one dataset per slice; the models share one
 schedule, so ``class_first_state`` has no model axis.
 ``train_initial`` and ``update_state`` are the per-state steps of a
 stack; ``run_incremental_stack`` runs them through all states, reading the
-R datasets through ``synth.StackedSets`` so that only the sets it still
-needs are held. One model is a stack of one.
+R datasets through ``synth.StackedSets``, which cuts them into states and
+holds only the sets the run still needs. One model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import NumericError, SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
-from .synth import StackedSets, StateSplit, StateView
+from .synth import IncrementalDataset, StackedSets, StateView
 
 KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
 
@@ -492,21 +492,21 @@ def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
     return out
 
 
-def run_incremental_stack(config: BackboneConfig, splits: Iterable[StateSplit],
-                          datasets: list[str], seeds: list[int],
-                          sets: tuple[str, ...] = ("val", "test")):
-    """Train one model per split through all states, all in one lockstep.
+def run_incremental_stack(config: BackboneConfig, datasets: Iterable[IncrementalDataset],
+                          names: list[str], seeds: list[int],
+                          sets: tuple[str, ...] = ("validation", "test")):
+    """Train one model per dataset through all states, all in one lockstep.
 
-    ``splits`` may be any iterable, e.g. a generator that builds each
-    split on demand; it is read once, one split at a time, and only the
-    sets the run reads are kept (``StackedSets``). The splits must share one
-    schedule and have equal per-state sample counts, as the datasets
-    generated from one spec do. ``datasets`` and ``seeds`` label each
-    model's logits. Returns one list per entry of ``sets`` ("val",
+    ``datasets`` may be any iterable, e.g. a generator that builds each
+    dataset on demand; it is read once, one dataset at a time, and only
+    the sets the run reads are kept (``StackedSets``). The datasets must
+    share one schedule and have equal per-state sample counts, as the
+    datasets generated from one spec do. ``names`` and ``seeds`` label each
+    model's logits. Returns one list per entry of ``sets`` ("validation",
     "test"): for each model, its per-state logits on that evaluation set.
     """
-    data = StackedSets(splits, sets)
-    out = {name: [[] for _ in datasets] for name in sets}
+    data = StackedSets(datasets, sets)
+    out = {name: [[] for _ in names] for name in sets}
     model = None
     for state in range(1, data.schedule.num_states + 1):
         # Each stacked set is dropped after use, so at most one is held
@@ -519,7 +519,7 @@ def run_incremental_stack(config: BackboneConfig, splits: Iterable[StateSplit],
         del view
         for name in sets:
             x, y = data.evaluation(name, state)
-            logits = _stack_logits(model, x, y, state, data.schedule, datasets,
+            logits = _stack_logits(model, x, y, state, data.schedule, names,
                                    config.kind, seeds)
             for per_model, state_logits in zip(out[name], logits, strict=True):
                 per_model.append(state_logits)

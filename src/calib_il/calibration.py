@@ -304,15 +304,15 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
     s, schedule = logits.state, logits.schedule
     if s < 2:
         raise ValueError("state 1 has no pairs to fit")
-    missing = [k for k, n in logits.group_counts().items() if n == 0]
+    matrix, labels = logits.matrix, logits.labels
+    col = schedule.column_groups(s) - 1
+    missing = (np.flatnonzero(np.bincount(col[labels], minlength=s) == 0) + 1).tolist()
     if missing:
         raise ValueError(f"validation set has no samples for groups {missing}")
 
     def fail(reason):
         return NumericError(f"dataset {logits.dataset!r}, state {s}: calibration fit {reason}")
 
-    matrix, labels = logits.matrix, logits.labels
-    col = schedule.column_groups(s) - 1
     starts = _group_starts(schedule, s)
     params = np.concatenate([np.ones(s), np.zeros(s)])
     # Overflow shows up as non-finite values, which are checked below.

@@ -44,11 +44,3 @@ class StateLogits:
             self.labels.min() < 0 or self.labels.max() >= expected
         ):
             raise ValueError("labels must be class ids seen by this state")
-
-    def group_counts(self) -> dict[int, int]:
-        """Number of samples whose true class was first seen in each state."""
-        groups = self.schedule.column_groups(self.state)
-        counts = {}
-        for k in range(1, self.state + 1):
-            counts[k] = int(np.sum(groups[self.labels] == k))
-        return counts

@@ -38,12 +38,16 @@ from .schedule import StateSchedule
 from .storage import (SCHEMA_VERSION, load_json, read_fields, read_logits, read_metrics_rows,
                       read_per_state, read_table, stale_reason, write_dataset,
                       write_logits, write_metrics, write_rows, write_svg, write_table)
-from .synth import SynthSpec, StateSplit, gen_synthetic_dataset, halve_train_split, split_states
+from .synth import IncrementalDataset, SynthSpec, gen_synthetic_dataset, halve_train_split
 from .transfer import apply_transfer, average_tables, oracle_select
 
 log = logging.getLogger("calib_il")
 
 METHODS = ("raw", "bic", "adbic", "oracle")
+
+# Most features one dataset may hold (4 GiB of float64): a spec past it is
+# refused before any array, or the schedule's per-state tuple, is built.
+MAX_DATASET_FLOATS = 2**29
 
 # Types of the keys no dataclass declares; the data, backbone and
 # calibration keys take theirs from SynthSpec, BackboneConfig and CalibConfig.
@@ -117,6 +121,10 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
     if not 1 <= num_references <= 500 or not 1 <= num_targets <= 500:
         raise SpecError("num_references and num_targets must be in [1, 500]")
     synth = _build(SynthSpec, "data", data)
+    per_class = synth.train_per_class + synth.val_per_class + synth.test_per_class
+    if synth.num_classes * per_class * synth.feature_dim > MAX_DATASET_FLOATS:
+        raise SpecError(f"a dataset of {synth.num_classes} classes x {per_class} samples x "
+                        f"{synth.feature_dim} features exceeds {MAX_DATASET_FLOATS} floats")
 
     sched = read_fields(top.get("schedule", {}), "schedule", _SCHEDULE_TYPES)
     try:
@@ -187,12 +195,11 @@ def target_seeds(spec: RunSpec) -> list[int]:
     return [spec.seed * 1000 + 500 + j for j in range(spec.num_targets)]
 
 
-def make_split(spec: RunSpec, seed: int, name: str, halve: bool = False) -> StateSplit:
-    dataset = gen_synthetic_dataset(dataclasses.replace(spec.synth, seed=seed), name=name)
-    if halve:
-        dataset = halve_train_split(dataset)
-    return split_states(dataset, spec.schedule.num_states,
-                        list(spec.schedule.classes_per_state))
+def make_dataset(spec: RunSpec, seed: int, name: str, halve: bool = False) -> IncrementalDataset:
+    """The dataset of ``seed``, drawn on the spec's schedule."""
+    dataset = gen_synthetic_dataset(dataclasses.replace(spec.synth, seed=seed), spec.schedule,
+                                    name=name)
+    return halve_train_split(dataset) if halve else dataset
 
 
 @dataclass
@@ -209,8 +216,8 @@ def reference_runs(spec: RunSpec, indices) -> list[ReferenceRun]:
     names = [f"ref_{i}" for i in indices]
     seeds = [reference_seeds(spec)[i] for i in indices]
     (val_logits,) = run_incremental_stack(
-        spec.backbone, (make_split(spec, seed, name) for seed, name in zip(seeds, names)),
-        names, seeds, sets=("val",))
+        spec.backbone, (make_dataset(spec, seed, name) for seed, name in zip(seeds, names)),
+        names, seeds, sets=("validation",))
     fitted = fit_tables([logits[1:] for logits in val_logits], spec.calibration)
     return [ReferenceRun(i, table, logits, fits)
             for i, logits, (table, fits) in zip(indices, val_logits, fitted)]
@@ -221,7 +228,7 @@ def target_logits(spec: RunSpec, indices, halve: bool = False) -> list[list]:
     names = [f"target_{j}" for j in indices]
     seeds = [target_seeds(spec)[j] for j in indices]
     (test_logits,) = run_incremental_stack(
-        spec.backbone, (make_split(spec, seed, name, halve=halve)
+        spec.backbone, (make_dataset(spec, seed, name, halve=halve)
                         for seed, name in zip(seeds, names)),
         names, seeds, sets=("test",))
     return test_logits
@@ -287,7 +294,7 @@ def cmd_gen(spec: RunSpec, out: Path):
         for index, seed in enumerate(seeds):
             name = f"{prefix}_{index}"
             path = out / "data" / f"{name}.csv"
-            write_dataset(path, make_split(spec, seed, name).dataset)
+            write_dataset(path, make_dataset(spec, seed, name))
             log.info(kv(event="gen", role=role, index=index, seed=seed, path=path))
 
 
@@ -338,8 +345,9 @@ def _load_or_build_target_logits(spec: RunSpec, out: Path, jobs: int) -> list[li
              for j in range(spec.num_targets)]
     fingerprint = spec_fingerprint(spec)
     if _reusable("target_logits", [p for per_target in paths for p in per_target], fingerprint):
-        seeds = target_seeds(spec)
-        return [[read_logits(p, expect=(f"target_{j}", seeds[j], s, spec.schedule))
+        seeds, per_class = target_seeds(spec), spec.synth.test_per_class
+        return [[read_logits(p, expect=(f"target_{j}", seeds[j], s, spec.schedule,
+                                        per_class * spec.schedule.classes_through(s)))
                  for s, p in zip(states, per_target)]
                 for j, per_target in enumerate(paths)]
     all_logits = all_target_logits(spec, jobs=jobs)
@@ -442,7 +450,7 @@ def cmd_plot(spec: RunSpec, out: Path):
              for target in targets for method in ("raw", "adbic")}
     for target in targets:
         series = [Series(method, *zip(*points[target, method]), dashed=(method == "raw"))
-                  for method in METHODS if (target, method) in points]
+                  for method in METHODS]
         charts = {f"accuracy_{target}": render_line_chart(f"{target}: accuracy per state", series)}
         for method in ("raw", "adbic"):
             charts[f"heat_{target}_{method}"] = render_heat_grid(

@@ -51,7 +51,7 @@ class StateSchedule:
 
     @classmethod
     def equal_split(cls, num_classes: int, num_states: int) -> "StateSchedule":
-        if num_states < 1 or num_classes % num_states != 0:
+        if not 1 <= num_states <= num_classes or num_classes % num_states != 0:
             raise ValueError(
                 f"{num_classes} classes cannot be split evenly into "
                 f"{num_states} states; pass explicit per-state sizes"

@@ -21,7 +21,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -312,14 +312,15 @@ def write_logits(path, logits: StateLogits, fingerprint: str | None = None):
 
 def read_logits(path, expect: tuple | None = None) -> StateLogits:
     """The logits at ``path``. ``expect``, when given, is the ``(dataset,
-    seed, state, schedule)`` the caller's spec makes; a sidecar that
-    describes anything else is a MetadataError naming it."""
+    seed, state, schedule, rows)`` the caller's spec makes; a sidecar that
+    describes anything else is a MetadataError naming it, and a file with
+    another number of data rows a SchemaError."""
     path = Path(path)
     meta_path = _meta_path(path)
     meta = _read_meta(meta_path, "logits", _LOGITS_META)
     schedule = _schedule_from_meta(meta, meta_path)
     state = meta["state"]
-    if expect is not None and (meta["dataset"], meta["seed"], state, schedule) != expect:
+    if expect is not None and (meta["dataset"], meta["seed"], state, schedule) != expect[:4]:
         raise MetadataError(meta_path, (
             f"sidecar describes dataset {meta['dataset']!r} seed {meta['seed']} state "
             f"{state}, but the spec makes {expect[0]!r} seed {expect[1]} state "
@@ -345,6 +346,8 @@ def read_logits(path, expect: tuple | None = None) -> StateLogits:
         if not rows:
             raise SchemaError(path, "no data rows")
         parsed = [row[1] for row in rows], [row[2:] for row in rows]
+    if expect is not None and len(parsed[0]) != expect[4]:
+        raise SchemaError(path, f"{len(parsed[0])} data rows, but the spec makes {expect[4]}")
     try:
         return StateLogits(state=state, matrix=parsed[1], labels=parsed[0],
                            schedule=schedule, dataset=meta["dataset"],
@@ -496,7 +499,9 @@ def read_per_state(path, methods, num_states) -> dict[tuple[str, str], list[tupl
     """The `(state, accuracy)` points of a ``per_state.csv`` by (target,
     method), in state order. A method outside ``methods``, a state that is
     not an integer in 1..``num_states(target)``, or a second row for one
-    (target, method, state) is a SchemaError naming the row."""
+    (target, method, state) is a SchemaError naming the row; a target
+    without a row for each method and each of those states is one naming
+    the states a method lacks."""
     path = Path(path)
     rows = _read_csv(path, "input", {
         "target": ("", str), "method": ("", _one_of(methods, "method")),
@@ -508,4 +513,9 @@ def read_per_state(path, methods, num_states) -> dict[tuple[str, str], list[tupl
         if s in series:
             raise SchemaError(path, f"row {i}: a second row for {target} {method} state {s}")
         series[s] = accuracy
+    for target, method in product(dict.fromkeys(target for target, _ in points), methods):
+        missing = sorted(set(range(1, num_states(target) + 1))
+                         - points.get((target, method), {}).keys())
+        if missing:
+            raise SchemaError(path, f"{target} {method} has no rows for states {missing}")
     return {key: sorted(series.items()) for key, series in points.items()}

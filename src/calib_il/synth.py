@@ -6,6 +6,9 @@ but not the class geometry. An optional shared-rotation drift knob applies
 one orthogonal rotation (Cayley transform of a seeded skew matrix, scaled
 by ``drift_scale``) to the whole feature space, emulating domain shift
 between datasets.
+
+A dataset is drawn on the run's ``StateSchedule`` and keeps it;
+``StackedSets`` is the one place that cuts datasets into their states.
 """
 
 from __future__ import annotations
@@ -99,13 +102,17 @@ def _cayley_rotation(dim: int, scale: float, rng: np.random.Generator) -> np.nda
     return np.linalg.solve(eye - scale * skew, eye + scale * skew)
 
 
-def gen_synthetic_dataset(spec: SynthSpec, name: str = "") -> IncrementalDataset:
-    """Draw one cluster per class and tag train/validation/test samples.
+def gen_synthetic_dataset(spec: SynthSpec, schedule: StateSchedule,
+                          name: str = "") -> IncrementalDataset:
+    """Draw one cluster per class and tag train/validation/test samples;
+    the dataset follows ``schedule``, which must cover the spec's classes.
 
     Determinism contract: the same spec always yields the same arrays
-    bitwise. The schedule starts as a single state covering all classes;
-    ``split_states`` installs the incremental protocol.
+    bitwise, whatever the schedule.
     """
+    if schedule.num_classes != spec.num_classes:
+        raise ValueError(f"the schedule covers {schedule.num_classes} classes, "
+                         f"the spec draws {spec.num_classes}")
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(0.0, spec.center_scale, (spec.num_classes, spec.feature_dim))
     per_class = {
@@ -129,7 +136,7 @@ def gen_synthetic_dataset(spec: SynthSpec, name: str = "") -> IncrementalDataset
         features=x,
         labels=np.asarray(labels),
         split=np.asarray(tags, dtype=object),
-        schedule=StateSchedule((spec.num_classes,)),
+        schedule=schedule,
         name=name,
         seed=spec.seed,
     )
@@ -137,85 +144,52 @@ def gen_synthetic_dataset(spec: SynthSpec, name: str = "") -> IncrementalDataset
 
 @dataclass
 class StateView:
-    """Data visible in one state: new-class training data plus cumulative
-    validation and test data over every class seen so far.
+    """The training set of one state: the samples of the classes new in it.
 
     In a stacked view each array carries a leading model axis, one slice
     per dataset: ``train_x`` is then (R, n, d) and ``train_y`` (R, n).
-    Training reads only the training set; the evaluation sets may be None.
     """
 
     state: int
     train_x: np.ndarray
     train_y: np.ndarray
-    val_x: np.ndarray | None = None
-    val_y: np.ndarray | None = None
-    test_x: np.ndarray | None = None
-    test_y: np.ndarray | None = None
-
-
-_SPLIT_TAGS = {"train": "train", "val": "validation", "test": "test"}
-
-
-@dataclass
-class StateSplit:
-    """A dataset with its incremental protocol installed.
-
-    Views are built on demand, so a split holds no more memory than its
-    dataset.
-    """
-
-    dataset: IncrementalDataset
-    schedule: StateSchedule
-
-    def view(self, state: int) -> StateView:
-        """Training data of the classes new in ``state``; validation and
-        test data of every class seen through it."""
-        group = self.schedule.group_slice(state, state)
-        new = np.arange(group.start, group.stop)
-        seen = np.arange(self.schedule.classes_through(state))
-        train_x, train_y = self.dataset.subset("train", new)
-        val_x, val_y = self.dataset.subset("validation", seen)
-        test_x, test_y = self.dataset.subset("test", seen)
-        return StateView(state, train_x, train_y, val_x, val_y, test_x, test_y)
-
-    @property
-    def views(self) -> list[StateView]:
-        """The view of every state, built afresh on each access."""
-        return [self.view(s) for s in range(1, self.schedule.num_states + 1)]
 
 
 class StackedSets:
-    """What a lockstep run reads from R splits, stacked on a leading model
-    axis per state: features (R, n, d) and labels (R, n).
+    """What a lockstep run reads from R datasets, cut into the states of
+    their schedule and stacked on a leading model axis per state: features
+    (R, n, d) and labels (R, n).
 
-    The splits are read one at a time, so a caller that generates them
+    The datasets are read one at a time, so a caller that generates them
     lazily holds one dataset at most. Only the training set of each state
-    and the final-state evaluation sets named in ``sets`` ("val", "test")
-    are kept: an earlier state's evaluation set is the final one cut to the
-    classes seen by then, in the same row order as ``StateSplit.view``.
-    Each state's training set can be taken once and is released then. The
-    splits must share the schedule and have equal per-state sample counts,
-    as the datasets generated from one spec do.
+    (the samples of the classes new in it) and the final-state evaluation
+    sets named in ``sets`` ("validation", "test") are kept: an earlier
+    state's evaluation set is the final one cut to the classes seen by
+    then, in the order of ``dataset.subset(name, seen)``. Each state's
+    training set can be taken once and is released then. The datasets must
+    share the schedule and have equal per-state sample counts, as the
+    datasets generated from one spec do.
     """
 
-    def __init__(self, splits: Iterable[StateSplit], sets: tuple[str, ...]):
+    def __init__(self, datasets: Iterable[IncrementalDataset], sets: tuple[str, ...]):
+        if not set(sets) <= {"validation", "test"}:
+            raise ValueError(f"evaluation sets {sets} must be 'validation' or 'test'")
         self.schedule = None
         self._train: list[list | None] = []
         self._eval = {name: [] for name in sets}
-        for split in splits:
+        for dataset in datasets:
             if self.schedule is None:
-                self.schedule = split.schedule
+                self.schedule = dataset.schedule
                 self._train = [[] for _ in range(self.schedule.num_states)]
-            elif split.schedule != self.schedule:
-                raise ValueError("stacked sets need splits with one schedule")
+            elif dataset.schedule != self.schedule:
+                raise ValueError("stacked sets need datasets with one schedule")
             for state, parts in enumerate(self._train, start=1):
                 group = self.schedule.group_slice(state, state)
-                parts.append(split.dataset.subset("train", np.arange(group.start, group.stop)))
+                parts.append(dataset.subset("train", np.arange(group.start, group.stop)))
             for name, parts in self._eval.items():
-                parts.append(split.dataset.subset(_SPLIT_TAGS[name]))
+                parts.append(dataset.subset(name))
         if self.schedule is None:
-            raise ValueError("stacked sets need at least one split")
+            raise ValueError("stacked sets need at least one dataset")
 
     def train(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """The stacked training set of ``state``, released from here."""
@@ -228,8 +202,7 @@ class StackedSets:
         """The stacked ``name`` set of ``state``: every class seen through it."""
         seen = self.schedule.classes_through(state)
         parts = self._eval[name]
-        return _stack(((x[y < seen], y[y < seen]) for x, y in parts), len(parts),
-                      state, _SPLIT_TAGS[name])
+        return _stack(((x[y < seen], y[y < seen]) for x, y in parts), len(parts), state, name)
 
 
 def _stack(parts: Iterable[tuple[np.ndarray, np.ndarray]], count: int, state: int,
@@ -243,30 +216,9 @@ def _stack(parts: Iterable[tuple[np.ndarray, np.ndarray]], count: int, state: in
         elif x.shape != xs.shape[1:]:
             raise ValueError(
                 f"state {state} {tag} sets cannot be stacked: {len(y)} samples "
-                f"in split {r}, {ys.shape[1]} in split 0")
+                f"in dataset {r}, {ys.shape[1]} in dataset 0")
         xs[r], ys[r] = x, y
     return xs, ys
-
-
-def split_states(
-    dataset: IncrementalDataset,
-    num_states: int,
-    classes_per_state: list[int] | None = None,
-) -> StateSplit:
-    """Install an incremental protocol on a dataset.
-
-    Training views contain only the classes introduced in their state;
-    validation and test views are cumulative over all classes seen so far.
-    """
-    if classes_per_state is not None:
-        schedule = StateSchedule(tuple(classes_per_state))
-        if schedule.num_classes != dataset.schedule.num_classes:
-            raise ValueError("per-state sizes do not sum to the class count")
-        if schedule.num_states != num_states:
-            raise ValueError("per-state sizes disagree with num_states")
-    else:
-        schedule = StateSchedule.equal_split(dataset.schedule.num_classes, num_states)
-    return StateSplit(replace(dataset, schedule=schedule), schedule)
 
 
 def halve_train_split(dataset: IncrementalDataset) -> IncrementalDataset:

@@ -33,7 +33,7 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,
                               write_metrics, write_table)
-from calib_il.synth import StateView, SynthSpec, gen_synthetic_dataset, split_states
+from calib_il.synth import StackedSets, StateView, SynthSpec, gen_synthetic_dataset
 from calib_il.transfer import (apply_transfer, average_tables, oracle_select,
                                param_count)
 
@@ -275,22 +275,22 @@ def test_criterion_08_recency_bias_and_spread(harness):
 def test_criterion_09_backbone_contracts():
     spec = SynthSpec(num_classes=6, feature_dim=8, train_per_class=15,
                      val_per_class=5, test_per_class=5, seed=11)
-    split = split_states(gen_synthetic_dataset(spec), 3)
+    data = gen_synthetic_dataset(spec, StateSchedule.equal_split(6, 3))
     config = BackboneConfig(kind="ftplus", epochs_initial=20,
                             epochs_incremental=10)
-    view1, view2 = (StateView(v.state, v.train_x[None], v.train_y[None])
-                    for v in split.views[:2])
-    m1 = train_initial(config, view1, split.schedule)
-    m2 = update_state(m1, view2, split.schedule, config)
+    sets = StackedSets([data], ())
+    view1, view2 = (StateView(s, *sets.train(s)) for s in (1, 2))
+    m1 = train_initial(config, view1, data.schedule)
+    m2 = update_state(m1, view2, data.schedule, config)
     frozen_ok = (m2.w2[:, :2].tobytes() == m1.w2.tobytes()
                  and m2.b2[:, :2].tobytes() == m1.b2.tobytes())
 
-    siw = update_state(m1, view2, split.schedule, dataclasses.replace(config, kind="siw"))
+    siw = update_state(m1, view2, data.schedule, dataclasses.replace(config, kind="siw"))
     mean_err = float(np.abs(siw.w2.mean(axis=-1)).max())
     std_err = float(np.abs(siw.w2.std(axis=-1) - 1.0).max())
     siw_ok = mean_err < 1e-9 and std_err < 1e-9
 
-    x = split.views[0].val_x
+    x, _ = data.subset("validation", np.arange(2))
     (m1,) = backbones._unstack(m1)
     lwf_term = abs(distillation_loss(m1, m1, x, 2.0, 1.0))
     lucir_term = abs(feature_distillation_loss(m1, m1, x, 5.0))
@@ -347,7 +347,7 @@ def test_criterion_11_serialization(tmp_path):
 
     data = gen_synthetic_dataset(SynthSpec(
         num_classes=4, feature_dim=3, train_per_class=6, val_per_class=2,
-        test_per_class=2, seed=8), name="d0")
+        test_per_class=2, seed=8), StateSchedule((2, 2)), name="d0")
     write_dataset(tmp_path / "d.csv", data)
     back = read_dataset(tmp_path / "d.csv")
     dataset_ok = (back.features.tobytes() == data.features.tobytes()

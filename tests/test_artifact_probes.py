@@ -3,8 +3,8 @@
 Every probe runs ``cli.main`` in-process on a copy of one finished tiny
 run: a mistyped table field, bytes that are not UTF-8, a directory or an
 oversized cell where a file is read, a plain file where an output
-directory goes, and per_state.csv rows that name an unknown method or
-repeat a point. A derandomized property then mutates one artifact at a
+directory goes, per_state.csv rows that name an unknown method, repeat a
+point or leave points out, and a logits file cut at a row boundary. A derandomized property then mutates one artifact at a
 time and requires each consuming command to refuse it (exit 3) or to
 behave as on the clean tree.
 """
@@ -207,6 +207,31 @@ class TestPerStateRows:
         self.edit_row(out, 1, lambda cells: cells.__setitem__(0, "target_1"))
         assert_data_error(*run("plot", clean[0], out), "per_state.csv",
                           "a second row for target_1 raw state 1")
+
+    def test_missing_point_exits_3(self, clean, out, run):
+        # Row 3 is target_0 raw state 2.
+        path = out / "per_state.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
+                          "target_0 raw has no rows for states [2]")
+
+    def test_missing_series_exits_3(self, clean, out, run):
+        path = out / "per_state.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines
+                                   if not line.startswith("target_0,oracle,")) + "\n")
+        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
+                          "target_0 oracle has no rows for states [1, 2, 3]")
+
+
+def test_a_logits_file_cut_at_a_row_boundary_exits_3(clean, out, run):
+    """The cut file is a well-formed smaller evaluation set; only the row
+    count the spec implies (4 test samples x 6 classes) tells it apart."""
+    path = out / "logits" / "target_0_state_3.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:12]))
+    assert_data_error(*run("sweep", clean[0], out), "target_0_state_3.csv",
+                      "11 data rows, but the spec makes 24")
 
 
 def test_pool_size_is_bounded_by_the_chunks(monkeypatch):

@@ -18,13 +18,22 @@ from calib_il.backbones import (ETA_INIT, KINDS, BackboneConfig, Model,
                                 standardize_rows, train_initial, update_state)
 from calib_il.errors import SpecError
 from calib_il.metrics import per_state_accuracy
-from calib_il.synth import StateView, SynthSpec, gen_synthetic_dataset, split_states
+from calib_il.schedule import StateSchedule
+from calib_il.synth import StateView, SynthSpec, gen_synthetic_dataset
 
 
-def stacked(view):
-    """The stacked view of one dataset's state: its training set, all that
-    training reads, with a model axis of length one."""
-    return StateView(view.state, view.train_x[None], view.train_y[None])
+def stacked(data, state):
+    """The stacked view of one dataset's state: the training set of the
+    state's new classes, all that training reads, with a model axis of
+    length one."""
+    group = data.schedule.group_slice(state, state)
+    x, y = data.subset("train", np.arange(group.start, group.stop))
+    return StateView(state, x[None], y[None])
+
+
+def seen(data, tag, state):
+    """One dataset's ``tag`` set of every class seen through ``state``."""
+    return data.subset(tag, np.arange(data.schedule.classes_through(state)))
 
 
 def one(stack):
@@ -33,12 +42,12 @@ def one(stack):
     return model
 
 
-def train_one(config, split):
-    return train_initial(config, stacked(split.views[0]), split.schedule)
+def train_one(config, data):
+    return train_initial(config, stacked(data, 1), data.schedule)
 
 
-def update_one(model, split, state, config):
-    return update_state(model, stacked(split.views[state - 1]), split.schedule, config)
+def update_one(model, data, state, config):
+    return update_state(model, stacked(data, state), data.schedule, config)
 
 
 def update_finetune(model, view, schedule, config):
@@ -46,11 +55,14 @@ def update_finetune(model, view, schedule, config):
     return backbones._train_new_group(model, view, schedule, config)
 
 
-def quick_split(seed=11, num_classes=6, num_states=3, noise=1.0, dim=8):
-    spec = SynthSpec(num_classes=num_classes, feature_dim=dim,
-                     train_per_class=15, val_per_class=5, test_per_class=5,
-                     noise_scale=noise, seed=seed)
-    return split_states(gen_synthetic_dataset(spec), num_states)
+def generate(spec, num_states):
+    return gen_synthetic_dataset(spec, StateSchedule.equal_split(spec.num_classes, num_states))
+
+
+def quick_dataset(seed=11, num_classes=6, num_states=3, noise=1.0, dim=8, train=15):
+    return generate(SynthSpec(num_classes=num_classes, feature_dim=dim, train_per_class=train,
+                              val_per_class=5, test_per_class=5, noise_scale=noise,
+                              seed=seed), num_states)
 
 
 def quick_config(kind="ftplus", **kw):
@@ -111,79 +123,79 @@ class TestInitialTraining:
     def test_separable_data_is_learned_exactly(self):
         """Zero noise collapses each class onto its center, so the trained
         state-1 model classifies its own training set perfectly."""
-        split = quick_split(seed=3, noise=0.0)
-        model = train_one(quick_config(), split)
-        view = split.views[0]
-        preds = np.argmax(model.scores(view.train_x[None])[0], axis=1)
-        np.testing.assert_array_equal(preds, view.train_y)
+        data = quick_dataset(seed=3, noise=0.0)
+        model = train_one(quick_config(), data)
+        x, y = seen(data, "train", 1)
+        preds = np.argmax(model.scores(x[None])[0], axis=1)
+        np.testing.assert_array_equal(preds, y)
 
     def test_training_reduces_loss(self):
         """Same seed means identical initialization, so more epochs must
         reach a lower train loss than one epoch on this separable data."""
-        split = quick_split(seed=4)
-        view = split.views[0]
-        short = one(train_one(quick_config(epochs_initial=1), split))
-        long = one(train_one(quick_config(epochs_initial=40), split))
-        loss_long = mean_loss(long, view.train_x, view.train_y)
-        assert loss_long < mean_loss(short, view.train_x, view.train_y)
+        data = quick_dataset(seed=4)
+        x, y = seen(data, "train", 1)
+        short = one(train_one(quick_config(epochs_initial=1), data))
+        long = one(train_one(quick_config(epochs_initial=40), data))
+        loss_long = mean_loss(long, x, y)
+        assert loss_long < mean_loss(short, x, y)
         assert loss_long < math.log(2)  # better than chance over 2 classes
 
     def test_wrong_state_rejected(self):
-        split = quick_split()
+        data = quick_dataset()
         with pytest.raises(SpecError):
-            train_initial(quick_config(), stacked(split.views[1]), split.schedule)
+            train_initial(quick_config(), stacked(data, 2), data.schedule)
 
     def test_deterministic(self):
-        split = quick_split(seed=5)
-        a = train_one(quick_config(), split)
-        b = train_one(quick_config(), split)
+        data = quick_dataset(seed=5)
+        a = train_one(quick_config(), data)
+        b = train_one(quick_config(), data)
         assert model_bytes(a) == model_bytes(b)
 
 
 class TestFreezing:
     def test_past_rows_bitwise_frozen(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("ftplus")
-        m1 = train_one(config, split)
-        m2 = update_one(m1, split, 2, config)
+        m1 = train_one(config, data)
+        m2 = update_one(m1, data, 2, config)
         assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
         assert m2.b2[:, :2].tobytes() == m1.b2.tobytes()
 
     def test_new_rows_actually_train(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("ftplus")
-        m1 = train_one(config, split)
-        trained = update_one(m1, split, 2, config)
-        untrained = update_one(m1, split, 2,
+        m1 = train_one(config, data)
+        trained = update_one(m1, data, 2, config)
+        untrained = update_one(m1, data, 2,
                                dataclasses.replace(config, epochs_incremental=0))
         assert trained.w2[:, 2:4].tobytes() != untrained.w2[:, 2:4].tobytes()
 
     def test_zero_epochs_changes_nothing_but_the_head(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("ftplus", epochs_incremental=0)
-        m1 = train_one(config, split)
-        m2 = update_one(m1, split, 2, config)
+        m1 = train_one(config, data)
+        m2 = update_one(m1, data, 2, config)
         assert m2.w1.tobytes() == m1.w1.tobytes()
         assert m2.b1.tobytes() == m1.b1.tobytes()
         assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
         assert m2.num_classes == 4
 
     def test_input_model_never_mutated(self):
-        split = quick_split()
+        data = quick_dataset()
         for kind in ("ftplus", "siw", "lwf", "lucir_lite"):
             config = quick_config(kind)
-            m1 = train_one(config, split)
+            m1 = train_one(config, data)
             before = model_bytes(m1)
-            update_one(m1, split, 2, config)
+            update_one(m1, data, 2, config)
             assert model_bytes(m1) == before
 
 
 class TestSIW:
     def test_rows_standardized_and_bias_cleared(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("siw")
-        m1 = train_one(config, split)
-        m2 = update_one(m1, split, 2, config)
+        m1 = train_one(config, data)
+        m2 = update_one(m1, data, 2, config)
         np.testing.assert_allclose(m2.w2.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(m2.w2.std(axis=-1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(m2.b2, 0.0)
@@ -191,10 +203,10 @@ class TestSIW:
     def test_head_rebuilt_from_snapshots(self):
         """The served head is exactly the standardized snapshot bank, so
         past classes keep their introduction-time directions."""
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("siw")
-        m1 = train_one(config, split)
-        m2 = update_one(m1, split, 2, config)
+        m1 = train_one(config, data)
+        m2 = update_one(m1, data, 2, config)
         np.testing.assert_array_equal(m2.w2, standardize_rows(m2.snap_w2))
         np.testing.assert_array_equal(m2.snap_w2[:, :2], m1.snap_w2)
 
@@ -203,18 +215,18 @@ class TestLwF:
     def test_zero_weight_equals_plain_finetune(self):
         """With the distillation weight at zero the teacher term is skipped
         entirely, so the update is bitwise the plain finetune."""
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("lwf", distill_weight=0.0)
-        m1 = train_one(config, split)
-        a = update_one(m1, split, 2, config)
-        b = update_finetune(m1, stacked(split.views[1]), split.schedule, config)
+        m1 = train_one(config, data)
+        a = update_one(m1, data, 2, config)
+        b = update_finetune(m1, stacked(data, 2), data.schedule, config)
         assert model_bytes(a) == model_bytes(b)
 
     def test_distillation_zero_at_teacher(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("lwf")
-        m1 = one(train_one(config, split))
-        loss = distillation_loss(m1, m1, split.views[0].val_x, 2.0, 1.0)
+        m1 = one(train_one(config, data))
+        loss = distillation_loss(m1, m1, seen(data, "validation", 1)[0], 2.0, 1.0)
         assert abs(loss) < 1e-12
 
     def test_distillation_matches_scalar_kl(self):
@@ -240,11 +252,11 @@ class TestLwF:
         """Soft targets evaluated once on the whole training set and indexed
         per batch give the gradient of the per-batch teacher formula; the
         student is the teacher finetuned without distillation."""
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("lwf")
-        teacher = train_one(config, split)
-        view = stacked(split.views[1])
-        student = update_finetune(teacher, view, split.schedule, config)
+        teacher = train_one(config, data)
+        view = stacked(data, 2)
+        student = update_finetune(teacher, view, data.schedule, config)
         targets = backbones._teacher_targets(teacher, view.train_x, config, 0.0)
         assert targets.shape == (1, 30, 2)
         idx = np.random.default_rng(6).permutation(30)[:7]
@@ -269,14 +281,14 @@ class TestLwF:
             spec = SynthSpec(num_classes=20, feature_dim=32, train_per_class=40,
                              val_per_class=10, test_per_class=30,
                              center_scale=1.0, noise_scale=1.0, seed=seed)
-            split = split_states(gen_synthetic_dataset(spec), 5)
+            data = generate(spec, 5)
             config = dataclasses.replace(base, distill_weight=distill_weight)
-            model = train_one(config, split)
+            model = train_one(config, data)
             for state in range(2, 6):
-                model = update_one(model, split, state, config)
-            view = split.views[-1]
-            preds = np.argmax(model.scores(view.test_x[None])[0], axis=1)
-            _, by_group = per_state_accuracy(preds, view.test_y, split.schedule, 5)
+                model = update_one(model, data, state, config)
+            x, y = seen(data, "test", 5)
+            preds = np.argmax(model.scores(x[None])[0], axis=1)
+            _, by_group = per_state_accuracy(preds, y, data.schedule, 5)
             return float(np.mean(by_group[:4]))
 
         wins = sum(final_past_acc(10.0, 100 + i) > final_past_acc(0.0, 100 + i)
@@ -292,30 +304,30 @@ class TestLucirLite:
             lucir_lambda(0, 4, 5.0)
 
     def test_scores_bounded_by_eta(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("lucir_lite")
-        m1 = train_one(config, split)
-        m2 = update_one(m1, split, 2, config)
-        scores = m2.scores(split.views[1].test_x[None])
+        m1 = train_one(config, data)
+        m2 = update_one(m1, data, 2, config)
+        scores = m2.scores(seen(data, "test", 2)[0][None])
         assert np.abs(scores).max() <= abs(m2.eta[0]) + 1e-9
 
     def test_eta_is_trained(self):
-        split = quick_split()
-        model = train_one(quick_config("lucir_lite"), split)
+        data = quick_dataset()
+        model = train_one(quick_config("lucir_lite"), data)
         assert model.eta[0] != ETA_INIT
 
     def test_feature_distillation_zero_at_teacher(self):
-        split = quick_split()
-        model = one(train_one(quick_config("lucir_lite"), split))
-        loss = feature_distillation_loss(model, model, split.views[0].val_x, 5.0)
+        data = quick_dataset()
+        model = one(train_one(quick_config("lucir_lite"), data))
+        loss = feature_distillation_loss(model, model, seen(data, "validation", 1)[0], 5.0)
         assert abs(loss) < 1e-12
 
     def test_precomputed_feature_directions_match_per_batch_teacher(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("lucir_lite")
-        teacher = train_one(config, split)
-        view = stacked(split.views[1])
-        student = update_finetune(teacher, view, split.schedule, config)
+        teacher = train_one(config, data)
+        view = stacked(data, 2)
+        student = update_finetune(teacher, view, data.schedule, config)
         targets = backbones._teacher_targets(teacher, view.train_x, config, 2.5)
         assert backbones._teacher_targets(teacher, view.train_x, config, 0.0) is None
         idx = np.random.default_rng(6).permutation(30)[:7]
@@ -327,11 +339,11 @@ class TestLucirLite:
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
     def test_linear_model_rejected(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config("lucir_lite")
-        linear = train_one(quick_config("ftplus"), split)
+        linear = train_one(quick_config("ftplus"), data)
         with pytest.raises(SpecError, match="cosine-head"):
-            update_one(linear, split, 2, config)
+            update_one(linear, data, 2, config)
 
     def test_degenerate_features_stay_finite(self):
         """A dead hidden layer produces zero feature vectors; the norm floor
@@ -348,16 +360,16 @@ class TestLucirLite:
 
 class TestRunIncremental:
     def test_shapes_states_and_determinism(self):
-        split = quick_split(seed=9)
+        data = quick_dataset(seed=9)
         config = quick_config()
-        (val,), (test,) = run_incremental_stack(config, [split], ["d0"], [9])
+        (val,), (test,) = run_incremental_stack(config, [data], ["d0"], [9])
         assert [lg.state for lg in val] == [1, 2, 3]
         assert [lg.state for lg in test] == [1, 2, 3]
         for s, lg in enumerate(val, start=1):
-            assert lg.matrix.shape[1] == split.schedule.classes_through(s)
-            np.testing.assert_array_equal(lg.labels, split.views[s - 1].val_y)
+            assert lg.matrix.shape[1] == data.schedule.classes_through(s)
+            np.testing.assert_array_equal(lg.labels, seen(data, "validation", s)[1])
             assert lg.dataset == "d0" and lg.backbone == "ftplus"
-        (val2,), _ = run_incremental_stack(config, [split], ["d0"], [9])
+        (val2,), _ = run_incremental_stack(config, [data], ["d0"], [9])
         for a, b in zip(val, val2):
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
@@ -369,13 +381,13 @@ class TestLockstep:
         model's val and test logits at every state carry the bits it gets
         when trained alone, as a stack of one. Batches of 7 over 30 samples
         per state end each epoch on a partial batch."""
-        splits = [quick_split(seed=20 + r) for r in range(3)]
+        datasets = [quick_dataset(seed=20 + r) for r in range(3)]
         names, seeds = ["d0", "d1", "d2"], [20, 21, 22]
         config = quick_config(kind, batch_size=7)
-        val, test = run_incremental_stack(config, splits, names, seeds)
-        for r, split in enumerate(splits):
+        val, test = run_incremental_stack(config, datasets, names, seeds)
+        for r, data in enumerate(datasets):
             (alone_val,), (alone_test,) = run_incremental_stack(
-                config, [split], [names[r]], [seeds[r]])
+                config, [data], [names[r]], [seeds[r]])
             for got, want in zip(val[r] + test[r], alone_val + alone_test, strict=True):
                 assert got.state == want.state
                 assert got.dataset == want.dataset == names[r]
@@ -383,11 +395,9 @@ class TestLockstep:
                 assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_stack_needs_equal_sample_counts(self):
-        small = split_states(gen_synthetic_dataset(SynthSpec(
-            num_classes=6, feature_dim=8, train_per_class=10, val_per_class=5,
-            test_per_class=5, seed=1)), 3)
+        small = quick_dataset(seed=1, train=10)
         with pytest.raises(ValueError, match="cannot be stacked"):
-            run_incremental_stack(quick_config(), [quick_split(), small],
+            run_incremental_stack(quick_config(), [quick_dataset(), small],
                                   ["a", "b"], [0, 1])
 
 
@@ -428,11 +438,11 @@ class TestEpochGather:
         samples: each epoch's one gather gives the bits of gathering each
         batch alone, for every update rule (teacher targets, frozen rows
         and the cosine head included)."""
-        splits = [quick_split(seed=40 + r) for r in range(2)]
+        datasets = [quick_dataset(seed=40 + r) for r in range(2)]
         config = quick_config(kind, batch_size=7)
-        got = run_incremental_stack(config, splits, ["d0", "d1"], [40, 41])
+        got = run_incremental_stack(config, datasets, ["d0", "d1"], [40, 41])
         monkeypatch.setattr(backbones, "_sgd_epochs", per_batch_sgd_epochs)
-        want = run_incremental_stack(config, splits, ["d0", "d1"], [40, 41])
+        want = run_incremental_stack(config, datasets, ["d0", "d1"], [40, 41])
         for got_set, want_set in zip(got, want, strict=True):
             for got_model, want_model in zip(got_set, want_set, strict=True):
                 for a, b in zip(got_model, want_model, strict=True):
@@ -441,29 +451,28 @@ class TestEpochGather:
 
 class TestGuards:
     def test_labels_outside_group_rejected(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config()
-        m1 = train_one(config, split)
-        bad = dataclasses.replace(stacked(split.views[1]),
-                                  train_y=split.views[0].train_y[None])
+        m1 = train_one(config, data)
+        bad = dataclasses.replace(stacked(data, 2), train_y=stacked(data, 1).train_y)
         with pytest.raises(SpecError, match="new group"):
-            update_state(m1, bad, split.schedule, config)
+            update_state(m1, bad, data.schedule, config)
 
     def test_skipping_a_state_rejected(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config()
-        m1 = train_one(config, split)
+        m1 = train_one(config, data)
         with pytest.raises(SpecError, match="overlap"):
-            update_one(m1, split, 3, config)
+            update_one(m1, data, 3, config)
 
     def test_logits_require_matching_state(self):
-        split = quick_split()
+        data = quick_dataset()
         config = quick_config()
-        m1 = train_one(config, split)
-        view = split.views[1]
+        m1 = train_one(config, data)
+        x, y = seen(data, "validation", 2)
         with pytest.raises(SpecError, match="model covers"):
-            backbones._stack_logits(m1, view.val_x[None], view.val_y[None], 2,
-                                    split.schedule, ["d0"], "ftplus", [0])
+            backbones._stack_logits(m1, x[None], y[None], 2,
+                                    data.schedule, ["d0"], "ftplus", [0])
 
     def test_mean_loss_hand_case(self):
         model = Model(w1=np.eye(2), b1=np.zeros(2),

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from calib_il.errors import MetadataError, SchemaError, SpecError
 from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
                                cmd_plot, cmd_run_reference, cmd_run_target,
                                cmd_sweep, evaluate_target, kv, load_run_spec,
-                               make_split, parse_run_spec, reference_seeds,
+                               make_dataset, parse_run_spec, reference_seeds,
                                spec_fingerprint, target_logits, target_seeds)
 from calib_il.plots import Series, render_heat_grid, render_line_chart
 from calib_il.storage import read_table, write_table
@@ -68,8 +69,8 @@ SPEC_VALUES = st.one_of(
     st.sampled_from(["1", "55", "nan", "false", "Infinity"]),
     st.integers(-3, 40), st.integers(-3, 40).map(float),
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
-    # Index-sized counts are valid ints; parsing materializes nothing per
-    # class, so a huge class count costs no memory until data is generated.
+    # Index-sized counts are valid ints; a huge class or sample count is
+    # refused by the dataset size cap, so parsing materializes nothing.
     st.integers(2**31, 2**62),
     st.floats(1e20, 1e308), st.floats(-1e308, -1e20),
     st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -251,12 +252,14 @@ class TestSeedsAndSplits:
         assert target_seeds(spec) == [3500, 3501]
         assert not set(reference_seeds(spec)) & set(target_seeds(spec))
 
-    def test_make_split_halving(self):
+    def test_make_dataset_halving(self):
         spec = tiny_spec()
-        full = make_split(spec, 3500, "t")
-        half = make_split(spec, 3500, "t", halve=True)
-        assert full.views[0].train_x.shape[0] == 2 * 8
-        assert half.views[0].train_x.shape[0] == 2 * 4  # ceil(8/2) per class
+        full = make_dataset(spec, 3500, "t")
+        half = make_dataset(spec, 3500, "t", halve=True)
+        assert full.schedule == half.schedule == spec.schedule
+        first = np.arange(spec.schedule.classes_per_state[0])
+        assert full.subset("train", first)[1].shape[0] == 2 * 8
+        assert half.subset("train", first)[1].shape[0] == 2 * 4  # ceil(8/2) per class
 
     def test_kv_formatting(self):
         line = kv(event="fit", state=2, final_loss=0.5)
@@ -478,9 +481,9 @@ class TestArtifactCache:
         stacks = []
         real = pipeline.run_incremental_stack
 
-        def counting(config, splits, datasets, seeds, sets=("val", "test")):
-            stacks.append(tuple(datasets))
-            return real(config, splits, datasets, seeds, sets)
+        def counting(config, datasets, names, seeds, sets=("validation", "test")):
+            stacks.append(tuple(names))
+            return real(config, datasets, names, seeds, sets)
 
         monkeypatch.setattr(pipeline, "run_incremental_stack", counting)
         cmd_sweep(spec, out)
@@ -584,7 +587,7 @@ def spec_file(tmp_path_factory):
     return path
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, **run_options):
     env = os.environ.copy()
     env.pop("CALIB_IL_SEED", None)
     # The subprocess imports the package this test imported, installed or not.
@@ -592,7 +595,13 @@ def run_cli(*args, env_extra=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     return subprocess.run([sys.executable, "-m", "calib_il.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **run_options)
+
+
+def limit_address_space():
+    """Cap the child's address space at 1.5 GB, so that an allocation a
+    spec should never reach fails at once instead of loading the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
 
 class TestCLI:
@@ -645,6 +654,23 @@ class TestCLI:
         res = run_cli("gen", "--spec", str(path), "--out", str(tmp_path / "out"))
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stdout.splitlines()[-1].startswith("event=error kind=spec")
+
+    @pytest.mark.parametrize("num_states", [2, 2**40])
+    def test_a_spec_too_large_to_build_exits_2(self, tmp_path, num_states):
+        """2**40 classes pass every per-value rule; the dataset size cap
+        refuses them before a dataset or the schedule's per-state tuple is
+        built, even when the address space could not hold either."""
+        raw = dict(MINIMAL, data={"num_classes": 2**40, "feature_dim": 4},
+                   schedule={"num_states": num_states})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("gen", "--spec", str(path), "--out", str(tmp_path / "out"),
+                      env_extra={"OPENBLAS_NUM_THREADS": "1"},
+                      preexec_fn=limit_address_space)
+        assert res.returncode == 2, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=spec") and "exceeds 536870912 floats" in last
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_table_exits_3(self, spec_file, tmp_path):
         for i in range(2):

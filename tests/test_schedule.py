@@ -17,6 +17,12 @@ class TestStateSchedule:
         with pytest.raises(ValueError, match="evenly"):
             StateSchedule.equal_split(10, 3)
 
+    def test_more_states_than_classes_rejected_before_building(self):
+        """0 classes divide into any state count, so only the bound refuses
+        them, before a per-state tuple of that length is built."""
+        with pytest.raises(ValueError, match="evenly"):
+            StateSchedule.equal_split(0, 3)
+
     def test_empty_and_zero_groups_rejected(self):
         with pytest.raises(ValueError):
             StateSchedule(())

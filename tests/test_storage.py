@@ -20,8 +20,7 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
                               read_metrics_rows, read_table, write_dataset,
                               write_logits, write_metrics, write_table)
-from calib_il.synth import (SPLITS, IncrementalDataset, SynthSpec, gen_synthetic_dataset,
-                            split_states)
+from calib_il.synth import SPLITS, IncrementalDataset, SynthSpec, gen_synthetic_dataset
 
 
 def tricky_logits():
@@ -334,8 +333,7 @@ class TestDatasetRoundTrip:
     def make(self):
         spec = SynthSpec(num_classes=4, feature_dim=3, train_per_class=6,
                          val_per_class=2, test_per_class=2, seed=8)
-        data = gen_synthetic_dataset(spec, name="ref_1")
-        return split_states(data, 2).dataset
+        return gen_synthetic_dataset(spec, StateSchedule((2, 2)), name="ref_1")
 
     def test_bit_exact(self, tmp_path):
         path = tmp_path / "d.csv"

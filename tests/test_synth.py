@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from calib_il.schedule import StateSchedule
 from calib_il.synth import (IncrementalDataset, StackedSets, SynthSpec,
                             _cayley_rotation, gen_synthetic_dataset,
-                            halve_train_split, split_states)
+                            halve_train_split)
 
 
 def small_spec(**kw):
@@ -13,6 +14,12 @@ def small_spec(**kw):
                 val_per_class=5, test_per_class=5, seed=0)
     base.update(kw)
     return SynthSpec(**base)
+
+
+def generate(num_states=2, **kw):
+    """A dataset of ``small_spec(**kw)`` drawn on an equal split."""
+    spec = small_spec(**kw)
+    return gen_synthetic_dataset(spec, StateSchedule.equal_split(spec.num_classes, num_states))
 
 
 class TestSynthSpec:
@@ -31,7 +38,7 @@ class TestSynthSpec:
 
 class TestGeneration:
     def test_counts_per_class_and_split(self):
-        data = gen_synthetic_dataset(small_spec())
+        data = generate()
         assert len(data.labels) == 4 * (10 + 5 + 5)
         assert data.features.shape == (80, 3)
         for c in range(4):
@@ -39,20 +46,28 @@ class TestGeneration:
                 assert np.sum((data.labels == c) & (data.split == tag)) == n
 
     def test_deterministic(self):
-        a = gen_synthetic_dataset(small_spec(seed=3))
-        b = gen_synthetic_dataset(small_spec(seed=3))
+        a = generate(seed=3)
+        b = generate(seed=3)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    def test_schedule_changes_no_sample(self):
+        """The schedule only labels the states; the draws are the spec's."""
+        a = generate(num_states=2)
+        b = gen_synthetic_dataset(small_spec(), StateSchedule((1, 3)))
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert list(a.split) == list(b.split)
+
     def test_seeds_give_different_geometry(self):
-        a = gen_synthetic_dataset(small_spec(seed=1))
-        b = gen_synthetic_dataset(small_spec(seed=2))
+        a = generate(seed=1)
+        b = generate(seed=2)
         assert not np.array_equal(a.features, b.features)
 
     def test_zero_noise_collapses_to_centers(self):
         """With noise off, every sample of a class equals its center, so a
         nearest-center rule is exact."""
-        data = gen_synthetic_dataset(small_spec(noise_scale=0.0))
+        data = generate(noise_scale=0.0)
         for c in range(4):
             x, _ = data.subset("train", np.array([c]))
             assert np.all(x == x[0])
@@ -63,8 +78,8 @@ class TestGeneration:
 
     def test_drift_preserves_norms(self):
         """Drift is a pure rotation: pairwise distances survive it."""
-        still = gen_synthetic_dataset(small_spec(seed=5))
-        moved = gen_synthetic_dataset(small_spec(seed=5, drift_scale=0.3))
+        still = generate(seed=5)
+        moved = generate(seed=5, drift_scale=0.3)
         np.testing.assert_allclose(
             np.linalg.norm(still.features, axis=1),
             np.linalg.norm(moved.features, axis=1), rtol=1e-10)
@@ -79,21 +94,21 @@ class TestGeneration:
 
 class TestDatasetValidation:
     def test_missing_split_rejected(self):
-        data = gen_synthetic_dataset(small_spec())
+        data = generate()
         keep = ~((data.labels == 2) & (data.split == "test"))
         with pytest.raises(ValueError, match="class 2 has no 'test'"):
             IncrementalDataset(data.features[keep], data.labels[keep],
                                data.split[keep], data.schedule)
 
     def test_unknown_tag_rejected(self):
-        data = gen_synthetic_dataset(small_spec())
+        data = generate()
         tags = data.split.copy()
         tags[0] = "holdout"
         with pytest.raises(ValueError, match="unknown split tags"):
             IncrementalDataset(data.features, data.labels, tags, data.schedule)
 
     def test_non_finite_rejected(self):
-        data = gen_synthetic_dataset(small_spec())
+        data = generate()
         features = data.features.copy()
         features[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
@@ -102,75 +117,85 @@ class TestDatasetValidation:
 
 class TestSplitStates:
     def test_train_views_are_new_classes_only(self):
-        data = gen_synthetic_dataset(small_spec())
-        split = split_states(data, 2)
-        assert split.schedule.classes_per_state == (2, 2)
-        assert set(split.views[0].train_y) == {0, 1}
-        assert set(split.views[1].train_y) == {2, 3}
-        assert len(split.views[0].train_x) == 20
+        data = generate()
+        sets = StackedSets([data], ())
+        assert data.schedule.classes_per_state == (2, 2)
+        (x1,), (y1,) = sets.train(1)
+        assert set(y1) == {0, 1}
+        assert set(sets.train(2)[1][0]) == {2, 3}
+        assert len(x1) == 20
 
     def test_val_and_test_are_cumulative(self):
-        data = gen_synthetic_dataset(small_spec())
-        split = split_states(data, 2)
-        assert set(split.views[0].val_y) == {0, 1}
-        assert set(split.views[1].val_y) == {0, 1, 2, 3}
-        assert len(split.views[1].test_x) == 4 * 5
+        sets = StackedSets([generate()], ("validation", "test"))
+        assert set(sets.evaluation("validation", 1)[1][0]) == {0, 1}
+        assert set(sets.evaluation("validation", 2)[1][0]) == {0, 1, 2, 3}
+        assert len(sets.evaluation("test", 2)[0][0]) == 4 * 5
 
     def test_explicit_sizes(self):
-        data = gen_synthetic_dataset(small_spec())
-        split = split_states(data, 2, classes_per_state=[1, 3])
-        assert split.schedule.classes_per_state == (1, 3)
-        assert set(split.views[1].train_y) == {1, 2, 3}
+        data = gen_synthetic_dataset(small_spec(), StateSchedule((1, 3)))
+        assert data.schedule.classes_per_state == (1, 3)
+        assert set(StackedSets([data], ()).train(2)[1][0]) == {1, 2, 3}
 
     def test_bad_sizes_rejected(self):
-        data = gen_synthetic_dataset(small_spec())
-        with pytest.raises(ValueError, match="do not sum"):
-            split_states(data, 2, classes_per_state=[1, 2])
-        with pytest.raises(ValueError, match="disagree"):
-            split_states(data, 3, classes_per_state=[2, 2])
+        with pytest.raises(ValueError, match="covers 3 classes, the spec draws 4"):
+            gen_synthetic_dataset(small_spec(), StateSchedule((1, 2)))
         with pytest.raises(ValueError, match="split evenly"):
-            split_states(data, 3)
+            StateSchedule.equal_split(4, 3)
+        with pytest.raises(ValueError, match="split evenly"):
+            StateSchedule.equal_split(4, 5)
 
 
 class TestStackedSets:
-    def shuffled_split(self, seed):
-        """A three-state split whose rows are not sorted by class or tag."""
-        data = gen_synthetic_dataset(small_spec(num_classes=6, seed=seed))
+    def shuffled_dataset(self, seed):
+        """A three-state dataset whose rows are not sorted by class or tag."""
+        data = generate(num_states=3, num_classes=6, seed=seed)
         order = np.random.default_rng(seed).permutation(len(data.labels))
-        data = IncrementalDataset(data.features[order], data.labels[order],
+        return IncrementalDataset(data.features[order], data.labels[order],
                                   data.split[order], data.schedule)
-        return split_states(data, 3)
 
-    def test_sets_equal_the_per_split_views(self):
-        """Every stacked set holds, slice by slice, the arrays of that
-        split's own view, in the same row order."""
-        splits = [self.shuffled_split(seed) for seed in (1, 2, 3)]
-        sets = StackedSets(iter(splits), ("val", "test"))
+    def test_sets_equal_the_dataset_subsets(self):
+        """Every stacked set holds, slice by slice, that dataset's subset of
+        the state's classes (new ones for training, every one seen for
+        evaluation), in the same row order."""
+        datasets = [self.shuffled_dataset(seed) for seed in (1, 2, 3)]
+        sets = StackedSets(iter(datasets), ("validation", "test"))
+        schedule = datasets[0].schedule
         for state in (1, 2, 3):
-            stacked = {"train": sets.train(state), "val": sets.evaluation("val", state),
-                       "test": sets.evaluation("test", state)}
-            for r, split in enumerate(splits):
-                view = split.view(state)
-                for name, (xs, ys) in stacked.items():
-                    assert xs[r].tobytes() == getattr(view, f"{name}_x").tobytes()
-                    assert ys[r].tobytes() == getattr(view, f"{name}_y").tobytes()
+            group = schedule.group_slice(state, state)
+            seen = np.arange(schedule.classes_through(state))
+            stacked = [("train", np.arange(group.start, group.stop), sets.train(state)),
+                       ("validation", seen, sets.evaluation("validation", state)),
+                       ("test", seen, sets.evaluation("test", state))]
+            for r, data in enumerate(datasets):
+                for tag, classes, (xs, ys) in stacked:
+                    x, y = data.subset(tag, classes)
+                    assert xs[r].tobytes() == x.tobytes()
+                    assert ys[r].tobytes() == y.tobytes()
 
     def test_training_set_is_taken_once(self):
-        sets = StackedSets([self.shuffled_split(1)], ())
+        sets = StackedSets([self.shuffled_dataset(1)], ())
         sets.train(1)
         with pytest.raises(ValueError, match="already taken"):
             sets.train(1)
 
     def test_unequal_sizes_rejected(self):
-        small = split_states(gen_synthetic_dataset(small_spec(train_per_class=4)), 2)
-        sets = StackedSets([split_states(gen_synthetic_dataset(small_spec()), 2), small], ())
+        sets = StackedSets([generate(), generate(train_per_class=4)], ())
         with pytest.raises(ValueError, match="cannot be stacked"):
             sets.train(1)
+
+    def test_unknown_set_rejected(self):
+        with pytest.raises(ValueError, match="'validation' or 'test'"):
+            StackedSets([generate()], ("val",))
+
+    def test_schedules_must_agree(self):
+        other = gen_synthetic_dataset(small_spec(), StateSchedule((1, 3)))
+        with pytest.raises(ValueError, match="one schedule"):
+            StackedSets([generate(), other], ())
 
 
 class TestHalving:
     def test_keeps_ceil_half_of_train_only(self):
-        data = gen_synthetic_dataset(small_spec(train_per_class=7))
+        data = generate(train_per_class=7)
         halved = halve_train_split(data)
         for c in range(4):
             assert np.sum((halved.labels == c) & (halved.split == "train")) == 4
@@ -181,7 +206,7 @@ class TestHalving:
     def test_kept_samples_are_a_prefix(self):
         """The first training samples per class survive, so the halved set
         is a strict subset with unchanged values."""
-        data = gen_synthetic_dataset(small_spec())
+        data = generate()
         halved = halve_train_split(data)
         full_x, _ = data.subset("train", np.array([1]))
         half_x, _ = halved.subset("train", np.array([1]))
