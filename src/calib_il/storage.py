@@ -13,7 +13,6 @@ locale dependence. Table JSONs and logits sidecars may carry a
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -360,11 +359,14 @@ def _bulk_logits(body: str, num_rows: int, expect: int):
     """Labels and scores of a logits body parsed in one C call, or None
     unless that gives ``num_rows`` rows of ``expect`` finite scores and an
     in-range integral label each. ``comments=None``, or a cell like
-    ``1.5#x`` would be cut at the '#'."""
+    ``1.5#x`` would be cut at the '#'. The body goes in as its lines, since
+    a ``StringIO`` would hold a four-byte-per-character copy of it. They
+    are cut at line feeds only, as ``num_rows`` counts them;
+    ``splitlines`` would also cut at form feeds, NEL and more."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
-            cells = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            cells = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):
         return None
     # loadtxt skips blank lines, so a short count means one was there.

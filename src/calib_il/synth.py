@@ -80,11 +80,14 @@ class IncrementalDataset:
             raise ValueError(f"unknown split tags {bad}; expected {SPLITS}")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.schedule.num_classes):
             raise ValueError("labels outside the schedule's class range")
-        for c in range(self.schedule.num_classes):
-            mine = self.split[self.labels == c]
-            for tag in SPLITS:
-                if not np.any(mine == tag):
-                    raise ValueError(f"class {c} has no '{tag}' samples")
+        tags = sum(i * (self.split == tag) for i, tag in enumerate(SPLITS))
+        # Samples per (class, tag) in row-major order, so that the first
+        # empty cell is the first class, and its first tag, that lacks one.
+        found = np.bincount(self.labels * len(SPLITS) + tags,
+                            minlength=self.schedule.num_classes * len(SPLITS))
+        if not found.all():
+            c, t = divmod(int(np.argmin(found)), len(SPLITS))
+            raise ValueError(f"class {c} has no '{SPLITS[t]}' samples")
 
     def subset(self, tag: str, classes: np.ndarray | None = None):
         """Features and labels of one split, optionally restricted to classes."""
@@ -115,27 +118,24 @@ def gen_synthetic_dataset(spec: SynthSpec, schedule: StateSchedule,
                          f"the spec draws {spec.num_classes}")
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(0.0, spec.center_scale, (spec.num_classes, spec.feature_dim))
-    per_class = {
-        "train": spec.train_per_class,
-        "validation": spec.val_per_class,
-        "test": spec.test_per_class,
-    }
-    features, labels, tags = [], [], []
-    for c in range(spec.num_classes):
-        for tag in SPLITS:
-            n = per_class[tag]
-            noise = rng.normal(0.0, 1.0, (n, spec.feature_dim))
-            features.append(centers[c] + spec.noise_scale * noise)
-            labels.extend([c] * n)
-            tags.extend([tag] * n)
-    x = np.concatenate(features, axis=0)
+    counts = (spec.train_per_class, spec.val_per_class, spec.test_per_class)
+    per_class = sum(counts)
+    # Samples lie class by class, each class's SPLITS in order. One draw
+    # into the whole matrix takes the same ziggurat stream, sample for
+    # sample, as one rng.normal(0, 1) draw per (class, split) block, and
+    # scaling then shifting in place gives the bits of
+    # centers[c] + noise_scale * noise with no second (N, d) array.
+    x = rng.standard_normal((spec.num_classes * per_class, spec.feature_dim))
+    blocks = x.reshape(spec.num_classes, per_class, spec.feature_dim)
+    blocks *= spec.noise_scale
+    blocks += centers[:, None]
     if spec.drift_scale > 0:
         rot = _cayley_rotation(spec.feature_dim, spec.drift_scale, rng)
         x = x @ rot.T
     return IncrementalDataset(
         features=x,
-        labels=np.asarray(labels),
-        split=np.asarray(tags, dtype=object),
+        labels=np.repeat(np.arange(spec.num_classes), per_class),
+        split=np.tile(np.repeat(np.array(SPLITS, dtype=object), counts), spec.num_classes),
         schedule=schedule,
         name=name,
         seed=spec.seed,
@@ -224,8 +224,9 @@ def _stack(parts: Iterable[tuple[np.ndarray, np.ndarray]], count: int, state: in
 def halve_train_split(dataset: IncrementalDataset) -> IncrementalDataset:
     """Keep ceil(n/2) training samples per class; validation/test untouched."""
     keep = np.ones(len(dataset.labels), dtype=bool)
+    train = dataset.split == "train"
     for c in range(dataset.schedule.num_classes):
-        idx = np.flatnonzero((dataset.labels == c) & (dataset.split == "train"))
+        idx = np.flatnonzero((dataset.labels == c) & train)
         n_keep = (len(idx) + 1) // 2
         keep[idx[n_keep:]] = False
     return replace(

@@ -6,6 +6,7 @@ or raise a DataFileError subtype that names the offending file.
 
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,21 +34,23 @@ def tricky_logits():
                        dataset="ref_0", backbone="ftplus", seed=4)
 
 
-# Edits to the two data rows of a ``tricky_logits`` file, with the error
-# both parses must report (None: both return the written bits).
+# Edits to the two data rows of a ``tricky_logits`` file, each row with its
+# line end, with the error both parses must report (None: both return the
+# written bits).
 BODY_MUTATIONS = {
     "clean": (lambda rows: rows, None),
     "bad-id": (lambda rows: ["a" + rows[0], rows[1]], None),
-    "blank-line": (lambda rows: [rows[0], "", rows[1]], "row 3: expected 6 fields, got 0"),
-    "trailing-blank-line": (lambda rows: [*rows, ""], "row 4: expected 6 fields, got 0"),
+    "blank-line": (lambda rows: [rows[0], "\n", rows[1]], "row 3: expected 6 fields, got 0"),
+    "trailing-blank-line": (lambda rows: [*rows, "\n"], "row 4: expected 6 fields, got 0"),
+    "no-final-newline": (lambda rows: [rows[0], rows[1].rstrip("\n")], None),
     "hash": (lambda rows: [rows[0].replace("3.5", "3.5#x"), rows[1]],
              "row 2 column c3: '3.5#x' is not a number"),
     "quoted": (lambda rows: [rows[0].replace("0.1", '"0.1"'), rows[1]], None),
-    "crlf": (lambda rows: [row + "\r" for row in rows], None),
-    "ragged": (lambda rows: [rows[0], rows[1].rsplit(",", 1)[0]],
+    "crlf": (lambda rows: [row.replace("\n", "\r\n") for row in rows], None),
+    "ragged": (lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + "\n"],
                "row 3: expected 6 fields, got 5"),
     "header-only": (lambda rows: [], "no data rows"),
-    "trailing-spaces": (lambda rows: [row + "  " for row in rows], None),
+    "trailing-spaces": (lambda rows: [row.replace("\n", "  \n") for row in rows], None),
     "label-2.0": (lambda rows: [rows[0].replace("0,0,", "0,0.0,", 1), rows[1]], None),
     "label-2.5": (lambda rows: [rows[0].replace("0,0,", "0,2.5,", 1), rows[1]],
                   "row 2 label: '2.5' is not an integer"),
@@ -175,8 +178,8 @@ class TestLogitsRoundTrip:
         for name, (mutate, error) in BODY_MUTATIONS.items():
             path = tmp_path / f"{name}.csv"
             write_logits(path, logits)
-            header, *rows = path.read_text().splitlines()
-            path.write_bytes("".join(line + "\n" for line in [header, *mutate(rows)]).encode())
+            header, *rows = path.read_text().splitlines(keepends=True)
+            path.write_bytes("".join([header, *mutate(rows)]).encode())
 
             def outcome():
                 try:
@@ -196,6 +199,25 @@ class TestLogitsRoundTrip:
                 assert bulk == (logits.matrix.tobytes(), logits.labels.tobytes()), name
             else:
                 assert error in bulk and str(path) in bulk, (name, bulk)
+
+    def test_read_peaks_below_three_and_a_half_times_the_file(self, tmp_path):
+        """A 1000x100 logits file is parsed without a copy of its text
+        wider than the text itself (a StringIO holds four bytes per
+        character); the first read warms numpy's parser."""
+        rng = np.random.default_rng(0)
+        path = tmp_path / "wide.csv"
+        write_logits(path, StateLogits(1, rng.normal(size=(1000, 100)),
+                                       rng.integers(0, 100, 1000),
+                                       StateSchedule.equal_split(100, 1)))
+        read_logits(path)
+        tracemalloc.start()
+        try:
+            back = read_logits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.matrix.shape == (1000, 100)
+        assert peak <= 3.5 * path.stat().st_size
 
     def test_well_formed_body_takes_the_bulk_path(self, tmp_path):
         path = tmp_path / "lg.csv"

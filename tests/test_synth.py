@@ -1,10 +1,12 @@
 """Synthetic dataset generation, state splitting, and memory halving."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from calib_il.schedule import StateSchedule
-from calib_il.synth import (IncrementalDataset, StackedSets, SynthSpec,
+from calib_il.synth import (SPLITS, IncrementalDataset, StackedSets, SynthSpec,
                             _cayley_rotation, gen_synthetic_dataset,
                             halve_train_split)
 
@@ -20,6 +22,29 @@ def generate(num_states=2, **kw):
     """A dataset of ``small_spec(**kw)`` drawn on an equal split."""
     spec = small_spec(**kw)
     return gen_synthetic_dataset(spec, StateSchedule.equal_split(spec.num_classes, num_states))
+
+
+def reference_dataset(spec, schedule):
+    """The generator drawn block by block: one rng.normal call per (class,
+    split), concatenated, with labels and tags built as lists. The oracle of
+    ``gen_synthetic_dataset``, which must give the same bits."""
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.normal(0.0, spec.center_scale, (spec.num_classes, spec.feature_dim))
+    per_class = dict(zip(SPLITS, (spec.train_per_class, spec.val_per_class,
+                                  spec.test_per_class)))
+    features, labels, tags = [], [], []
+    for c in range(spec.num_classes):
+        for tag in SPLITS:
+            n = per_class[tag]
+            noise = rng.normal(0.0, 1.0, (n, spec.feature_dim))
+            features.append(centers[c] + spec.noise_scale * noise)
+            labels.extend([c] * n)
+            tags.extend([tag] * n)
+    x = np.concatenate(features, axis=0)
+    if spec.drift_scale > 0:
+        x = x @ _cayley_rotation(spec.feature_dim, spec.drift_scale, rng).T
+    return IncrementalDataset(x, np.asarray(labels), np.asarray(tags, dtype=object),
+                              schedule, seed=spec.seed)
 
 
 class TestSynthSpec:
@@ -59,6 +84,38 @@ class TestGeneration:
         assert a.labels.tobytes() == b.labels.tobytes()
         assert list(a.split) == list(b.split)
 
+    @pytest.mark.parametrize("knobs", [
+        dict(),
+        dict(drift_scale=0.3, seed=5),
+        dict(noise_scale=0.0, center_scale=2.0),
+        dict(train_per_class=3, val_per_class=7, test_per_class=1, noise_scale=0.4),
+        dict(feature_dim=1, drift_scale=1.5, seed=9),
+    ])
+    def test_equals_the_block_by_block_reference(self, knobs):
+        spec = small_spec(**knobs)
+        schedule = StateSchedule.equal_split(spec.num_classes, 2)
+        got, want = gen_synthetic_dataset(spec, schedule), reference_dataset(spec, schedule)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.split.tolist() == want.split.tolist()
+        for field in ("features", "labels", "split"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+
+    def test_peak_memory_is_about_one_feature_matrix(self):
+        """Every block is drawn into the one feature matrix, with no
+        per-block arrays to concatenate; the first draw warms numpy."""
+        spec = SynthSpec(num_classes=100, feature_dim=64)
+        schedule = StateSchedule.equal_split(100, 10)
+        gen_synthetic_dataset(spec, schedule)
+        tracemalloc.start()
+        try:
+            data = gen_synthetic_dataset(spec, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * data.features.nbytes
+
     def test_seeds_give_different_geometry(self):
         a = generate(seed=1)
         b = generate(seed=2)
@@ -97,6 +154,21 @@ class TestDatasetValidation:
         data = generate()
         keep = ~((data.labels == 2) & (data.split == "test"))
         with pytest.raises(ValueError, match="class 2 has no 'test'"):
+            IncrementalDataset(data.features[keep], data.labels[keep],
+                               data.split[keep], data.schedule)
+
+    @pytest.mark.parametrize("gaps, first", [
+        ([(3, "train"), (2, "test")], "class 2 has no 'test'"),
+        ([(1, "test"), (1, "validation")], "class 1 has no 'validation'"),
+    ])
+    def test_first_missing_split_is_named(self, gaps, first):
+        """With several gaps, the error names the lowest class and, in it,
+        the first tag of SPLITS without samples."""
+        data = generate()
+        keep = np.ones(len(data.labels), dtype=bool)
+        for c, tag in gaps:
+            keep &= ~((data.labels == c) & (data.split == tag))
+        with pytest.raises(ValueError, match=first):
             IncrementalDataset(data.features[keep], data.labels[keep],
                                data.split[keep], data.schedule)
 
