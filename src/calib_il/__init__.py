@@ -9,7 +9,7 @@ memoryless target runs.
 from .backbones import (BackboneConfig, Model, run_incremental_stack,
                         train_initial, update_state)
 from .calibration import (CalibConfig, CalibrationTable, StateFit, apply_bic,
-                          apply_table, fit_state, fit_tables, loss_gradient,
+                          apply_table, fit_state, loss_gradient,
                           regularized_loss, softmax)
 from .errors import (CalibILError, DataFileError, MetadataError, NumericError,
                      SchemaError, SpecError)
@@ -22,8 +22,7 @@ from .storage import (read_dataset, read_logits, read_metrics_rows, read_table,
                       write_dataset, write_logits, write_metrics, write_table)
 from .synth import (IncrementalDataset, SynthSpec, gen_synthetic_dataset,
                     halve_train_split)
-from .transfer import (apply_transfer, average_tables, oracle_select,
-                       param_count)
+from .transfer import average_tables, param_count, score_state
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "BackboneConfig", "Model", "run_incremental_stack", "train_initial",
     "update_state",
     "CalibConfig", "CalibrationTable", "StateFit", "apply_bic", "apply_table",
-    "fit_state", "fit_tables", "loss_gradient", "regularized_loss", "softmax",
+    "fit_state", "loss_gradient", "regularized_loss", "softmax",
     "CalibILError", "DataFileError", "MetadataError", "NumericError",
     "SchemaError", "SpecError",
     "StateLogits", "StateSchedule",
@@ -42,6 +41,6 @@ __all__ = [
     "write_dataset", "write_logits", "write_metrics", "write_table",
     "IncrementalDataset", "SynthSpec", "gen_synthetic_dataset",
     "halve_train_split",
-    "apply_transfer", "average_tables", "oracle_select", "param_count",
+    "average_tables", "param_count", "score_state",
     "__version__",
 ]

@@ -24,7 +24,8 @@ schedule, so ``class_first_state`` has no model axis.
 ``train_initial`` and ``update_state`` are the per-state steps of a
 stack; ``run_incremental_stack`` runs them through all states, reading the
 R datasets through ``synth.StackedSets``, which cuts them into states and
-holds only the sets the run still needs. One model is a stack of one.
+holds only the sets the run still needs, and yields each state's logits
+as soon as the state is trained. One model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -125,8 +126,12 @@ class Model:
         if self.cosine:
             hn, _, _ = _normalize_rows(h)
             wn, _, _ = _normalize_rows(self.w2)
-            return np.asarray(self.eta)[..., None, None] * (hn @ _t(wn))
-        return h @ _t(self.w2) + self.b2[..., None, :]
+            out = hn @ _t(wn)
+            out *= np.asarray(self.eta)[..., None, None]
+            return out
+        out = h @ _t(self.w2)
+        out += self.b2[..., None, :]
+        return out
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -502,11 +507,15 @@ def run_incremental_stack(config: BackboneConfig, datasets: Iterable[Incremental
     the sets the run reads are kept (``StackedSets``). The datasets must
     share one schedule and have equal per-state sample counts, as the
     datasets generated from one spec do. ``names`` and ``seeds`` label each
-    model's logits. Returns one list per entry of ``sets`` ("validation",
-    "test"): for each model, its per-state logits on that evaluation set.
+    model's logits.
+
+    A generator: right after each state is trained and scored it yields
+    ``(state, logits)``, where ``logits`` maps each entry of ``sets``
+    ("validation", "test") to the models' logits on that set, one per
+    model. The next state trains only when the caller asks for it, so a
+    caller that finishes each state first holds one state's logits.
     """
     data = StackedSets(datasets, sets)
-    out = {name: [[] for _ in names] for name in sets}
     model = None
     for state in range(1, data.schedule.num_states + 1):
         # Each stacked set is dropped after use, so at most one is held
@@ -517,11 +526,6 @@ def run_incremental_stack(config: BackboneConfig, datasets: Iterable[Incremental
         else:
             model = update_state(model, view, data.schedule, config)
         del view
-        for name in sets:
-            x, y = data.evaluation(name, state)
-            logits = _stack_logits(model, x, y, state, data.schedule, names,
-                                   config.kind, seeds)
-            for per_model, state_logits in zip(out[name], logits, strict=True):
-                per_model.append(state_logits)
-            del x
-    return tuple(out[name] for name in sets)
+        yield state, {name: _stack_logits(model, *data.evaluation(name, state), state,
+                                          data.schedule, names, config.kind, seeds)
+                      for name in sets}

@@ -118,6 +118,14 @@ class CalibrationTable:
             alpha[s - 2, k - 1], beta[s - 2, k - 1] = a, b
         return cls(alpha, beta)
 
+    @classmethod
+    def from_fits(cls, fits) -> "CalibrationTable":
+        """The table of one reference's ``StateFit``s, which must cover
+        states 2..S once each."""
+        return cls.from_pairs(len(fits) + 1, (
+            ((fit.state, k), pair) for fit in fits
+            for k, pair in enumerate(zip(fit.alpha, fit.beta), start=1)))
+
     def pairs_for_state(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """Alpha and beta vectors over groups 1..state."""
         if not 2 <= state <= self.num_states:
@@ -164,8 +172,7 @@ def apply_bic(logits: StateLogits, alpha: float, beta: float) -> np.ndarray:
 def apply_table(logits: StateLogits, table: CalibrationTable) -> np.ndarray:
     """Apply the per-group pairs of ``table`` for the logits' state."""
     alpha, beta = table.pairs_for_state(logits.state)
-    col = logits.schedule.column_groups(logits.state) - 1
-    return logits.matrix * alpha[col] + beta[col]
+    return _corrected(logits.matrix, alpha, beta, logits.schedule.column_groups(logits.state) - 1)
 
 
 def _group_starts(schedule: StateSchedule, state: int) -> np.ndarray:
@@ -349,51 +356,3 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
             params, loss = trial, trial_loss
     raise fail(f"not certified: gradient norm {grad_norm:.3g} > {GRAD_TOL:g} "
                f"after {iterations} Newton steps")
-
-
-def _by_state(per_state_val_logits: list[StateLogits]) -> dict[int, StateLogits]:
-    """Index one reference's validation logits by state, checking that they
-    cover exactly states 2..S of one schedule."""
-    if not per_state_val_logits:
-        raise ValueError("need validation logits for states 2..S")
-    schedule = per_state_val_logits[0].schedule
-    num_states = schedule.num_states
-    by_state = {}
-    for logits in per_state_val_logits:
-        if logits.schedule != schedule:
-            raise ValueError("all validation logits must share one schedule")
-        if logits.state in by_state:
-            raise ValueError(f"duplicate validation logits for state {logits.state}")
-        by_state[logits.state] = logits
-    expected = set(range(2, num_states + 1))
-    missing = sorted(expected - set(by_state))
-    if missing:
-        raise ValueError(f"missing validation logits for states {missing}")
-    unexpected = sorted(set(by_state) - expected)
-    if unexpected:
-        raise ValueError(
-            f"unexpected validation logits for states {unexpected}; "
-            "the fit covers states 2..S")
-    return by_state
-
-
-def fit_tables(
-    per_reference_val_logits: list[list[StateLogits]], config: CalibConfig
-) -> list[tuple[CalibrationTable, list[StateFit]]]:
-    """Fit one table per reference, one ``fit_state`` per state.
-
-    Each entry of ``per_reference_val_logits`` is one reference's
-    validation logits for states 2..S. Returns, per reference, the full
-    table and its per-state fits.
-    """
-    fitted = []
-    for val_logits in per_reference_val_logits:
-        by_state = _by_state(val_logits)
-        fits = [fit_state(by_state[s], config) for s in sorted(by_state)]
-        shape = (len(fits), len(fits) + 1)
-        alpha, beta = np.ones(shape), np.zeros(shape)
-        for fit in fits:
-            alpha[fit.state - 2, :fit.state] = fit.alpha
-            beta[fit.state - 2, :fit.state] = fit.beta
-        fitted.append((CalibrationTable(alpha, beta), fits))
-    return fitted

@@ -77,6 +77,22 @@ class RunMetrics:
     group_accuracy: np.ndarray
     average_incremental_accuracy: float
 
+    @classmethod
+    def from_rows(cls, rows) -> "RunMetrics":
+        """The metrics of a run from its per-state ``(accuracy, group
+        accuracies)`` rows, as ``per_state_accuracy`` returns them, for
+        states 1..S in order."""
+        num_states = len(rows)
+        if not rows or [len(group) for _, group in rows] != list(range(1, num_states + 1)):
+            raise ValueError("need one row per state 1..S, in order")
+        accs = np.empty(num_states)
+        groups = np.full((num_states, num_states), np.nan)
+        for s, (acc, group) in enumerate(rows, start=1):
+            accs[s - 1], groups[s - 1, :s] = acc, group
+        # A single-state run has no incremental part to average.
+        average = avg_incremental_accuracy(accs) if num_states > 1 else float("nan")
+        return cls(accs, groups, average)
+
 
 def compute_run_metrics(
     per_state_scores: list[np.ndarray],
@@ -84,14 +100,8 @@ def compute_run_metrics(
     schedule: StateSchedule,
 ) -> RunMetrics:
     """Score one run from its per-state score matrices and labels."""
-    num_states = schedule.num_states
-    if len(per_state_scores) != num_states:
+    if len(per_state_scores) != schedule.num_states:
         raise ValueError("need one score matrix per state 1..S")
-    accs = np.empty(num_states)
-    groups = np.full((num_states, num_states), np.nan)
-    for s, (scores, labels) in enumerate(zip(per_state_scores, per_state_labels), start=1):
-        accs[s - 1], groups[s - 1, :s] = per_state_accuracy(
-            predict(scores), labels, schedule, s)
-    # A single-state run has no incremental part to average.
-    average = avg_incremental_accuracy(accs) if num_states > 1 else float("nan")
-    return RunMetrics(accs, groups, average)
+    return RunMetrics.from_rows([
+        per_state_accuracy(predict(scores), labels, schedule, s)
+        for s, (scores, labels) in enumerate(zip(per_state_scores, per_state_labels), start=1)])

@@ -11,6 +11,11 @@ table. Dataset seeds are derived as ``seed*1000 + i`` for reference i and
 ``seed*1000 + 500 + j`` for target j, which keeps them disjoint for any
 R, T <= 500.
 
+A stack of references or targets hands over each state's logits as soon
+as the state is trained, and the flow writes, fits or scores them before
+the next state trains, so no flow holds a whole run's logits. Tables and
+results are written once every state is done.
+
 Every table JSON and logits sidecar records ``spec_fingerprint`` of the
 spec that made it. ``run-target`` and ``sweep`` reuse the reference tables
 and the target logits under ``--out`` only when every file carries the
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbones import BackboneConfig, run_incremental_stack
-from .calibration import CalibConfig, CalibrationTable, fit_tables
+from .calibration import CalibConfig, CalibrationTable, fit_state
 from .errors import SpecError
 from .metrics import RunMetrics
 from .plots import Series, render_heat_grid, render_line_chart
@@ -39,7 +44,7 @@ from .storage import (SCHEMA_VERSION, load_json, read_fields, read_logits, read_
                       read_per_state, read_table, stale_reason, write_dataset,
                       write_logits, write_metrics, write_rows, write_svg, write_table)
 from .synth import IncrementalDataset, SynthSpec, gen_synthetic_dataset, halve_train_split
-from .transfer import apply_transfer, average_tables, oracle_select
+from .transfer import average_tables, score_state
 
 log = logging.getLogger("calib_il")
 
@@ -202,36 +207,54 @@ def make_dataset(spec: RunSpec, seed: int, name: str, halve: bool = False) -> In
     return halve_train_split(dataset) if halve else dataset
 
 
-@dataclass
-class ReferenceRun:
-    index: int
-    table: CalibrationTable
-    val_logits: list
-    fits: list
+def _logits_path(out: Path, name: str, state: int) -> Path:
+    return out / "logits" / f"{name}_state_{state}.csv"
 
 
-def reference_runs(spec: RunSpec, indices) -> list[ReferenceRun]:
-    """Train the references ``indices`` as one stack and fit each one's
-    table."""
+def reference_runs(spec: RunSpec, indices, out: Path) -> list[tuple[CalibrationTable, list]]:
+    """Train the references ``indices`` as one stack. Each state's
+    validation logits are written under ``out`` and fitted as soon as the
+    state is trained; returns each reference's table and fits."""
     names = [f"ref_{i}" for i in indices]
     seeds = [reference_seeds(spec)[i] for i in indices]
-    (val_logits,) = run_incremental_stack(
-        spec.backbone, (make_dataset(spec, seed, name) for seed, name in zip(seeds, names)),
-        names, seeds, sets=("validation",))
-    fitted = fit_tables([logits[1:] for logits in val_logits], spec.calibration)
-    return [ReferenceRun(i, table, logits, fits)
-            for i, logits, (table, fits) in zip(indices, val_logits, fitted)]
+    fingerprint, fits = spec_fingerprint(spec), [[] for _ in indices]
+    for state, by_set in run_incremental_stack(
+            spec.backbone, (make_dataset(spec, seed, name) for seed, name in zip(seeds, names)),
+            names, seeds, sets=("validation",)):
+        for name, logits, per_ref in zip(names, by_set["validation"], fits):
+            write_logits(_logits_path(out, name, state), logits, fingerprint)
+            if state > 1:
+                per_ref.append(fit_state(logits, spec.calibration))
+        del by_set, logits  # before the next state trains
+    return [(CalibrationTable.from_fits(per_ref), per_ref) for per_ref in fits]
 
 
-def target_logits(spec: RunSpec, indices, halve: bool = False) -> list[list]:
-    """Per-state test logits of the targets ``indices``, trained as one stack."""
+def _score(logits, tables: dict, rows: dict):
+    """Append ``logits``' row under each entry of ``tables`` (a list of
+    tables each, see ``score_state``) to ``rows``."""
+    for key, candidates in tables.items():
+        rows[key].append(score_state(logits, candidates))
+
+
+def target_rows(spec: RunSpec, indices, tables: dict, out: Path | None = None,
+                halve: bool = False) -> list[dict]:
+    """Train the targets ``indices`` as one stack. As soon as a state is
+    trained, each target's test logits are written under ``out`` (unless it
+    is None) and scored by every entry of ``tables``; returns, per target,
+    each entry's per-state rows."""
     names = [f"target_{j}" for j in indices]
     seeds = [target_seeds(spec)[j] for j in indices]
-    (test_logits,) = run_incremental_stack(
-        spec.backbone, (make_dataset(spec, seed, name, halve=halve)
-                        for seed, name in zip(seeds, names)),
-        names, seeds, sets=("test",))
-    return test_logits
+    fingerprint, rows = spec_fingerprint(spec), [{key: [] for key in tables} for _ in indices]
+    for state, by_set in run_incremental_stack(
+            spec.backbone, (make_dataset(spec, seed, name, halve=halve)
+                            for seed, name in zip(seeds, names)),
+            names, seeds, sets=("test",)):
+        for name, logits, per_target in zip(names, by_set["test"], rows):
+            if out is not None:
+                write_logits(_logits_path(out, name, state), logits, fingerprint)
+            _score(logits, tables, per_target)
+        del by_set, logits  # before the next state trains
+    return rows
 
 
 def _pool_map(fn, args_list):
@@ -261,25 +284,17 @@ def _in_chunks(fn, spec: RunSpec, count: int, jobs: int, *extra) -> list:
     return [item for chunk in results for item in chunk]
 
 
-def build_all_references(spec: RunSpec, jobs: int = 1) -> list[ReferenceRun]:
-    """All reference runs, in index order regardless of pool scheduling."""
-    return _in_chunks(reference_runs, spec, spec.num_references, jobs)
+def build_all_references(spec: RunSpec, out: Path, jobs: int = 1) -> list[tuple]:
+    """Every reference's table and fits, in index order regardless of pool
+    scheduling; their validation logits are written under ``out``."""
+    return _in_chunks(reference_runs, spec, spec.num_references, jobs, out)
 
 
-def all_target_logits(spec: RunSpec, jobs: int = 1, halve: bool = False):
-    return _in_chunks(target_logits, spec, spec.num_targets, jobs, halve)
-
-
-def evaluate_target(test_logits, tables: list[CalibrationTable],
-                    averaged: CalibrationTable) -> dict[str, RunMetrics]:
-    """Raw, single-pair, per-group and oracle metrics for one target;
-    ``averaged`` is ``average_tables(tables)``."""
-    return {
-        "raw": apply_transfer(test_logits, None),
-        "bic": apply_transfer(test_logits, averaged.collapse_to_single_pair()),
-        "adbic": apply_transfer(test_logits, averaged),
-        "oracle": oracle_select(tables, test_logits),
-    }
+def all_target_rows(spec: RunSpec, tables: dict, out: Path | None = None, jobs: int = 1,
+                    halve: bool = False) -> list[dict]:
+    """``target_rows`` of every target, in index order regardless of pool
+    scheduling."""
+    return _in_chunks(target_rows, spec, spec.num_targets, jobs, tables, out, halve)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +316,21 @@ def cmd_gen(spec: RunSpec, out: Path):
 def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[CalibrationTable]:
     """Train and fit every reference, log its fits, and write its logits and
     table; returns the tables in index order. ``run-target`` and ``sweep``
-    rebuild stale tables with it too."""
+    rebuild stale tables with it too. A table is written only once every
+    reference is fitted, so a failed run leaves none to reuse."""
     out = Path(out)
-    logits_fp, table_fp = spec_fingerprint(spec), spec_fingerprint(spec, calibration=True)
-    runs = build_all_references(spec, jobs=jobs)
-    for run in runs:
-        name = f"ref_{run.index}"
-        for fit in run.fits:
+    table_fp = spec_fingerprint(spec, calibration=True)
+    runs = build_all_references(spec, out, jobs=jobs)
+    for i, (table, fits) in enumerate(runs):
+        name = f"ref_{i}"
+        for fit in fits:
             log.info(kv(event="fit", dataset=name, state=fit.state,
                         initial_loss=fit.initial_loss, final_loss=fit.final_loss,
                         iterations=fit.iterations, grad_norm=fit.grad_norm))
-        for logits in run.val_logits:
-            write_logits(out / "logits" / f"{name}_state_{logits.state}.csv", logits,
-                         logits_fp)
         path = out / "tables" / f"{name}.table.json"
-        write_table(path, run.table, table_fp)
+        write_table(path, table, table_fp)
         log.info(kv(event="table", dataset=name, path=path))
-    return [run.table for run in runs]
+    return [table for table, _ in runs]
 
 
 def _reusable(artifact: str, paths: list[Path], fingerprint: str) -> bool:
@@ -337,24 +350,24 @@ def _load_or_build_tables(spec: RunSpec, out: Path, jobs: int) -> list[Calibrati
     return [read_table(p, num_states=spec.schedule.num_states) for p in paths]
 
 
-def _load_or_build_target_logits(spec: RunSpec, out: Path, jobs: int) -> list[list]:
-    """Per-state test logits of every target: read from ``out/logits`` when
-    they carry the spec's fingerprint, else trained and written there."""
+def _target_rows(spec: RunSpec, out: Path, jobs: int, tables: dict) -> list[dict]:
+    """``target_rows`` of every target on its test logits: read from
+    ``out/logits`` one state at a time when they carry the spec's
+    fingerprint, else trained and written there."""
     states = range(1, spec.schedule.num_states + 1)
-    paths = [[out / "logits" / f"target_{j}_state_{s}.csv" for s in states]
+    paths = [[_logits_path(out, f"target_{j}", s) for s in states]
              for j in range(spec.num_targets)]
-    fingerprint = spec_fingerprint(spec)
-    if _reusable("target_logits", [p for per_target in paths for p in per_target], fingerprint):
-        seeds, per_class = target_seeds(spec), spec.synth.test_per_class
-        return [[read_logits(p, expect=(f"target_{j}", seeds[j], s, spec.schedule,
-                                        per_class * spec.schedule.classes_through(s)))
-                 for s, p in zip(states, per_target)]
-                for j, per_target in enumerate(paths)]
-    all_logits = all_target_logits(spec, jobs=jobs)
-    for per_target, test_logits in zip(paths, all_logits):
-        for path, logits in zip(per_target, test_logits):
-            write_logits(path, logits, fingerprint)
-    return all_logits
+    if not _reusable("target_logits", [p for per_target in paths for p in per_target],
+                     spec_fingerprint(spec)):
+        return all_target_rows(spec, tables, out, jobs)
+    seeds, per_class = target_seeds(spec), spec.synth.test_per_class
+    all_rows = [{key: [] for key in tables} for _ in paths]
+    for j, (per_target, rows) in enumerate(zip(paths, all_rows)):
+        for s, path in zip(states, per_target):
+            _score(read_logits(path, expect=(f"target_{j}", seeds[j], s, spec.schedule,
+                                             per_class * spec.schedule.classes_through(s))),
+                   tables, rows)
+    return all_rows
 
 
 def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1):
@@ -364,11 +377,12 @@ def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1):
     averaged = average_tables(tables)
     write_table(out / "tables" / "averaged.table.json", averaged,
                 spec_fingerprint(spec, calibration=True))
+    methods = {"raw": [None], "bic": [averaged.collapse_to_single_pair()],
+               "adbic": [averaged], "oracle": tables}
     comparison, per_state = [], []
-    all_logits = _load_or_build_target_logits(spec, out, jobs)
-    for j, test_logits in enumerate(all_logits):
+    for j, rows in enumerate(_target_rows(spec, out, jobs, methods)):
         name = f"target_{j}"
-        results = evaluate_target(test_logits, tables, averaged)
+        results = {method: RunMetrics.from_rows(rows[method]) for method in METHODS}
         raw_acc = results["raw"].average_incremental_accuracy
         for method in METHODS:
             metrics = results[method]
@@ -396,37 +410,39 @@ def _sampling_indices(spec: RunSpec, r: int) -> list[np.ndarray]:
             for _ in range(spec.sweep_samplings)]
 
 
+def _mean_accuracy(all_rows: list[dict], key) -> float:
+    """Mean over targets of the average incremental accuracy of ``key``'s rows."""
+    return float(np.mean([RunMetrics.from_rows(rows[key]).average_incremental_accuracy
+                          for rows in all_rows]))
+
+
 def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1):
     """Ablation over the number of averaged references, plus the
     halved-training-data protocol on the targets."""
     out = Path(out)
     tables = _load_or_build_tables(spec, out, jobs)
-    all_logits = _load_or_build_target_logits(spec, out, jobs)
-
-    def mean_accuracy(table: CalibrationTable | None) -> float:
-        return float(np.mean([apply_transfer(lg, table).average_incremental_accuracy
-                              for lg in all_logits]))
-
-    raw_mean = mean_accuracy(None)
+    cells = {(r, n): [average_tables([tables[i] for i in subset])]
+             for r in spec.sweep_r_values
+             for n, subset in enumerate(_sampling_indices(spec, r))}
+    all_rows = _target_rows(spec, out, jobs, {"raw": [None], **cells})
+    raw_mean = _mean_accuracy(all_rows, "raw")
     rows = []
     for r in spec.sweep_r_values:
-        subsets = _sampling_indices(spec, r)
-        samples = [mean_accuracy(average_tables([tables[i] for i in subset]))
-                   for subset in subsets]
+        samples = [_mean_accuracy(all_rows, key) for key in cells if key[0] == r]
         mean, std = float(np.mean(samples)), float(np.std(samples))
-        rows.append((r, len(subsets), raw_mean, mean, std, mean - raw_mean))
-        log.info(kv(event="sweep", r=r, samplings=len(subsets), corrected_mean=mean,
+        rows.append((r, len(samples), raw_mean, mean, std, mean - raw_mean))
+        log.info(kv(event="sweep", r=r, samplings=len(samples), corrected_mean=mean,
                     corrected_std=std, gain=mean - raw_mean))
     write_rows(out / "sweep.csv", ["r", "samplings", "raw_mean", "corrected_mean",
                                    "corrected_std", "gain_mean"], rows)
 
     if spec.sweep_halved:
-        del all_logits  # free the full-data logits before the halved stack trains
-        averaged = average_tables(tables)
+        halved = all_target_rows(spec, {"raw": [None], "adbic": [average_tables(tables)]},
+                                 jobs=jobs, halve=True)
         rows, gains = [], []
-        for j, test_logits in enumerate(all_target_logits(spec, jobs=jobs, halve=True)):
-            raw, cor = (apply_transfer(test_logits, table).average_incremental_accuracy
-                        for table in (None, averaged))
+        for j, by_method in enumerate(halved):
+            raw, cor = (RunMetrics.from_rows(by_method[method]).average_incremental_accuracy
+                        for method in ("raw", "adbic"))
             gains.append(cor - raw)
             rows += [(f"target_{j}", "raw", raw, 0.0), (f"target_{j}", "adbic", cor, cor - raw)]
         gain_mean = float(np.mean(gains))

@@ -1,10 +1,10 @@
 """Aggregation of calibration tables and their application to targets.
 
 Tables fitted on reference datasets are combined by an elementwise mean and
-applied to a target run that has no validation memory of its own. The
-oracle path picks, per state, the single reference table with the best
-target accuracy; it peeks at target test labels, so it is an upper bound,
-not a deployable method.
+applied to a target run that has no validation memory of its own, one
+state at a time. The oracle picks, per state, the single reference table
+with the best target accuracy; it peeks at target test labels, so it is an
+upper bound, not a deployable method.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .calibration import CalibrationTable, apply_table
 from .logits import StateLogits
-from .metrics import RunMetrics, compute_run_metrics, per_state_accuracy, predict
+from .metrics import per_state_accuracy, predict
 
 
 def param_count(num_states: int) -> int:
@@ -44,54 +44,21 @@ def _corrected_scores(logits: StateLogits, table: CalibrationTable | None) -> np
     return apply_table(logits, table)
 
 
-def apply_transfer(
-    per_state_logits: list[StateLogits],
-    table: CalibrationTable | None,
-) -> RunMetrics:
-    """Score the run with states 2..S corrected by ``table``; state 1 is
-    scored raw. Passing ``table=None`` scores the uncorrected run."""
-    _check_states(per_state_logits)
-    return compute_run_metrics(
-        [_corrected_scores(lg, table) for lg in per_state_logits],
-        [lg.labels for lg in per_state_logits],
-        per_state_logits[0].schedule,
-    )
+def score_state(logits: StateLogits,
+                tables: list[CalibrationTable | None]) -> tuple[float, np.ndarray]:
+    """Accuracy and per-group accuracies (``per_state_accuracy``) of one
+    state's logits, corrected by whichever of ``tables`` scores best on
+    them; ties break toward the lowest index, and state 1 is scored raw.
 
-
-def oracle_select(
-    tables: list[CalibrationTable],
-    per_state_logits: list[StateLogits],
-) -> RunMetrics:
-    """Per state, keep the table with the best corrected top-1 accuracy.
-
-    Ties break toward the lowest table index. Selection uses the target
-    evaluation labels, which makes this an upper bound on any fixed choice.
+    ``[table]`` transfers one table and ``[None]`` scores the raw logits.
+    Several tables give the oracle's pick: it uses the target evaluation
+    labels, which makes it an upper bound on any fixed choice.
     """
     if not tables:
-        raise ValueError("oracle needs at least one table")
-    _check_states(per_state_logits)
-    schedule = per_state_logits[0].schedule
-    scores_by_state = [per_state_logits[0].matrix]
-    for logits in per_state_logits[1:]:
-        best_acc, best_scores = -1.0, None
-        for table in tables:
-            corrected = apply_table(logits, table)
-            acc, _ = per_state_accuracy(
-                predict(corrected), logits.labels, schedule, logits.state
-            )
-            if acc > best_acc:
-                best_acc, best_scores = acc, corrected
-        scores_by_state.append(best_scores)
-    return compute_run_metrics(
-        scores_by_state, [lg.labels for lg in per_state_logits], schedule)
-
-
-def _check_states(per_state_logits: list[StateLogits]) -> None:
-    if not per_state_logits:
-        raise ValueError("need logits for states 1..S")
-    schedule = per_state_logits[0].schedule
-    states = [lg.state for lg in per_state_logits]
-    if states != list(range(1, len(states) + 1)):
-        raise ValueError(f"expected logits for states 1..S in order, got {states}")
-    if any(lg.schedule != schedule for lg in per_state_logits):
-        raise ValueError("all states must share one schedule")
+        raise ValueError("need at least one table, or None for the raw scores")
+    rows = (per_state_accuracy(predict(_corrected_scores(logits, table)), logits.labels,
+                               logits.schedule, logits.state)
+            for table in (tables if logits.state > 1 else tables[:1]))
+    # max keeps the first of equal rows; the generator holds one corrected
+    # matrix at a time.
+    return max(rows, key=lambda row: row[0])

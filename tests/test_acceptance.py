@@ -24,18 +24,17 @@ from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
                                   regularized_loss)
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
-from calib_il.metrics import compute_run_metrics, mean_scores_by_group
-from calib_il.pipeline import (_sampling_indices, all_target_logits,
+from calib_il.metrics import RunMetrics, compute_run_metrics, mean_scores_by_group
+from calib_il.pipeline import (_sampling_indices, all_target_rows,
                                build_all_references, cmd_gen, cmd_plot,
                                cmd_run_reference, cmd_run_target, cmd_sweep,
-                               evaluate_target, parse_run_spec)
+                               parse_run_spec)
 from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,
                               write_metrics, write_table)
 from calib_il.synth import StackedSets, StateView, SynthSpec, gen_synthetic_dataset
-from calib_il.transfer import (apply_transfer, average_tables, oracle_select,
-                               param_count)
+from calib_il.transfer import average_tables, param_count, score_state
 
 HARNESS = {
     "seed": 7,
@@ -64,6 +63,12 @@ def report(number, ok, detail):
     assert ok, f"criterion {number:02d} failed: {detail}"
 
 
+def score_run(run, tables):
+    """A whole run's metrics, each state scored by ``score_state``: one
+    table transfers it, ``[None]`` scores it raw, several pick per state."""
+    return RunMetrics.from_rows([score_state(lg, tables) for lg in run])
+
+
 def random_run(seed, num_states, per_state=2, n=200):
     sched = StateSchedule((per_state,) * num_states)
     rng = np.random.default_rng(seed)
@@ -76,16 +81,23 @@ def random_run(seed, num_states, per_state=2, n=200):
 
 
 @pytest.fixture(scope="module")
-def harness():
-    """The criterion-6 run: references, targets, per-target method metrics."""
+def harness(tmp_path_factory):
+    """The criterion-6 run: references, targets, per-target method metrics.
+    The pipeline streams each state's logits to disk as it scores them;
+    the criteria read the targets' logits back from there."""
     spec = parse_run_spec(dict(HARNESS))
+    out = tmp_path_factory.mktemp("harness")
     start = time.perf_counter()
-    references = build_all_references(spec)
-    tables = [run.table for run in references]
-    targets = all_target_logits(spec)
+    tables = [table for table, _ in build_all_references(spec, out)]
     averaged = average_tables(tables)
-    results = [evaluate_target(logits, tables, averaged) for logits in targets]
+    methods = {"raw": [None], "bic": [averaged.collapse_to_single_pair()],
+               "adbic": [averaged], "oracle": tables}
+    results = [{method: RunMetrics.from_rows(rows[method]) for method in methods}
+               for rows in all_target_rows(spec, methods, out)]
     elapsed = time.perf_counter() - start
+    targets = [[read_logits(out / "logits" / f"target_{j}_state_{s}.csv")
+                for s in range(1, spec.schedule.num_states + 1)]
+               for j in range(spec.num_targets)]
     return {"spec": spec, "tables": tables, "targets": targets,
             "results": results, "elapsed": elapsed}
 
@@ -98,8 +110,8 @@ def test_criterion_01_identity_invariance():
         identity = CalibrationTable.identity(S)
         for lg in run[1:]:
             ok &= apply_table(lg, identity).tobytes() == lg.matrix.tobytes()
-        raw = apply_transfer(run, None)
-        ident = apply_transfer(run, identity)
+        raw = score_run(run, [None])
+        ident = score_run(run, [identity])
         ok &= np.array_equal(raw.per_state_accuracy, ident.per_state_accuracy,
                              equal_nan=True)
         ok &= np.array_equal(raw.group_accuracy, ident.group_accuracy, equal_nan=True)
@@ -239,9 +251,9 @@ def test_criterion_06_end_to_end_transfer_gain(harness):
 def test_criterion_07_oracle_dominance(harness):
     violations = 0
     for logits in harness["targets"]:
-        oracle = oracle_select(harness["tables"], logits)
+        oracle = score_run(logits, harness["tables"])
         for table in harness["tables"]:
-            single = apply_transfer(logits, table)
+            single = score_run(logits, [table])
             for s in range(2, 6):
                 if oracle.per_state_accuracy[s - 1] < single.per_state_accuracy[s - 1]:
                     violations += 1
@@ -311,7 +323,7 @@ def test_criterion_10_reference_count_ablation(harness):
 
     def corrected_mean(subset):
         averaged = average_tables([harness["tables"][i] for i in subset])
-        accs = [apply_transfer(logits, averaged).average_incremental_accuracy
+        accs = [score_run(logits, [averaged]).average_incremental_accuracy
                 for logits in harness["targets"]]
         return float(np.mean(accs))
 

@@ -4,9 +4,11 @@ Every probe runs ``cli.main`` in-process on a copy of one finished tiny
 run: a mistyped table field, bytes that are not UTF-8, a directory or an
 oversized cell where a file is read, a plain file where an output
 directory goes, per_state.csv rows that name an unknown method, repeat a
-point or leave points out, and a logits file cut at a row boundary. A derandomized property then mutates one artifact at a
-time and requires each consuming command to refuse it (exit 3) or to
-behave as on the clean tree.
+point or leave points out, and a logits file cut at a row boundary. A run
+that fails part-way (exit 4) leaves nothing that a later command reuses. A
+derandomized property then mutates one artifact at a time and requires
+each consuming command to refuse it (exit 3) or to behave as on the clean
+tree.
 """
 
 import concurrent.futures
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from calib_il import cli
-from calib_il.pipeline import (all_target_logits, cmd_plot, cmd_run_reference, cmd_run_target,
+from calib_il import backbones, cli, pipeline
+from calib_il.errors import NumericError
+from calib_il.pipeline import (all_target_rows, cmd_plot, cmd_run_reference, cmd_run_target,
                                cmd_sweep, parse_run_spec)
 
 SPEC = {
@@ -234,7 +237,7 @@ def test_a_logits_file_cut_at_a_row_boundary_exits_3(clean, out, run):
                       "11 data rows, but the spec makes 24")
 
 
-def test_pool_size_is_bounded_by_the_chunks(monkeypatch):
+def test_pool_size_is_bounded_by_the_chunks(monkeypatch, tmp_path):
     """A huge --jobs asks for one worker per chunk. The recording pool runs
     the chunks serially, so no process starts."""
     sizes = []
@@ -254,11 +257,72 @@ def test_pool_size_is_bounded_by_the_chunks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     spec = parse_run_spec(SPEC)
-    logits = all_target_logits(spec, jobs=10**9)
+    pooled = all_target_rows(spec, {"raw": [None]}, tmp_path / "pooled", jobs=10**9)
     assert sizes == [spec.num_targets]
-    serial = all_target_logits(spec, jobs=1)
-    assert [[lg.matrix.tobytes() for lg in per] for per in logits] == \
-        [[lg.matrix.tobytes() for lg in per] for per in serial]
+    serial = all_target_rows(spec, {"raw": [None]}, tmp_path / "serial", jobs=1)
+    assert [[(acc, group.tobytes()) for acc, group in rows["raw"]] for rows in pooled] == \
+        [[(acc, group.tobytes()) for acc, group in rows["raw"]] for rows in serial]
+    assert tree(tmp_path / "pooled") == tree(tmp_path / "serial")
+
+
+# ---------------------------------------------------------------------------
+# a run that fails part-way
+
+
+class TestFailedRuns:
+    """Streaming writes the logits of states 1..s-1 before a failure at
+    state s. Tables and results are written only after every state, so a
+    failed run leaves nothing a later command may reuse: it rebuilds, and
+    the finished tree equals a clean run's byte for byte."""
+
+    def finish(self, run, spec_path, out, commands):
+        for command in commands:
+            code, lines = run(command, spec_path, out)
+            assert code == 0, lines[-3:]
+
+    def test_a_failed_reference_fit_leaves_no_table(self, clean, run, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        real = pipeline.fit_state
+
+        def fit_state(logits, config):
+            if logits.state == 3:
+                raise NumericError(f"dataset {logits.dataset!r}, state 3: injected failure")
+            return real(logits, config)
+
+        monkeypatch.setattr(pipeline, "fit_state", fit_state)
+        code, lines = run("run-reference", clean[0], out)
+        assert code == 4 and lines[-1].startswith("event=error kind=numeric"), lines[-3:]
+        assert (out / "logits" / "ref_0_state_3.csv").exists()
+        assert not list(out.rglob("*.table.json"))
+        monkeypatch.setattr(pipeline, "fit_state", real)
+        code, lines = run("run-target", clean[0], out)
+        assert code == 0, lines[-3:]
+        assert "event=cache artifact=tables action=rebuild reason=missing" in lines
+        self.finish(run, clean[0], out, ("sweep", "plot"))
+        assert tree(out) == tree(clean[1])
+
+    def test_a_failed_target_writes_no_results(self, clean, run, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        self.finish(run, clean[0], out, ("run-reference",))
+        real = backbones._stack_logits
+
+        def stack_logits(model, x, labels, state, schedule, datasets, *rest):
+            if state == 3 and datasets[0].startswith("target"):
+                raise NumericError(f"dataset {datasets[0]!r}, state 3: injected divergence")
+            return real(model, x, labels, state, schedule, datasets, *rest)
+
+        monkeypatch.setattr(backbones, "_stack_logits", stack_logits)
+        code, lines = run("run-target", clean[0], out)
+        assert code == 4 and lines[-1].startswith("event=error kind=numeric"), lines[-3:]
+        assert (out / "logits" / "target_1_state_2.csv").exists()
+        assert not (out / "metrics").exists()
+        assert not (out / "comparison.csv").exists() and not (out / "per_state.csv").exists()
+        monkeypatch.setattr(backbones, "_stack_logits", real)
+        code, lines = run("run-target", clean[0], out)
+        assert code == 0, lines[-3:]
+        assert "event=cache artifact=target_logits action=rebuild reason=missing" in lines
+        self.finish(run, clean[0], out, ("sweep", "plot"))
+        assert tree(out) == tree(clean[1])
 
 
 # ---------------------------------------------------------------------------

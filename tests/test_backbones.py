@@ -71,6 +71,17 @@ def quick_config(kind="ftplus", **kw):
     return BackboneConfig(**base)
 
 
+def run_stack(config, datasets, names, seeds, sets=("validation", "test")):
+    """Every state's logits from ``run_incremental_stack``, gathered per
+    set and model: the whole run, as a test may hold it."""
+    out = {name: [[] for _ in names] for name in sets}
+    for _, logits in run_incremental_stack(config, datasets, names, seeds, sets):
+        for name in sets:
+            for per_model, state_logits in zip(out[name], logits[name], strict=True):
+                per_model.append(state_logits)
+    return tuple(out[name] for name in sets)
+
+
 def model_bytes(model):
     return tuple(arr.tobytes() for arr in
                  (model.w1, model.b1, model.w2, model.b2,
@@ -362,16 +373,36 @@ class TestRunIncremental:
     def test_shapes_states_and_determinism(self):
         data = quick_dataset(seed=9)
         config = quick_config()
-        (val,), (test,) = run_incremental_stack(config, [data], ["d0"], [9])
+        (val,), (test,) = run_stack(config, [data], ["d0"], [9])
         assert [lg.state for lg in val] == [1, 2, 3]
         assert [lg.state for lg in test] == [1, 2, 3]
         for s, lg in enumerate(val, start=1):
             assert lg.matrix.shape[1] == data.schedule.classes_through(s)
             np.testing.assert_array_equal(lg.labels, seen(data, "validation", s)[1])
             assert lg.dataset == "d0" and lg.backbone == "ftplus"
-        (val2,), _ = run_incremental_stack(config, [data], ["d0"], [9])
+        (val2,), _ = run_stack(config, [data], ["d0"], [9])
         for a, b in zip(val, val2):
             assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    def test_yields_each_state_before_the_next_trains(self, monkeypatch):
+        """The stack is a generator: state s is handed over before state
+        s+1 trains, with the logits of the sets asked for only."""
+        updates = []
+        real = backbones.update_state
+
+        def counting(model, view, schedule, config):
+            updates.append(view.state)
+            return real(model, view, schedule, config)
+
+        monkeypatch.setattr(backbones, "update_state", counting)
+        stack = run_incremental_stack(quick_config(), [quick_dataset(seed=9)], ["d0"], [9],
+                                      sets=("test",))
+        assert updates == []
+        for want, (state, logits) in enumerate(stack, start=1):
+            assert state == want and updates == list(range(2, state + 1))
+            assert list(logits) == ["test"]
+            assert [lg.state for lg in logits["test"]] == [state]
+        assert want == 3
 
 
 class TestLockstep:
@@ -384,9 +415,9 @@ class TestLockstep:
         datasets = [quick_dataset(seed=20 + r) for r in range(3)]
         names, seeds = ["d0", "d1", "d2"], [20, 21, 22]
         config = quick_config(kind, batch_size=7)
-        val, test = run_incremental_stack(config, datasets, names, seeds)
+        val, test = run_stack(config, datasets, names, seeds)
         for r, data in enumerate(datasets):
-            (alone_val,), (alone_test,) = run_incremental_stack(
+            (alone_val,), (alone_test,) = run_stack(
                 config, [data], [names[r]], [seeds[r]])
             for got, want in zip(val[r] + test[r], alone_val + alone_test, strict=True):
                 assert got.state == want.state
@@ -397,7 +428,7 @@ class TestLockstep:
     def test_stack_needs_equal_sample_counts(self):
         small = quick_dataset(seed=1, train=10)
         with pytest.raises(ValueError, match="cannot be stacked"):
-            run_incremental_stack(quick_config(), [quick_dataset(), small],
+            run_stack(quick_config(), [quick_dataset(), small],
                                   ["a", "b"], [0, 1])
 
 
@@ -440,9 +471,9 @@ class TestEpochGather:
         and the cosine head included)."""
         datasets = [quick_dataset(seed=40 + r) for r in range(2)]
         config = quick_config(kind, batch_size=7)
-        got = run_incremental_stack(config, datasets, ["d0", "d1"], [40, 41])
+        got = run_stack(config, datasets, ["d0", "d1"], [40, 41])
         monkeypatch.setattr(backbones, "_sgd_epochs", per_batch_sgd_epochs)
-        want = run_incremental_stack(config, datasets, ["d0", "d1"], [40, 41])
+        want = run_stack(config, datasets, ["d0", "d1"], [40, 41])
         for got_set, want_set in zip(got, want, strict=True):
             for got_model, want_model in zip(got_set, want_set, strict=True):
                 for a, b in zip(got_model, want_model, strict=True):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from calib_il import calibration
 from calib_il.calibration import (GRAD_TOL, CalibConfig, CalibrationTable,
-                                  apply_bic, apply_table, fit_state, fit_tables,
+                                  StateFit, apply_bic, apply_table, fit_state,
                                   loss_gradient, regularized_loss, softmax)
 from calib_il.errors import NumericError
 from calib_il.logits import StateLogits
@@ -445,40 +445,56 @@ class TestFitTable:
 
     def test_assembles_complete_table(self):
         logits = self.make_states(0, (2, 1, 2))
-        ((table, fits),) = fit_tables([logits], CalibConfig())
+        fits = [fit_state(lg, CalibConfig()) for lg in logits]
+        table = CalibrationTable.from_fits(fits)
         assert table.num_states == 3
         assert [f.state for f in fits] == [2, 3]
         assert all(f.final_loss <= f.initial_loss for f in fits)
         assert all(f.grad_norm <= GRAD_TOL for f in fits)
+        for fit in fits:
+            alpha, beta = table.pairs_for_state(fit.state)
+            assert alpha.tobytes() == fit.alpha.tobytes()
+            assert beta.tobytes() == fit.beta.tobytes()
 
     def test_missing_state_rejected(self):
-        logits = self.make_states(1, (2, 1, 2))
-        with pytest.raises(ValueError, match=r"missing validation logits for states \[3\]"):
-            fit_tables([logits[:1]], CalibConfig())
+        logits = self.make_states(1, (2, 1, 2, 1))
+        fits = [fit_state(lg, CalibConfig()) for lg in logits]
+        with pytest.raises(ValueError, match=r"missing pairs \[\(3, 1\), \(3, 2\), \(3, 3\)\]"):
+            CalibrationTable.from_fits([fits[0], fits[2]])
 
     def test_state_one_rejected(self):
-        # State 1 has a single group and nothing to correct; feeding it in
-        # (e.g. the full output of run_incremental_stack) should be named as such.
+        # State 1 has a single group and nothing to correct: it cannot be
+        # fitted, and a fit that claims it does not belong in a table.
         logits = self.make_states(3, (2, 1, 2))
         sched = logits[0].schedule
         rng = np.random.default_rng(30)
         first = StateLogits(1, rng.normal(0, 2, (30, 2)), rng.integers(0, 2, 30), sched)
-        with pytest.raises(ValueError, match=r"unexpected validation logits for states \[1\]"):
-            fit_tables([[first] + logits], CalibConfig())
+        with pytest.raises(ValueError, match="state 1 has no pairs to fit"):
+            fit_state(first, CalibConfig())
+        fits = [fit_state(lg, CalibConfig()) for lg in logits]
+        claimed = StateFit(1, np.ones(1), np.zeros(1), 0.0, 0.0, 0, 0.0)
+        with pytest.raises(ValueError, match=r"unexpected pairs \[\(1, 1\)\]"):
+            CalibrationTable.from_fits([claimed] + fits)
 
     def test_duplicate_state_rejected(self):
         logits = self.make_states(2, (2, 2))
+        fits = [fit_state(lg, CalibConfig()) for lg in logits]
         with pytest.raises(ValueError, match="duplicate"):
-            fit_tables([logits + logits], CalibConfig())
+            CalibrationTable.from_fits(fits + fits)
 
     def test_fit_tables_equals_one_at_a_time(self):
-        """References of unequal validation sizes each get the bits they
-        get when fitted alone."""
+        """References of unequal validation sizes fitted state by state,
+        interleaved as a streamed reference stack fits them, each get the
+        bits they get when fitted alone, one reference after another."""
         refs = [self.make_states(40 + r, (9, 9, 2), n=30 + 5 * r) for r in range(3)]
         config = CalibConfig()
-        for logits, (table, fits) in zip(refs, fit_tables(refs, config), strict=True):
-            ((alone_table, alone_fits),) = fit_tables([logits], config)
-            assert table == alone_table
+        interleaved = [[] for _ in refs]
+        for state_logits in zip(*refs):
+            for fits, logits in zip(interleaved, state_logits):
+                fits.append(fit_state(logits, config))
+        for logits, fits in zip(refs, interleaved, strict=True):
+            alone_fits = [fit_state(lg, config) for lg in logits]
+            assert CalibrationTable.from_fits(fits) == CalibrationTable.from_fits(alone_fits)
             for got, want in zip(fits, alone_fits, strict=True):
                 assert got.state == want.state
                 assert got.alpha.tobytes() == want.alpha.tobytes()

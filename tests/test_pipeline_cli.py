@@ -25,11 +25,12 @@ from calib_il import cli, pipeline
 from calib_il.backbones import BackboneConfig
 from calib_il.calibration import CalibConfig, CalibrationTable
 from calib_il.errors import MetadataError, SchemaError, SpecError
-from calib_il.pipeline import (all_target_logits, build_all_references, cmd_gen,
+from calib_il.metrics import RunMetrics
+from calib_il.pipeline import (all_target_rows, build_all_references, cmd_gen,
                                cmd_plot, cmd_run_reference, cmd_run_target,
-                               cmd_sweep, evaluate_target, kv, load_run_spec,
-                               make_dataset, parse_run_spec, reference_seeds,
-                               spec_fingerprint, target_logits, target_seeds)
+                               cmd_sweep, kv, load_run_spec, make_dataset,
+                               parse_run_spec, reference_seeds, spec_fingerprint,
+                               target_seeds)
 from calib_il.plots import Series, render_heat_grid, render_line_chart
 from calib_il.storage import read_table, write_table
 from calib_il.transfer import average_tables
@@ -266,42 +267,99 @@ class TestSeedsAndSplits:
         assert line == "event=fit state=2 final_loss=0.5"
 
 
-class TestEvaluateTarget:
-    def test_identity_tables_reproduce_raw(self):
-        spec = tiny_spec()
-        logits = target_logits(spec, [0])[0]
-        tables = [CalibrationTable.identity(2)] * 2
-        results = evaluate_target(logits, tables, average_tables(tables))
-        assert set(results) == {"raw", "bic", "adbic", "oracle"}
-        for method in ("bic", "adbic", "oracle"):
-            np.testing.assert_array_equal(results[method].per_state_accuracy,
-                                          results["raw"].per_state_accuracy)
-            np.testing.assert_array_equal(results[method].group_accuracy,
-                                          results["raw"].group_accuracy)
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
-    def test_jobs_do_not_change_results(self):
-        """--jobs 2 splits each two-model stack into two one-model chunks;
-        every table, fit and logits matrix must match the single stack
-        bitwise, for references, targets and halved targets alike."""
+
+class TestEvaluateTarget:
+    def test_identity_tables_reproduce_raw(self, tmp_path):
+        """With identity reference tables under --out, every method scores
+        each target exactly as the raw run does."""
         spec = tiny_spec()
-        serial = build_all_references(spec, jobs=1)
-        pooled = build_all_references(spec, jobs=2)
-        assert [run.index for run in serial] == [run.index for run in pooled] == [0, 1]
-        for a, b in zip(serial, pooled, strict=True):
-            assert a.table == b.table
+        for i in range(2):
+            write_table(tmp_path / "tables" / f"ref_{i}.table.json",
+                        CalibrationTable.identity(2), spec_fingerprint(spec, calibration=True))
+        cmd_run_target(spec, tmp_path)
+        for j in range(2):
+            raw = (tmp_path / "metrics" / f"target_{j}_raw.csv").read_bytes()
+            for method in ("bic", "adbic", "oracle"):
+                assert (tmp_path / "metrics" / f"target_{j}_{method}.csv").read_bytes() == raw
+
+    def test_jobs_do_not_change_results(self, tmp_path):
+        """--jobs 2 splits each two-model stack into two one-model chunks;
+        every written logits file, table, fit and per-method metrics must
+        match the single stack bitwise, for references, targets and
+        halved targets alike."""
+        spec = tiny_spec()
+        outs = {jobs: tmp_path / f"jobs_{jobs}" for jobs in (1, 2)}
+        serial, pooled = (build_all_references(spec, out, jobs=jobs) for jobs, out in outs.items())
+        assert len(serial) == len(pooled) == 2
+        for (a_table, a_fits), (b_table, b_fits) in zip(serial, pooled, strict=True):
+            assert a_table == b_table
             assert ([(f.alpha.tobytes(), f.beta.tobytes(), f.initial_loss, f.final_loss)
-                     for f in a.fits]
+                     for f in a_fits]
                     == [(f.alpha.tobytes(), f.beta.tobytes(), f.initial_loss, f.final_loss)
-                        for f in b.fits])
-            assert ([lg.matrix.tobytes() for lg in a.val_logits]
-                    == [lg.matrix.tobytes() for lg in b.val_logits])
+                        for f in b_fits])
+        tables = [table for table, _ in serial]
+        methods = {"raw": [None], "adbic": [average_tables(tables)], "oracle": tables}
         for halve in (False, True):
-            serial = all_target_logits(spec, jobs=1, halve=halve)
-            pooled = all_target_logits(spec, jobs=2, halve=halve)
+            serial, pooled = (all_target_rows(spec, methods, None if halve else out, jobs, halve)
+                              for jobs, out in outs.items())
             assert len(serial) == len(pooled) == 2
             for a, b in zip(serial, pooled, strict=True):
-                assert [lg.dataset for lg in a] == [lg.dataset for lg in b]
-                assert [lg.matrix.tobytes() for lg in a] == [lg.matrix.tobytes() for lg in b]
+                for method in methods:
+                    got, want = (RunMetrics.from_rows(rows[method]) for rows in (a, b))
+                    assert got.per_state_accuracy.tobytes() == want.per_state_accuracy.tobytes()
+                    assert got.group_accuracy.tobytes() == want.group_accuracy.tobytes()
+        assert len(tree_bytes(outs[1])) == 2 * 2 * 2 * 2  # refs+targets x states x sidecar
+        assert tree_bytes(outs[1]) == tree_bytes(outs[2])
+
+
+class TestStreamedLogits:
+    """No subcommand holds every state's logits: each state is written,
+    fitted or scored before the next one trains. In these specs one
+    evaluation set's logits dominate the run's memory (two features, a
+    hidden layer of four), and the last state holds a sixth (16 states)
+    or a fourteenth (40 states) of them; a fit holds a few copies of its
+    state's logits at once."""
+
+    @staticmethod
+    def spec(num_states, num_classes, **per_class):
+        return parse_run_spec({
+            "seed": 5,
+            "data": {"num_classes": num_classes, "feature_dim": 2, "train_per_class": 2,
+                     "val_per_class": 2, "test_per_class": 2, **per_class,
+                     "num_references": 1, "num_targets": 1},
+            "schedule": {"num_states": num_states},
+            "backbone": {"hidden_dim": 4, "epochs_initial": 1, "epochs_incremental": 1}})
+
+    @staticmethod
+    def all_logits_bytes(spec, per_class):
+        return sum(8 * per_class * spec.schedule.classes_through(s) ** 2
+                   for s in range(1, spec.schedule.num_states + 1))
+
+    @staticmethod
+    def peak(command, spec, out):
+        command(tiny_spec(), out / "warm")  # lazy imports and first-call caches
+        tracemalloc.start()
+        try:
+            command(spec, out / "run")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_target_holds_one_state_of_test_logits(self, tmp_path):
+        spec = self.spec(16, 32, test_per_class=100)
+        total = self.all_logits_bytes(spec, 100)
+        peak = self.peak(cmd_run_target, spec, tmp_path)
+        assert peak < total / 2, (peak, total)
+
+    def test_run_reference_holds_one_state_of_validation_logits(self, tmp_path):
+        spec = self.spec(40, 80, val_per_class=8)
+        total = self.all_logits_bytes(spec, 8)
+        peak = self.peak(cmd_run_reference, spec, tmp_path)
+        assert peak < total / 2, (peak, total)
 
 
 @pytest.fixture(scope="module")

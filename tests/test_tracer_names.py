@@ -13,11 +13,19 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Names the pipeline stopped calling before the tracer moved to the stacked
 # entry points (see ROADMAP item 1); pipeline._atomic_write, whose writes
-# now go through storage.write_rows and storage.write_svg; and
+# now go through storage.write_rows and storage.write_svg;
 # pipeline.split_states, gone because each dataset is drawn on the run's
-# schedule and only synth.StackedSets cuts it into states.
+# schedule and only synth.StackedSets cuts it into states; and the
+# whole-run helpers gone since each trained state is streamed to its writer,
+# fit and scorer: pipeline.all_target_logits and pipeline.evaluate_target
+# (now pipeline.all_target_rows, which scores each state as it is trained),
+# pipeline.apply_transfer and pipeline.oracle_select (now one per-state
+# transfer.score_state), and transfer.compute_run_metrics (the rows build
+# a RunMetrics with RunMetrics.from_rows).
 STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax",
-         "pipeline._atomic_write", "pipeline.split_states"}
+         "pipeline._atomic_write", "pipeline.split_states",
+         "pipeline.all_target_logits", "pipeline.evaluate_target", "pipeline.apply_transfer",
+         "pipeline.oracle_select", "transfer.compute_run_metrics"}
 
 
 def load_tracer():

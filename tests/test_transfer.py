@@ -7,8 +7,7 @@ from calib_il.calibration import CalibrationTable, apply_table
 from calib_il.logits import StateLogits
 from calib_il.metrics import RunMetrics, compute_run_metrics
 from calib_il.schedule import StateSchedule
-from calib_il.transfer import (apply_transfer, average_tables, oracle_select,
-                               param_count)
+from calib_il.transfer import average_tables, param_count, score_state
 
 
 def random_table(seed, num_states):
@@ -24,6 +23,11 @@ def assert_same_metrics(a: RunMetrics, b: RunMetrics):
     np.testing.assert_array_equal(a.per_state_accuracy, b.per_state_accuracy)
     np.testing.assert_array_equal(a.group_accuracy, b.group_accuracy)
     assert a.average_incremental_accuracy == b.average_incremental_accuracy
+
+
+def score_run(run, tables):
+    """A whole run's metrics, each state scored by ``score_state``."""
+    return RunMetrics.from_rows([score_state(lg, tables) for lg in run])
 
 
 def make_run(seed, sizes, n=25):
@@ -99,32 +103,32 @@ class TestApplyTransfer:
         table = random_table(3, 3)
         scores = [run[0].matrix] + [apply_table(lg, table) for lg in run[1:]]
         assert_same_metrics(
-            apply_transfer(run, table),
+            score_run(run, [table]),
             compute_run_metrics(scores, [lg.labels for lg in run], run[0].schedule))
 
     def test_none_table_scores_raw_run(self):
         run = make_run(1, (2, 2))
         assert_same_metrics(
-            apply_transfer(run, None),
+            score_run(run, [None]),
             compute_run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
                                 run[0].schedule))
 
     def test_identity_table_equals_raw(self):
         run = make_run(2, (2, 2, 2))
-        assert_same_metrics(apply_transfer(run, None),
-                            apply_transfer(run, CalibrationTable.identity(3)))
+        assert_same_metrics(score_run(run, [None]),
+                            score_run(run, [CalibrationTable.identity(3)]))
 
     def test_short_table_rejected(self):
         run = make_run(3, (2, 2, 2))
         with pytest.raises(ValueError, match="does not cover"):
-            apply_transfer(run, CalibrationTable.identity(2))
+            score_run(run, [CalibrationTable.identity(2)])
 
     def test_states_must_be_ordered(self):
         run = make_run(4, (2, 2))
-        with pytest.raises(ValueError, match="states 1..S in order"):
-            apply_transfer(run[::-1], None)
-        with pytest.raises(ValueError):
-            apply_transfer([], None)
+        with pytest.raises(ValueError, match="one row per state 1..S, in order"):
+            score_run(run[::-1], [None])
+        with pytest.raises(ValueError, match="one row per state 1..S, in order"):
+            score_run([], [None])
 
 
 class TestOracle:
@@ -133,9 +137,9 @@ class TestOracle:
         is >= each individual table's accuracy with exact arithmetic."""
         run = make_run(5, (2, 1, 2), n=40)
         tables = [random_table(10 + i, 3) for i in range(6)]
-        oracle = oracle_select(tables, run)
+        oracle = score_run(run, tables)
         for table in tables:
-            single = apply_transfer(run, table)
+            single = score_run(run, [table])
             for s in range(2, 4):
                 assert oracle.per_state_accuracy[s - 1] >= single.per_state_accuracy[s - 1]
 
@@ -156,10 +160,10 @@ class TestOracle:
         ]
         repair = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (4.0, 12.0))])
         wreck = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (0.1, -5.0))])
-        repaired = apply_transfer(run, repair)
+        repaired = score_run(run, [repair])
         assert (repaired.per_state_accuracy[1]
-                > apply_transfer(run, wreck).per_state_accuracy[1])
-        assert_same_metrics(oracle_select([wreck, repair], run), repaired)
+                > score_run(run, [wreck]).per_state_accuracy[1])
+        assert_same_metrics(score_run(run, [wreck, repair]), repaired)
 
     def test_ties_break_to_lowest_index(self):
         """Boosting group 1 fixes sample 0 and boosting group 2 fixes
@@ -175,12 +179,13 @@ class TestOracle:
         boost_new = CalibrationTable.from_pairs(2, [((2, 1), (1.0, 0.0)), ((2, 2), (1.0, 1.0))])
         for first, second, row in ((boost_old, boost_new, [1.0, 0.0]),
                                    (boost_new, boost_old, [0.0, 1.0])):
-            oracle = oracle_select([first, second], run)
+            oracle = score_run(run, [first, second])
             assert oracle.per_state_accuracy[1] == 0.5
             np.testing.assert_array_equal(oracle.group_accuracy[1], row)
-            assert_same_metrics(oracle, apply_transfer(run, first))
+            assert_same_metrics(oracle, score_run(run, [first]))
 
     def test_empty_tables_rejected(self):
         run = make_run(9, (2, 2))
-        with pytest.raises(ValueError):
-            oracle_select([], run)
+        for logits in run:
+            with pytest.raises(ValueError, match="at least one table"):
+                score_state(logits, [])
