@@ -20,8 +20,8 @@ from .metrics import (RunMetrics, avg_incremental_accuracy,
 from .schedule import StateSchedule
 from .storage import (read_dataset, read_logits, read_metrics_rows, read_table,
                       write_dataset, write_logits, write_metrics, write_table)
-from .synth import (IncrementalDataset, SynthSpec, gen_synthetic_dataset,
-                    halve_train_split)
+from .synth import (IncrementalDataset, StateDraw, SynthSpec, draw_states,
+                    gen_synthetic_dataset)
 from .transfer import average_tables, param_count, score_state
 
 __version__ = "0.1.0"
@@ -39,8 +39,8 @@ __all__ = [
     "predict",
     "read_dataset", "read_logits", "read_metrics_rows", "read_table",
     "write_dataset", "write_logits", "write_metrics", "write_table",
-    "IncrementalDataset", "SynthSpec", "gen_synthetic_dataset",
-    "halve_train_split",
+    "IncrementalDataset", "StateDraw", "SynthSpec", "draw_states",
+    "gen_synthetic_dataset",
     "average_tables", "param_count", "score_state",
     "__version__",
 ]

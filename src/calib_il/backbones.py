@@ -23,9 +23,10 @@ whose batches are (R, b, d), one dataset per slice; the models share one
 schedule, so ``class_first_state`` has no model axis.
 ``train_initial`` and ``update_state`` are the per-state steps of a
 stack; ``run_incremental_stack`` runs them through all states, reading the
-R datasets through ``synth.StackedSets``, which cuts them into states and
-holds only the sets the run still needs, and yields each state's logits
-as soon as the state is trained. One model is a stack of one.
+R datasets through ``synth.StackedSets``, which pulls each state's block
+from every dataset's per-state draw only when that state trains and keeps
+the evaluation sets the run reads, and yields each state's logits as soon
+as the state is trained. One model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import NumericError, SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
-from .synth import IncrementalDataset, StackedSets, StateView
+from .synth import IncrementalDataset, StackedSets, StateDraw, StateView
 
 KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
 
@@ -334,10 +335,12 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
     n = y.shape[1]
     for _ in range(epochs):
         order = rng.permutation(n)
-        np.take(x, order, axis=1, out=xs)
-        np.take(y, order, axis=1, out=ys)
+        # A permutation is in range, and "clip" writes straight into the
+        # buffer, where the default mode would gather into a temporary.
+        np.take(x, order, axis=1, out=xs, mode="clip")
+        np.take(y, order, axis=1, out=ys, mode="clip")
         if ts is not None:
-            np.take(targets, order, axis=1, out=ts)
+            np.take(targets, order, axis=1, out=ts, mode="clip")
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)
             xb, yb = xs[:, batch], ys[:, batch]
@@ -497,17 +500,19 @@ def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
     return out
 
 
-def run_incremental_stack(config: BackboneConfig, datasets: Iterable[IncrementalDataset],
+def run_incremental_stack(config: BackboneConfig,
+                          datasets: Iterable[StateDraw | IncrementalDataset],
                           names: list[str], seeds: list[int],
                           sets: tuple[str, ...] = ("validation", "test")):
     """Train one model per dataset through all states, all in one lockstep.
 
-    ``datasets`` may be any iterable, e.g. a generator that builds each
-    dataset on demand; it is read once, one dataset at a time, and only
-    the sets the run reads are kept (``StackedSets``). The datasets must
-    share one schedule and have equal per-state sample counts, as the
-    datasets generated from one spec do. ``names`` and ``seeds`` label each
-    model's logits.
+    Each dataset is a per-state draw (``synth.draw_states``) or a whole
+    ``IncrementalDataset``, which is cut into its states. A state's block
+    is drawn from each dataset only when the state trains, and only the
+    sets the run reads are kept (``StackedSets``). The datasets must share
+    one schedule and have equal per-state sample counts, as the datasets
+    drawn from one spec do. ``names`` and ``seeds`` label each model's
+    logits.
 
     A generator: right after each state is trained and scored it yields
     ``(state, logits)``, where ``logits`` maps each entry of ``sets``
@@ -518,8 +523,8 @@ def run_incremental_stack(config: BackboneConfig, datasets: Iterable[Incremental
     data = StackedSets(datasets, sets)
     model = None
     for state in range(1, data.schedule.num_states + 1):
-        # Each stacked set is dropped after use, so at most one is held
-        # besides the model.
+        # Each state's training set is drawn here and dropped after use,
+        # so one is held besides the model and the evaluation sets.
         view = StateView(state, *data.train(state))
         if model is None:
             model = train_initial(config, view, data.schedule)

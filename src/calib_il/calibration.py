@@ -33,13 +33,18 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     Accepts a single score vector or a matrix of row vectors; float64
     accumulation throughout.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.array(scores, dtype=np.float64)  # a copy, normalized in place
     if scores.size == 0:
         raise ValueError("softmax of an empty score vector is undefined")
-    exp = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(exp, out=exp)
-    exp /= exp.sum(axis=-1, keepdims=True)
-    return exp
+    return _softmax_in_place(scores)
+
+
+def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
+    """``softmax`` of float64 ``scores``, computed in their own buffer."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,9 @@ def _gradient(matrix, labels, q, alpha, beta, starts, config: CalibConfig):
     n = len(labels)
     residual[np.arange(n), labels] -= 1.0
     residual /= n
-    grad_alpha = np.add.reduceat((residual * matrix).sum(axis=0), starts)
     grad_beta = np.add.reduceat(residual.sum(axis=0), starts)
+    residual *= matrix
+    grad_alpha = np.add.reduceat(residual.sum(axis=0), starts)
     grad_alpha += 2.0 * config.l2_alpha * (alpha - 1.0)
     grad_beta += 2.0 * config.l2_beta * beta
     return grad_alpha, grad_beta
@@ -253,7 +259,8 @@ def _hessian(matrix, q, starts, config: CalibConfig) -> np.ndarray:
     hess /= -n
     sums = u.sum(axis=0) / n
     k = np.arange(s)
-    hess[k, k] += (np.add.reduceat((weighted * matrix).sum(axis=0), starts) / n
+    weighted *= matrix
+    hess[k, k] += (np.add.reduceat(weighted.sum(axis=0), starts) / n
                    + 2.0 * config.l2_alpha)
     hess[k, k + s] += sums[:s]
     hess[k + s, k] += sums[:s]
@@ -279,7 +286,7 @@ def loss_gradient(
     """
     if matrix.shape[0] == 0:
         raise ValueError("gradient of an empty batch is undefined")
-    q = softmax(_corrected(matrix, alpha, beta, schedule.column_groups(state) - 1))
+    q = _softmax_in_place(_corrected(matrix, alpha, beta, schedule.column_groups(state) - 1))
     return _gradient(matrix, np.asarray(labels), q, alpha, beta,
                      _group_starts(schedule, state), config)
 
@@ -326,7 +333,7 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
     with np.errstate(all="ignore"):
         loss = initial_loss = _loss(matrix, labels, params[:s], params[s:], col, config)
         for iterations in range(MAX_NEWTON_STEPS + 1):
-            q = softmax(_corrected(matrix, params[:s], params[s:], col))
+            q = _softmax_in_place(_corrected(matrix, params[:s], params[s:], col))
             grad = np.concatenate(_gradient(matrix, labels, q, params[:s], params[s:],
                                             starts, config))
             grad_norm = float(np.linalg.norm(grad))

@@ -11,10 +11,14 @@ table. Dataset seeds are derived as ``seed*1000 + i`` for reference i and
 ``seed*1000 + 500 + j`` for target j, which keeps them disjoint for any
 R, T <= 500.
 
-A stack of references or targets hands over each state's logits as soon
-as the state is trained, and the flow writes, fits or scores them before
-the next state trains, so no flow holds a whole run's logits. Tables and
-results are written once every state is done.
+Each dataset is drawn one state at a time (``synth.draw_states``): a
+stack of references or targets draws a state's block from each dataset
+only when that state trains, and ``gen`` writes each block as it is
+drawn, so no flow holds a whole dataset. The stack hands over each
+state's logits as soon as the state is trained, and the flow writes,
+fits or scores them before the next state trains, so no flow holds a
+whole run's logits. Tables and results are written once every state is
+done.
 
 Every table JSON and logits sidecar records ``spec_fingerprint`` of the
 spec that made it. ``run-target`` and ``sweep`` reuse the reference tables
@@ -43,7 +47,7 @@ from .schedule import StateSchedule
 from .storage import (SCHEMA_VERSION, load_json, read_fields, read_logits, read_metrics_rows,
                       read_per_state, read_table, stale_reason, write_dataset,
                       write_logits, write_metrics, write_rows, write_svg, write_table)
-from .synth import IncrementalDataset, SynthSpec, gen_synthetic_dataset, halve_train_split
+from .synth import StateDraw, SynthSpec, draw_states
 from .transfer import average_tables, score_state
 
 log = logging.getLogger("calib_il")
@@ -153,6 +157,11 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
         **read_fields(top.get("backbone", {}), "backbone", _field_types(BackboneConfig))})
     calibration = _build(CalibConfig, "calibration", read_fields(
         top.get("calibration", {}), "calibration", _field_types(CalibConfig)))
+    if calibration.l2_beta == 0:
+        # Adding one constant to every group's beta leaves the softmax as
+        # it is, so without this penalty every fit's Hessian is singular.
+        raise SpecError("calibration.l2_beta must be > 0: without it every calibration "
+                        "fit has a singular Hessian")
 
     sweep = read_fields(top.get("sweep", {}), "sweep", _SWEEP_TYPES)
     r_values = sweep.get("r_values", tuple(dict.fromkeys(
@@ -200,11 +209,11 @@ def target_seeds(spec: RunSpec) -> list[int]:
     return [spec.seed * 1000 + 500 + j for j in range(spec.num_targets)]
 
 
-def make_dataset(spec: RunSpec, seed: int, name: str, halve: bool = False) -> IncrementalDataset:
-    """The dataset of ``seed``, drawn on the spec's schedule."""
-    dataset = gen_synthetic_dataset(dataclasses.replace(spec.synth, seed=seed), spec.schedule,
-                                    name=name)
-    return halve_train_split(dataset) if halve else dataset
+def make_dataset(spec: RunSpec, seed: int, name: str, halve: bool = False) -> StateDraw:
+    """The dataset of ``seed`` on the spec's schedule, drawn one state at
+    a time; ``halve`` keeps ceil(n/2) training samples of each class."""
+    return draw_states(dataclasses.replace(spec.synth, seed=seed), spec.schedule, name=name,
+                       halve=halve)
 
 
 def _logits_path(out: Path, name: str, state: int) -> Path:
@@ -219,7 +228,7 @@ def reference_runs(spec: RunSpec, indices, out: Path) -> list[tuple[CalibrationT
     seeds = [reference_seeds(spec)[i] for i in indices]
     fingerprint, fits = spec_fingerprint(spec), [[] for _ in indices]
     for state, by_set in run_incremental_stack(
-            spec.backbone, (make_dataset(spec, seed, name) for seed, name in zip(seeds, names)),
+            spec.backbone, [make_dataset(spec, seed, name) for seed, name in zip(seeds, names)],
             names, seeds, sets=("validation",)):
         for name, logits, per_ref in zip(names, by_set["validation"], fits):
             write_logits(_logits_path(out, name, state), logits, fingerprint)
@@ -246,8 +255,8 @@ def target_rows(spec: RunSpec, indices, tables: dict, out: Path | None = None,
     seeds = [target_seeds(spec)[j] for j in indices]
     fingerprint, rows = spec_fingerprint(spec), [{key: [] for key in tables} for _ in indices]
     for state, by_set in run_incremental_stack(
-            spec.backbone, (make_dataset(spec, seed, name, halve=halve)
-                            for seed, name in zip(seeds, names)),
+            spec.backbone, [make_dataset(spec, seed, name, halve=halve)
+                            for seed, name in zip(seeds, names)],
             names, seeds, sets=("test",)):
         for name, logits, per_target in zip(names, by_set["test"], rows):
             if out is not None:
@@ -302,7 +311,8 @@ def all_target_rows(spec: RunSpec, tables: dict, out: Path | None = None, jobs: 
 
 
 def cmd_gen(spec: RunSpec, out: Path):
-    """Materialize every reference and target dataset as CSV files."""
+    """Materialize every reference and target dataset as CSV files, each
+    written state by state as it is drawn."""
     out = Path(out)
     for role, prefix, seeds in (("reference", "ref", reference_seeds(spec)),
                                 ("target", "target", target_seeds(spec))):

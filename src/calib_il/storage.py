@@ -30,7 +30,7 @@ from .errors import DataFileError, MetadataError, SchemaError, SpecError
 from .logits import StateLogits
 from .metrics import RunMetrics
 from .schedule import StateSchedule
-from .synth import SPLITS, IncrementalDataset
+from .synth import SPLITS, IncrementalDataset, StateDraw
 
 SCHEMA_VERSION = 1
 
@@ -329,10 +329,7 @@ def read_logits(path, expect: tuple | None = None) -> StateLogits:
     cols = schedule.classes_through(state)
     names = ["id", "label"] + [f"c{j}" for j in range(cols)]
     with _opened(path, "logits") as fh:  # '\r\n' and '\r' read as '\n'
-        first, body = fh.readline(), fh.read()
-    # The last row may lack its newline.
-    num_rows = body.count("\n") + (not body.endswith("\n") and bool(body))
-    parsed = _bulk_logits(body, num_rows, cols) if first == ",".join(names) + "\n" else None
+        parsed = _bulk_logits(fh, cols) if fh.readline() == ",".join(names) + "\n" else None
     if parsed is None:  # read cell by cell, so that an error names its row and column
         def columns(header):
             if header != names:
@@ -355,18 +352,27 @@ def read_logits(path, expect: tuple | None = None) -> StateLogits:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _bulk_logits(body: str, num_rows: int, expect: int):
-    """Labels and scores of a logits body parsed in one C call, or None
-    unless that gives ``num_rows`` rows of ``expect`` finite scores and an
-    in-range integral label each. ``comments=None``, or a cell like
-    ``1.5#x`` would be cut at the '#'. The body goes in as its lines, since
-    a ``StringIO`` would hold a four-byte-per-character copy of it. They
-    are cut at line feeds only, as ``num_rows`` counts them;
-    ``splitlines`` would also cut at form feeds, NEL and more."""
+def _bulk_logits(lines, expect: int):
+    """Labels and scores of the logits rows ``lines`` (an open file after
+    its header) parsed in one C call, or None unless that gives one row of
+    ``expect`` finite scores and an in-range integral label per line.
+    ``comments=None``, or a cell like ``1.5#x`` would be cut at the '#'.
+    The lines are streamed into the parser, so the text is never held
+    whole."""
+    num_rows = 0
+
+    def counted():
+        nonlocal num_rows
+        for line in lines:  # the last line may lack its newline
+            num_rows += 1
+            yield line
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
-            cells = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
+            cells = np.loadtxt(counted(), delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError:  # not UTF-8: a data-file error, not a cell to locate
+        raise
     except (ValueError, UserWarning):
         return None
     # loadtxt skips blank lines, so a short count means one was there.
@@ -412,14 +418,22 @@ def read_table(path, num_states: int | None = None) -> CalibrationTable:
 # datasets
 
 
-def write_dataset(path, dataset: IncrementalDataset):
+def write_dataset(path, dataset: IncrementalDataset | StateDraw):
+    """CSV `x<j>...,label,split` plus a JSON sidecar. A whole dataset is
+    written in its row order; a per-state draw block by block, each as it
+    is drawn."""
     path = Path(path)
-    dim = dataset.features.shape[1]
-    _atomic_write(path, chain(
-        [",".join(f"x{j}" for j in range(dim)) + ",label,split\n"],
-        (f"{_row(feats.tolist())},{label},{tag}\n"
-         for feats, label, tag in zip(dataset.features, dataset.labels.tolist(),
-                                      dataset.split.tolist()))))
+    blocks = [dataset] if isinstance(dataset, IncrementalDataset) else dataset.blocks
+
+    def lines():
+        for i, block in enumerate(blocks):
+            if i == 0:
+                yield ",".join(f"x{j}" for j in range(block.features.shape[1])) + ",label,split\n"
+            yield from (f"{_row(feats.tolist())},{label},{tag}\n"
+                        for feats, label, tag in zip(block.features, block.labels.tolist(),
+                                                     block.split.tolist()))
+
+    _atomic_write(path, lines())
     _write_meta(_meta_path(path), None, num_states=dataset.schedule.num_states,
                 class_to_state=list(dataset.schedule.class_to_state),
                 name=dataset.name, seed=dataset.seed)

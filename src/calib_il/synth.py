@@ -7,17 +7,22 @@ one orthogonal rotation (Cayley transform of a seeded skew matrix, scaled
 by ``drift_scale``) to the whole feature space, emulating domain shift
 between datasets.
 
-A dataset is drawn on the run's ``StateSchedule`` and keeps it;
-``StackedSets`` is the one place that cuts datasets into their states.
+A dataset is drawn on the run's ``StateSchedule`` one state at a time:
+``draw_states`` yields, state by state, the samples of the classes new in
+that state, and ``StackedSets`` pulls each state from R such draws only
+when that state trains. A whole ``IncrementalDataset`` is cut into the same
+blocks by ``IncrementalDataset.states``, and ``gen_synthetic_dataset`` is
+the blocks of one draw put together.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecError
 from .schedule import StateSchedule
 
 SPLITS = ("train", "validation", "test")
@@ -96,6 +101,48 @@ class IncrementalDataset:
             mask &= np.isin(self.labels, classes)
         return self.features[mask], self.labels[mask]
 
+    def states(self) -> "StateDraw":
+        """The dataset cut into the blocks of its states: each holds the
+        rows of the state's new classes, in dataset order."""
+        schedule = self.schedule
+
+        def blocks():
+            for state in range(1, schedule.num_states + 1):
+                group = schedule.group_slice(state, state)
+                mask = (self.labels >= group.start) & (self.labels < group.stop)
+                yield StateBlock(self.features[mask], self.labels[mask], self.split[mask])
+
+        return StateDraw(schedule, {tag: int(np.sum(self.split == tag)) for tag in SPLITS},
+                         blocks(), self.name, self.seed)
+
+
+@dataclass
+class StateBlock:
+    """The samples of the classes new in one state: features (n, d),
+    labels and split tags."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    split: np.ndarray
+
+    def subset(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of one split."""
+        mask = self.split == tag
+        return self.features[mask], self.labels[mask]
+
+
+@dataclass
+class StateDraw:
+    """A dataset handed over one state at a time: ``blocks`` yields one
+    ``StateBlock`` per state 1..S, in order and once. ``sizes`` counts the
+    samples of each split over all states."""
+
+    schedule: StateSchedule
+    sizes: dict[str, int]
+    blocks: Iterator[StateBlock]
+    name: str = ""
+    seed: int = 0
+
 
 def _cayley_rotation(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal rotation (I - tA)^-1 (I + tA) for a seeded skew matrix A."""
@@ -105,41 +152,93 @@ def _cayley_rotation(dim: int, scale: float, rng: np.random.Generator) -> np.nda
     return np.linalg.solve(eye - scale * skew, eye + scale * skew)
 
 
-def gen_synthetic_dataset(spec: SynthSpec, schedule: StateSchedule,
-                          name: str = "") -> IncrementalDataset:
-    """Draw one cluster per class and tag train/validation/test samples;
-    the dataset follows ``schedule``, which must cover the spec's classes.
+def draw_states(spec: SynthSpec, schedule: StateSchedule, name: str = "",
+                halve: bool = False) -> StateDraw:
+    """Draw one cluster per class and tag train/validation/test samples,
+    one state at a time: block s holds the classes new in state s of
+    ``schedule``, which must cover the spec's classes, class by class, each
+    class's SPLITS in order. ``halve`` keeps the first ceil(n/2) training
+    samples of each class.
 
-    Determinism contract: the same spec always yields the same arrays
-    bitwise, whatever the schedule.
+    Determinism contract: the same spec and schedule always yield the same
+    rows bitwise. Without drift the rows do not depend on the schedule;
+    with drift each block is rotated by its own matrix product, and BLAS
+    may round a product of a few rows at a wide ``feature_dim`` (OpenBLAS's
+    small-matrix kernel) otherwise than one over more rows.
     """
     if schedule.num_classes != spec.num_classes:
         raise ValueError(f"the schedule covers {schedule.num_classes} classes, "
                          f"the spec draws {spec.num_classes}")
+    counts = (spec.train_per_class, spec.val_per_class, spec.test_per_class)
+    kept = ((counts[0] + 1) // 2 if halve else counts[0],) + counts[1:]
+    return StateDraw(schedule, {tag: spec.num_classes * n for tag, n in zip(SPLITS, kept)},
+                     _blocks(spec, schedule, counts, kept), name, spec.seed)
+
+
+def _blocks(spec: SynthSpec, schedule: StateSchedule, counts: tuple[int, ...],
+            kept: tuple[int, ...]) -> Iterator[StateBlock]:
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(0.0, spec.center_scale, (spec.num_classes, spec.feature_dim))
-    counts = (spec.train_per_class, spec.val_per_class, spec.test_per_class)
     per_class = sum(counts)
-    # Samples lie class by class, each class's SPLITS in order. One draw
-    # into the whole matrix takes the same ziggurat stream, sample for
-    # sample, as one rng.normal(0, 1) draw per (class, split) block, and
-    # scaling then shifting in place gives the bits of
-    # centers[c] + noise_scale * noise with no second (N, d) array.
-    x = rng.standard_normal((spec.num_classes * per_class, spec.feature_dim))
-    blocks = x.reshape(spec.num_classes, per_class, spec.feature_dim)
-    blocks *= spec.noise_scale
-    blocks += centers[:, None]
+    rot = None
     if spec.drift_scale > 0:
-        rot = _cayley_rotation(spec.feature_dim, spec.drift_scale, rng)
-        x = x @ rot.T
-    return IncrementalDataset(
-        features=x,
-        labels=np.repeat(np.arange(spec.num_classes), per_class),
-        split=np.tile(np.repeat(np.array(SPLITS, dtype=object), counts), spec.num_classes),
-        schedule=schedule,
-        name=name,
-        seed=spec.seed,
-    )
+        # The rotation is drawn after all the noise, so a second generator
+        # from the seed runs through the centers and the noise first, one
+        # class at a time.
+        ahead = np.random.default_rng(spec.seed)
+        skipped = np.empty((per_class + 1, spec.feature_dim))
+        for _ in range(spec.num_classes):
+            ahead.standard_normal(out=skipped)
+        rot = _cayley_rotation(spec.feature_dim, spec.drift_scale, ahead).T
+    rows = np.r_[0:kept[0], counts[0]:per_class]  # of each class, the kept ones
+    tags = np.repeat(np.array(SPLITS, dtype=object), kept)
+    for state in range(1, schedule.num_states + 1):
+        # Built by a call, so that this frame holds no block between states.
+        yield _block(rng, spec, centers, schedule.group_slice(state, state), per_class, rows,
+                     tags, rot)
+
+
+def _block(rng: np.random.Generator, spec: SynthSpec, centers: np.ndarray, group: slice,
+           per_class: int, rows: np.ndarray, tags: np.ndarray,
+           rot: np.ndarray | None) -> StateBlock:
+    """The next ``per_class`` samples of each class of ``group`` from
+    ``rng``, of which ``rows`` are kept, tagged ``tags``."""
+    size, dim = group.stop - group.start, spec.feature_dim
+    # One draw per block takes the same ziggurat stream, sample for sample,
+    # as one draw for the whole dataset, since the states' classes are
+    # contiguous; scaling then shifting in place gives the bits of
+    # centers[c] + noise_scale * noise.
+    x = rng.standard_normal((size * per_class, dim))
+    by_class = x.reshape(size, per_class, dim)
+    by_class *= spec.noise_scale
+    by_class += centers[group, None]
+    if len(rows) < per_class:
+        x = by_class[:, rows].reshape(-1, dim)
+    if rot is not None:
+        x = x @ rot
+    if not np.all(np.isfinite(x)):
+        raise SpecError(f"the features drawn for classes {group.start}..{group.stop - 1} "
+                        "overflow to non-finite values: center_scale or noise_scale is "
+                        "too large")
+    return StateBlock(x, np.repeat(np.arange(group.start, group.stop), len(rows)),
+                      np.tile(tags, size))
+
+
+def gen_synthetic_dataset(spec: SynthSpec, schedule: StateSchedule,
+                          name: str = "") -> IncrementalDataset:
+    """The whole dataset of ``draw_states``: its blocks, one after another."""
+    draw = draw_states(spec, schedule, name)
+    total = sum(draw.sizes.values())
+    features = np.empty((total, spec.feature_dim))
+    labels = np.empty(total, dtype=np.int64)
+    split = np.empty(total, dtype=object)
+    start = 0
+    for block in draw.blocks:
+        stop = start + len(block.labels)
+        features[start:stop], labels[start:stop], split[start:stop] = (
+            block.features, block.labels, block.split)
+        start = stop
+    return IncrementalDataset(features, labels, split, schedule, name, spec.seed)
 
 
 @dataclass
@@ -155,84 +254,92 @@ class StateView:
     train_y: np.ndarray
 
 
-class StackedSets:
-    """What a lockstep run reads from R datasets, cut into the states of
-    their schedule and stacked on a leading model axis per state: features
-    (R, n, d) and labels (R, n).
+class _Rows:
+    """Stacked features (count, size, d) and labels (count, size), filled
+    block by block: each block's rows go after the previous block's, so
+    the rows of the first k blocks are a prefix. ``size`` None holds one
+    block, as many rows as the first dataset has."""
 
-    The datasets are read one at a time, so a caller that generates them
-    lazily holds one dataset at most. Only the training set of each state
-    (the samples of the classes new in it) and the final-state evaluation
-    sets named in ``sets`` ("validation", "test") are kept: an earlier
-    state's evaluation set is the final one cut to the classes seen by
-    then, in the order of ``dataset.subset(name, seen)``. Each state's
-    training set can be taken once and is released then. The datasets must
-    share the schedule and have equal per-state sample counts, as the
-    datasets generated from one spec do.
+    def __init__(self, tag: str, count: int, size: int | None = None):
+        self.tag, self.count, self.size = tag, count, size
+        self.x = self.y = None
+        self.ends = [0]  # rows held through each block
+
+    def put(self, r: int, state: int, x: np.ndarray, y: np.ndarray) -> None:
+        """Place dataset ``r``'s rows of ``state`` as the newest block;
+        dataset 0 comes first."""
+        if r == 0:
+            if self.x is None:
+                size = len(y) if self.size is None else self.size
+                self.x = np.empty((self.count, size) + x.shape[1:])
+                self.y = np.empty((self.count, size), dtype=y.dtype)
+            self.ends.append(self.ends[-1] + len(y))
+        start, stop = self.ends[-2:]
+        if x.shape != (stop - start,) + self.x.shape[2:] or stop > self.x.shape[1]:
+            raise ValueError(
+                f"state {state} {self.tag} sets cannot be stacked: {len(y)} samples "
+                f"in dataset {r}, {stop - start} in dataset 0")
+        self.x[r, start:stop], self.y[r, start:stop] = x, y
+
+    def through(self, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the rows of the first ``blocks`` blocks."""
+        stop = self.ends[blocks]
+        return self.x[:, :stop], self.y[:, :stop]
+
+
+class StackedSets:
+    """What a lockstep run reads from R datasets, state by state, stacked
+    on a leading model axis: features (R, n, d) and labels (R, n).
+
+    Each dataset is a ``StateDraw`` or an ``IncrementalDataset``, which is
+    cut into its states (``IncrementalDataset.states``). A state's block is
+    pulled from each of the R draws only when that state is asked for, one
+    draw at a time, and released once its rows are placed: its training
+    set (the samples of the classes new in it) is stacked, and its rows of
+    the evaluation sets named in ``sets`` ("validation", "test") are
+    appended to one (R, n_final, d) array per set. A state's evaluation set
+    is then a prefix view of it: the classes seen by then, group by group.
+    Each state's training set can be taken once and is released then. The
+    datasets must share the schedule and have equal per-state sample
+    counts, as the datasets drawn from one spec do.
     """
 
-    def __init__(self, datasets: Iterable[IncrementalDataset], sets: tuple[str, ...]):
+    def __init__(self, datasets: Iterable[StateDraw | IncrementalDataset],
+                 sets: tuple[str, ...]):
         if not set(sets) <= {"validation", "test"}:
             raise ValueError(f"evaluation sets {sets} must be 'validation' or 'test'")
-        self.schedule = None
-        self._train: list[list | None] = []
-        self._eval = {name: [] for name in sets}
-        for dataset in datasets:
-            if self.schedule is None:
-                self.schedule = dataset.schedule
-                self._train = [[] for _ in range(self.schedule.num_states)]
-            elif dataset.schedule != self.schedule:
-                raise ValueError("stacked sets need datasets with one schedule")
-            for state, parts in enumerate(self._train, start=1):
-                group = self.schedule.group_slice(state, state)
-                parts.append(dataset.subset("train", np.arange(group.start, group.stop)))
-            for name, parts in self._eval.items():
-                parts.append(dataset.subset(name))
-        if self.schedule is None:
+        draws = [d.states() if isinstance(d, IncrementalDataset) else d for d in datasets]
+        if not draws:
             raise ValueError("stacked sets need at least one dataset")
+        self.schedule = draws[0].schedule
+        if any(draw.schedule != self.schedule for draw in draws):
+            raise ValueError("stacked sets need datasets with one schedule")
+        self._blocks = [iter(draw.blocks) for draw in draws]
+        self._eval = {name: _Rows(name, len(draws), draws[0].sizes[name]) for name in sets}
+        self._train: dict[int, _Rows] = {}  # drawn, not yet taken
+        self._drawn = 0
+
+    def _draw_through(self, state: int) -> None:
+        self.schedule.classes_through(state)  # refuses a state outside 1..S
+        while self._drawn < state:
+            drawn = self._drawn + 1
+            train = _Rows("train", len(self._blocks))
+            for r, blocks in enumerate(self._blocks):
+                block = next(blocks)
+                train.put(r, drawn, *block.subset("train"))
+                for name, rows in self._eval.items():
+                    rows.put(r, drawn, *block.subset(name))
+                del block  # before the next dataset's block is drawn
+            self._train[drawn], self._drawn = train, drawn
 
     def train(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """The stacked training set of ``state``, released from here."""
-        parts, self._train[state - 1] = self._train[state - 1], None
-        if parts is None:
+        self._draw_through(state)
+        if state not in self._train:
             raise ValueError(f"the state {state} training set was already taken")
-        return _stack(parts, len(parts), state, "train")
+        return self._train.pop(state).through(1)
 
     def evaluation(self, name: str, state: int) -> tuple[np.ndarray, np.ndarray]:
         """The stacked ``name`` set of ``state``: every class seen through it."""
-        seen = self.schedule.classes_through(state)
-        parts = self._eval[name]
-        return _stack(((x[y < seen], y[y < seen]) for x, y in parts), len(parts), state, name)
-
-
-def _stack(parts: Iterable[tuple[np.ndarray, np.ndarray]], count: int, state: int,
-           tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fill (count, n, d) features and (count, n) labels one part at a time."""
-    xs = ys = None
-    for r, (x, y) in enumerate(parts):
-        if xs is None:
-            xs = np.empty((count,) + x.shape)
-            ys = np.empty((count,) + y.shape, dtype=y.dtype)
-        elif x.shape != xs.shape[1:]:
-            raise ValueError(
-                f"state {state} {tag} sets cannot be stacked: {len(y)} samples "
-                f"in dataset {r}, {ys.shape[1]} in dataset 0")
-        xs[r], ys[r] = x, y
-    return xs, ys
-
-
-def halve_train_split(dataset: IncrementalDataset) -> IncrementalDataset:
-    """Keep ceil(n/2) training samples per class; validation/test untouched."""
-    keep = np.ones(len(dataset.labels), dtype=bool)
-    train = dataset.split == "train"
-    for c in range(dataset.schedule.num_classes):
-        idx = np.flatnonzero((dataset.labels == c) & train)
-        n_keep = (len(idx) + 1) // 2
-        keep[idx[n_keep:]] = False
-    return replace(
-        dataset,
-        features=dataset.features[keep],
-        labels=dataset.labels[keep],
-        split=dataset.split[keep],
-        name=dataset.name + "-halved" if dataset.name else "halved",
-    )
+        self._draw_through(state)
+        return self._eval[name].through(state)

@@ -258,9 +258,10 @@ class TestSeedsAndSplits:
         full = make_dataset(spec, 3500, "t")
         half = make_dataset(spec, 3500, "t", halve=True)
         assert full.schedule == half.schedule == spec.schedule
-        first = np.arange(spec.schedule.classes_per_state[0])
-        assert full.subset("train", first)[1].shape[0] == 2 * 8
-        assert half.subset("train", first)[1].shape[0] == 2 * 4  # ceil(8/2) per class
+        assert (full.sizes["train"], half.sizes["train"]) == (4 * 8, 4 * 4)
+        # state 1 introduces two classes; ceil(8/2) training samples each
+        assert next(full.blocks).subset("train")[1].shape[0] == 2 * 8
+        assert next(half.blocks).subset("train")[1].shape[0] == 2 * 4
 
     def test_kv_formatting(self):
         line = kv(event="fit", state=2, final_loss=0.5)
@@ -360,6 +361,31 @@ class TestStreamedLogits:
         total = self.all_logits_bytes(spec, 8)
         peak = self.peak(cmd_run_reference, spec, tmp_path)
         assert peak < total / 2, (peak, total)
+
+
+class TestStreamedDraws:
+    def test_references_hold_one_state_of_training_data(self, tmp_path):
+        """Each dataset is drawn one state at a time, so a stack holds one
+        state's training set (a tenth here), not every state's. In this
+        spec the training sets dominate the datasets: 400 training samples
+        per class against 2 validation and 2 test samples."""
+        spec = parse_run_spec({
+            "seed": 5,
+            "data": {"num_classes": 20, "feature_dim": 16, "train_per_class": 400,
+                     "val_per_class": 2, "test_per_class": 2,
+                     "num_references": 2, "num_targets": 1},
+            "schedule": {"num_states": 10},
+            "backbone": {"hidden_dim": 4, "epochs_initial": 1, "epochs_incremental": 1,
+                         "batch_size": 64}})
+        training = 2 * 20 * 400 * 16 * 8  # bytes of both references' training features
+        pipeline.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            pipeline.reference_runs(spec, range(2), tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < training / 2, (peak, training)
 
 
 @pytest.fixture(scope="module")
@@ -922,6 +948,35 @@ class TestCLI:
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=numeric")
         assert "'ref_0', state 2: calibration fit" in last
+
+    @pytest.mark.parametrize("command", ["gen", "run-reference"])
+    def test_features_that_overflow_exit_2(self, tmp_path, command):
+        """A noise scale near the float range makes the drawn features
+        infinite: a spec error, not a traceback."""
+        raw = json.loads(json.dumps(TINY))
+        raw["data"]["noise_scale"] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli(command, "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=spec")
+        assert "overflow to non-finite values" in last
+
+    def test_zero_beta_penalty_exits_2(self, tmp_path):
+        """Without the beta penalty every calibration fit's Hessian is
+        singular, so the spec is refused before anything is trained."""
+        raw = json.loads(json.dumps(TINY))
+        raw["calibration"] = {"l2_beta": 0}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(raw))
+        res = run_cli("run-reference", "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stdout + res.stderr
+        last = res.stdout.splitlines()[-1]
+        assert last.startswith("event=error kind=spec")
+        assert "calibration.l2_beta" in last
+        assert not (tmp_path / "out").exists()
+        CalibConfig(l2_beta=0.0)  # the penalty itself may still be zero
 
     def test_removed_calibration_key_exits_2(self, tmp_path):
         raw = json.loads(json.dumps(TINY))

@@ -219,11 +219,29 @@ class TestLogitsRoundTrip:
         assert back.matrix.shape == (1000, 100)
         assert peak <= 3.5 * path.stat().st_size
 
+    def test_read_holds_no_copy_of_the_text(self, tmp_path):
+        """The lines are streamed into the parser, so a read holds the
+        parser's cell array and the score matrix but not the text (2 MB
+        here, 2.5 score matrices); the first read warms numpy's parser."""
+        rng = np.random.default_rng(0)
+        path = tmp_path / "wide.csv"
+        write_logits(path, StateLogits(1, rng.normal(size=(1000, 100)),
+                                       rng.integers(0, 100, 1000),
+                                       StateSchedule.equal_split(100, 1)))
+        read_logits(path)
+        tracemalloc.start()
+        try:
+            back = read_logits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * back.matrix.nbytes
+
     def test_well_formed_body_takes_the_bulk_path(self, tmp_path):
         path = tmp_path / "lg.csv"
         write_logits(path, tricky_logits())
         body = path.read_text().split("\n", 1)[1]
-        labels, matrix = storage._bulk_logits(body, 2, 4)
+        labels, matrix = storage._bulk_logits(body.splitlines(keepends=True), 4)
         assert matrix.tobytes() == tricky_logits().matrix.tobytes()
         assert labels.tolist() == [0, 3]
 

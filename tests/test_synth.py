@@ -1,14 +1,15 @@
-"""Synthetic dataset generation, state splitting, and memory halving."""
+"""Synthetic dataset generation, the per-state draw, state splitting, and
+halving."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from calib_il.schedule import StateSchedule
 from calib_il.synth import (SPLITS, IncrementalDataset, StackedSets, SynthSpec,
-                            _cayley_rotation, gen_synthetic_dataset,
-                            halve_train_split)
+                            _cayley_rotation, draw_states, gen_synthetic_dataset)
 
 
 def small_spec(**kw):
@@ -45,6 +46,52 @@ def reference_dataset(spec, schedule):
         x = x @ _cayley_rotation(spec.feature_dim, spec.drift_scale, rng).T
     return IncrementalDataset(x, np.asarray(labels), np.asarray(tags, dtype=object),
                               schedule, seed=spec.seed)
+
+
+def halve_train_split(dataset):
+    """Keep ceil(n/2) training samples per class, in dataset order, and
+    every validation and test sample: the oracle of ``draw_states(...,
+    halve=True)``, one class mask at a time over the whole dataset."""
+    keep = np.ones(len(dataset.labels), dtype=bool)
+    train = dataset.split == "train"
+    for c in range(dataset.schedule.num_classes):
+        idx = np.flatnonzero((dataset.labels == c) & train)
+        keep[idx[(len(idx) + 1) // 2:]] = False
+    return IncrementalDataset(dataset.features[keep], dataset.labels[keep],
+                              dataset.split[keep], dataset.schedule, seed=dataset.seed)
+
+
+def joined(draw):
+    """The blocks of a per-state draw, one after another, as one dataset."""
+    blocks = list(draw.blocks)
+    return IncrementalDataset(np.concatenate([b.features for b in blocks]),
+                              np.concatenate([b.labels for b in blocks]),
+                              np.concatenate([b.split for b in blocks]),
+                              draw.schedule, draw.name, draw.seed)
+
+
+def assert_same_rows(got, want):
+    """Equal feature and label bytes, split tags and dtypes."""
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.split.tolist() == want.split.tolist()
+    for field in ("features", "labels", "split"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+
+
+# (generator knobs, schedule) pairs: no drift and drift, equal and unequal
+# states; the drifted features are wide enough that every block takes the
+# BLAS path a whole-dataset product takes (see README, drift_scale).
+DRAWS = [
+    (dict(), (2, 2)),
+    (dict(seed=3), (1, 3)),
+    (dict(train_per_class=7, noise_scale=0.4), (1, 2, 1)),
+    (dict(drift_scale=0.3, seed=5), (2, 2)),
+    (dict(feature_dim=1, drift_scale=1.5, seed=9), (3, 1)),
+    (dict(num_classes=12, feature_dim=64, train_per_class=40, val_per_class=10,
+          test_per_class=10, drift_scale=0.2, seed=2), (1, 5, 2, 4)),
+]
 
 
 class TestSynthSpec:
@@ -94,13 +141,26 @@ class TestGeneration:
     def test_equals_the_block_by_block_reference(self, knobs):
         spec = small_spec(**knobs)
         schedule = StateSchedule.equal_split(spec.num_classes, 2)
-        got, want = gen_synthetic_dataset(spec, schedule), reference_dataset(spec, schedule)
-        assert got.features.tobytes() == want.features.tobytes()
-        assert got.labels.tobytes() == want.labels.tobytes()
-        assert got.split.tolist() == want.split.tolist()
-        for field in ("features", "labels", "split"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert_same_rows(gen_synthetic_dataset(spec, schedule), reference_dataset(spec, schedule))
+
+    @pytest.mark.parametrize("knobs, sizes", DRAWS)
+    def test_per_state_draw_equals_the_whole_draw(self, knobs, sizes):
+        """Block s holds, bit for bit, the rows of the whole draw's classes
+        new in state s; the rotation of a drifted draw is drawn after all
+        the noise, as the whole draw draws it."""
+        spec, schedule = small_spec(**knobs), StateSchedule(sizes)
+        want = reference_dataset(spec, schedule)
+        draw = draw_states(spec, schedule, name="d")
+        assert (draw.schedule, draw.name, draw.seed) == (schedule, "d", spec.seed)
+        blocks = list(draw.blocks)
+        assert len(blocks) == schedule.num_states
+        for state, block in enumerate(blocks, start=1):
+            group = schedule.group_slice(state, state)
+            rows = (want.labels >= group.start) & (want.labels < group.stop)
+            assert_same_rows(block, SimpleNamespace(
+                features=want.features[rows], labels=want.labels[rows], split=want.split[rows]))
+        assert draw.sizes == {tag: int(np.sum(want.split == tag)) for tag in SPLITS}
+        assert_same_rows(gen_synthetic_dataset(spec, schedule), want)
 
     def test_peak_memory_is_about_one_feature_matrix(self):
         """Every block is drawn into the one feature matrix, with no
@@ -228,21 +288,71 @@ class TestStackedSets:
     def test_sets_equal_the_dataset_subsets(self):
         """Every stacked set holds, slice by slice, that dataset's subset of
         the state's classes (new ones for training, every one seen for
-        evaluation), in the same row order."""
+        evaluation). A whole dataset is cut into its states, so an
+        evaluation set goes group by group, each group's rows in dataset
+        order."""
         datasets = [self.shuffled_dataset(seed) for seed in (1, 2, 3)]
         sets = StackedSets(iter(datasets), ("validation", "test"))
         schedule = datasets[0].schedule
+        groups = [np.arange(g.start, g.stop)
+                  for g in (schedule.group_slice(s, s) for s in (1, 2, 3))]
         for state in (1, 2, 3):
-            group = schedule.group_slice(state, state)
-            seen = np.arange(schedule.classes_through(state))
-            stacked = [("train", np.arange(group.start, group.stop), sets.train(state)),
-                       ("validation", seen, sets.evaluation("validation", state)),
-                       ("test", seen, sets.evaluation("test", state))]
+            stacked = [("train", groups[state - 1:state], sets.train(state)),
+                       ("validation", groups[:state], sets.evaluation("validation", state)),
+                       ("test", groups[:state], sets.evaluation("test", state))]
             for r, data in enumerate(datasets):
                 for tag, classes, (xs, ys) in stacked:
-                    x, y = data.subset(tag, classes)
-                    assert xs[r].tobytes() == x.tobytes()
-                    assert ys[r].tobytes() == y.tobytes()
+                    parts = [data.subset(tag, group) for group in classes]
+                    assert xs[r].tobytes() == np.concatenate([x for x, _ in parts]).tobytes()
+                    assert ys[r].tobytes() == np.concatenate([y for _, y in parts]).tobytes()
+
+    @pytest.mark.parametrize("knobs, sizes", DRAWS)
+    def test_evaluation_prefixes_equal_the_dataset_subsets(self, knobs, sizes):
+        """From per-state draws, each state's evaluation set is
+        ``dataset.subset(name, seen)`` of the whole draw, and a prefix view
+        of one array per set rather than a copy."""
+        schedule = StateSchedule(sizes)
+        specs = [small_spec(**dict(knobs, seed=seed)) for seed in (4, 5)]
+        sets = StackedSets([draw_states(spec, schedule) for spec in specs],
+                           ("validation", "test"))
+        whole = [gen_synthetic_dataset(spec, schedule) for spec in specs]
+        final = {name: sets.evaluation(name, schedule.num_states) for name in ("validation", "test")}
+        for state in range(1, schedule.num_states + 1):
+            seen = np.arange(schedule.classes_through(state))
+            train = sets.train(state)
+            for name in ("validation", "test"):
+                xs, ys = sets.evaluation(name, state)
+                assert xs.base is final[name][0].base and ys.base is final[name][1].base
+                for r, data in enumerate(whole):
+                    x, y = data.subset(name, seen)
+                    assert xs[r].tobytes() == x.tobytes() and ys[r].tobytes() == y.tobytes()
+            for r, data in enumerate(whole):
+                group = schedule.group_slice(state, state)
+                x, y = data.subset("train", np.arange(group.start, group.stop))
+                assert train[0][r].tobytes() == x.tobytes()
+                assert train[1][r].tobytes() == y.tobytes()
+
+    def test_each_state_is_drawn_when_asked_for(self):
+        """No block is drawn before its state is asked for, and a block is
+        drawn once."""
+        schedule = StateSchedule((1, 2, 1))
+        drawn = []
+
+        def counting(spec):
+            draw = draw_states(spec, schedule)
+            draw.blocks = (drawn.append(spec.seed) or block for block in draw.blocks)
+            return draw
+
+        sets = StackedSets([counting(small_spec(seed=1)), counting(small_spec(seed=2))],
+                           ("validation",))
+        assert drawn == []
+        sets.train(1)
+        assert drawn == [1, 2]
+        sets.evaluation("validation", 2)
+        assert drawn == [1, 2, 1, 2]
+        sets.train(2)
+        sets.evaluation("validation", 1)
+        assert drawn == [1, 2, 1, 2]
 
     def test_training_set_is_taken_once(self):
         sets = StackedSets([self.shuffled_dataset(1)], ())
@@ -267,19 +377,28 @@ class TestStackedSets:
 
 class TestHalving:
     def test_keeps_ceil_half_of_train_only(self):
-        data = generate(train_per_class=7)
-        halved = halve_train_split(data)
+        spec = small_spec(train_per_class=7)
+        draw = draw_states(spec, StateSchedule((2, 2)), halve=True)
+        assert draw.sizes == {"train": 4 * 4, "validation": 4 * 5, "test": 4 * 5}
+        halved = joined(draw)
         for c in range(4):
             assert np.sum((halved.labels == c) & (halved.split == "train")) == 4
             assert np.sum((halved.labels == c) & (halved.split == "validation")) == 5
             assert np.sum((halved.labels == c) & (halved.split == "test")) == 5
-        assert halved.name.endswith("halved")
 
     def test_kept_samples_are_a_prefix(self):
         """The first training samples per class survive, so the halved set
         is a strict subset with unchanged values."""
         data = generate()
-        halved = halve_train_split(data)
+        halved = joined(draw_states(small_spec(), data.schedule, halve=True))
         full_x, _ = data.subset("train", np.array([1]))
         half_x, _ = halved.subset("train", np.array([1]))
         np.testing.assert_array_equal(half_x, full_x[:5])
+
+    @pytest.mark.parametrize("knobs, sizes", DRAWS + [(dict(train_per_class=1), (2, 2))])
+    def test_halved_draw_equals_the_halved_whole_draw(self, knobs, sizes):
+        """Halving each block keeps, bit for bit, the rows that halving the
+        whole draw keeps, in the same order."""
+        spec, schedule = small_spec(**knobs), StateSchedule(sizes)
+        want = halve_train_split(reference_dataset(spec, schedule))
+        assert_same_rows(joined(draw_states(spec, schedule, halve=True)), want)

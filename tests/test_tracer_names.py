@@ -21,11 +21,15 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # (now pipeline.all_target_rows, which scores each state as it is trained),
 # pipeline.apply_transfer and pipeline.oracle_select (now one per-state
 # transfer.score_state), and transfer.compute_run_metrics (the rows build
-# a RunMetrics with RunMetrics.from_rows).
+# a RunMetrics with RunMetrics.from_rows); and pipeline.gen_synthetic_dataset
+# and pipeline.halve_train_split, gone since each dataset is drawn one state
+# at a time (pipeline.make_dataset returns synth.draw_states's per-state
+# draw, which halves each state's block itself).
 STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax",
          "pipeline._atomic_write", "pipeline.split_states",
          "pipeline.all_target_logits", "pipeline.evaluate_target", "pipeline.apply_transfer",
-         "pipeline.oracle_select", "transfer.compute_run_metrics"}
+         "pipeline.oracle_select", "transfer.compute_run_metrics",
+         "pipeline.gen_synthetic_dataset", "pipeline.halve_train_split"}
 
 
 def load_tracer():
