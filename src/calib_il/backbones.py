@@ -22,11 +22,12 @@ carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
 whose batches are (R, b, d), one dataset per slice; the models share one
 schedule, so ``class_first_state`` has no model axis.
 ``train_initial`` and ``update_state`` are the per-state steps of a
-stack; ``run_incremental_stack`` runs them through all states, reading the
-R datasets through ``synth.StackedSets``, which pulls each state's block
-from every dataset's per-state draw only when that state trains and keeps
-the evaluation sets the run reads, and yields each state's logits as soon
-as the state is trained. One model is a stack of one.
+stack; ``run_incremental_stack`` runs them through all states, reading R
+per-state draws through ``synth.StackedSets``, which pulls each state's
+block from every draw only when that state trains and keeps the
+evaluation sets the run reads. It yields each state as soon as the state
+is trained, and scores each model only when the caller reaches it. One
+model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -43,6 +44,7 @@ Updates never mutate their input model; each returns a fresh one.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -51,7 +53,7 @@ import numpy as np
 from .errors import NumericError, SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
-from .synth import IncrementalDataset, StackedSets, StateDraw, StateView
+from .synth import StackedSets, StateDraw, StateView
 
 KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
 
@@ -477,50 +479,45 @@ def update_state(model: Model, view: StateView, schedule: StateSchedule,
 
 
 def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
-                  schedule: StateSchedule, datasets, backbone: str,
-                  seeds) -> list[StateLogits]:
-    """Per-model logits of a stack on stacked inputs (R, n, d).
-
-    Models are scored one at a time, so the hidden activations held at
-    once are those of one model, not of the whole stack. A model with a
-    non-finite score has diverged: ``NumericError``."""
+                  schedule: StateSchedule, draws: list[StateDraw], backbone: str):
+    """Per-model logits of a stack on stacked inputs (R, n, d), each
+    labelled with its draw's name and seed and scored only when the caller
+    asks for it, so that the hidden activations and scores held are those
+    of one model. A model with a non-finite score has diverged:
+    ``NumericError``."""
     if model.num_classes != schedule.classes_through(state):
         raise SpecError(
             f"model covers {model.num_classes} classes but state {state} "
             f"has seen {schedule.classes_through(state)}")
-    out = []
     for r, one in enumerate(_unstack(model)):
         scores = one.scores(x[r])
         if not np.all(np.isfinite(scores)):
-            raise NumericError(f"dataset {datasets[r]!r}, state {state}: {backbone} "
+            raise NumericError(f"dataset {draws[r].name!r}, state {state}: {backbone} "
                                "training diverged to non-finite scores")
-        out.append(StateLogits(state=state, matrix=scores, labels=labels[r],
-                               schedule=schedule, dataset=datasets[r], backbone=backbone,
-                               seed=seeds[r]))
-    return out
+        yield StateLogits(state=state, matrix=scores, labels=labels[r], schedule=schedule,
+                          dataset=draws[r].name, backbone=backbone, seed=draws[r].seed)
+        del scores  # the caller's to drop before it asks for the next model
 
 
-def run_incremental_stack(config: BackboneConfig,
-                          datasets: Iterable[StateDraw | IncrementalDataset],
-                          names: list[str], seeds: list[int],
+def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
                           sets: tuple[str, ...] = ("validation", "test")):
-    """Train one model per dataset through all states, all in one lockstep.
+    """Train one model per per-state draw (``synth.draw_states``) through
+    all states, all in one lockstep.
 
-    Each dataset is a per-state draw (``synth.draw_states``) or a whole
-    ``IncrementalDataset``, which is cut into its states. A state's block
-    is drawn from each dataset only when the state trains, and only the
-    sets the run reads are kept (``StackedSets``). The datasets must share
-    one schedule and have equal per-state sample counts, as the datasets
-    drawn from one spec do. ``names`` and ``seeds`` label each model's
-    logits.
+    A state's block is drawn from each draw only when the state trains,
+    and only the sets the run reads are kept (``StackedSets``). The draws
+    must share one schedule and have equal per-state sample counts, as the
+    draws of one spec do.
 
-    A generator: right after each state is trained and scored it yields
-    ``(state, logits)``, where ``logits`` maps each entry of ``sets``
-    ("validation", "test") to the models' logits on that set, one per
-    model. The next state trains only when the caller asks for it, so a
-    caller that finishes each state first holds one state's logits.
+    A generator: right after each state is trained it yields ``(state,
+    logits)``, where ``logits`` maps each entry of ``sets`` ("validation",
+    "test") to an iterator over the models' logits on that set. Each model
+    is scored when the caller reaches it; the models the caller leaves are
+    scored, and so checked, before the next state trains, which happens
+    only when the caller asks for it.
     """
-    data = StackedSets(datasets, sets)
+    draws = list(draws)
+    data = StackedSets(draws, sets)
     model = None
     for state in range(1, data.schedule.num_states + 1):
         # Each state's training set is drawn here and dropped after use,
@@ -531,6 +528,9 @@ def run_incremental_stack(config: BackboneConfig,
         else:
             model = update_state(model, view, data.schedule, config)
         del view
-        yield state, {name: _stack_logits(model, *data.evaluation(name, state), state,
-                                          data.schedule, names, config.kind, seeds)
-                      for name in sets}
+        logits = {name: _stack_logits(model, *data.evaluation(name, state), state,
+                                      data.schedule, draws, config.kind)
+                  for name in sets}
+        yield state, logits
+        for models in logits.values():
+            deque(models, maxlen=0)  # scores and checks the models left, holding none

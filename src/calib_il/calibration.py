@@ -10,6 +10,8 @@ penalty anchored at the identity pair (alpha=1, beta=0). Corrected scores
 are linear in the parameters, so the objective is convex, the analytic
 gradient is a plain per-group sum of softmax residuals, and the Hessian is
 the mean of J^T (diag q - q q^T) J over samples plus the penalty's diagonal.
+The loss is exact (logsumexp minus the label's score, no probability
+floor): the very convex function that the gradient and Hessian differentiate.
 ``fit_state`` solves it with damped Newton steps until the gradient norm is
 below ``GRAD_TOL``; a fit that cannot be certified raises ``NumericError``.
 """
@@ -23,8 +25,6 @@ import numpy as np
 from .errors import NumericError
 from .logits import StateLogits
 from .schedule import StateSchedule
-
-PROB_FLOOR = 1e-12
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -202,16 +202,13 @@ def _corrected(matrix, alpha, beta, col) -> np.ndarray:
 
 
 def _loss(matrix, labels, alpha, beta, col, config: CalibConfig) -> float:
-    """``regularized_loss`` with the column-to-group map precomputed.
-
-    Only the label entries of the softmax are divided out; they carry the
-    same bits as in the full softmax.
-    """
-    corrected = _corrected(matrix, alpha, beta, col)
-    corrected -= corrected.max(axis=-1, keepdims=True)
-    exp = np.exp(corrected, out=corrected)
-    picked = exp[np.arange(len(labels)), labels] / exp.sum(axis=-1)
-    data = np.mean(-np.log(np.maximum(picked, PROB_FLOOR)))
+    """``regularized_loss`` with the column-to-group map precomputed. Each
+    sample's term is logsumexp(z) - z[label] of its max-shifted corrected
+    scores z, exact where the label's probability underflows."""
+    shifted = _corrected(matrix, alpha, beta, col)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    picked = shifted[np.arange(len(labels)), labels]
+    data = np.mean(np.log(np.exp(shifted, out=shifted).sum(axis=-1)) - picked)
     penalty = (config.l2_alpha * np.sum((alpha - 1.0) ** 2)
                + config.l2_beta * np.sum(beta**2))
     return float(data + penalty)

@@ -15,10 +15,10 @@ Each dataset is drawn one state at a time (``synth.draw_states``): a
 stack of references or targets draws a state's block from each dataset
 only when that state trains, and ``gen`` writes each block as it is
 drawn, so no flow holds a whole dataset. The stack hands over each
-state's logits as soon as the state is trained, and the flow writes,
-fits or scores them before the next state trains, so no flow holds a
-whole run's logits. Tables and results are written once every state is
-done.
+state as soon as it is trained and scores one model at a time; the flow
+writes, fits or scores each model's logits, under the name its draw
+gives them, before it asks for the next, so no flow holds more than one
+score matrix. Tables and results are written once every state is done.
 
 Every table JSON and logits sidecar records ``spec_fingerprint`` of the
 spec that made it. ``run-target`` and ``sweep`` reuse the reference tables
@@ -221,21 +221,20 @@ def _logits_path(out: Path, name: str, state: int) -> Path:
 
 
 def reference_runs(spec: RunSpec, indices, out: Path) -> list[tuple[CalibrationTable, list]]:
-    """Train the references ``indices`` as one stack. Each state's
-    validation logits are written under ``out`` and fitted as soon as the
+    """Train the references ``indices`` as one stack. Each model's
+    validation logits are written under ``out`` and fitted as soon as its
     state is trained; returns each reference's table and fits."""
-    names = [f"ref_{i}" for i in indices]
-    seeds = [reference_seeds(spec)[i] for i in indices]
-    fingerprint, fits = spec_fingerprint(spec), [[] for _ in indices]
+    seeds, fingerprint = reference_seeds(spec), spec_fingerprint(spec)
+    fits = {f"ref_{i}": [] for i in indices}
     for state, by_set in run_incremental_stack(
-            spec.backbone, [make_dataset(spec, seed, name) for seed, name in zip(seeds, names)],
-            names, seeds, sets=("validation",)):
-        for name, logits, per_ref in zip(names, by_set["validation"], fits):
-            write_logits(_logits_path(out, name, state), logits, fingerprint)
+            spec.backbone, [make_dataset(spec, seeds[i], name) for i, name in zip(indices, fits)],
+            sets=("validation",)):
+        for logits in by_set["validation"]:
+            write_logits(_logits_path(out, logits.dataset, state), logits, fingerprint)
             if state > 1:
-                per_ref.append(fit_state(logits, spec.calibration))
-        del by_set, logits  # before the next state trains
-    return [(CalibrationTable.from_fits(per_ref), per_ref) for per_ref in fits]
+                fits[logits.dataset].append(fit_state(logits, spec.calibration))
+            del logits  # before the next model is scored
+    return [(CalibrationTable.from_fits(per_ref), per_ref) for per_ref in fits.values()]
 
 
 def _score(logits, tables: dict, rows: dict):
@@ -251,19 +250,18 @@ def target_rows(spec: RunSpec, indices, tables: dict, out: Path | None = None,
     trained, each target's test logits are written under ``out`` (unless it
     is None) and scored by every entry of ``tables``; returns, per target,
     each entry's per-state rows."""
-    names = [f"target_{j}" for j in indices]
-    seeds = [target_seeds(spec)[j] for j in indices]
-    fingerprint, rows = spec_fingerprint(spec), [{key: [] for key in tables} for _ in indices]
+    seeds, fingerprint = target_seeds(spec), spec_fingerprint(spec)
+    rows = {f"target_{j}": {key: [] for key in tables} for j in indices}
     for state, by_set in run_incremental_stack(
-            spec.backbone, [make_dataset(spec, seed, name, halve=halve)
-                            for seed, name in zip(seeds, names)],
-            names, seeds, sets=("test",)):
-        for name, logits, per_target in zip(names, by_set["test"], rows):
+            spec.backbone, [make_dataset(spec, seeds[j], name, halve=halve)
+                            for j, name in zip(indices, rows)],
+            sets=("test",)):
+        for logits in by_set["test"]:
             if out is not None:
-                write_logits(_logits_path(out, name, state), logits, fingerprint)
-            _score(logits, tables, per_target)
-        del by_set, logits  # before the next state trains
-    return rows
+                write_logits(_logits_path(out, logits.dataset, state), logits, fingerprint)
+            _score(logits, tables, rows[logits.dataset])
+            del logits  # before the next model is scored
+    return list(rows.values())
 
 
 def _pool_map(fn, args_list):

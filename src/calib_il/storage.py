@@ -8,6 +8,8 @@ half-written artifact. UTF-8, LF line endings, '.' decimal point — no
 locale dependence. Table JSONs and logits sidecars may carry a
 ``fingerprint``: a digest of the spec sections that produced the artifact
 (see ``pipeline.spec_fingerprint``), which decides whether it may be reused.
+A dataset is written block by block from its per-state draw, and
+``read_dataset`` reads it back whole.
 """
 
 from __future__ import annotations
@@ -418,15 +420,13 @@ def read_table(path, num_states: int | None = None) -> CalibrationTable:
 # datasets
 
 
-def write_dataset(path, dataset: IncrementalDataset | StateDraw):
-    """CSV `x<j>...,label,split` plus a JSON sidecar. A whole dataset is
-    written in its row order; a per-state draw block by block, each as it
-    is drawn."""
+def write_dataset(path, draw: StateDraw):
+    """CSV `x<j>...,label,split` plus a JSON sidecar, written block by
+    block, each as it is drawn."""
     path = Path(path)
-    blocks = [dataset] if isinstance(dataset, IncrementalDataset) else dataset.blocks
 
     def lines():
-        for i, block in enumerate(blocks):
+        for i, block in enumerate(draw.blocks):
             if i == 0:
                 yield ",".join(f"x{j}" for j in range(block.features.shape[1])) + ",label,split\n"
             yield from (f"{_row(feats.tolist())},{label},{tag}\n"
@@ -434,9 +434,9 @@ def write_dataset(path, dataset: IncrementalDataset | StateDraw):
                                                      block.split.tolist()))
 
     _atomic_write(path, lines())
-    _write_meta(_meta_path(path), None, num_states=dataset.schedule.num_states,
-                class_to_state=list(dataset.schedule.class_to_state),
-                name=dataset.name, seed=dataset.seed)
+    _write_meta(_meta_path(path), None, num_states=draw.schedule.num_states,
+                class_to_state=list(draw.schedule.class_to_state),
+                name=draw.name, seed=draw.seed)
 
 
 def read_dataset(path) -> IncrementalDataset:

@@ -8,16 +8,16 @@ by ``drift_scale``) to the whole feature space, emulating domain shift
 between datasets.
 
 A dataset is drawn on the run's ``StateSchedule`` one state at a time:
-``draw_states`` yields, state by state, the samples of the classes new in
-that state, and ``StackedSets`` pulls each state from R such draws only
-when that state trains. A whole ``IncrementalDataset`` is cut into the same
-blocks by ``IncrementalDataset.states``, and ``gen_synthetic_dataset`` is
-the blocks of one draw put together.
+``draw_states`` returns a ``StateDraw``, which yields, state by state, the
+samples of the classes new in that state, and ``StackedSets`` pulls each
+state from R such draws only when that state trains. A draw is the only
+dataset the package builds, stacks or writes; ``IncrementalDataset`` is
+what ``storage.read_dataset`` returns for a written one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +62,8 @@ class SynthSpec:
 
 @dataclass
 class IncrementalDataset:
-    """Feature matrix with labels, split tags and an incremental schedule."""
+    """Feature matrix with labels, split tags and an incremental schedule:
+    a written dataset as ``storage.read_dataset`` reads it back."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -100,20 +101,6 @@ class IncrementalDataset:
         if classes is not None:
             mask &= np.isin(self.labels, classes)
         return self.features[mask], self.labels[mask]
-
-    def states(self) -> "StateDraw":
-        """The dataset cut into the blocks of its states: each holds the
-        rows of the state's new classes, in dataset order."""
-        schedule = self.schedule
-
-        def blocks():
-            for state in range(1, schedule.num_states + 1):
-                group = schedule.group_slice(state, state)
-                mask = (self.labels >= group.start) & (self.labels < group.stop)
-                yield StateBlock(self.features[mask], self.labels[mask], self.split[mask])
-
-        return StateDraw(schedule, {tag: int(np.sum(self.split == tag)) for tag in SPLITS},
-                         blocks(), self.name, self.seed)
 
 
 @dataclass
@@ -224,23 +211,6 @@ def _block(rng: np.random.Generator, spec: SynthSpec, centers: np.ndarray, group
                       np.tile(tags, size))
 
 
-def gen_synthetic_dataset(spec: SynthSpec, schedule: StateSchedule,
-                          name: str = "") -> IncrementalDataset:
-    """The whole dataset of ``draw_states``: its blocks, one after another."""
-    draw = draw_states(spec, schedule, name)
-    total = sum(draw.sizes.values())
-    features = np.empty((total, spec.feature_dim))
-    labels = np.empty(total, dtype=np.int64)
-    split = np.empty(total, dtype=object)
-    start = 0
-    for block in draw.blocks:
-        stop = start + len(block.labels)
-        features[start:stop], labels[start:stop], split[start:stop] = (
-            block.features, block.labels, block.split)
-        start = stop
-    return IncrementalDataset(features, labels, split, schedule, name, spec.seed)
-
-
 @dataclass
 class StateView:
     """The training set of one state: the samples of the classes new in it.
@@ -288,27 +258,23 @@ class _Rows:
 
 
 class StackedSets:
-    """What a lockstep run reads from R datasets, state by state, stacked
-    on a leading model axis: features (R, n, d) and labels (R, n).
+    """What a lockstep run reads from R per-state draws, state by state,
+    stacked on a leading model axis: features (R, n, d) and labels (R, n).
 
-    Each dataset is a ``StateDraw`` or an ``IncrementalDataset``, which is
-    cut into its states (``IncrementalDataset.states``). A state's block is
-    pulled from each of the R draws only when that state is asked for, one
-    draw at a time, and released once its rows are placed: its training
-    set (the samples of the classes new in it) is stacked, and its rows of
-    the evaluation sets named in ``sets`` ("validation", "test") are
-    appended to one (R, n_final, d) array per set. A state's evaluation set
-    is then a prefix view of it: the classes seen by then, group by group.
-    Each state's training set can be taken once and is released then. The
-    datasets must share the schedule and have equal per-state sample
-    counts, as the datasets drawn from one spec do.
+    A state's block is pulled from each draw only when that state is asked
+    for, one draw at a time, and released once its rows are placed: its
+    training set (the samples of the classes new in it) is stacked, and
+    its rows of the evaluation sets named in ``sets`` ("validation",
+    "test") are appended to one (R, n_final, d) array per set. A state's
+    evaluation set is then a prefix view of it: the classes seen by then,
+    group by group. Each state's training set can be taken once and is
+    released then. The draws must share the schedule and have equal
+    per-state sample counts, as the draws of one spec do.
     """
 
-    def __init__(self, datasets: Iterable[StateDraw | IncrementalDataset],
-                 sets: tuple[str, ...]):
+    def __init__(self, draws: list[StateDraw], sets: tuple[str, ...]):
         if not set(sets) <= {"validation", "test"}:
             raise ValueError(f"evaluation sets {sets} must be 'validation' or 'test'")
-        draws = [d.states() if isinstance(d, IncrementalDataset) else d for d in datasets]
         if not draws:
             raise ValueError("stacked sets need at least one dataset")
         self.schedule = draws[0].schedule

@@ -33,8 +33,9 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,
                               write_metrics, write_table)
-from calib_il.synth import StackedSets, StateView, SynthSpec, gen_synthetic_dataset
+from calib_il.synth import StackedSets, StateView, SynthSpec, draw_states
 from calib_il.transfer import average_tables, param_count, score_state
+from test_synth import joined
 
 HARNESS = {
     "seed": 7,
@@ -287,10 +288,10 @@ def test_criterion_08_recency_bias_and_spread(harness):
 def test_criterion_09_backbone_contracts():
     spec = SynthSpec(num_classes=6, feature_dim=8, train_per_class=15,
                      val_per_class=5, test_per_class=5, seed=11)
-    data = gen_synthetic_dataset(spec, StateSchedule.equal_split(6, 3))
+    data = joined(draw_states(spec, StateSchedule.equal_split(6, 3)))
     config = BackboneConfig(kind="ftplus", epochs_initial=20,
                             epochs_incremental=10)
-    sets = StackedSets([data], ())
+    sets = StackedSets([draw_states(spec, data.schedule)], ())
     view1, view2 = (StateView(s, *sets.train(s)) for s in (1, 2))
     m1 = train_initial(config, view1, data.schedule)
     m2 = update_state(m1, view2, data.schedule, config)
@@ -357,10 +358,10 @@ def test_criterion_11_serialization(tmp_path):
     write_table(tmp_path / "t.table.json", table)
     table_ok = read_table(tmp_path / "t.table.json") == table
 
-    data = gen_synthetic_dataset(SynthSpec(
-        num_classes=4, feature_dim=3, train_per_class=6, val_per_class=2,
-        test_per_class=2, seed=8), StateSchedule((2, 2)), name="d0")
-    write_dataset(tmp_path / "d.csv", data)
+    spec = SynthSpec(num_classes=4, feature_dim=3, train_per_class=6, val_per_class=2,
+                     test_per_class=2, seed=8)
+    data = joined(draw_states(spec, StateSchedule((2, 2)), name="d0"))
+    write_dataset(tmp_path / "d.csv", draw_states(spec, data.schedule, name="d0"))
     back = read_dataset(tmp_path / "d.csv")
     dataset_ok = (back.features.tobytes() == data.features.tobytes()
                   and np.array_equal(back.labels, data.labels)

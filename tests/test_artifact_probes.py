@@ -306,10 +306,10 @@ class TestFailedRuns:
         self.finish(run, clean[0], out, ("run-reference",))
         real = backbones._stack_logits
 
-        def stack_logits(model, x, labels, state, schedule, datasets, *rest):
-            if state == 3 and datasets[0].startswith("target"):
-                raise NumericError(f"dataset {datasets[0]!r}, state 3: injected divergence")
-            return real(model, x, labels, state, schedule, datasets, *rest)
+        def stack_logits(model, x, labels, state, schedule, draws, *rest):
+            if state == 3 and draws[0].name.startswith("target"):
+                raise NumericError(f"dataset {draws[0].name!r}, state 3: injected divergence")
+            return real(model, x, labels, state, schedule, draws, *rest)
 
         monkeypatch.setattr(backbones, "_stack_logits", stack_logits)
         code, lines = run("run-target", clean[0], out)

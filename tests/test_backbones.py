@@ -16,10 +16,11 @@ from calib_il.backbones import (ETA_INIT, KINDS, BackboneConfig, Model,
                                 distillation_loss, feature_distillation_loss,
                                 lucir_lambda, mean_loss, run_incremental_stack,
                                 standardize_rows, train_initial, update_state)
-from calib_il.errors import SpecError
+from calib_il.errors import NumericError, SpecError
 from calib_il.metrics import per_state_accuracy
 from calib_il.schedule import StateSchedule
-from calib_il.synth import StateView, SynthSpec, gen_synthetic_dataset
+from calib_il.synth import StateView, SynthSpec, draw_states
+from test_synth import joined
 
 
 def stacked(data, state):
@@ -55,14 +56,19 @@ def update_finetune(model, view, schedule, config):
     return backbones._train_new_group(model, view, schedule, config)
 
 
-def generate(spec, num_states):
-    return gen_synthetic_dataset(spec, StateSchedule.equal_split(spec.num_classes, num_states))
+def draw(spec, num_states, name=""):
+    return draw_states(spec, StateSchedule.equal_split(spec.num_classes, num_states), name)
 
 
-def quick_dataset(seed=11, num_classes=6, num_states=3, noise=1.0, dim=8, train=15):
-    return generate(SynthSpec(num_classes=num_classes, feature_dim=dim, train_per_class=train,
-                              val_per_class=5, test_per_class=5, noise_scale=noise,
-                              seed=seed), num_states)
+def quick_draw(seed=11, num_classes=6, num_states=3, noise=1.0, dim=8, train=15, name=""):
+    return draw(SynthSpec(num_classes=num_classes, feature_dim=dim, train_per_class=train,
+                          val_per_class=5, test_per_class=5, noise_scale=noise,
+                          seed=seed), num_states, name)
+
+
+def quick_dataset(**kw):
+    """The whole dataset of ``quick_draw(**kw)``."""
+    return joined(quick_draw(**kw))
 
 
 def quick_config(kind="ftplus", **kw):
@@ -71,11 +77,12 @@ def quick_config(kind="ftplus", **kw):
     return BackboneConfig(**base)
 
 
-def run_stack(config, datasets, names, seeds, sets=("validation", "test")):
+def run_stack(config, draws, sets=("validation", "test")):
     """Every state's logits from ``run_incremental_stack``, gathered per
     set and model: the whole run, as a test may hold it."""
-    out = {name: [[] for _ in names] for name in sets}
-    for _, logits in run_incremental_stack(config, datasets, names, seeds, sets):
+    draws = list(draws)
+    out = {name: [[] for _ in draws] for name in sets}
+    for _, logits in run_incremental_stack(config, draws, sets):
         for name in sets:
             for per_model, state_logits in zip(out[name], logits[name], strict=True):
                 per_model.append(state_logits)
@@ -292,7 +299,7 @@ class TestLwF:
             spec = SynthSpec(num_classes=20, feature_dim=32, train_per_class=40,
                              val_per_class=10, test_per_class=30,
                              center_scale=1.0, noise_scale=1.0, seed=seed)
-            data = generate(spec, 5)
+            data = joined(draw(spec, 5))
             config = dataclasses.replace(base, distill_weight=distill_weight)
             model = train_one(config, data)
             for state in range(2, 6):
@@ -373,14 +380,14 @@ class TestRunIncremental:
     def test_shapes_states_and_determinism(self):
         data = quick_dataset(seed=9)
         config = quick_config()
-        (val,), (test,) = run_stack(config, [data], ["d0"], [9])
+        (val,), (test,) = run_stack(config, [quick_draw(seed=9, name="d0")])
         assert [lg.state for lg in val] == [1, 2, 3]
         assert [lg.state for lg in test] == [1, 2, 3]
         for s, lg in enumerate(val, start=1):
             assert lg.matrix.shape[1] == data.schedule.classes_through(s)
             np.testing.assert_array_equal(lg.labels, seen(data, "validation", s)[1])
-            assert lg.dataset == "d0" and lg.backbone == "ftplus"
-        (val2,), _ = run_stack(config, [data], ["d0"], [9])
+            assert (lg.dataset, lg.backbone, lg.seed) == ("d0", "ftplus", 9)
+        (val2,), _ = run_stack(config, [quick_draw(seed=9, name="d0")])
         for a, b in zip(val, val2):
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
@@ -395,14 +402,36 @@ class TestRunIncremental:
             return real(model, view, schedule, config)
 
         monkeypatch.setattr(backbones, "update_state", counting)
-        stack = run_incremental_stack(quick_config(), [quick_dataset(seed=9)], ["d0"], [9],
-                                      sets=("test",))
+        stack = run_incremental_stack(quick_config(), [quick_draw(seed=9)], sets=("test",))
         assert updates == []
         for want, (state, logits) in enumerate(stack, start=1):
             assert state == want and updates == list(range(2, state + 1))
             assert list(logits) == ["test"]
             assert [lg.state for lg in logits["test"]] == [state]
         assert want == 3
+
+    def test_each_model_is_scored_when_reached(self, monkeypatch):
+        """A model is scored when the caller reaches it, and the models a
+        caller leaves are scored, and so checked for divergence, before
+        the next state trains."""
+        scored = []
+        real = backbones._stack_logits
+
+        def scoring(model, x, labels, state, schedule, draws, backbone):
+            x = x.copy()
+            x[1, 0, 0] = np.nan  # the second model's scores are not finite
+            for logits in real(model, x, labels, state, schedule, draws, backbone):
+                scored.append(logits.dataset)
+                yield logits
+
+        monkeypatch.setattr(backbones, "_stack_logits", scoring)
+        stack = run_incremental_stack(quick_config(), [quick_draw(seed=r, name=f"d{r}")
+                                                       for r in (1, 2)], sets=("test",))
+        state, logits = next(stack)
+        assert state == 1 and scored == []
+        assert next(logits["test"]).dataset == "d1" and scored == ["d1"]
+        with pytest.raises(NumericError, match="'d2', state 1: ftplus training diverged"):
+            next(stack)
 
 
 class TestLockstep:
@@ -412,24 +441,21 @@ class TestLockstep:
         model's val and test logits at every state carry the bits it gets
         when trained alone, as a stack of one. Batches of 7 over 30 samples
         per state end each epoch on a partial batch."""
-        datasets = [quick_dataset(seed=20 + r) for r in range(3)]
-        names, seeds = ["d0", "d1", "d2"], [20, 21, 22]
         config = quick_config(kind, batch_size=7)
-        val, test = run_stack(config, datasets, names, seeds)
-        for r, data in enumerate(datasets):
+        val, test = run_stack(config, [quick_draw(seed=20 + r, name=f"d{r}") for r in range(3)])
+        for r in range(3):
             (alone_val,), (alone_test,) = run_stack(
-                config, [data], [names[r]], [seeds[r]])
+                config, [quick_draw(seed=20 + r, name=f"d{r}")])
             for got, want in zip(val[r] + test[r], alone_val + alone_test, strict=True):
                 assert got.state == want.state
-                assert got.dataset == want.dataset == names[r]
+                assert got.dataset == want.dataset == f"d{r}"
                 assert got.matrix.tobytes() == want.matrix.tobytes()
                 assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_stack_needs_equal_sample_counts(self):
-        small = quick_dataset(seed=1, train=10)
+        small = quick_draw(seed=1, train=10)
         with pytest.raises(ValueError, match="cannot be stacked"):
-            run_stack(quick_config(), [quick_dataset(), small],
-                                  ["a", "b"], [0, 1])
+            run_stack(quick_config(), [quick_draw(), small])
 
 
 def per_batch_sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
@@ -469,11 +495,10 @@ class TestEpochGather:
         samples: each epoch's one gather gives the bits of gathering each
         batch alone, for every update rule (teacher targets, frozen rows
         and the cosine head included)."""
-        datasets = [quick_dataset(seed=40 + r) for r in range(2)]
         config = quick_config(kind, batch_size=7)
-        got = run_stack(config, datasets, ["d0", "d1"], [40, 41])
+        got = run_stack(config, [quick_draw(seed=40 + r) for r in range(2)])
         monkeypatch.setattr(backbones, "_sgd_epochs", per_batch_sgd_epochs)
-        want = run_stack(config, datasets, ["d0", "d1"], [40, 41])
+        want = run_stack(config, [quick_draw(seed=40 + r) for r in range(2)])
         for got_set, want_set in zip(got, want, strict=True):
             for got_model, want_model in zip(got_set, want_set, strict=True):
                 for a, b in zip(got_model, want_model, strict=True):
@@ -502,8 +527,8 @@ class TestGuards:
         m1 = train_one(config, data)
         x, y = seen(data, "validation", 2)
         with pytest.raises(SpecError, match="model covers"):
-            backbones._stack_logits(m1, x[None], y[None], 2,
-                                    data.schedule, ["d0"], "ftplus", [0])
+            next(backbones._stack_logits(m1, x[None], y[None], 2, data.schedule,
+                                         [quick_draw()], "ftplus"))
 
     def test_mean_loss_hand_case(self):
         model = Model(w1=np.eye(2), b1=np.zeros(2),

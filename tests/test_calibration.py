@@ -5,6 +5,7 @@ reimplementations with plain Python floats, central finite differences,
 and a block-coordinate grid search for the full fit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calib_il import calibration
+from calib_il import calibration, cli
 from calib_il.calibration import (GRAD_TOL, CalibConfig, CalibrationTable,
                                   StateFit, apply_bic, apply_table, fit_state,
                                   loss_gradient, regularized_loss, softmax)
@@ -258,6 +259,56 @@ class TestGradient:
                                  logits.schedule, 2, with_pen)
         np.testing.assert_allclose(ga0, ga1, atol=1e-15)
         np.testing.assert_allclose(gb0, gb1, atol=1e-15)
+
+
+class TestExactLoss:
+    """The loss is the function its derivatives differentiate, also where
+    a label's softmax probability underflows."""
+
+    # Schedule (1, 1) at state 2; the last sample's label trails by a score
+    # gap of 40, so its probability is about 4e-18.
+    MATRIX = np.array([[0.5, -1.0], [1.0, 0.0], [40.0, 0.0]])
+    LABELS = np.array([0, 1, 1])
+
+    def test_loss_of_an_underflowing_sample_is_exact(self):
+        sched, config = StateSchedule((1, 1)), CalibConfig()
+        a, b = [1.1, 0.9], [0.2, -0.1]
+        terms = []
+        for row, label in zip(self.MATRIX.tolist(), self.LABELS.tolist()):
+            z = [a[k] * v + b[k] for k, v in enumerate(row)]
+            top = max(z)
+            terms.append(top + math.log(sum(math.exp(v - top) for v in z)) - z[label])
+        assert terms[2] > 30  # past the -log(1e-12) = 27.6 of a clamped probability
+        expect = (sum(terms) / 3 + config.l2_alpha * sum((v - 1) ** 2 for v in a)
+                  + config.l2_beta * sum(v**2 for v in b))
+        got = regularized_loss(self.MATRIX, self.LABELS, np.array(a), np.array(b), sched, 2,
+                               config)
+        assert got == pytest.approx(expect, rel=1e-14)
+
+    def test_gradient_matches_finite_differences_at_an_underflowing_sample(self):
+        sched, config = StateSchedule((1, 1)), CalibConfig()
+        a, b = np.array([1.1, 0.9]), np.array([0.2, -0.1])
+        ga, gb = loss_gradient(self.MATRIX, self.LABELS, a, b, sched, 2, config)
+        na, nb = numeric_gradient(self.MATRIX, self.LABELS, a, b, sched, 2, config)
+        np.testing.assert_allclose(ga, na, rtol=1e-6)
+        np.testing.assert_allclose(gb, nb, rtol=1e-6)
+
+    def test_diverging_lwf_scores_still_certify(self, tmp_path, monkeypatch):
+        """A valid spec with the default penalties whose lwf scores reach
+        about 1e5: its fits start with validation samples far below any
+        probability floor, and each certifies."""
+        monkeypatch.delenv("CALIB_IL_SEED", raising=False)
+        spec = {"seed": 4, "data": {"num_classes": 7, "feature_dim": 8,
+                                    "train_per_class": 20, "val_per_class": 2,
+                                    "test_per_class": 1, "noise_scale": 1.0,
+                                    "num_references": 1, "num_targets": 1},
+                "schedule": {"classes_per_state": [1, 4, 1, 1]},
+                "backbone": {"kind": "lwf", "hidden_dim": 16, "epochs_initial": 5,
+                             "epochs_incremental": 1, "batch_size": 1, "learning_rate": 0.1}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        for command in ("run-reference", "run-target"):
+            assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def realizable_case(seed, n=1500, sizes=(2, 2), scale=1.8):

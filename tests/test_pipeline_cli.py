@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_il import cli, pipeline
-from calib_il.backbones import BackboneConfig
+from calib_il.backbones import KINDS, BackboneConfig
 from calib_il.calibration import CalibConfig, CalibrationTable
 from calib_il.errors import MetadataError, SchemaError, SpecError
 from calib_il.metrics import RunMetrics
@@ -363,6 +363,31 @@ class TestStreamedLogits:
         assert peak < total / 2, (peak, total)
 
 
+    def test_reference_models_are_scored_one_at_a_time(self, tmp_path):
+        """Each reference of a stack is scored only once the previous one's
+        logits are written and fitted, so a second reference adds less
+        than half a last-state validation matrix to the peak. In this spec
+        the scores dwarf the features: 200 classes of four features."""
+        spec = parse_run_spec({
+            "seed": 5,
+            "data": {"num_classes": 200, "feature_dim": 4, "train_per_class": 4,
+                     "val_per_class": 10, "test_per_class": 1,
+                     "num_references": 2, "num_targets": 1},
+            "schedule": {"num_states": 4},
+            "backbone": {"hidden_dim": 8, "epochs_initial": 1, "epochs_incremental": 1}})
+        matrix = 8 * (200 * 10) * 200  # bytes of one last-state validation matrix
+        pipeline.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
+        peaks = []
+        for count in (1, 2):
+            tracemalloc.start()
+            try:
+                pipeline.reference_runs(spec, range(count), tmp_path / f"run_{count}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < matrix / 2, (peaks, matrix)
+
+
 class TestStreamedDraws:
     def test_references_hold_one_state_of_training_data(self, tmp_path):
         """Each dataset is drawn one state at a time, so a stack holds one
@@ -386,6 +411,35 @@ class TestStreamedDraws:
         finally:
             tracemalloc.stop()
         assert peak < training / 2, (peak, training)
+
+
+class TestEveryUpdateRule:
+    """Each of the four update rules runs every subcommand end to end, and
+    --jobs 2, which splits each two-model stack in two, writes the tree
+    that --jobs 1 writes."""
+
+    SPEC = {"seed": 7, "name": "rules",
+            "data": {"num_classes": 6, "feature_dim": 8,
+                     "num_references": 2, "num_targets": 2},
+            "schedule": {"num_states": 3},
+            "backbone": {"hidden_dim": 16, "epochs_initial": 10, "epochs_incremental": 5,
+                         "learning_rate": 0.03},
+            "sweep": {"num_samplings": 2}}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_subcommand_for_either_job_count(self, kind, tmp_path, monkeypatch):
+        monkeypatch.delenv("CALIB_IL_SEED", raising=False)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            dict(self.SPEC, backbone=dict(self.SPEC["backbone"], kind=kind))))
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs_{jobs}"
+            for command in ("gen", "run-reference", "run-target", "sweep", "plot"):
+                code = cli.main([command, "--spec", str(path), "--out", str(out), "--jobs", jobs])
+                assert code == 0, (command, jobs)
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
 
 
 @pytest.fixture(scope="module")
@@ -565,9 +619,10 @@ class TestArtifactCache:
         stacks = []
         real = pipeline.run_incremental_stack
 
-        def counting(config, datasets, names, seeds, sets=("validation", "test")):
-            stacks.append(tuple(names))
-            return real(config, datasets, names, seeds, sets)
+        def counting(config, draws, sets=("validation", "test")):
+            draws = list(draws)
+            stacks.append(tuple(draw.name for draw in draws))
+            return real(config, draws, sets)
 
         monkeypatch.setattr(pipeline, "run_incremental_stack", counting)
         cmd_sweep(spec, out)

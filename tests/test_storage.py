@@ -21,7 +21,15 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
                               read_metrics_rows, read_table, write_dataset,
                               write_logits, write_metrics, write_table)
-from calib_il.synth import SPLITS, IncrementalDataset, SynthSpec, gen_synthetic_dataset
+from calib_il.synth import SPLITS, StateBlock, StateDraw, SynthSpec, draw_states
+from test_synth import joined
+
+
+def one_block_draw(features, labels, split, name, seed=0):
+    """A one-state draw over the classes of ``labels`` that holds one block."""
+    schedule = StateSchedule((int(labels.max()) + 1,))
+    return StateDraw(schedule, {tag: int(np.sum(split == tag)) for tag in SPLITS},
+                     iter([StateBlock(features, labels, split)]), name, seed)
 
 
 def tricky_logits():
@@ -261,10 +269,8 @@ class TestPinnedBytes:
 
     def test_dataset_bytes(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_dataset(path, IncrementalDataset(
-            features=self.EDGES, labels=np.zeros(3, dtype=np.int64),
-            split=np.array(SPLITS, dtype=object), schedule=StateSchedule((1,)),
-            name="edges", seed=0))
+        write_dataset(path, one_block_draw(self.EDGES, np.zeros(3, dtype=np.int64),
+                                           np.array(SPLITS, dtype=object), "edges"))
         assert path.read_bytes() == (b"x0,x1,label,split\n"
                                      b"-0.0,5e-324,0,train\n"
                                      b"1e+16,1e-05,0,validation\n"
@@ -281,9 +287,7 @@ class TestPinnedBytes:
         rows = (tmp_path / "lg.csv").read_text().splitlines()[1:]
         assert rows == [f"{i},{labels[i]}," + ",".join(repr(float(v)) for v in matrix[i])
                         for i in range(9)]
-        write_dataset(tmp_path / "d.csv", IncrementalDataset(
-            features=matrix, labels=labels, split=split, schedule=StateSchedule((3,)),
-            name="r", seed=seed))
+        write_dataset(tmp_path / "d.csv", one_block_draw(matrix, labels, split, "r", seed))
         rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
         assert rows == [",".join(repr(float(v)) for v in matrix[i]) + f",{labels[i]},{split[i]}"
                         for i in range(9)]
@@ -373,13 +377,12 @@ class TestDatasetRoundTrip:
     def make(self):
         spec = SynthSpec(num_classes=4, feature_dim=3, train_per_class=6,
                          val_per_class=2, test_per_class=2, seed=8)
-        return gen_synthetic_dataset(spec, StateSchedule((2, 2)), name="ref_1")
+        return draw_states(spec, StateSchedule((2, 2)), name="ref_1")
 
     def test_bit_exact(self, tmp_path):
         path = tmp_path / "d.csv"
-        data = self.make()
-        write_dataset(path, data)
-        back = read_dataset(path)
+        write_dataset(path, self.make())
+        data, back = joined(self.make()), read_dataset(path)
         assert back.features.tobytes() == data.features.tobytes()
         np.testing.assert_array_equal(back.labels, data.labels)
         np.testing.assert_array_equal(back.split, data.split)

@@ -1,7 +1,6 @@
 """Synthetic dataset generation, the per-state draw, state splitting, and
 halving."""
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from calib_il.schedule import StateSchedule
 from calib_il.synth import (SPLITS, IncrementalDataset, StackedSets, SynthSpec,
-                            _cayley_rotation, draw_states, gen_synthetic_dataset)
+                            _cayley_rotation, draw_states)
 
 
 def small_spec(**kw):
@@ -19,16 +18,21 @@ def small_spec(**kw):
     return SynthSpec(**base)
 
 
-def generate(num_states=2, **kw):
-    """A dataset of ``small_spec(**kw)`` drawn on an equal split."""
+def small_draw(num_states=2, **kw):
+    """A per-state draw of ``small_spec(**kw)`` on an equal split."""
     spec = small_spec(**kw)
-    return gen_synthetic_dataset(spec, StateSchedule.equal_split(spec.num_classes, num_states))
+    return draw_states(spec, StateSchedule.equal_split(spec.num_classes, num_states))
+
+
+def generate(num_states=2, **kw):
+    """The whole dataset of ``small_draw(num_states, **kw)``."""
+    return joined(small_draw(num_states, **kw))
 
 
 def reference_dataset(spec, schedule):
     """The generator drawn block by block: one rng.normal call per (class,
     split), concatenated, with labels and tags built as lists. The oracle of
-    ``gen_synthetic_dataset``, which must give the same bits."""
+    ``draw_states``, whose blocks joined must give the same bits."""
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(0.0, spec.center_scale, (spec.num_classes, spec.feature_dim))
     per_class = dict(zip(SPLITS, (spec.train_per_class, spec.val_per_class,
@@ -126,7 +130,7 @@ class TestGeneration:
     def test_schedule_changes_no_sample(self):
         """The schedule only labels the states; the draws are the spec's."""
         a = generate(num_states=2)
-        b = gen_synthetic_dataset(small_spec(), StateSchedule((1, 3)))
+        b = joined(draw_states(small_spec(), StateSchedule((1, 3))))
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
         assert list(a.split) == list(b.split)
@@ -141,7 +145,7 @@ class TestGeneration:
     def test_equals_the_block_by_block_reference(self, knobs):
         spec = small_spec(**knobs)
         schedule = StateSchedule.equal_split(spec.num_classes, 2)
-        assert_same_rows(gen_synthetic_dataset(spec, schedule), reference_dataset(spec, schedule))
+        assert_same_rows(joined(draw_states(spec, schedule)), reference_dataset(spec, schedule))
 
     @pytest.mark.parametrize("knobs, sizes", DRAWS)
     def test_per_state_draw_equals_the_whole_draw(self, knobs, sizes):
@@ -160,21 +164,7 @@ class TestGeneration:
             assert_same_rows(block, SimpleNamespace(
                 features=want.features[rows], labels=want.labels[rows], split=want.split[rows]))
         assert draw.sizes == {tag: int(np.sum(want.split == tag)) for tag in SPLITS}
-        assert_same_rows(gen_synthetic_dataset(spec, schedule), want)
-
-    def test_peak_memory_is_about_one_feature_matrix(self):
-        """Every block is drawn into the one feature matrix, with no
-        per-block arrays to concatenate; the first draw warms numpy."""
-        spec = SynthSpec(num_classes=100, feature_dim=64)
-        schedule = StateSchedule.equal_split(100, 10)
-        gen_synthetic_dataset(spec, schedule)
-        tracemalloc.start()
-        try:
-            data = gen_synthetic_dataset(spec, schedule)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.4 * data.features.nbytes
+        assert_same_rows(joined(draw_states(spec, schedule)), want)
 
     def test_seeds_give_different_geometry(self):
         a = generate(seed=1)
@@ -249,7 +239,7 @@ class TestDatasetValidation:
 
 class TestSplitStates:
     def test_train_views_are_new_classes_only(self):
-        data = generate()
+        data = small_draw()
         sets = StackedSets([data], ())
         assert data.schedule.classes_per_state == (2, 2)
         (x1,), (y1,) = sets.train(1)
@@ -258,19 +248,19 @@ class TestSplitStates:
         assert len(x1) == 20
 
     def test_val_and_test_are_cumulative(self):
-        sets = StackedSets([generate()], ("validation", "test"))
+        sets = StackedSets([small_draw()], ("validation", "test"))
         assert set(sets.evaluation("validation", 1)[1][0]) == {0, 1}
         assert set(sets.evaluation("validation", 2)[1][0]) == {0, 1, 2, 3}
         assert len(sets.evaluation("test", 2)[0][0]) == 4 * 5
 
     def test_explicit_sizes(self):
-        data = gen_synthetic_dataset(small_spec(), StateSchedule((1, 3)))
+        data = draw_states(small_spec(), StateSchedule((1, 3)))
         assert data.schedule.classes_per_state == (1, 3)
         assert set(StackedSets([data], ()).train(2)[1][0]) == {1, 2, 3}
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError, match="covers 3 classes, the spec draws 4"):
-            gen_synthetic_dataset(small_spec(), StateSchedule((1, 2)))
+            draw_states(small_spec(), StateSchedule((1, 2)))
         with pytest.raises(ValueError, match="split evenly"):
             StateSchedule.equal_split(4, 3)
         with pytest.raises(ValueError, match="split evenly"):
@@ -278,34 +268,6 @@ class TestSplitStates:
 
 
 class TestStackedSets:
-    def shuffled_dataset(self, seed):
-        """A three-state dataset whose rows are not sorted by class or tag."""
-        data = generate(num_states=3, num_classes=6, seed=seed)
-        order = np.random.default_rng(seed).permutation(len(data.labels))
-        return IncrementalDataset(data.features[order], data.labels[order],
-                                  data.split[order], data.schedule)
-
-    def test_sets_equal_the_dataset_subsets(self):
-        """Every stacked set holds, slice by slice, that dataset's subset of
-        the state's classes (new ones for training, every one seen for
-        evaluation). A whole dataset is cut into its states, so an
-        evaluation set goes group by group, each group's rows in dataset
-        order."""
-        datasets = [self.shuffled_dataset(seed) for seed in (1, 2, 3)]
-        sets = StackedSets(iter(datasets), ("validation", "test"))
-        schedule = datasets[0].schedule
-        groups = [np.arange(g.start, g.stop)
-                  for g in (schedule.group_slice(s, s) for s in (1, 2, 3))]
-        for state in (1, 2, 3):
-            stacked = [("train", groups[state - 1:state], sets.train(state)),
-                       ("validation", groups[:state], sets.evaluation("validation", state)),
-                       ("test", groups[:state], sets.evaluation("test", state))]
-            for r, data in enumerate(datasets):
-                for tag, classes, (xs, ys) in stacked:
-                    parts = [data.subset(tag, group) for group in classes]
-                    assert xs[r].tobytes() == np.concatenate([x for x, _ in parts]).tobytes()
-                    assert ys[r].tobytes() == np.concatenate([y for _, y in parts]).tobytes()
-
     @pytest.mark.parametrize("knobs, sizes", DRAWS)
     def test_evaluation_prefixes_equal_the_dataset_subsets(self, knobs, sizes):
         """From per-state draws, each state's evaluation set is
@@ -315,7 +277,7 @@ class TestStackedSets:
         specs = [small_spec(**dict(knobs, seed=seed)) for seed in (4, 5)]
         sets = StackedSets([draw_states(spec, schedule) for spec in specs],
                            ("validation", "test"))
-        whole = [gen_synthetic_dataset(spec, schedule) for spec in specs]
+        whole = [joined(draw_states(spec, schedule)) for spec in specs]
         final = {name: sets.evaluation(name, schedule.num_states) for name in ("validation", "test")}
         for state in range(1, schedule.num_states + 1):
             seen = np.arange(schedule.classes_through(state))
@@ -355,24 +317,24 @@ class TestStackedSets:
         assert drawn == [1, 2, 1, 2]
 
     def test_training_set_is_taken_once(self):
-        sets = StackedSets([self.shuffled_dataset(1)], ())
+        sets = StackedSets([small_draw(num_states=3, num_classes=6, seed=1)], ())
         sets.train(1)
         with pytest.raises(ValueError, match="already taken"):
             sets.train(1)
 
     def test_unequal_sizes_rejected(self):
-        sets = StackedSets([generate(), generate(train_per_class=4)], ())
+        sets = StackedSets([small_draw(), small_draw(train_per_class=4)], ())
         with pytest.raises(ValueError, match="cannot be stacked"):
             sets.train(1)
 
     def test_unknown_set_rejected(self):
         with pytest.raises(ValueError, match="'validation' or 'test'"):
-            StackedSets([generate()], ("val",))
+            StackedSets([small_draw()], ("val",))
 
     def test_schedules_must_agree(self):
-        other = gen_synthetic_dataset(small_spec(), StateSchedule((1, 3)))
+        other = draw_states(small_spec(), StateSchedule((1, 3)))
         with pytest.raises(ValueError, match="one schedule"):
-            StackedSets([generate(), other], ())
+            StackedSets([small_draw(), other], ())
 
 
 class TestHalving:
