@@ -1,8 +1,10 @@
 """Every artifact format: bit-exact CSV/JSON for logits, tables, datasets,
 metrics and the run's summary CSVs, and the one typed reader of JSON values.
 
-Floats are rendered with Python's shortest round-trip repr so that
-write → read returns the same IEEE-754 bits. All writers stream their rows
+Floats are rendered as the exact bytes of Python's shortest round-trip
+repr, so that write → read returns the same IEEE-754 bits; logits and
+dataset rows take them from ``floats.rows``, which falls back to ``repr``
+for the cells it does not certify. All writers stream their rows
 into a temp file and rename it into place, so a crashed run never leaves a
 half-written artifact. UTF-8, LF line endings, '.' decimal point — no
 locale dependence. Table JSONs and logits sidecars may carry a
@@ -260,12 +262,6 @@ def write_rows(path, header: list[str], rows):
                                     (",".join(map(_cell, row)) + "\n" for row in rows)))
 
 
-def _row(values: list) -> str:
-    # repr of a Python float is the shortest string that round-trips; the
-    # caller passes ``ndarray.tolist()`` so no numpy scalar is boxed per cell.
-    return ",".join(map(repr, values))
-
-
 def _atomic_write(path: Path, chunks):
     """Write ``chunks``, one str or an iterable of str streamed in order, to
     a temp file next to ``path`` and rename it over ``path``. If anything
@@ -299,12 +295,16 @@ write_svg = _atomic_write  # one SVG string, written like every other artifact
 def write_logits(path, logits: StateLogits, fingerprint: str | None = None):
     """CSV `id,label,c<j>...` plus a JSON sidecar with the protocol and,
     when given, the spec fingerprint."""
+    # Imported here: loading it and building its tables take ~5 ms, which
+    # the CLI's start-up and plot never need.
+    from .floats import rows
+
     path = Path(path)
     cols = logits.matrix.shape[1]
     _atomic_write(path, chain(
         ["id,label," + ",".join(f"c{j}" for j in range(cols)) + "\n"],
-        (f"{i},{label},{_row(scores.tolist())}\n"
-         for i, (label, scores) in enumerate(zip(logits.labels.tolist(), logits.matrix)))))
+        (f"{i},{label},{scores}\n"
+         for i, (label, scores) in enumerate(zip(logits.labels.tolist(), rows(logits.matrix))))))
     _write_meta(_meta_path(path), fingerprint, state=logits.state,
                 num_states=logits.schedule.num_states,
                 class_to_state=list(logits.schedule.class_to_state),
@@ -422,16 +422,23 @@ def read_table(path, num_states: int | None = None) -> CalibrationTable:
 
 def write_dataset(path, draw: StateDraw):
     """CSV `x<j>...,label,split` plus a JSON sidecar, written block by
-    block, each as it is drawn."""
+    block, each as it is drawn; a block is dropped before the next is
+    drawn."""
+    # Imported here: loading it and building its tables take ~5 ms, which
+    # the CLI's start-up and plot never need.
+    from .floats import rows
+
     path = Path(path)
 
     def lines():
-        for i, block in enumerate(draw.blocks):
-            if i == 0:
-                yield ",".join(f"x{j}" for j in range(block.features.shape[1])) + ",label,split\n"
-            yield from (f"{_row(feats.tolist())},{label},{tag}\n"
-                        for feats, label, tag in zip(block.features, block.labels.tolist(),
-                                                     block.split.tolist()))
+        block = next(draw.blocks, None)
+        if block is not None:
+            yield ",".join(f"x{j}" for j in range(block.features.shape[1])) + ",label,split\n"
+        while block is not None:
+            yield from (f"{feats},{label},{tag}\n" for feats, label, tag in
+                        zip(rows(block.features), block.labels.tolist(), block.split.tolist()))
+            del block
+            block = next(draw.blocks, None)
 
     _atomic_write(path, lines())
     _write_meta(_meta_path(path), None, num_states=draw.schedule.num_states,

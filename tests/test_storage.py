@@ -278,19 +278,62 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_match_repr_of_each_value(self, tmp_path, seed):
+        """Magnitudes from 1e-300 to 1e300 and some -0.0 cells, over many
+        chunks of rows, so that cells the vectorized path writes and cells
+        left to repr share rows."""
         rng = np.random.default_rng(seed)
-        matrix = rng.normal(0, 10.0 ** rng.integers(-300, 300, (9, 3)), (9, 3))
-        matrix[0, 0] = -0.0
-        labels = np.repeat(np.arange(3), 3)
-        split = np.array(SPLITS * 3, dtype=object)
-        write_logits(tmp_path / "lg.csv", StateLogits(1, matrix, labels, StateSchedule((3,))))
+        matrix = rng.normal(0, 10.0 ** rng.integers(-300, 300, (300, 64)), (300, 64))
+        matrix[rng.random((300, 64)) < 0.02] = -0.0
+        labels = np.arange(300) % 64
+        split = np.array(SPLITS * 100, dtype=object)
+        write_logits(tmp_path / "lg.csv", StateLogits(1, matrix, labels, StateSchedule((64,))))
         rows = (tmp_path / "lg.csv").read_text().splitlines()[1:]
         assert rows == [f"{i},{labels[i]}," + ",".join(repr(float(v)) for v in matrix[i])
-                        for i in range(9)]
+                        for i in range(300)]
         write_dataset(tmp_path / "d.csv", one_block_draw(matrix, labels, split, "r", seed))
         rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
         assert rows == [",".join(repr(float(v)) for v in matrix[i]) + f",{labels[i]},{split[i]}"
-                        for i in range(9)]
+                        for i in range(300)]
+
+
+def write_peak(write) -> int:
+    """Peak traced bytes of ``write()``."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedWrites:
+    def test_logits_peak_does_not_grow_with_rows(self, tmp_path):
+        """Rows are rendered a chunk at a time: four times the rows raise
+        the peak by at most a tenth; the first write warms the kernel."""
+        rng = np.random.default_rng(0)
+
+        def peak(num_rows):
+            logits = StateLogits(1, rng.normal(size=(num_rows, 100)),
+                                 rng.integers(0, 100, num_rows), StateSchedule.equal_split(100, 1))
+            return write_peak(lambda: write_logits(tmp_path / "lg.csv", logits))
+
+        peak(10)
+        assert peak(4000) <= 1.1 * peak(1000)
+
+    def test_dataset_holds_one_block_at_a_time(self, tmp_path):
+        """Each block is dropped before the next is drawn. With blocks of
+        2.15 MB the peak stays under one and a half blocks; holding the
+        previous block while drawing the next takes two."""
+        spec = SynthSpec(num_classes=20, feature_dim=64, train_per_class=400, seed=7)
+
+        def draw():
+            return draw_states(spec, StateSchedule((10, 10)), name="big")
+
+        block = next(draw().blocks).features.nbytes
+        warm = one_block_draw(np.ones((2, 2)), np.zeros(2, dtype=np.int64),
+                              np.array(SPLITS[:2], dtype=object), "warm")
+        write_dataset(tmp_path / "warm.csv", warm)
+        assert write_peak(lambda: write_dataset(tmp_path / "d.csv", draw())) <= 1.5 * block
 
 
 class TestFingerprint:
