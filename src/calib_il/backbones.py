@@ -50,50 +50,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BackboneConfig
 from .errors import NumericError, SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
 from .synth import StackedSets, StateDraw, StateView
 
-KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
-
 # Initial scale of the cosine-score multiplier; trained with the rest.
 ETA_INIT = 10.0
 
 _NORM_FLOOR = 1e-8
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    kind: str = "ftplus"
-    hidden_dim: int = 64
-    epochs_initial: int = 60
-    epochs_incremental: int = 30
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    batch_size: int = 32
-    distill_temperature: float = 2.0
-    distill_weight: float = 1.0
-    lucir_lambda_base: float = 5.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SpecError(f"unknown backbone kind {self.kind!r}; expected one of {KINDS}")
-        if self.hidden_dim < 1 or self.batch_size < 1:
-            raise SpecError("hidden_dim and batch_size must be >= 1")
-        if self.kind == "siw" and self.hidden_dim < 2:
-            raise SpecError("siw standardizes over hidden units and needs hidden_dim >= 2")
-        if self.epochs_initial < 1 or self.epochs_incremental < 0:
-            raise SpecError("epochs_initial must be >= 1 and epochs_incremental >= 0")
-        if self.learning_rate <= 0 or self.distill_temperature <= 0:
-            raise SpecError("learning_rate and distill_temperature must be > 0")
-        if not 0 <= self.momentum < 1:
-            raise SpecError("momentum must be in [0, 1)")
-        if self.weight_decay < 0 or self.distill_weight < 0 or self.lucir_lambda_base < 0:
-            raise SpecError("weight_decay, distill_weight and lambda_base must be >= 0")
-        if self.seed < 0:
-            raise SpecError("seed must be >= 0")
 
 
 @dataclass

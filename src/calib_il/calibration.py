@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CalibConfig
 from .errors import NumericError
 from .logits import StateLogits
 from .schedule import StateSchedule
@@ -45,18 +46,6 @@ def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
-
-
-@dataclass(frozen=True)
-class CalibConfig:
-    """Penalty weights of the calibration objective."""
-
-    l2_alpha: float = 5e-3
-    l2_beta: float = 5e-2
-
-    def __post_init__(self):
-        if not (0 <= self.l2_alpha < np.inf and 0 <= self.l2_beta < np.inf):
-            raise ValueError("L2 penalties must be finite and >= 0")
 
 
 class CalibrationTable:

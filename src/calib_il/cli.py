@@ -3,6 +3,10 @@
 Everything an experiment needs lives in one JSON run-spec file; flags only
 carry paths, parallelism and verbosity. Exit codes: 0 success, 2 run-spec
 problems, 3 data-file problems, 4 numeric failures.
+
+Start-up loads only the argument parser and the numpy-free run-spec
+reader; ``main`` imports the one subcommand it runs once the spec is
+read, so ``--help``, a spec error and ``plot`` never load numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ import os
 import sys
 
 from .errors import DataFileError, NumericError, SpecError
-from .pipeline import (cmd_gen, cmd_plot, cmd_run_reference, cmd_run_target,
-                       cmd_sweep, kv, load_run_spec)
+from .pipeline import kv, load_run_spec
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -75,14 +78,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.spec is not None:
             spec = load_run_spec(args.spec, seed_override=_seed_override())
         if args.command == "gen":
+            from .flows import cmd_gen
             cmd_gen(spec, args.out)
         elif args.command == "run-reference":
+            from .flows import cmd_run_reference
             cmd_run_reference(spec, args.out, jobs=args.jobs)
         elif args.command == "run-target":
+            from .flows import cmd_run_target
             cmd_run_target(spec, args.out, jobs=args.jobs)
         elif args.command == "sweep":
+            from .flows import cmd_sweep
             cmd_sweep(spec, args.out, jobs=args.jobs)
         elif args.command == "plot":
+            from .plots import cmd_plot
             cmd_plot(spec, args.out)
     except SpecError as exc:
         log.error(kv(event="error", kind="spec", message=repr(str(exc))))

@@ -5,13 +5,22 @@ Two shapes: per-state accuracy line charts (raw baselines dashed,
 corrected series solid) and lower-triangular group-accuracy heat grids
 with the k > s cells masked. Same input always renders byte-identical
 markup: fixed canvas, fixed float formatting, no timestamps.
+``cmd_plot`` is the ``plot`` subcommand; like the rest of the module it
+needs no numpy, so ``plot`` loads none.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
-import numpy as np
+from .pipeline import METHODS, RunSpec, kv
+from .storage import read_metrics_rows, read_per_state, write_svg
+
+log = logging.getLogger("calib_il")
 
 WIDTH, HEIGHT = 480, 320
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 34, 44
@@ -77,7 +86,7 @@ def render_line_chart(title: str, series: list[Series], x_label: str = "state",
     out.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444444"/>')
-    for tick in np.linspace(0.0, 1.0, 6):
+    for tick in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
         y = py(tick)
         out.append(f'<line x1="{MARGIN_L - 4}" y1="{_fmt(y)}" x2="{MARGIN_L}" '
                    f'y2="{_fmt(y)}" stroke="#444444"/>')
@@ -116,16 +125,17 @@ def render_line_chart(title: str, series: list[Series], x_label: str = "state",
     return "\n".join(out) + "\n"
 
 
-def render_heat_grid(title: str, matrix: np.ndarray) -> str:
+def render_heat_grid(title: str, matrix) -> str:
     """Lower-triangular heat grid of accuracy-per-group by state.
 
-    Row s, column k holds the accuracy at state s on the classes first seen
-    in state k; the impossible cells (k > s) are masked.
+    ``matrix`` is a sequence of n rows of n numbers (a list of lists or a
+    2-D array). Row s, column k holds the accuracy at state s on the
+    classes first seen in state k; the impossible cells (k > s) are masked.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    matrix = [[float(value) for value in row] for row in matrix]
+    n = len(matrix)
+    if not n or any(len(row) != n for row in matrix):
         raise ValueError("heat grid needs a square matrix")
-    n = matrix.shape[0]
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
     cell = min(plot_w / n, plot_h / n)
@@ -140,14 +150,14 @@ def render_heat_grid(title: str, matrix: np.ndarray) -> str:
                            f'width="{_fmt(cell)}" height="{_fmt(cell)}" '
                            f'fill="#eeeeee"/>')
                 continue
-            value = matrix[s - 1, k - 1]
-            if np.isnan(value):
+            value = matrix[s - 1][k - 1]
+            if math.isnan(value):
                 fill, text = "#eeeeee", "-"
             else:
                 fill, text = _color(value), f"{100 * value:.1f}"
             out.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell)}" '
                        f'height="{_fmt(cell)}" fill="{fill}" stroke="#ffffff"/>')
-            shade = "#ffffff" if not np.isnan(value) and value > 0.6 else "#222222"
+            shade = "#ffffff" if not math.isnan(value) and value > 0.6 else "#222222"
             out.append(f'<text x="{_fmt(x + cell / 2)}" y="{_fmt(y + cell / 2 + 4)}" '
                        f'text-anchor="middle" fill="{shade}">{text}</text>')
     for s in range(1, n + 1):
@@ -157,3 +167,29 @@ def render_heat_grid(title: str, matrix: np.ndarray) -> str:
                    f'y="{_fmt(y0 + n * cell + 14)}" text-anchor="middle">k={s}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def cmd_plot(spec: RunSpec, out: Path):
+    """Render accuracy line charts and group-accuracy heat grids from the
+    CSVs produced by run-target. Each state must be an integer in 1..S,
+    with S from the spec's schedule or, without a spec, from the
+    target's metrics files."""
+    out = Path(out)
+    grid = functools.cache(lambda target, method: read_metrics_rows(
+        out / "metrics" / f"{target}_{method}.csv")[0])
+    points = read_per_state(out / "per_state.csv", METHODS, lambda target: (
+        len(grid(target, "raw")) if spec is None else spec.schedule.num_states))
+    targets = sorted({target for target, _ in points})
+    grids = {(target, method): grid(target, method)  # every input before any chart
+             for target in targets for method in ("raw", "adbic")}
+    for target in targets:
+        series = [Series(method, *zip(*points[target, method]), dashed=(method == "raw"))
+                  for method in METHODS]
+        charts = {f"accuracy_{target}": render_line_chart(f"{target}: accuracy per state", series)}
+        for method in ("raw", "adbic"):
+            charts[f"heat_{target}_{method}"] = render_heat_grid(
+                f"{target} {method}: group accuracy", grids[target, method])
+        for name, markup in charts.items():
+            path = out / "plots" / f"{name}.svg"
+            write_svg(path, markup)
+            log.info(kv(event="plot", path=path))

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class StateSchedule:
@@ -85,8 +83,12 @@ class StateSchedule:
         start = sum(self.classes_per_state[: group - 1])
         return slice(start, start + self.classes_per_state[group - 1])
 
-    def column_groups(self, state: int) -> np.ndarray:
-        """First-seen state of each score column at ``state``."""
+    def column_groups(self, state: int):
+        """First-seen state of each score column at ``state``, as an array."""
+        # Imported here: a run-spec's schedule is built on every CLI call,
+        # and only the compute flows need numpy.
+        import numpy as np
+
         self._check_state(state)
         return np.repeat(np.arange(1, state + 1), self.classes_per_state[:state])
 

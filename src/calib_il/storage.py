@@ -1,5 +1,6 @@
 """Every artifact format: bit-exact CSV/JSON for logits, tables, datasets,
-metrics and the run's summary CSVs, and the one typed reader of JSON values.
+metrics and the run's summary CSVs. JSON values are read by the one typed
+reader, ``config.read_fields``.
 
 Floats are rendered as the exact bytes of Python's shortest round-trip
 repr, so that write → read returns the same IEEE-754 bits; logits and
@@ -26,20 +27,17 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import chain, product
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .calibration import CalibrationTable
-from .errors import DataFileError, MetadataError, SchemaError, SpecError
-from .logits import StateLogits
-from .metrics import RunMetrics
+from .config import SCHEMA_VERSION, _coerce, load_json, read_fields
+from .errors import DataFileError, MetadataError, SchemaError
 from .schedule import StateSchedule
-from .synth import SPLITS, IncrementalDataset, StateDraw
 
-SCHEMA_VERSION = 1
-
-_EXACT_TYPES = {"int": int, "bool": bool, "str": str, "dict": dict}
-_FLOAT_MAX = 1.7976931348623157e308
+if TYPE_CHECKING:  # annotations only; each reader imports the type it builds
+    from .calibration import CalibrationTable
+    from .logits import StateLogits
+    from .metrics import RunMetrics
+    from .synth import IncrementalDataset, StateDraw
 
 # The fields of each artifact's metadata; all but the fingerprint are required.
 _SIDECAR = {"schema_version": "int", "num_states": "int", "class_to_state": "list[int]",
@@ -50,58 +48,6 @@ _DATASET_META = {**_SIDECAR, "name": "str"}
 _TABLE = {"schema_version": "int", "fingerprint": "str", "num_states": "int",
           "entries": "list[dict]"}
 _TABLE_ENTRY = {"s": "int", "k": "int", "alpha": "float", "beta": "float"}
-
-
-# ---------------------------------------------------------------------------
-# typed JSON values
-
-
-def _coerce(kind: str, value, where: str, error):
-    if kind.startswith("list[") and type(value) is list:
-        return tuple(_coerce(kind[5:-1], item, f"{where}[{i}]", error)
-                     for i, item in enumerate(value))
-    if kind == "int" and type(value) is float and value.is_integer():
-        return int(value)
-    # NaN fails both comparisons, and so does an int past the float range.
-    if kind == "float" and type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        return float(value)
-    if type(value) is _EXACT_TYPES.get(kind):
-        return value
-    raise error(f"{where} must be {kind}, got {value!r}")
-
-
-def read_fields(section: dict, where: str, types: dict[str, str], error=SpecError,
-                required=()) -> dict:
-    """``section`` with each value read as its type in ``types``: an int is
-    an integer or an integral number, a float any finite number (so ``1``
-    and ``1.0`` are one value), a bool, str or dict only itself, and a
-    ``list[...]`` an array of such items, read as a tuple. Keys outside
-    ``types`` and missing ``required`` keys raise ``error(message)`` too."""
-    unknown = sorted(section.keys() - types)
-    if unknown:
-        raise error(f"unknown keys {unknown} in {where}; allowed: {sorted(types)}")
-    missing = sorted(set(required) - section.keys())
-    if missing:
-        raise error(f"malformed {where}: missing keys {missing}")
-    return {key: _coerce(types[key], value, f"{where}.{key}", error)
-            for key, value in section.items()}
-
-
-def load_json(path, what: str, error) -> dict:
-    """The JSON object in file ``path``; a missing, unreadable or invalid
-    file, or another root, raises ``error(message)``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise error(f"missing {what} file") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise error(f"invalid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"unreadable {what} file: {exc}") from exc
-    if type(payload) is not dict:
-        raise error(f"{what} root must be a JSON object")
-    return payload
 
 
 def _meta_path(path: Path) -> Path:
@@ -316,6 +262,9 @@ def read_logits(path, expect: tuple | None = None) -> StateLogits:
     seed, state, schedule, rows)`` the caller's spec makes; a sidecar that
     describes anything else is a MetadataError naming it, and a file with
     another number of data rows a SchemaError."""
+    # Imported here, as numpy is: plot and the CLI's start-up read no logits.
+    from .logits import StateLogits
+
     path = Path(path)
     meta_path = _meta_path(path)
     meta = _read_meta(meta_path, "logits", _LOGITS_META)
@@ -361,6 +310,8 @@ def _bulk_logits(lines, expect: int):
     ``comments=None``, or a cell like ``1.5#x`` would be cut at the '#'.
     The lines are streamed into the parser, so the text is never held
     whole."""
+    import numpy as np
+
     num_rows = 0
 
     def counted():
@@ -401,6 +352,9 @@ def write_table(path, table: CalibrationTable, fingerprint: str | None = None):
 def read_table(path, num_states: int | None = None) -> CalibrationTable:
     """The table at ``path``; ``num_states``, when given, is the state count
     of the caller's spec, and a table of another is a MetadataError."""
+    # Imported here: it loads numpy, which plot and the CLI's start-up never need.
+    from .calibration import CalibrationTable
+
     path = Path(path)
     meta = _read_meta(path, "calibration table", _TABLE)
     error = partial(MetadataError, path)
@@ -447,6 +401,9 @@ def write_dataset(path, draw: StateDraw):
 
 
 def read_dataset(path) -> IncrementalDataset:
+    # Imported here: it loads numpy, which plot and the CLI's start-up never need.
+    from .synth import SPLITS, IncrementalDataset
+
     path = Path(path)
     meta_path = _meta_path(path)
     meta = _read_meta(meta_path, "dataset", _DATASET_META)
@@ -491,10 +448,11 @@ _METRICS_COLUMNS = {"state": ("state", _numeral), "group": ("group", _numeral),
                     "accuracy": ("", lambda text: math.nan if text == "nan" else _number(text))}
 
 
-def read_metrics_rows(path) -> tuple[np.ndarray, float]:
-    """The (S, S) group-accuracy matrix and the average that ``write_metrics``
-    wrote: rows (s, k) for 1 <= k <= s <= S in order, then one `0,0` summary
-    row. An empty group's `nan` reads back as nan."""
+def read_metrics_rows(path) -> tuple[list[list[float]], float]:
+    """The (S, S) group-accuracy matrix, as S lists of S floats with nan
+    above the diagonal, and the average that ``write_metrics`` wrote: rows
+    (s, k) for 1 <= k <= s <= S in order, then one `0,0` summary row. An
+    empty group's `nan` reads back as nan."""
     path = Path(path)
     rows = _read_csv(path, "metrics", _METRICS_COLUMNS)
     cells, s, k = [], 1, 1  # (s, k) is the cell the next row must hold
@@ -506,9 +464,9 @@ def read_metrics_rows(path) -> tuple[np.ndarray, float]:
         elif where == (0, 0) and k == 1 and s > 1:
             if i <= len(rows):
                 raise SchemaError(path, f"row {i + 1}: a row after the 0,0 summary row")
-            matrix = np.full((s - 1, s - 1), np.nan)
-            matrix[np.tril_indices(s - 1)] = cells
-            return matrix, value
+            n, cells = s - 1, iter(cells)
+            return [[next(cells) if col <= row else math.nan for col in range(n)]
+                    for row in range(n)], value
         else:
             raise SchemaError(path, f"row {i}: expected {_expected(s, k)}, got {state},{group}")
     raise SchemaError(path, f"row {len(rows) + 2}: expected {_expected(s, k)}, got end of file")

@@ -22,42 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SynthSpec
 from .errors import SpecError
 from .schedule import StateSchedule
 
 SPLITS = ("train", "validation", "test")
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Generator knobs for one synthetic dataset."""
-
-    num_classes: int
-    feature_dim: int
-    train_per_class: int = 40
-    val_per_class: int = 10
-    test_per_class: int = 10
-    center_scale: float = 1.0
-    noise_scale: float = 1.0
-    drift_scale: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        counts = (
-            self.num_classes,
-            self.feature_dim,
-            self.train_per_class,
-            self.val_per_class,
-            self.test_per_class,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError("all class/dim/sample counts must be >= 1")
-        if self.center_scale <= 0:
-            raise ValueError("center_scale must be > 0")
-        if self.noise_scale < 0 or self.drift_scale < 0:
-            raise ValueError("noise_scale and drift_scale must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass

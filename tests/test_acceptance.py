@@ -25,10 +25,10 @@ from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
 from calib_il.metrics import RunMetrics, compute_run_metrics, mean_scores_by_group
-from calib_il.pipeline import (_sampling_indices, all_target_rows,
-                               build_all_references, cmd_gen, cmd_plot,
-                               cmd_run_reference, cmd_run_target, cmd_sweep,
-                               parse_run_spec)
+from calib_il.flows import (_sampling_indices, all_target_rows, build_all_references,
+                            cmd_gen, cmd_run_reference, cmd_run_target, cmd_sweep)
+from calib_il.pipeline import parse_run_spec
+from calib_il.plots import cmd_plot
 from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,

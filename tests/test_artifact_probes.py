@@ -22,10 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from calib_il import backbones, cli, pipeline
+from calib_il import backbones, cli, flows
 from calib_il.errors import NumericError
-from calib_il.pipeline import (all_target_rows, cmd_plot, cmd_run_reference, cmd_run_target,
-                               cmd_sweep, parse_run_spec)
+from calib_il.flows import all_target_rows, cmd_run_reference, cmd_run_target, cmd_sweep
+from calib_il.pipeline import parse_run_spec
+from calib_il.plots import cmd_plot
 
 SPEC = {
     "seed": 3, "name": "probe",
@@ -282,19 +283,19 @@ class TestFailedRuns:
 
     def test_a_failed_reference_fit_leaves_no_table(self, clean, run, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        real = pipeline.fit_state
+        real = flows.fit_state
 
         def fit_state(logits, config):
             if logits.state == 3:
                 raise NumericError(f"dataset {logits.dataset!r}, state 3: injected failure")
             return real(logits, config)
 
-        monkeypatch.setattr(pipeline, "fit_state", fit_state)
+        monkeypatch.setattr(flows, "fit_state", fit_state)
         code, lines = run("run-reference", clean[0], out)
         assert code == 4 and lines[-1].startswith("event=error kind=numeric"), lines[-3:]
         assert (out / "logits" / "ref_0_state_3.csv").exists()
         assert not list(out.rglob("*.table.json"))
-        monkeypatch.setattr(pipeline, "fit_state", real)
+        monkeypatch.setattr(flows, "fit_state", real)
         code, lines = run("run-target", clean[0], out)
         assert code == 0, lines[-3:]
         assert "event=cache artifact=tables action=rebuild reason=missing" in lines

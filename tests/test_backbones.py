@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from calib_il import backbones
-from calib_il.backbones import (ETA_INIT, KINDS, BackboneConfig, Model,
+from calib_il.backbones import (ETA_INIT, BackboneConfig, Model,
                                 distillation_loss, feature_distillation_loss,
                                 lucir_lambda, mean_loss, run_incremental_stack,
                                 standardize_rows, train_initial, update_state)
+from calib_il.config import KINDS
 from calib_il.errors import NumericError, SpecError
 from calib_il.metrics import per_state_accuracy
 from calib_il.schedule import StateSchedule

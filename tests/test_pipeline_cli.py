@@ -21,17 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calib_il import cli, pipeline
-from calib_il.backbones import KINDS, BackboneConfig
-from calib_il.calibration import CalibConfig, CalibrationTable
+from calib_il import cli, flows
+from calib_il.calibration import CalibrationTable
+from calib_il.config import KINDS, BackboneConfig, CalibConfig
 from calib_il.errors import MetadataError, SchemaError, SpecError
+from calib_il.flows import (all_target_rows, build_all_references, cmd_gen, cmd_run_reference,
+                            cmd_run_target, cmd_sweep, make_dataset)
 from calib_il.metrics import RunMetrics
-from calib_il.pipeline import (all_target_rows, build_all_references, cmd_gen,
-                               cmd_plot, cmd_run_reference, cmd_run_target,
-                               cmd_sweep, kv, load_run_spec, make_dataset,
-                               parse_run_spec, reference_seeds, spec_fingerprint,
-                               target_seeds)
-from calib_il.plots import Series, render_heat_grid, render_line_chart
+from calib_il.pipeline import (kv, load_run_spec, parse_run_spec, reference_seeds,
+                               spec_fingerprint, target_seeds)
+from calib_il.plots import Series, cmd_plot, render_heat_grid, render_line_chart
 from calib_il.storage import read_table, write_table
 from calib_il.transfer import average_tables
 
@@ -138,6 +137,7 @@ class TestParseRunSpec:
                                       "classes_per_state": [2, 2, 6]}), "disagrees"),
         (lambda r: r.update(sweep={"r_values": [1, 1]}), "distinct"),
         (lambda r: r.update(sweep={"r_values": [99]}), "exceed"),
+        (lambda r: r.update(sweep={"r_values": []}), "at least one"),
         (lambda r: r.update(sweep={"num_samplings": 0}), ">= 1"),
         (lambda r: r.update(backbone={"kind": "replay"}), "backbone"),
         (lambda r: r.update(calibration={"l2_alpha": -1.0}), "calibration"),
@@ -376,12 +376,12 @@ class TestStreamedLogits:
             "schedule": {"num_states": 4},
             "backbone": {"hidden_dim": 8, "epochs_initial": 1, "epochs_incremental": 1}})
         matrix = 8 * (200 * 10) * 200  # bytes of one last-state validation matrix
-        pipeline.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
+        flows.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
         peaks = []
         for count in (1, 2):
             tracemalloc.start()
             try:
-                pipeline.reference_runs(spec, range(count), tmp_path / f"run_{count}")
+                flows.reference_runs(spec, range(count), tmp_path / f"run_{count}")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -403,10 +403,10 @@ class TestStreamedDraws:
             "backbone": {"hidden_dim": 4, "epochs_initial": 1, "epochs_incremental": 1,
                          "batch_size": 64}})
         training = 2 * 20 * 400 * 16 * 8  # bytes of both references' training features
-        pipeline.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
+        flows.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
         tracemalloc.start()
         try:
-            pipeline.reference_runs(spec, range(2), tmp_path / "run")
+            flows.reference_runs(spec, range(2), tmp_path / "run")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -617,14 +617,14 @@ class TestArtifactCache:
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         shutil.copytree(flow_out, out)
         stacks = []
-        real = pipeline.run_incremental_stack
+        real = flows.run_incremental_stack
 
         def counting(config, draws, sets=("validation", "test")):
             draws = list(draws)
             stacks.append(tuple(draw.name for draw in draws))
             return real(config, draws, sets)
 
-        monkeypatch.setattr(pipeline, "run_incremental_stack", counting)
+        monkeypatch.setattr(flows, "run_incremental_stack", counting)
         cmd_sweep(spec, out)
         assert stacks == [("target_0", "target_1")]
         cmd_sweep(spec, fresh)

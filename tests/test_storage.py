@@ -493,7 +493,7 @@ class TestMetricsFile:
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
             f"{s},{k}" for s in range(1, S + 1) for k in range(1, s + 1)] + ["0,0"]
         matrix, average = read_metrics_rows(path)
-        assert matrix.tobytes() == metrics.group_accuracy.tobytes()
+        assert np.asarray(matrix).tobytes() == metrics.group_accuracy.tobytes()
         assert average == metrics.average_incremental_accuracy
 
     def test_empty_group_round_trips_as_nan(self, tmp_path):

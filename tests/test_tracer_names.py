@@ -24,12 +24,22 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # a RunMetrics with RunMetrics.from_rows); and pipeline.gen_synthetic_dataset
 # and pipeline.halve_train_split, gone since each dataset is drawn one state
 # at a time (pipeline.make_dataset returns synth.draw_states's per-state
-# draw, which halves each state's block itself).
+# draw, which halves each state's block itself). Then the names that left
+# cli and pipeline when the CLI's start-up stopped loading numpy: cli
+# imports each cmd_* only when it runs it (cmd_plot from plots, the rest
+# from flows), pipeline keeps only the run-spec, and the flows that read,
+# write, train, average and render now live in flows and plots.
 STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax",
          "pipeline._atomic_write", "pipeline.split_states",
          "pipeline.all_target_logits", "pipeline.evaluate_target", "pipeline.apply_transfer",
          "pipeline.oracle_select", "transfer.compute_run_metrics",
-         "pipeline.gen_synthetic_dataset", "pipeline.halve_train_split"}
+         "pipeline.gen_synthetic_dataset", "pipeline.halve_train_split",
+         "cli.cmd_gen", "cli.cmd_run_reference", "cli.cmd_run_target", "cli.cmd_sweep",
+         "cli.cmd_plot", "pipeline.build_all_references", "pipeline.average_tables",
+         "pipeline.write_dataset", "pipeline.write_logits", "pipeline.write_table",
+         "pipeline.write_metrics", "pipeline.read_table", "pipeline.read_logits",
+         "pipeline.read_metrics_rows", "pipeline.render_line_chart",
+         "pipeline.render_heat_grid", "pipeline.write_svg"}
 
 
 def load_tracer():
