@@ -4,9 +4,10 @@ SGD+momentum, grown by one output group per state.
 Four memoryless update rules share the training loop and differ only in
 how they fight forgetting:
 
-- ``ftplus``    finetune with past output rows bitwise frozen
-- ``siw``       plain finetune, then restore each class row to its
-                initial-training snapshot and standardize all rows
+- ``ftplus``    finetune, then put each past group's output rows back
+                as they were after the state that introduced it
+- ``siw``       the ``ftplus`` restore, then standardize all rows and
+                clear the output biases
 - ``lwf``       finetune plus a soft-target distillation term on past
                 columns against the previous model
 - ``lucir_lite`` cosine-similarity classifier plus feature-direction
@@ -20,7 +21,7 @@ network's responses before training; each batch reads its rows.
 Training runs on stacks. A stack of R models is a ``Model`` whose weights
 carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
 whose batches are (R, b, d), one dataset per slice; the models share one
-schedule, so ``class_first_state`` has no model axis.
+schedule.
 ``train_initial`` and ``update_state`` are the per-state steps of a
 stack; ``run_incremental_stack`` runs them through all states, reading R
 per-state draws through ``synth.StackedSets``, which pulls each state's
@@ -38,7 +39,9 @@ so the stack draws them once and shares them. Everything else acts per
 slice: a stacked matmul runs the same BLAS call on every slice, and each
 reduction runs over the same axis in the same order as for one model.
 
-Updates never mutate their input model; each returns a fresh one.
+Updates never mutate their input model; each returns a fresh one. So
+by induction the input model's past rows are each group's rows from the
+state that introduced it, which the ``ftplus`` and ``siw`` restore puts back.
 """
 
 from __future__ import annotations
@@ -66,18 +69,13 @@ _NORM_FLOOR = 1e-8
 class Model:
     """Two-layer MLP with a growing output head, or a stack of them.
 
-    ``class_first_state[c]`` records the state that introduced class c.
-    ``snap_w2`` holds each row as it was right after the state that
-    introduced it (siw restores from it). In a stack every weight
-    array and ``eta`` carry a leading model axis.
+    In a stack every weight array and ``eta`` carry a leading model axis.
     """
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    class_first_state: np.ndarray
-    snap_w2: np.ndarray
     cosine: bool = False
     eta: float | np.ndarray = ETA_INIT
 
@@ -113,8 +111,6 @@ def _unstack(stack: Model) -> list[Model]:
     return [
         Model(
             w1=stack.w1[r], b1=stack.b1[r], w2=stack.w2[r], b2=stack.b2[r],
-            class_first_state=stack.class_first_state,
-            snap_w2=stack.snap_w2[r],
             cosine=stack.cosine, eta=float(stack.eta[r]),
         )
         for r in range(len(stack.w1))
@@ -282,8 +278,7 @@ def _teacher_targets(teacher, x, config, lam):
     return np.exp(_log_softmax(teacher.scores(x) / config.distill_temperature))
 
 
-def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
-                frozen_rows=0):
+def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
     """Mini-batch SGD with momentum on a stack, in place.
 
     ``x`` is (R, n, d) and ``y`` is (R, n). Each epoch draws one
@@ -291,10 +286,10 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
     order, exactly as it would alone. The teacher's targets are evaluated
     once, before the first epoch. Each epoch gathers the samples in its
     order once, into buffers reused across epochs, so that a batch is a
-    slice. The first ``frozen_rows`` output rows stay bitwise fixed: they
-    are left out of the step rather than relying on zeroed gradients.
+    slice.
     """
-    vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
+    params = (model.w1, model.b1, model.w2, model.b2)
+    vel = [np.zeros_like(p) for p in params]
     vel_eta = np.zeros_like(model.eta)
     targets = _teacher_targets(teacher, x, config, lam)
     xs, ys = np.empty_like(x), np.empty_like(y)
@@ -319,13 +314,10 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
                 model.eta = model.eta - lr * vel_eta
             else:
                 grads = _grads_linear(model, xb, yb, config, tb)
-            for v, g in zip(vel, grads):
+            for p, v, g in zip(params, vel, grads):
                 v *= mu
                 v += g
-            model.w1 -= lr * vel[0]
-            model.b1 -= lr * vel[1]
-            model.w2[:, frozen_rows:] -= lr * vel[2][:, frozen_rows:]
-            model.b2[:, frozen_rows:] -= lr * vel[3][:, frozen_rows:]
+                p -= lr * v
     return model
 
 
@@ -367,15 +359,11 @@ def train_initial(config: BackboneConfig, view: StateView,
         b1=np.zeros((r, config.hidden_dim)),
         w2=_shared(_init_rows(n_cls, config.hidden_dim, rng), r),
         b2=np.zeros((r, n_cls)),
-        class_first_state=np.full(n_cls, 1, dtype=np.int64),
-        snap_w2=np.zeros((r, n_cls, config.hidden_dim)),
         cosine=config.kind == "lucir_lite",
         eta=np.full(r, ETA_INIT),
     )
-    model = _sgd_epochs(model, view.train_x, view.train_y, config,
-                        config.epochs_initial, rng)
-    model.snap_w2 = model.w2.copy()
-    return model
+    return _sgd_epochs(model, view.train_x, view.train_y, config,
+                       config.epochs_initial, rng)
 
 
 def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
@@ -391,37 +379,25 @@ def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
         b1=model.b1.copy(),
         w2=np.concatenate([model.w2, _shared(_init_rows(n_new, h, rng), r)], axis=1),
         b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
-        class_first_state=np.concatenate(
-            [model.class_first_state, np.full(n_new, view.state, dtype=np.int64)]),
-        snap_w2=np.concatenate([model.snap_w2, np.zeros((r, n_new, h))], axis=1),
         cosine=model.cosine,
         eta=model.eta,
     )
 
 
-def _snapshot_new(model: Model, state: int) -> Model:
-    new = model.class_first_state == state
-    model.snap_w2[:, new] = model.w2[:, new]
-    return model
-
-
 def _train_new_group(model: Model, view: StateView, schedule: StateSchedule,
-                     config: BackboneConfig, freeze_past: bool = False,
-                     teacher: Model | None = None, lam: float = 0.0) -> Model:
-    """Grow the head by the state's new group, train with SGD and snapshot
-    the new rows: the step every update rule shares.
+                     config: BackboneConfig, teacher: Model | None = None,
+                     lam: float = 0.0) -> Model:
+    """Grow the head by the state's new group and fine-tune the whole
+    model with SGD: the step every update rule shares.
 
-    ``freeze_past`` keeps the rows of earlier groups, a prefix of the
-    head, bitwise fixed during training; ``teacher`` adds the distillation
-    term of the model's head (soft targets for a linear head, feature
-    directions weighted by ``lam`` for a cosine one).
+    ``teacher`` adds the distillation term of the model's head (soft
+    targets for a linear head, feature directions weighted by ``lam`` for
+    a cosine one).
     """
     rng = np.random.default_rng([config.seed, view.state])
     grown = _grow_head(model, view, schedule, rng)
-    grown = _sgd_epochs(grown, view.train_x, view.train_y, config,
-                        config.epochs_incremental, rng, teacher=teacher, lam=lam,
-                        frozen_rows=model.num_classes if freeze_past else 0)
-    return _snapshot_new(grown, view.state)
+    return _sgd_epochs(grown, view.train_x, view.train_y, config,
+                       config.epochs_incremental, rng, teacher=teacher, lam=lam)
 
 
 def update_state(model: Model, view: StateView, schedule: StateSchedule,
@@ -436,10 +412,13 @@ def update_state(model: Model, view: StateView, schedule: StateSchedule,
         sl = schedule.group_slice(view.state, view.state)
         lam = lucir_lambda(sl.start, sl.stop - sl.start, config.lucir_lambda_base)
     teacher = model if kind in ("lwf", "lucir_lite") else None
-    grown = _train_new_group(model, view, schedule, config,
-                             freeze_past=kind == "ftplus", teacher=teacher, lam=lam)
+    grown = _train_new_group(model, view, schedule, config, teacher=teacher, lam=lam)
+    if kind in ("ftplus", "siw"):
+        n_past = model.num_classes
+        grown.w2[:, :n_past] = model.w2
+        grown.b2[:, :n_past] = model.b2
     if kind == "siw":
-        grown.w2 = standardize_rows(grown.snap_w2)
+        grown.w2 = standardize_rows(grown.w2)
         grown.b2 = np.zeros_like(grown.b2)
     return grown
 

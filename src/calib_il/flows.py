@@ -91,30 +91,23 @@ def target_rows(spec: RunSpec, indices, tables: dict, out: Path | None = None,
     return list(rows.values())
 
 
-def _pool_map(fn, args_list):
-    if len(args_list) <= 1:
-        return [fn(args) for args in args_list]
-    # Imported here: the pool machinery costs every --jobs 1 process ~1.6 MiB.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Under fork every worker is started up front, so start no idle one.
-    with ProcessPoolExecutor(max_workers=len(args_list)) as pool:
-        return list(pool.map(fn, args_list))
-
-
-def _call(args):
-    fn, *rest = args
-    return fn(*rest)
-
-
 def _in_chunks(fn, spec: RunSpec, count: int, jobs: int, *extra) -> list:
     """``fn(spec, indices, *extra)`` over ``range(count)`` split into
-    ``jobs`` contiguous chunks, one stack per worker; results in index
-    order."""
+    ``jobs`` contiguous chunks, one stack per worker process (one chunk
+    runs in-process); results in index order."""
     k = min(jobs, count)
     bounds = [count * c // k for c in range(k + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    results = _pool_map(_call, [(fn, spec, chunk, *extra) for chunk in chunks])
+    if len(chunks) == 1:
+        results = [fn(spec, chunks[0], *extra)]
+    else:
+        # Imported here: the pool machinery costs every --jobs 1 process ~1.6 MiB.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Under fork every worker is started up front, so start no idle one.
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(fn, spec, chunk, *extra) for chunk in chunks]
+            results = [future.result() for future in futures]
     return [item for chunk in results for item in chunk]
 
 

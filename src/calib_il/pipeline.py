@@ -33,8 +33,9 @@ from .schedule import StateSchedule
 
 METHODS = ("raw", "bic", "adbic", "oracle")
 
-# Most features one dataset may hold (4 GiB of float64): a spec past it is
-# refused before any array, or the schedule's per-state tuple, is built.
+# Most features one dataset, or weights one model, may hold (4 GiB of
+# float64): a spec past it is refused before any array, or the schedule's
+# per-state tuple, is built.
 MAX_DATASET_FLOATS = 2**29
 
 # Types of the keys no dataclass declares; the data, backbone and
@@ -134,6 +135,10 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
     backbone = _build(BackboneConfig, "backbone", {
         "seed": seed,
         **read_fields(top.get("backbone", {}), "backbone", _field_types(BackboneConfig))})
+    if backbone.hidden_dim * (synth.feature_dim + synth.num_classes) > MAX_DATASET_FLOATS:
+        raise SpecError(f"a model of {backbone.hidden_dim} hidden units x ({synth.feature_dim} "
+                        f"features + {synth.num_classes} classes) exceeds "
+                        f"{MAX_DATASET_FLOATS} floats")
     calibration = _build(CalibConfig, "calibration", read_fields(
         top.get("calibration", {}), "calibration", _field_types(CalibConfig)))
     if calibration.l2_beta == 0:

@@ -295,8 +295,8 @@ def test_criterion_09_backbone_contracts():
     view1, view2 = (StateView(s, *sets.train(s)) for s in (1, 2))
     m1 = train_initial(config, view1, data.schedule)
     m2 = update_state(m1, view2, data.schedule, config)
-    frozen_ok = (m2.w2[:, :2].tobytes() == m1.w2.tobytes()
-                 and m2.b2[:, :2].tobytes() == m1.b2.tobytes())
+    restored_ok = (m2.w2[:, :2].tobytes() == m1.w2.tobytes()
+                   and m2.b2[:, :2].tobytes() == m1.b2.tobytes())
 
     siw = update_state(m1, view2, data.schedule, dataclasses.replace(config, kind="siw"))
     mean_err = float(np.abs(siw.w2.mean(axis=-1)).max())
@@ -310,8 +310,8 @@ def test_criterion_09_backbone_contracts():
     distill_ok = lwf_term < 1e-12 and lucir_term < 1e-12
 
     lam = lucir_lambda(16, 4, 5.0)
-    ok = frozen_ok and siw_ok and distill_ok and lam == 10.0
-    report(9, ok, f"ftplus frozen bitwise: {frozen_ok}; SIW |mean| {mean_err:.1e} "
+    ok = restored_ok and siw_ok and distill_ok and lam == 10.0
+    report(9, ok, f"ftplus past rows restored bitwise: {restored_ok}; SIW |mean| {mean_err:.1e} "
                   f"/ |std-1| {std_err:.1e} (< 1e-9); distill terms at teacher "
                   f"{lwf_term:.1e} / {lucir_term:.1e} (< 1e-12); lambda(16,4,5) "
                   f"= {lam}")

@@ -253,8 +253,10 @@ def test_pool_size_is_bounded_by_the_chunks(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     spec = parse_run_spec(SPEC)

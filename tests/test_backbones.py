@@ -1,6 +1,6 @@
 """Contracts of the four memoryless update rules.
 
-Structural guarantees (freezing, snapshots, standardization, distillation
+Structural guarantees (the past-row restore, standardization, distillation
 at the teacher) are checked bitwise or at float precision; the LwF
 effectiveness check uses a paired-seed comparison on a fixed regime.
 """
@@ -92,8 +92,7 @@ def run_stack(config, draws, sets=("validation", "test")):
 
 def model_bytes(model):
     return tuple(arr.tobytes() for arr in
-                 (model.w1, model.b1, model.w2, model.b2,
-                  model.snap_w2, model.eta))
+                 (model.w1, model.b1, model.w2, model.b2, model.eta))
 
 
 class TestBackboneConfig:
@@ -171,14 +170,29 @@ class TestInitialTraining:
         assert model_bytes(a) == model_bytes(b)
 
 
-class TestFreezing:
-    def test_past_rows_bitwise_frozen(self):
+class TestRestore:
+    @pytest.mark.parametrize("kind", ["ftplus", "siw"])
+    def test_finetune_then_restore_past_rows(self, kind):
+        """Both rules fine-tune every row, then put the past groups' rows
+        back from the input model; siw then standardizes every row and
+        clears the biases. Past rows move while the state trains, so the
+        restore is not a no-op. Three states: at state 3 the input model is
+        itself a restored one."""
         data = quick_dataset()
-        config = quick_config("ftplus")
-        m1 = train_one(config, data)
-        m2 = update_one(m1, data, 2, config)
-        assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
-        assert m2.b2[:, :2].tobytes() == m1.b2.tobytes()
+        config = quick_config(kind)
+        model = train_one(config, data)
+        for state in (2, 3):
+            want = update_finetune(model, stacked(data, state), data.schedule, config)
+            n_past = model.num_classes
+            assert want.w2[:, :n_past].tobytes() != model.w2.tobytes()
+            want.w2[:, :n_past] = model.w2
+            want.b2[:, :n_past] = model.b2
+            if kind == "siw":
+                want.w2 = standardize_rows(want.w2)
+                want.b2 = np.zeros_like(want.b2)
+            got = update_one(model, data, state, config)
+            assert model_bytes(got) == model_bytes(want)
+            model = got
 
     def test_new_rows_actually_train(self):
         data = quick_dataset()
@@ -219,16 +233,6 @@ class TestSIW:
         np.testing.assert_allclose(m2.w2.std(axis=-1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(m2.b2, 0.0)
 
-    def test_head_rebuilt_from_snapshots(self):
-        """The served head is exactly the standardized snapshot bank, so
-        past classes keep their introduction-time directions."""
-        data = quick_dataset()
-        config = quick_config("siw")
-        m1 = train_one(config, data)
-        m2 = update_one(m1, data, 2, config)
-        np.testing.assert_array_equal(m2.w2, standardize_rows(m2.snap_w2))
-        np.testing.assert_array_equal(m2.snap_w2[:, :2], m1.snap_w2)
-
 
 class TestLwF:
     def test_zero_weight_equals_plain_finetune(self):
@@ -252,9 +256,7 @@ class TestLwF:
         """Hand-computed soft-target KL on a 1-sample, 2-class case."""
         def toy(w2_rows):
             return Model(w1=np.eye(2), b1=np.zeros(2),
-                         w2=np.array(w2_rows), b2=np.zeros(2),
-                         class_first_state=np.ones(2, dtype=np.int64),
-                         snap_w2=np.zeros((2, 2)))
+                         w2=np.array(w2_rows), b2=np.zeros(2))
         student = toy([[1.0, 0.0], [0.0, 2.0]])
         teacher = toy([[0.5, 0.5], [1.0, 0.0]])
         x = np.array([[1.0, 2.0]])
@@ -368,10 +370,7 @@ class TestLucirLite:
         """A dead hidden layer produces zero feature vectors; the norm floor
         must keep cosine scores finite (and zero) instead of dividing by 0."""
         model = Model(w1=np.zeros((4, 3)), b1=np.zeros(4),
-                      w2=np.ones((2, 4)), b2=np.zeros(2),
-                      class_first_state=np.ones(2, dtype=np.int64),
-                      snap_w2=np.zeros((2, 4)),
-                      cosine=True)
+                      w2=np.ones((2, 4)), b2=np.zeros(2), cosine=True)
         scores = model.scores(np.array([[1.0, -2.0, 0.5]]))
         assert np.all(np.isfinite(scores))
         np.testing.assert_array_equal(scores, 0.0)
@@ -459,8 +458,7 @@ class TestLockstep:
             run_stack(quick_config(), [quick_draw(), small])
 
 
-def per_batch_sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0,
-                         frozen_rows=0):
+def per_batch_sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
     """``_sgd_epochs`` gathering every batch from the unshuffled arrays by
     fancy indexing: the oracle for the one gather per epoch."""
     vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
@@ -484,8 +482,8 @@ def per_batch_sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0
                 v += g
             model.w1 -= lr * vel[0]
             model.b1 -= lr * vel[1]
-            model.w2[:, frozen_rows:] -= lr * vel[2][:, frozen_rows:]
-            model.b2[:, frozen_rows:] -= lr * vel[3][:, frozen_rows:]
+            model.w2 -= lr * vel[2]
+            model.b2 -= lr * vel[3]
     return model
 
 
@@ -494,8 +492,8 @@ class TestEpochGather:
     def test_bits_equal_per_batch_gather(self, kind, monkeypatch):
         """Two stacked datasets through every state, batches of 7 over 30
         samples: each epoch's one gather gives the bits of gathering each
-        batch alone, for every update rule (teacher targets, frozen rows
-        and the cosine head included)."""
+        batch alone, for every update rule (teacher targets, the
+        past-row restore and the cosine head included)."""
         config = quick_config(kind, batch_size=7)
         got = run_stack(config, [quick_draw(seed=40 + r) for r in range(2)])
         monkeypatch.setattr(backbones, "_sgd_epochs", per_batch_sgd_epochs)
@@ -534,9 +532,7 @@ class TestGuards:
     def test_mean_loss_hand_case(self):
         model = Model(w1=np.eye(2), b1=np.zeros(2),
                       w2=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
-                      b2=np.array([0.0, 0.1, -0.1]),
-                      class_first_state=np.ones(3, dtype=np.int64),
-                      snap_w2=np.zeros((3, 2)))
+                      b2=np.array([0.0, 0.1, -0.1]))
         x = np.array([[2.0, 1.0]])
         z = [2.0, 1.1, 1.4]
         expect = -math.log(math.exp(z[1]) / sum(math.exp(v) for v in z))

@@ -31,8 +31,8 @@ from calib_il.metrics import RunMetrics
 from calib_il.pipeline import (kv, load_run_spec, parse_run_spec, reference_seeds,
                                spec_fingerprint, target_seeds)
 from calib_il.plots import Series, cmd_plot, render_heat_grid, render_line_chart
-from calib_il.storage import read_table, write_table
-from calib_il.transfer import average_tables
+from calib_il.storage import read_logits, read_table, write_table
+from calib_il.transfer import average_tables, score_state
 
 TINY = {
     "seed": 3,
@@ -494,7 +494,20 @@ class TestFlows:
             for method in ("bic", "adbic", "oracle"):
                 acc, gain = rows[method]
                 assert gain == acc - raw_acc  # exact: same float op as the writer
-            assert rows["oracle"][0] >= rows["adbic"][0]
+
+    def test_oracle_at_least_each_single_table_per_state(self, flow_out):
+        """The oracle picks, per state, the best single reference table, so
+        it scores at least what each one scores alone on the written target
+        logits. (The averaged table is no single table: it can beat the
+        oracle.)"""
+        tables = [read_table(flow_out / "tables" / f"ref_{i}.table.json") for i in range(2)]
+        lines = (flow_out / "per_state.csv").read_text().splitlines()[1:]
+        oracle = [line.split(",") for line in lines if ",oracle," in line]
+        assert len(oracle) == 2 * 2  # targets x states
+        for target, _, state, acc in oracle:
+            logits = read_logits(flow_out / "logits" / f"{target}_state_{state}.csv")
+            for table in tables:
+                assert float(acc) >= score_state(logits, [table])[0]
 
     def test_per_state_rows(self, flow_out):
         lines = (flow_out / "per_state.csv").read_text().splitlines()
@@ -794,16 +807,20 @@ class TestCLI:
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stdout.splitlines()[-1].startswith("event=error kind=spec")
 
-    @pytest.mark.parametrize("num_states", [2, 2**40])
-    def test_a_spec_too_large_to_build_exits_2(self, tmp_path, num_states):
-        """2**40 classes pass every per-value rule; the dataset size cap
-        refuses them before a dataset or the schedule's per-state tuple is
-        built, even when the address space could not hold either."""
-        raw = dict(MINIMAL, data={"num_classes": 2**40, "feature_dim": 4},
-                   schedule={"num_states": num_states})
+    @pytest.mark.parametrize("command, sections", [
+        pytest.param("gen", {"data": {"num_classes": 2**40, "feature_dim": 4},
+                             "schedule": {"num_states": n}}, id=str(n))
+        for n in (2, 2**40)
+    ] + [pytest.param("run-reference", {"backbone": {"hidden_dim": 10**15}}, id="hidden_dim")])
+    def test_a_spec_too_large_to_build_exits_2(self, tmp_path, command, sections):
+        """2**40 classes, or 10**15 hidden units, pass every per-value
+        rule; the size cap refuses them before a dataset, a model or the
+        schedule's per-state tuple is built, even when the address space
+        could not hold it."""
+        raw = dict(MINIMAL, **sections)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(raw))
-        res = run_cli("gen", "--spec", str(path), "--out", str(tmp_path / "out"),
+        res = run_cli(command, "--spec", str(path), "--out", str(tmp_path / "out"),
                       env_extra={"OPENBLAS_NUM_THREADS": "1"},
                       preexec_fn=limit_address_space)
         assert res.returncode == 2, res.stdout + res.stderr

@@ -11,4 +11,4 @@ def test_python_api_sketch_runs(capsys):
     section = text.split("## Python API sketch", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
-    assert capsys.readouterr().out.split() == ["0.505625"]
+    assert capsys.readouterr().out.split() == ["0.625"]
