@@ -6,8 +6,10 @@ how they fight forgetting:
 
 - ``ftplus``    finetune, then put each past group's output rows back
                 as they were after the state that introduced it
-- ``siw``       the ``ftplus`` restore, then standardize all rows and
-                clear the output biases
+- ``siw``       the ``ftplus`` restore, then standardize the rows not yet
+                standardized (every row at state 2, since state 1 trains
+                without the rule; the new group's after it) and clear the
+                output biases
 - ``lwf``       finetune plus a soft-target distillation term on past
                 columns against the previous model
 - ``lucir_lite`` cosine-similarity classifier plus feature-direction
@@ -41,7 +43,8 @@ reduction runs over the same axis in the same order as for one model.
 
 Updates never mutate their input model; each returns a fresh one. So
 by induction the input model's past rows are each group's rows from the
-state that introduced it, which the ``ftplus`` and ``siw`` restore puts back.
+state that introduced it, which the ``ftplus`` and ``siw`` restore puts back;
+a ``siw`` row is thus standardized once and kept bitwise after that.
 """
 
 from __future__ import annotations
@@ -275,7 +278,13 @@ def _teacher_targets(teacher, x, config, lam):
         return _normalize_rows(teacher.hidden(x))[0] if lam > 0 else None
     if config.distill_weight <= 0:
         return None
-    return np.exp(_log_softmax(teacher.scores(x) / config.distill_temperature))
+    # exp(log_softmax(scores / T)), built in the scores buffer so that no
+    # temporary of its size is held beside it.
+    z = teacher.scores(x)
+    z /= config.distill_temperature
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return np.exp(z, out=z)
 
 
 def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
@@ -418,7 +427,8 @@ def update_state(model: Model, view: StateView, schedule: StateSchedule,
         grown.w2[:, :n_past] = model.w2
         grown.b2[:, :n_past] = model.b2
     if kind == "siw":
-        grown.w2 = standardize_rows(grown.w2)
+        first = 0 if view.state == 2 else model.num_classes
+        grown.w2[:, first:] = standardize_rows(grown.w2[:, first:])
         grown.b2 = np.zeros_like(grown.b2)
     return grown
 

@@ -331,6 +331,7 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
             if iterations == MAX_NEWTON_STEPS:
                 break
             hess = _hessian(matrix, q, starts, config)
+            del q  # freed before the line search, which builds its own scores
             if not np.all(np.isfinite(hess)):
                 raise fail(f"has a non-finite Hessian after {iterations} steps")
             try:

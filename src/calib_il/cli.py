@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes (default 1)")
-        p.add_argument("--verbose", action="store_true",
-                       help="debug-level logging")
     return parser
 
 
@@ -66,11 +64,7 @@ def _seed_override() -> int | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(message)s",
-        stream=sys.stdout,
-    )
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
     try:
         if args.jobs < 1:
             raise SpecError("--jobs must be >= 1")

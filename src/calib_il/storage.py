@@ -12,7 +12,7 @@ locale dependence. Table JSONs and logits sidecars may carry a
 ``fingerprint``: a digest of the spec sections that produced the artifact
 (see ``pipeline.spec_fingerprint``), which decides whether it may be reused.
 A dataset is written block by block from its per-state draw, and
-``read_dataset`` reads it back whole.
+``read_dataset`` reads it back as that draw.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # annotations only; each reader imports the type it builds
     from .calibration import CalibrationTable
     from .logits import StateLogits
     from .metrics import RunMetrics
-    from .synth import IncrementalDataset, StateDraw
+    from .synth import StateDraw
 
 # The fields of each artifact's metadata; all but the fingerprint are required.
 _SIDECAR = {"schema_version": "int", "num_states": "int", "class_to_state": "list[int]",
@@ -400,9 +400,16 @@ def write_dataset(path, draw: StateDraw):
                 name=draw.name, seed=draw.seed)
 
 
-def read_dataset(path) -> IncrementalDataset:
+def read_dataset(path) -> StateDraw:
+    """The draw that ``write_dataset`` wrote at ``path``: the sidecar's
+    schedule, name and seed, and the rows cut into one block per state, so
+    that writing it again gives the same bytes. A class without a sample
+    of each split, or a row of an earlier state than the row before it, is
+    a SchemaError naming the first."""
     # Imported here: it loads numpy, which plot and the CLI's start-up never need.
-    from .synth import SPLITS, IncrementalDataset
+    import numpy as np
+
+    from .synth import SPLITS, StateBlock, StateDraw
 
     path = Path(path)
     meta_path = _meta_path(path)
@@ -417,13 +424,26 @@ def read_dataset(path) -> IncrementalDataset:
                 "split": ("", _one_of(SPLITS, "split tag"))}
 
     rows = _read_csv(path, "dataset", columns)
-    try:
-        return IncrementalDataset(features=[row[:-2] for row in rows],
-                                  labels=[row[-2] for row in rows],
-                                  split=[row[-1] for row in rows], schedule=schedule,
-                                  name=meta["name"], seed=meta["seed"])
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    labels = np.array([row[-2] for row in rows], dtype=np.int64)
+    split = np.array([row[-1] for row in rows], dtype=object)
+    # Samples per (class, tag) in row-major order, so that the first empty
+    # cell is the first class, and its first tag, that lacks one.
+    tags = sum(i * (split == tag) for i, tag in enumerate(SPLITS))
+    found = np.bincount(labels * len(SPLITS) + tags, minlength=schedule.num_classes * len(SPLITS))
+    if not found.all():
+        c, t = divmod(int(np.argmin(found)), len(SPLITS))
+        raise SchemaError(path, f"class {c} has no '{SPLITS[t]}' samples")
+    states = np.asarray(schedule.class_to_state)[labels]
+    back = np.flatnonzero(np.diff(states) < 0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise SchemaError(path, f"row {i + 2}: class {labels[i]} of state {states[i]} "
+                                f"after a row of state {states[i - 1]}")
+    features = np.array([row[:-2] for row in rows], dtype=np.float64)
+    ends = np.searchsorted(states, np.arange(schedule.num_states + 1), side="right").tolist()
+    return StateDraw(schedule, {tag: int(np.sum(split == tag)) for tag in SPLITS},
+                     iter([StateBlock(features[a:b], labels[a:b], split[a:b])
+                           for a, b in zip(ends, ends[1:])]), meta["name"], meta["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ A dataset is drawn on the run's ``StateSchedule`` one state at a time:
 ``draw_states`` returns a ``StateDraw``, which yields, state by state, the
 samples of the classes new in that state, and ``StackedSets`` pulls each
 state from R such draws only when that state trains. A draw is the only
-dataset the package builds, stacks or writes; ``IncrementalDataset`` is
-what ``storage.read_dataset`` returns for a written one.
+dataset the package builds, stacks, writes or reads: ``storage.read_dataset``
+returns a written one as the draw it was.
 """
 
 from __future__ import annotations
@@ -27,49 +27,6 @@ from .errors import SpecError
 from .schedule import StateSchedule
 
 SPLITS = ("train", "validation", "test")
-
-
-@dataclass
-class IncrementalDataset:
-    """Feature matrix with labels, split tags and an incremental schedule:
-    a written dataset as ``storage.read_dataset`` reads it back."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    split: np.ndarray
-    schedule: StateSchedule
-    name: str = ""
-    seed: int = 0
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.split = np.asarray(self.split, dtype=object)
-        n = len(self.labels)
-        if self.features.ndim != 2 or self.features.shape[0] != n or len(self.split) != n:
-            raise ValueError("features, labels and split tags must align")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite values")
-        bad = sorted({tag for tag in self.split} - set(SPLITS))
-        if bad:
-            raise ValueError(f"unknown split tags {bad}; expected {SPLITS}")
-        if n and (self.labels.min() < 0 or self.labels.max() >= self.schedule.num_classes):
-            raise ValueError("labels outside the schedule's class range")
-        tags = sum(i * (self.split == tag) for i, tag in enumerate(SPLITS))
-        # Samples per (class, tag) in row-major order, so that the first
-        # empty cell is the first class, and its first tag, that lacks one.
-        found = np.bincount(self.labels * len(SPLITS) + tags,
-                            minlength=self.schedule.num_classes * len(SPLITS))
-        if not found.all():
-            c, t = divmod(int(np.argmin(found)), len(SPLITS))
-            raise ValueError(f"class {c} has no '{SPLITS[t]}' samples")
-
-    def subset(self, tag: str, classes: np.ndarray | None = None):
-        """Features and labels of one split, optionally restricted to classes."""
-        mask = self.split == tag
-        if classes is not None:
-            mask &= np.isin(self.labels, classes)
-        return self.features[mask], self.labels[mask]
 
 
 @dataclass

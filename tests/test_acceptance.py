@@ -35,7 +35,7 @@ from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               write_metrics, write_table)
 from calib_il.synth import StackedSets, StateView, SynthSpec, draw_states
 from calib_il.transfer import average_tables, param_count, score_state
-from test_synth import joined
+from test_synth import joined, subset
 
 HARNESS = {
     "seed": 7,
@@ -303,7 +303,7 @@ def test_criterion_09_backbone_contracts():
     std_err = float(np.abs(siw.w2.std(axis=-1) - 1.0).max())
     siw_ok = mean_err < 1e-9 and std_err < 1e-9
 
-    x, _ = data.subset("validation", np.arange(2))
+    x, _ = subset(data, "validation", np.arange(2))
     (m1,) = backbones._unstack(m1)
     lwf_term = abs(distillation_loss(m1, m1, x, 2.0, 1.0))
     lucir_term = abs(feature_distillation_loss(m1, m1, x, 5.0))
@@ -362,7 +362,7 @@ def test_criterion_11_serialization(tmp_path):
                      test_per_class=2, seed=8)
     data = joined(draw_states(spec, StateSchedule((2, 2)), name="d0"))
     write_dataset(tmp_path / "d.csv", draw_states(spec, data.schedule, name="d0"))
-    back = read_dataset(tmp_path / "d.csv")
+    back = joined(read_dataset(tmp_path / "d.csv"))
     dataset_ok = (back.features.tobytes() == data.features.tobytes()
                   and np.array_equal(back.labels, data.labels)
                   and np.array_equal(back.split, data.split))

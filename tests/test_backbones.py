@@ -21,7 +21,7 @@ from calib_il.errors import NumericError, SpecError
 from calib_il.metrics import per_state_accuracy
 from calib_il.schedule import StateSchedule
 from calib_il.synth import StateView, SynthSpec, draw_states
-from test_synth import joined
+from test_synth import joined, subset
 
 
 def stacked(data, state):
@@ -29,13 +29,13 @@ def stacked(data, state):
     state's new classes, all that training reads, with a model axis of
     length one."""
     group = data.schedule.group_slice(state, state)
-    x, y = data.subset("train", np.arange(group.start, group.stop))
+    x, y = subset(data, "train", np.arange(group.start, group.stop))
     return StateView(state, x[None], y[None])
 
 
 def seen(data, tag, state):
     """One dataset's ``tag`` set of every class seen through ``state``."""
-    return data.subset(tag, np.arange(data.schedule.classes_through(state)))
+    return subset(data, tag, np.arange(data.schedule.classes_through(state)))
 
 
 def one(stack):
@@ -174,10 +174,11 @@ class TestRestore:
     @pytest.mark.parametrize("kind", ["ftplus", "siw"])
     def test_finetune_then_restore_past_rows(self, kind):
         """Both rules fine-tune every row, then put the past groups' rows
-        back from the input model; siw then standardizes every row and
-        clears the biases. Past rows move while the state trains, so the
-        restore is not a no-op. Three states: at state 3 the input model is
-        itself a restored one."""
+        back from the input model; siw then standardizes the rows not yet
+        standardized (all of them at state 2, the new group's at state 3)
+        and clears the biases. Past rows move while the state trains, so
+        the restore is not a no-op. Three states: at state 3 the input
+        model is itself a restored one."""
         data = quick_dataset()
         config = quick_config(kind)
         model = train_one(config, data)
@@ -188,7 +189,8 @@ class TestRestore:
             want.w2[:, :n_past] = model.w2
             want.b2[:, :n_past] = model.b2
             if kind == "siw":
-                want.w2 = standardize_rows(want.w2)
+                first = 0 if state == 2 else n_past
+                want.w2[:, first:] = standardize_rows(want.w2[:, first:])
                 want.b2 = np.zeros_like(want.b2)
             got = update_one(model, data, state, config)
             assert model_bytes(got) == model_bytes(want)
@@ -232,6 +234,19 @@ class TestSIW:
         np.testing.assert_allclose(m2.w2.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(m2.w2.std(axis=-1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(m2.b2, 0.0)
+
+    def test_past_rows_stay_as_first_standardized(self):
+        """A class's row is standardized once, by the state that
+        introduces it (state 2 for state 1's classes), and is then bitwise
+        the same at every later state."""
+        data = quick_dataset(num_classes=10, num_states=5)
+        config = quick_config("siw")
+        model = update_one(train_one(config, data), data, 2, config)
+        for state in (3, 4, 5):
+            past = model.w2  # updates never mutate their input model
+            model = update_one(model, data, state, config)
+            assert model.w2[:, :past.shape[1]].tobytes() == past.tobytes()
+        assert model.num_classes == 10
 
 
 class TestLwF:

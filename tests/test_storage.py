@@ -22,7 +22,6 @@ from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
                               read_metrics_rows, read_table, write_dataset,
                               write_logits, write_metrics, write_table)
 from calib_il.synth import SPLITS, StateBlock, StateDraw, SynthSpec, draw_states
-from test_synth import joined
 
 
 def one_block_draw(features, labels, split, name, seed=0):
@@ -423,14 +422,31 @@ class TestDatasetRoundTrip:
         return draw_states(spec, StateSchedule((2, 2)), name="ref_1")
 
     def test_bit_exact(self, tmp_path):
+        """The draw read back has the written draw's schedule, name, seed
+        and sizes, and its blocks hold the written blocks' rows."""
         path = tmp_path / "d.csv"
         write_dataset(path, self.make())
-        data, back = joined(self.make()), read_dataset(path)
-        assert back.features.tobytes() == data.features.tobytes()
-        np.testing.assert_array_equal(back.labels, data.labels)
-        np.testing.assert_array_equal(back.split, data.split)
-        assert back.schedule == data.schedule
-        assert back.name == "ref_1" and back.seed == 8
+        want, back = self.make(), read_dataset(path)
+        assert (back.schedule, back.name, back.seed, back.sizes) \
+            == (want.schedule, "ref_1", 8, want.sizes)
+        for got, block in zip(back.blocks, want.blocks, strict=True):
+            assert got.features.tobytes() == block.features.tobytes()
+            assert got.labels.tobytes() == block.labels.tobytes()
+            assert got.split.tolist() == block.split.tolist()
+
+    @pytest.mark.parametrize("drift_scale, halve", [(0.3, False), (0.0, True)],
+                             ids=["drift", "halved"])
+    def test_rewrite_is_byte_identical(self, tmp_path, drift_scale, halve):
+        """Writing the draw that ``read_dataset`` returns gives the CSV and
+        its sidecar byte for byte."""
+        spec = SynthSpec(num_classes=6, feature_dim=5, train_per_class=7, val_per_class=3,
+                         test_per_class=2, drift_scale=drift_scale, seed=4)
+        first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_dataset(first, draw_states(spec, StateSchedule((1, 3, 2)), "d", halve=halve))
+        write_dataset(again, read_dataset(first))
+        assert again.read_bytes() == first.read_bytes()
+        assert (tmp_path / "b.csv.meta.json").read_bytes() \
+            == (tmp_path / "a.csv.meta.json").read_bytes()
 
     @pytest.mark.parametrize("key,value", [("seed", [1]), ("num_states", None)])
     def test_uncoercible_sidecar_field_is_metadata_error(self, tmp_path, key, value):

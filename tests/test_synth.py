@@ -1,14 +1,15 @@
-"""Synthetic dataset generation, the per-state draw, state splitting, and
-halving."""
+"""Synthetic dataset generation, the per-state draw, state splitting,
+halving, and the checks on a written dataset read back."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from calib_il.errors import SchemaError
 from calib_il.schedule import StateSchedule
-from calib_il.synth import (SPLITS, IncrementalDataset, StackedSets, SynthSpec,
-                            _cayley_rotation, draw_states)
+from calib_il.storage import read_dataset, write_dataset
+from calib_il.synth import SPLITS, StackedSets, SynthSpec, _cayley_rotation, draw_states
 
 
 def small_spec(**kw):
@@ -48,8 +49,8 @@ def reference_dataset(spec, schedule):
     x = np.concatenate(features, axis=0)
     if spec.drift_scale > 0:
         x = x @ _cayley_rotation(spec.feature_dim, spec.drift_scale, rng).T
-    return IncrementalDataset(x, np.asarray(labels), np.asarray(tags, dtype=object),
-                              schedule, seed=spec.seed)
+    return SimpleNamespace(features=x, labels=np.asarray(labels),
+                           split=np.asarray(tags, dtype=object), schedule=schedule)
 
 
 def halve_train_split(dataset):
@@ -61,17 +62,26 @@ def halve_train_split(dataset):
     for c in range(dataset.schedule.num_classes):
         idx = np.flatnonzero((dataset.labels == c) & train)
         keep[idx[(len(idx) + 1) // 2:]] = False
-    return IncrementalDataset(dataset.features[keep], dataset.labels[keep],
-                              dataset.split[keep], dataset.schedule, seed=dataset.seed)
+    return SimpleNamespace(features=dataset.features[keep], labels=dataset.labels[keep],
+                           split=dataset.split[keep], schedule=dataset.schedule)
 
 
 def joined(draw):
-    """The blocks of a per-state draw, one after another, as one dataset."""
+    """The blocks of a per-state draw, one after another, as one dataset's
+    ``features``, ``labels`` and ``split`` arrays, with its ``schedule``."""
     blocks = list(draw.blocks)
-    return IncrementalDataset(np.concatenate([b.features for b in blocks]),
-                              np.concatenate([b.labels for b in blocks]),
-                              np.concatenate([b.split for b in blocks]),
-                              draw.schedule, draw.name, draw.seed)
+    return SimpleNamespace(schedule=draw.schedule, **{
+        field: np.concatenate([getattr(b, field) for b in blocks])
+        for field in ("features", "labels", "split")})
+
+
+def subset(data, tag, classes=None):
+    """Features and labels of one split of a ``joined`` dataset, optionally
+    restricted to ``classes``."""
+    mask = data.split == tag
+    if classes is not None:
+        mask &= np.isin(data.labels, classes)
+    return data.features[mask], data.labels[mask]
 
 
 def assert_same_rows(got, want):
@@ -176,10 +186,10 @@ class TestGeneration:
         nearest-center rule is exact."""
         data = generate(noise_scale=0.0)
         for c in range(4):
-            x, _ = data.subset("train", np.array([c]))
+            x, _ = subset(data, "train", np.array([c]))
             assert np.all(x == x[0])
-        x_all, y_all = data.subset("train")
-        centers = np.stack([data.subset("train", np.array([c]))[0][0] for c in range(4)])
+        x_all, y_all = subset(data, "train")
+        centers = np.stack([subset(data, "train", np.array([c]))[0][0] for c in range(4)])
         nearest = np.argmin(((x_all[:, None] - centers) ** 2).sum(-1), axis=1)
         np.testing.assert_array_equal(nearest, y_all)
 
@@ -200,41 +210,57 @@ class TestGeneration:
 
 
 class TestDatasetValidation:
-    def test_missing_split_rejected(self):
-        data = generate()
-        keep = ~((data.labels == 2) & (data.split == "test"))
-        with pytest.raises(ValueError, match="class 2 has no 'test'"):
-            IncrementalDataset(data.features[keep], data.labels[keep],
-                               data.split[keep], data.schedule)
+    """``read_dataset`` refuses a written dataset that no draw makes."""
+
+    def written(self, tmp_path, edit):
+        """The path of ``small_draw()`` written, its data rows then
+        replaced by ``edit(rows)``."""
+        path = tmp_path / "d.csv"
+        write_dataset(path, small_draw())
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+        return path
+
+    def without(self, tmp_path, gaps):
+        """``written`` with the rows of each (class, split tag) of ``gaps``
+        dropped."""
+        return self.written(tmp_path, lambda rows: [
+            row for row in rows
+            if (int(row.split(",")[-2]), row.split(",")[-1]) not in gaps])
+
+    def test_missing_split_rejected(self, tmp_path):
+        with pytest.raises(SchemaError, match="class 2 has no 'test'"):
+            read_dataset(self.without(tmp_path, [(2, "test")]))
 
     @pytest.mark.parametrize("gaps, first", [
         ([(3, "train"), (2, "test")], "class 2 has no 'test'"),
         ([(1, "test"), (1, "validation")], "class 1 has no 'validation'"),
     ])
-    def test_first_missing_split_is_named(self, gaps, first):
+    def test_first_missing_split_is_named(self, tmp_path, gaps, first):
         """With several gaps, the error names the lowest class and, in it,
         the first tag of SPLITS without samples."""
-        data = generate()
-        keep = np.ones(len(data.labels), dtype=bool)
-        for c, tag in gaps:
-            keep &= ~((data.labels == c) & (data.split == tag))
-        with pytest.raises(ValueError, match=first):
-            IncrementalDataset(data.features[keep], data.labels[keep],
-                               data.split[keep], data.schedule)
+        with pytest.raises(SchemaError, match=first):
+            read_dataset(self.without(tmp_path, gaps))
 
-    def test_unknown_tag_rejected(self):
-        data = generate()
-        tags = data.split.copy()
-        tags[0] = "holdout"
-        with pytest.raises(ValueError, match="unknown split tags"):
-            IncrementalDataset(data.features, data.labels, tags, data.schedule)
+    def test_unknown_tag_rejected(self, tmp_path):
+        path = self.written(tmp_path, lambda rows: [
+            rows[0].replace(",train", ",holdout"), *rows[1:]])
+        with pytest.raises(SchemaError, match="row 2: unknown split tag 'holdout'"):
+            read_dataset(path)
 
-    def test_non_finite_rejected(self):
-        data = generate()
-        features = data.features.copy()
-        features[0, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            IncrementalDataset(features, data.labels, data.split, data.schedule)
+    def test_non_finite_rejected(self, tmp_path):
+        path = self.written(tmp_path, lambda rows: [
+            "inf," + rows[0].split(",", 1)[1], *rows[1:]])
+        with pytest.raises(SchemaError, match="row 2 feature x0: non-finite value 'inf'"):
+            read_dataset(path)
+
+    def test_rows_out_of_state_order_rejected(self, tmp_path):
+        """Blocks are cut state by state, so a row of state 1 after one of
+        state 2 is refused, naming the row."""
+        path = self.written(tmp_path, lambda rows: [rows[-1], *rows[:-1]])
+        with pytest.raises(SchemaError,
+                           match="row 3: class 0 of state 1 after a row of state 2"):
+            read_dataset(path)
 
 
 class TestSplitStates:
@@ -271,7 +297,7 @@ class TestStackedSets:
     @pytest.mark.parametrize("knobs, sizes", DRAWS)
     def test_evaluation_prefixes_equal_the_dataset_subsets(self, knobs, sizes):
         """From per-state draws, each state's evaluation set is
-        ``dataset.subset(name, seen)`` of the whole draw, and a prefix view
+        ``subset(dataset, name, seen)`` of the whole draw, and a prefix view
         of one array per set rather than a copy."""
         schedule = StateSchedule(sizes)
         specs = [small_spec(**dict(knobs, seed=seed)) for seed in (4, 5)]
@@ -286,11 +312,11 @@ class TestStackedSets:
                 xs, ys = sets.evaluation(name, state)
                 assert xs.base is final[name][0].base and ys.base is final[name][1].base
                 for r, data in enumerate(whole):
-                    x, y = data.subset(name, seen)
+                    x, y = subset(data, name, seen)
                     assert xs[r].tobytes() == x.tobytes() and ys[r].tobytes() == y.tobytes()
             for r, data in enumerate(whole):
                 group = schedule.group_slice(state, state)
-                x, y = data.subset("train", np.arange(group.start, group.stop))
+                x, y = subset(data, "train", np.arange(group.start, group.stop))
                 assert train[0][r].tobytes() == x.tobytes()
                 assert train[1][r].tobytes() == y.tobytes()
 
@@ -353,8 +379,8 @@ class TestHalving:
         is a strict subset with unchanged values."""
         data = generate()
         halved = joined(draw_states(small_spec(), data.schedule, halve=True))
-        full_x, _ = data.subset("train", np.array([1]))
-        half_x, _ = halved.subset("train", np.array([1]))
+        full_x, _ = subset(data, "train", np.array([1]))
+        half_x, _ = subset(halved, "train", np.array([1]))
         np.testing.assert_array_equal(half_x, full_x[:5])
 
     @pytest.mark.parametrize("knobs, sizes", DRAWS + [(dict(train_per_class=1), (2, 2))])
