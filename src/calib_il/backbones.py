@@ -1,8 +1,11 @@
 """Desk-scale incremental backbones: a two-layer relu MLP trained with
 SGD+momentum, grown by one output group per state.
 
-Four memoryless update rules share the training loop and differ only in
-how they fight forgetting:
+Every state is one step, ``update_state``: grow the head by the state's
+class group, then train the whole model with SGD. State 1 starts from
+nothing and trains from scratch; later states fine-tune the grown model.
+Four memoryless update rules share that step and differ only in how they
+fight forgetting from state 2 on:
 
 - ``ftplus``    finetune, then put each past group's output rows back
                 as they were after the state that introduced it
@@ -24,8 +27,8 @@ Training runs on stacks. A stack of R models is a ``Model`` whose weights
 carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
 whose batches are (R, b, d), one dataset per slice; the models share one
 schedule.
-``train_initial`` and ``update_state`` are the per-state steps of a
-stack; ``run_incremental_stack`` runs them through all states, reading R
+``update_state`` takes and returns a stack (None before state 1);
+``run_incremental_stack`` runs it through all states, reading R
 per-state draws through ``synth.StackedSets``, which pulls each state's
 block from every draw only when that state trains and keeps the
 evaluation sets the run reads. It yields each state as soon as the state
@@ -214,9 +217,9 @@ def _relu_backward(d_h, active, x, model, config):
 
 
 def _grads_linear(model, x, y, config, p_soft=None):
-    """CE gradient, plus the soft-target distillation gradient when the
-    teacher's soft targets ``p_soft`` (R, b, n_past) for the batch are
-    given."""
+    """CE gradients of (w1, b1, w2, b2), plus the soft-target distillation
+    gradient when the teacher's soft targets ``p_soft`` (R, b, n_past) for
+    the batch are given."""
     h = model.hidden(x)
     z = h @ _t(model.w2)
     z += model.b2[:, None, :]
@@ -238,9 +241,9 @@ def _grads_linear(model, x, y, config, p_soft=None):
 
 
 def _grads_cosine(model, x, y, config, t_dir=None, lam=0.0):
-    """Cosine-head CE gradients, plus the feature-direction distillation
-    gradient when the teacher's unit features ``t_dir`` (R, b, h) for the
-    batch are given."""
+    """Cosine-head CE gradients of (w1, b1, w2, eta), plus the
+    feature-direction distillation gradient weighted by ``lam`` when the
+    teacher's unit features ``t_dir`` (R, b, h) for the batch are given."""
     h = model.hidden(x)
     active = h > 0
     hn, h_norms, h_clip = _normalize_rows(h)
@@ -260,7 +263,7 @@ def _grads_cosine(model, x, y, config, t_dir=None, lam=0.0):
     d_w2 = _normalize_backward(d_wn, wn, w_norms, w_clip) + config.weight_decay * model.w2
     d_w1, d_b1 = _relu_backward(_normalize_backward(d_hn, hn, h_norms, h_clip),
                                 active, x, model, config)
-    return d_w1, d_b1, d_w2, np.zeros_like(model.b2), d_eta
+    return d_w1, d_b1, d_w2, d_eta
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +300,9 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
     order once, into buffers reused across epochs, so that a batch is a
     slice.
     """
-    params = (model.w1, model.b1, model.w2, model.b2)
+    # A cosine head reads no output bias; its trained scale takes the slot.
+    params = (model.w1, model.b1, model.w2, model.eta if model.cosine else model.b2)
     vel = [np.zeros_like(p) for p in params]
-    vel_eta = np.zeros_like(model.eta)
     targets = _teacher_targets(teacher, x, config, lam)
     xs, ys = np.empty_like(x), np.empty_like(y)
     ts = None if targets is None else np.empty_like(targets)
@@ -318,9 +321,7 @@ def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
             xb, yb = xs[:, batch], ys[:, batch]
             tb = None if ts is None else ts[:, batch]
             if model.cosine:
-                *grads, d_eta = _grads_cosine(model, xb, yb, config, tb, lam)
-                vel_eta = mu * vel_eta + d_eta
-                model.eta = model.eta - lr * vel_eta
+                grads = _grads_cosine(model, xb, yb, config, tb, lam)
             else:
                 grads = _grads_linear(model, xb, yb, config, tb)
             for p, v, g in zip(params, vel, grads):
@@ -339,95 +340,53 @@ def _shared(rows: np.ndarray, num_models: int) -> np.ndarray:
     return np.repeat(rows[None], num_models, axis=0)
 
 
-def _check_new_labels(model: Model | None, view: StateView, schedule: StateSchedule):
-    sl = schedule.group_slice(view.state, view.state)
-    if view.train_y.size == 0:
-        raise SpecError(f"state {view.state} has no training samples")
-    if view.train_y.min() < sl.start or view.train_y.max() >= sl.stop:
-        raise SpecError(
-            f"state {view.state} training labels must lie in the new group "
-            f"[{sl.start}, {sl.stop})")
-    if model is not None and model.num_classes != sl.start:
-        raise SpecError(
-            f"model already covers {model.num_classes} classes but state "
-            f"{view.state} introduces ids from {sl.start}; groups would overlap")
-
-
-def train_initial(config: BackboneConfig, view: StateView,
-                  schedule: StateSchedule) -> Model:
-    """Train a stack of state-1 models from scratch on the first class
-    group, one per slice of the stacked ``view``."""
-    if view.state != 1:
-        raise SpecError("initial training expects the state-1 view")
-    _check_new_labels(None, view, schedule)
-    r, _, d = view.train_x.shape
-    n_cls = schedule.classes_through(1)
-    rng = np.random.default_rng([config.seed, 1])
-    model = Model(
-        w1=_shared(_init_rows(config.hidden_dim, d, rng), r),
-        b1=np.zeros((r, config.hidden_dim)),
-        w2=_shared(_init_rows(n_cls, config.hidden_dim, rng), r),
-        b2=np.zeros((r, n_cls)),
-        cosine=config.kind == "lucir_lite",
-        eta=np.full(r, ETA_INIT),
-    )
-    return _sgd_epochs(model, view.train_x, view.train_y, config,
-                       config.epochs_initial, rng)
-
-
-def _grow_head(model: Model, view: StateView, schedule: StateSchedule,
-               rng) -> Model:
-    """A copy of the stack with freshly initialized rows for the state's
-    new classes appended."""
-    _check_new_labels(model, view, schedule)
-    sl = schedule.group_slice(view.state, view.state)
-    n_new = sl.stop - sl.start
-    r, _, h = model.w2.shape
-    return Model(
-        w1=model.w1.copy(),
-        b1=model.b1.copy(),
-        w2=np.concatenate([model.w2, _shared(_init_rows(n_new, h, rng), r)], axis=1),
-        b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
-        cosine=model.cosine,
-        eta=model.eta,
-    )
-
-
-def _train_new_group(model: Model, view: StateView, schedule: StateSchedule,
-                     config: BackboneConfig, teacher: Model | None = None,
-                     lam: float = 0.0) -> Model:
-    """Grow the head by the state's new group and fine-tune the whole
-    model with SGD: the step every update rule shares.
-
-    ``teacher`` adds the distillation term of the model's head (soft
-    targets for a linear head, feature directions weighted by ``lam`` for
-    a cosine one).
-    """
-    rng = np.random.default_rng([config.seed, view.state])
-    grown = _grow_head(model, view, schedule, rng)
-    return _sgd_epochs(grown, view.train_x, view.train_y, config,
-                       config.epochs_incremental, rng, teacher=teacher, lam=lam)
-
-
-def update_state(model: Model, view: StateView, schedule: StateSchedule,
+def update_state(model: Model | None, view: StateView, schedule: StateSchedule,
                  config: BackboneConfig) -> Model:
     """Advance a stack by one state with the update rule ``config.kind``
-    (see the module docstring); ``view`` is the state's stacked view."""
-    kind = config.kind
-    lam = 0.0
-    if kind == "lucir_lite":
-        if not model.cosine:
-            raise SpecError("lucir_lite updates need a cosine-head model")
-        sl = schedule.group_slice(view.state, view.state)
-        lam = lucir_lambda(sl.start, sl.stop - sl.start, config.lucir_lambda_base)
+    (see the module docstring); ``view`` is the state's stacked view.
+    ``model`` is None before state 1, which trains from scratch for
+    ``epochs_initial`` epochs; later states fine-tune the grown stack for
+    ``epochs_incremental`` epochs with the rule's teacher and restore."""
+    kind, state = config.kind, view.state
+    sl = schedule.group_slice(state, state)
+    past = 0 if model is None else model.num_classes
+    if view.train_y.size == 0:
+        raise SpecError(f"state {state} has no training samples")
+    if view.train_y.min() < sl.start or view.train_y.max() >= sl.stop:
+        raise SpecError(f"state {state} training labels must lie in the new group "
+                        f"[{sl.start}, {sl.stop})")
+    if past != sl.start:
+        raise SpecError(f"model covers {past} classes but state {state} introduces "
+                        f"ids from {sl.start}; groups would overlap or leave a gap")
+    cosine = kind == "lucir_lite"
+    if model is not None and model.cosine != cosine:
+        head, got = ("cosine", "linear") if cosine else ("linear", "cosine")
+        raise SpecError(f"{kind} updates need a {head}-head model, not a {got}-head one")
+    rng = np.random.default_rng([config.seed, state])
+    r, _, d = view.train_x.shape
+    h = config.hidden_dim
+    if model is None:  # an empty head on a freshly drawn first layer
+        model = Model(w1=_shared(_init_rows(h, d, rng), r), b1=np.zeros((r, h)),
+                      w2=np.zeros((r, 0, h)), b2=np.zeros((r, 0)), cosine=cosine,
+                      eta=np.full(r, ETA_INIT))
+    n_new = sl.stop - sl.start
+    # Every array is copied, so that training never mutates the input stack.
+    grown = Model(w1=model.w1.copy(), b1=model.b1.copy(),
+                  w2=np.concatenate([model.w2, _shared(_init_rows(n_new, h, rng), r)], axis=1),
+                  b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
+                  cosine=cosine, eta=model.eta.copy())
+    if past == 0:  # state 1 trains from scratch, with no rule to apply
+        return _sgd_epochs(grown, view.train_x, view.train_y, config,
+                           config.epochs_initial, rng)
     teacher = model if kind in ("lwf", "lucir_lite") else None
-    grown = _train_new_group(model, view, schedule, config, teacher=teacher, lam=lam)
+    lam = lucir_lambda(past, n_new, config.lucir_lambda_base) if cosine else 0.0
+    _sgd_epochs(grown, view.train_x, view.train_y, config, config.epochs_incremental,
+                rng, teacher=teacher, lam=lam)
     if kind in ("ftplus", "siw"):
-        n_past = model.num_classes
-        grown.w2[:, :n_past] = model.w2
-        grown.b2[:, :n_past] = model.b2
+        grown.w2[:, :past] = model.w2
+        grown.b2[:, :past] = model.b2
     if kind == "siw":
-        first = 0 if view.state == 2 else model.num_classes
+        first = 0 if state == 2 else past
         grown.w2[:, first:] = standardize_rows(grown.w2[:, first:])
         grown.b2 = np.zeros_like(grown.b2)
     return grown
@@ -478,10 +437,7 @@ def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
         # Each state's training set is drawn here and dropped after use,
         # so one is held besides the model and the evaluation sets.
         view = StateView(state, *data.train(state))
-        if model is None:
-            model = train_initial(config, view, data.schedule)
-        else:
-            model = update_state(model, view, data.schedule, config)
+        model = update_state(model, view, data.schedule, config)
         del view
         logits = {name: _stack_logits(model, *data.evaluation(name, state), state,
                                       data.schedule, draws, config.kind)

@@ -190,17 +190,19 @@ def _corrected(matrix, alpha, beta, col) -> np.ndarray:
     return out
 
 
-def _loss(matrix, labels, alpha, beta, col, config: CalibConfig) -> float:
+def _loss(matrix, labels, alpha, beta, col, config: CalibConfig):
     """``regularized_loss`` with the column-to-group map precomputed. Each
     sample's term is logsumexp(z) - z[label] of its max-shifted corrected
-    scores z, exact where the label's probability underflows."""
+    scores z, exact where the label's probability underflows. Returns the
+    loss, exp(z) and its row sums, whose quotient is the softmax of z."""
     shifted = _corrected(matrix, alpha, beta, col)
     shifted -= shifted.max(axis=-1, keepdims=True)
     picked = shifted[np.arange(len(labels)), labels]
-    data = np.mean(np.log(np.exp(shifted, out=shifted).sum(axis=-1)) - picked)
+    sums = np.exp(shifted, out=shifted).sum(axis=-1)
+    data = np.mean(np.log(sums) - picked)
     penalty = (config.l2_alpha * np.sum((alpha - 1.0) ** 2)
                + config.l2_beta * np.sum(beta**2))
-    return float(data + penalty)
+    return float(data + penalty), shifted, sums
 
 
 def regularized_loss(
@@ -214,7 +216,7 @@ def regularized_loss(
 ) -> float:
     """Mean corrected cross-entropy plus the identity-anchored L2 penalty."""
     return _loss(matrix, np.asarray(labels), alpha, beta,
-                 schedule.column_groups(state) - 1, config)
+                 schedule.column_groups(state) - 1, config)[0]
 
 
 def _gradient(matrix, labels, q, alpha, beta, starts, config: CalibConfig):
@@ -317,9 +319,10 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
     params = np.concatenate([np.ones(s), np.zeros(s)])
     # Overflow shows up as non-finite values, which are checked below.
     with np.errstate(all="ignore"):
-        loss = initial_loss = _loss(matrix, labels, params[:s], params[s:], col, config)
+        initial_loss, q, sums = _loss(matrix, labels, params[:s], params[s:], col, config)
+        loss = initial_loss
         for iterations in range(MAX_NEWTON_STEPS + 1):
-            q = _softmax_in_place(_corrected(matrix, params[:s], params[s:], col))
+            q /= sums[:, None]  # the softmax at params, from the accepted loss's buffer
             grad = np.concatenate(_gradient(matrix, labels, q, params[:s], params[s:],
                                             starts, config))
             grad_norm = float(np.linalg.norm(grad))
@@ -331,7 +334,7 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
             if iterations == MAX_NEWTON_STEPS:
                 break
             hess = _hessian(matrix, q, starts, config)
-            del q  # freed before the line search, which builds its own scores
+            del q  # freed before the line search, which builds its own
             if not np.all(np.isfinite(hess)):
                 raise fail(f"has a non-finite Hessian after {iterations} steps")
             try:
@@ -341,9 +344,10 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
             slope, t = float(grad @ step), 1.0
             while t >= _MIN_STEP:
                 trial = params + t * step
-                trial_loss = _loss(matrix, labels, trial[:s], trial[s:], col, config)
+                trial_loss, q, sums = _loss(matrix, labels, trial[:s], trial[s:], col, config)
                 if trial_loss <= loss + _ARMIJO_SLOPE * t * slope:
                     break
+                del q  # one trial's buffer at a time
                 t *= 0.5
             else:
                 break

@@ -18,7 +18,7 @@ import pytest
 from calib_il import backbones
 from calib_il.backbones import (BackboneConfig, distillation_loss,
                                 feature_distillation_loss, lucir_lambda,
-                                train_initial, update_state)
+                                update_state)
 from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
                                   apply_table, fit_state, loss_gradient,
                                   regularized_loss)
@@ -293,7 +293,7 @@ def test_criterion_09_backbone_contracts():
                             epochs_incremental=10)
     sets = StackedSets([draw_states(spec, data.schedule)], ())
     view1, view2 = (StateView(s, *sets.train(s)) for s in (1, 2))
-    m1 = train_initial(config, view1, data.schedule)
+    m1 = update_state(None, view1, data.schedule, config)
     m2 = update_state(m1, view2, data.schedule, config)
     restored_ok = (m2.w2[:, :2].tobytes() == m1.w2.tobytes()
                    and m2.b2[:, :2].tobytes() == m1.b2.tobytes())

@@ -15,7 +15,7 @@ from calib_il import backbones
 from calib_il.backbones import (ETA_INIT, BackboneConfig, Model,
                                 distillation_loss, feature_distillation_loss,
                                 lucir_lambda, mean_loss, run_incremental_stack,
-                                standardize_rows, train_initial, update_state)
+                                standardize_rows, update_state)
 from calib_il.config import KINDS
 from calib_il.errors import NumericError, SpecError
 from calib_il.metrics import per_state_accuracy
@@ -45,7 +45,7 @@ def one(stack):
 
 
 def train_one(config, data):
-    return train_initial(config, stacked(data, 1), data.schedule)
+    return update_state(None, stacked(data, 1), data.schedule, config)
 
 
 def update_one(model, data, state, config):
@@ -53,8 +53,20 @@ def update_one(model, data, state, config):
 
 
 def update_finetune(model, view, schedule, config):
-    """Plain finetuning on the new group with no forgetting protection."""
-    return backbones._train_new_group(model, view, schedule, config)
+    """Plain finetuning on the new group with no forgetting protection,
+    built from the draws and the SGD loop, not through ``update_state``:
+    the state's rows appended to a copy of the head, then the whole model
+    trained with no teacher."""
+    rng = np.random.default_rng([config.seed, view.state])
+    group = schedule.group_slice(view.state, view.state)
+    n_new, (r, _, h) = group.stop - group.start, model.w2.shape
+    rows = backbones._shared(backbones._init_rows(n_new, h, rng), r)
+    grown = Model(w1=model.w1.copy(), b1=model.b1.copy(),
+                  w2=np.concatenate([model.w2, rows], axis=1),
+                  b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
+                  cosine=model.cosine, eta=model.eta.copy())
+    return backbones._sgd_epochs(grown, view.train_x, view.train_y, config,
+                                 config.epochs_incremental, rng)
 
 
 def draw(spec, num_states, name=""):
@@ -159,9 +171,11 @@ class TestInitialTraining:
         assert loss_long < math.log(2)  # better than chance over 2 classes
 
     def test_wrong_state_rejected(self):
+        """A stack starts at state 1: no model and a state-2 view overlap
+        nothing but leave a gap."""
         data = quick_dataset()
         with pytest.raises(SpecError):
-            train_initial(quick_config(), stacked(data, 2), data.schedule)
+            update_state(None, stacked(data, 2), data.schedule, quick_config())
 
     def test_deterministic(self):
         data = quick_dataset(seed=5)
@@ -215,14 +229,24 @@ class TestRestore:
         assert m2.w2[:, :2].tobytes() == m1.w2.tobytes()
         assert m2.num_classes == 4
 
-    def test_input_model_never_mutated(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_input_stack_never_mutated(self, kind):
+        """Each of 3 states leaves its input stack bitwise unchanged (a
+        cosine head trains ``eta`` in place, so it must be copied when the
+        head grows), and a cosine head's output biases, which it never
+        reads, stay exactly zero."""
         data = quick_dataset()
-        for kind in ("ftplus", "siw", "lwf", "lucir_lite"):
-            config = quick_config(kind)
-            m1 = train_one(config, data)
-            before = model_bytes(m1)
-            update_one(m1, data, 2, config)
-            assert model_bytes(m1) == before
+        config = quick_config(kind)
+        model = None
+        for state in (1, 2, 3):
+            before = None if model is None else model_bytes(model)
+            grown = update_one(model, data, state, config)
+            if model is not None:
+                assert model_bytes(model) == before
+            if kind == "lucir_lite":
+                np.testing.assert_array_equal(grown.b2, 0.0)
+            model = grown
+        assert model.num_classes == 6
 
 
 class TestSIW:
@@ -381,6 +405,17 @@ class TestLucirLite:
         with pytest.raises(SpecError, match="cosine-head"):
             update_one(linear, data, 2, config)
 
+    @pytest.mark.parametrize("kind", ["lwf", "ftplus", "siw"])
+    def test_cosine_model_rejected_by_linear_kinds(self, kind):
+        """A cosine-head stack would train as a cosine fine-tune under a
+        linear-head rule, with no distillation for lwf and a standardized
+        cosine head for siw."""
+        data = quick_dataset()
+        cosine = train_one(quick_config("lucir_lite"), data)
+        with pytest.raises(SpecError, match=f"{kind} updates need a linear-head model, "
+                                            "not a cosine-head one"):
+            update_one(cosine, data, 2, quick_config(kind))
+
     def test_degenerate_features_stay_finite(self):
         """A dead hidden layer produces zero feature vectors; the norm floor
         must keep cosine scores finite (and zero) instead of dividing by 0."""
@@ -420,7 +455,7 @@ class TestRunIncremental:
         stack = run_incremental_stack(quick_config(), [quick_draw(seed=9)], sets=("test",))
         assert updates == []
         for want, (state, logits) in enumerate(stack, start=1):
-            assert state == want and updates == list(range(2, state + 1))
+            assert state == want and updates == list(range(1, state + 1))
             assert list(logits) == ["test"]
             assert [lg.state for lg in logits["test"]] == [state]
         assert want == 3
@@ -475,7 +510,9 @@ class TestLockstep:
 
 def per_batch_sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):
     """``_sgd_epochs`` gathering every batch from the unshuffled arrays by
-    fancy indexing: the oracle for the one gather per epoch."""
+    fancy indexing: the oracle for the one gather per epoch. It updates a
+    cosine head's ``eta`` in a momentum step of its own, so it is also the
+    oracle for the one update loop that trains ``eta`` in ``b2``'s slot."""
     vel = [np.zeros_like(p) for p in (model.w1, model.b1, model.w2, model.b2)]
     vel_eta = np.zeros_like(model.eta)
     targets = backbones._teacher_targets(teacher, x, config, lam)
