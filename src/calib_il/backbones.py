@@ -146,31 +146,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def mean_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of the model on (x, y); the monitored train loss."""
-    logp = _log_softmax(model.scores(x))
-    return float(-np.mean(logp[np.arange(len(y)), y]))
-
-
-def distillation_loss(model: Model, teacher: Model, x: np.ndarray,
-                      temperature: float, weight: float) -> float:
-    """Soft-target KL on the teacher's columns, scaled by weight * T^2."""
-    n_past = teacher.num_classes
-    logq = _log_softmax(model.scores(x)[:, :n_past] / temperature)
-    logp = _log_softmax(teacher.scores(x) / temperature)
-    p = np.exp(logp)
-    kl = np.sum(p * (logp - logq), axis=1)
-    return float(weight * temperature**2 * np.mean(kl))
-
-
-def feature_distillation_loss(model: Model, teacher: Model, x: np.ndarray,
-                              weight: float) -> float:
-    """weight * mean(1 - cos(student features, teacher features))."""
-    hn, _, _ = _normalize_rows(model.hidden(x))
-    tn, _, _ = _normalize_rows(teacher.hidden(x))
-    return float(weight * np.mean(1.0 - np.sum(hn * tn, axis=1)))
-
-
 def lucir_lambda(num_past: int, num_new: int, lambda_base: float) -> float:
     """Adaptive distillation weight lambda_base * sqrt(past/new)."""
     if num_past < 1 or num_new < 1:

@@ -1,17 +1,23 @@
 """Affine score correction and the per-state convex calibration fit.
 
-Two correction layers operate on a score matrix at state s. The classic one
-rescales only the newest class group with a single (alpha, beta) pair. The
-per-group one keeps one pair per (current state, first-seen state), so the
-amount of correction can differ for classes learned at different times.
+A ``CalibrationTable`` keeps one (alpha, beta) pair per (current state,
+first-seen state), and ``apply_table`` maps the columns of group k at state
+s to alpha * o + beta with that state's pair k, so the amount of correction
+can differ for classes learned at different times. The classic single-pair
+correction, which rescales only the newest group, is the table that
+``collapse_to_single_pair`` leaves: every past pair at the identity.
 
-The fit minimizes mean cross-entropy of the corrected softmax plus an L2
-penalty anchored at the identity pair (alpha=1, beta=0). Corrected scores
-are linear in the parameters, so the objective is convex, the analytic
-gradient is a plain per-group sum of softmax residuals, and the Hessian is
-the mean of J^T (diag q - q q^T) J over samples plus the penalty's diagonal.
-The loss is exact (logsumexp minus the label's score, no probability
-floor): the very convex function that the gradient and Hessian differentiate.
+The fit at state s minimizes, over the s pairs, the mean over validation
+samples of logsumexp(z) - z[label] of the corrected scores z, plus
+l2_alpha * sum((alpha - 1)^2) + l2_beta * sum(beta^2), a penalty anchored
+at the identity pair (alpha=1, beta=0). Corrected scores are linear in the
+parameters, so the objective is convex. Its gradient per group k is the
+sum over samples and over k's columns of (q - onehot) / n, with q the
+softmax of z, weighted by the raw scores for alpha_k and by 1 for beta_k,
+plus the penalty's 2 * l2_alpha * (alpha_k - 1) and 2 * l2_beta * beta_k.
+Its Hessian is the mean of J^T (diag q - q q^T) J over samples plus the
+penalty's diagonal. The loss is exact (no probability floor): the very
+convex function that the gradient and Hessian differentiate.
 ``fit_state`` solves it with damped Newton steps until the gradient norm is
 below ``GRAD_TOL``; a fit that cannot be certified raises ``NumericError``.
 """
@@ -26,26 +32,6 @@ from .config import CalibConfig
 from .errors import NumericError
 from .logits import StateLogits
 from .schedule import StateSchedule
-
-
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety.
-
-    Accepts a single score vector or a matrix of row vectors; float64
-    accumulation throughout.
-    """
-    scores = np.array(scores, dtype=np.float64)  # a copy, normalized in place
-    if scores.size == 0:
-        raise ValueError("softmax of an empty score vector is undefined")
-    return _softmax_in_place(scores)
-
-
-def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
-    """``softmax`` of float64 ``scores``, computed in their own buffer."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
 
 
 class CalibrationTable:
@@ -149,20 +135,6 @@ class CalibrationTable:
         return f"CalibrationTable(num_states={self.num_states}, pairs={pairs})"
 
 
-def apply_bic(logits: StateLogits, alpha: float, beta: float) -> np.ndarray:
-    """Rescale only the newest class group: columns of group s become
-    alpha * o + beta, all earlier groups stay raw."""
-    if logits.state < 2:
-        raise ValueError("state 1 has no past/new split, correction undefined")
-    alpha, beta = float(alpha), float(beta)
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise ValueError(f"non-finite correction pair ({alpha}, {beta})")
-    out = logits.matrix.copy()
-    new = logits.schedule.group_slice(logits.state, logits.state)
-    out[:, new] = alpha * out[:, new] + beta
-    return out
-
-
 def apply_table(logits: StateLogits, table: CalibrationTable) -> np.ndarray:
     """Apply the per-group pairs of ``table`` for the logits' state."""
     alpha, beta = table.pairs_for_state(logits.state)
@@ -191,10 +163,12 @@ def _corrected(matrix, alpha, beta, col) -> np.ndarray:
 
 
 def _loss(matrix, labels, alpha, beta, col, config: CalibConfig):
-    """``regularized_loss`` with the column-to-group map precomputed. Each
-    sample's term is logsumexp(z) - z[label] of its max-shifted corrected
-    scores z, exact where the label's probability underflows. Returns the
-    loss, exp(z) and its row sums, whose quotient is the softmax of z."""
+    """The fit's objective at (alpha, beta): the mean over samples of
+    logsumexp(z) - z[label] of the max-shifted corrected scores z, exact
+    where the label's probability underflows, plus
+    l2_alpha * sum((alpha - 1)^2) + l2_beta * sum(beta^2). ``col`` maps
+    columns to groups. Returns the loss, exp(z) and its row sums, whose
+    quotient is the softmax of z."""
     shifted = _corrected(matrix, alpha, beta, col)
     shifted -= shifted.max(axis=-1, keepdims=True)
     picked = shifted[np.arange(len(labels)), labels]
@@ -205,22 +179,12 @@ def _loss(matrix, labels, alpha, beta, col, config: CalibConfig):
     return float(data + penalty), shifted, sums
 
 
-def regularized_loss(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    schedule: StateSchedule,
-    state: int,
-    config: CalibConfig,
-) -> float:
-    """Mean corrected cross-entropy plus the identity-anchored L2 penalty."""
-    return _loss(matrix, np.asarray(labels), alpha, beta,
-                 schedule.column_groups(state) - 1, config)[0]
-
-
 def _gradient(matrix, labels, q, alpha, beta, starts, config: CalibConfig):
-    """``loss_gradient`` given ``q``, the softmax of the corrected scores."""
+    """Gradient of ``_loss`` given ``q``, the softmax of the corrected scores:
+    per group k, the sum over samples and k's columns of (q - onehot) / n,
+    weighted by the raw scores for alpha_k and by 1 for beta_k, plus
+    2 * l2_alpha * (alpha_k - 1) and 2 * l2_beta * beta_k. ``starts`` holds
+    each group's first column."""
     residual = q.copy()
     n = len(labels)
     residual[np.arange(n), labels] -= 1.0
@@ -254,29 +218,6 @@ def _hessian(matrix, q, starts, config: CalibConfig) -> np.ndarray:
     hess[k + s, k] += sums[:s]
     hess[k + s, k + s] += sums[s:] + 2.0 * config.l2_beta
     return hess
-
-
-def loss_gradient(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    schedule: StateSchedule,
-    state: int,
-    config: CalibConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of ``regularized_loss`` w.r.t. alpha and beta.
-
-    Corrected scores are linear in the pairs, so the gradient per group is
-    the softmax residual (q - onehot) summed over the group's columns,
-    weighted by the raw scores for alpha and by 1 for beta, averaged over
-    the batch, plus the penalty gradient.
-    """
-    if matrix.shape[0] == 0:
-        raise ValueError("gradient of an empty batch is undefined")
-    q = _softmax_in_place(_corrected(matrix, alpha, beta, schedule.column_groups(state) - 1))
-    return _gradient(matrix, np.asarray(labels), q, alpha, beta,
-                     _group_starts(schedule, state), config)
 
 
 @dataclass

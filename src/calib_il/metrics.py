@@ -1,9 +1,8 @@
-"""Accuracy metrics and score diagnostics for incremental runs.
+"""Accuracy metrics for incremental runs.
 
 Accuracies are fractions in [0, 1], and the CLI writes them as fractions.
-Standard deviations are population deviations, and the headline number is
-the mean top-1 accuracy over states 2..S: the first state is not
-incremental, so its accuracy is discarded.
+The headline number is the mean top-1 accuracy over states 2..S: the first
+state is not incremental, so its accuracy is discarded.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import StateLogits
 from .schedule import StateSchedule
 
 
@@ -56,15 +54,6 @@ def avg_incremental_accuracy(per_state: list[float] | np.ndarray) -> float:
     return float(np.mean(per_state[1:]))
 
 
-def mean_scores_by_group(logits: StateLogits) -> dict[int, tuple[float, float]]:
-    """Mean and population std of the score entries in each group's columns."""
-    stats = {}
-    for k in range(1, logits.state + 1):
-        block = logits.matrix[:, logits.schedule.group_slice(logits.state, k)]
-        stats[k] = (float(np.mean(block)), float(np.std(block)))
-    return stats
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     """Everything measured on one incremental run of S states.
@@ -92,16 +81,3 @@ class RunMetrics:
         # A single-state run has no incremental part to average.
         average = avg_incremental_accuracy(accs) if num_states > 1 else float("nan")
         return cls(accs, groups, average)
-
-
-def compute_run_metrics(
-    per_state_scores: list[np.ndarray],
-    per_state_labels: list[np.ndarray],
-    schedule: StateSchedule,
-) -> RunMetrics:
-    """Score one run from its per-state score matrices and labels."""
-    if len(per_state_scores) != schedule.num_states:
-        raise ValueError("need one score matrix per state 1..S")
-    return RunMetrics.from_rows([
-        per_state_accuracy(predict(scores), labels, schedule, s)
-        for s, (scores, labels) in enumerate(zip(per_state_scores, per_state_labels), start=1)])

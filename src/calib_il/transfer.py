@@ -16,13 +16,6 @@ from .logits import StateLogits
 from .metrics import per_state_accuracy, predict
 
 
-def param_count(num_states: int) -> int:
-    """Scalars stored by a full table: 2*(2+3+...+S) = (S+2)*(S-1)."""
-    if num_states < 2:
-        raise ValueError("parameter count is defined for S >= 2")
-    return (num_states + 2) * (num_states - 1)
-
-
 def average_tables(tables: list[CalibrationTable]) -> CalibrationTable:
     """Elementwise arithmetic mean of the pairs across tables."""
     if not tables:

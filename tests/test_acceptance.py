@@ -10,21 +10,19 @@ module fixture; its wall-clock time is bounded by criterion 6.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
 from calib_il import backbones
-from calib_il.backbones import (BackboneConfig, distillation_loss,
-                                feature_distillation_loss, lucir_lambda,
-                                update_state)
-from calib_il.calibration import (CalibConfig, CalibrationTable, apply_bic,
-                                  apply_table, fit_state, loss_gradient,
-                                  regularized_loss)
+from calib_il.backbones import BackboneConfig, lucir_lambda, update_state
+from calib_il.calibration import (CalibConfig, CalibrationTable, apply_table,
+                                  fit_state)
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
-from calib_il.metrics import RunMetrics, compute_run_metrics, mean_scores_by_group
+from calib_il.metrics import RunMetrics
 from calib_il.flows import (_sampling_indices, all_target_rows, build_all_references,
                             cmd_gen, cmd_run_reference, cmd_run_target, cmd_sweep)
 from calib_il.pipeline import parse_run_spec
@@ -34,7 +32,10 @@ from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,
                               write_metrics, write_table)
 from calib_il.synth import StackedSets, StateView, SynthSpec, draw_states
-from calib_il.transfer import average_tables, param_count, score_state
+from calib_il.transfer import average_tables, score_state
+from oracles import (apply_bic, distillation_loss, feature_distillation_loss,
+                     mean_scores_by_group, regularized_loss, run_metrics)
+from test_calibration import fit_gradient, fit_loss
 from test_synth import joined, subset
 
 HARNESS = {
@@ -136,18 +137,18 @@ def test_criterion_02_gradient_matches_finite_differences():
         labels = rng.integers(0, cols, n)
         alpha = rng.normal(1, 0.5, S)
         beta = rng.normal(0, 0.5, S)
-        ga, gb = loss_gradient(matrix, labels, alpha, beta, sched, S, config)
+        ga, gb = fit_gradient(matrix, labels, alpha, beta, sched, S, config)
         for i in range(S):
             for grad, vec, is_alpha in ((ga, alpha, True), (gb, beta, False)):
                 vp, vm = vec.copy(), vec.copy()
                 vp[i] += h
                 vm[i] -= h
                 if is_alpha:
-                    lp = regularized_loss(matrix, labels, vp, beta, sched, S, config)
-                    lm = regularized_loss(matrix, labels, vm, beta, sched, S, config)
+                    lp = fit_loss(matrix, labels, vp, beta, sched, S, config)[0]
+                    lm = fit_loss(matrix, labels, vm, beta, sched, S, config)[0]
                 else:
-                    lp = regularized_loss(matrix, labels, alpha, vp, sched, S, config)
-                    lm = regularized_loss(matrix, labels, alpha, vm, sched, S, config)
+                    lp = fit_loss(matrix, labels, alpha, vp, sched, S, config)[0]
+                    lm = fit_loss(matrix, labels, alpha, vm, sched, S, config)[0]
                 fd = (lp - lm) / (2 * h)
                 worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-8))
     elapsed = time.perf_counter() - start
@@ -210,10 +211,19 @@ def test_criterion_03_fit_matches_grid_search():
                   f"{elapsed:.2f}s (< 5s)")
 
 
-def test_criterion_04_param_count():
-    got = (param_count(5), param_count(10), param_count(20))
-    ok = got == (28, 108, 418)
-    report(4, ok, f"param_count(5/10/20) = {got} (want (28, 108, 418))")
+def test_criterion_04_param_count(tmp_path):
+    """The scalars a written table stores: one alpha and one beta per
+    (state, group) entry of its JSON file."""
+    got = []
+    for S in (5, 10, 20):
+        path = tmp_path / f"s{S}.table.json"
+        write_table(path, CalibrationTable.identity(S))
+        entries = json.loads(path.read_text())["entries"]
+        got.append(sum(len({"alpha", "beta"} & entry.keys()) for entry in entries))
+    got = tuple(got)
+    ok = got == tuple((S + 2) * (S - 1) for S in (5, 10, 20)) == (28, 108, 418)
+    report(4, ok, f"table JSON scalars for S = 5/10/20: {got} "
+                  f"(want (S+2)(S-1) = (28, 108, 418))")
 
 
 def test_criterion_05_reduction_to_single_pair():
@@ -368,8 +378,8 @@ def test_criterion_11_serialization(tmp_path):
                   and np.array_equal(back.split, data.split))
 
     run = random_run(5, 2, n=40)
-    metrics = compute_run_metrics([lg.matrix for lg in run],
-                                  [lg.labels for lg in run], run[0].schedule)
+    metrics = run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
+                          run[0].schedule)
     write_metrics(tmp_path / "m.csv", metrics)
     matrix, average = read_metrics_rows(tmp_path / "m.csv")
     metrics_ok = (np.array_equal(matrix, metrics.group_accuracy, equal_nan=True)

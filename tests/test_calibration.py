@@ -1,8 +1,10 @@
 """Core correction-layer and convex-fit tests.
 
-The analytic pieces are checked against independent oracles: elementwise
-reimplementations with plain Python floats, central finite differences,
-and a block-coordinate grid search for the full fit.
+The fit's own loss, gradient and Hessian (``calibration._loss``,
+``_gradient`` and ``_hessian``, fed as ``fit_state`` feeds them) are
+checked against independent oracles: the formulas in ``oracles``,
+elementwise reimplementations with plain Python floats, central finite
+differences, and a block-coordinate grid search for the full fit.
 """
 
 import json
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 
 from calib_il import calibration, cli
 from calib_il.calibration import (GRAD_TOL, CalibConfig, CalibrationTable,
-                                  StateFit, apply_bic, apply_table, fit_state,
-                                  loss_gradient, regularized_loss, softmax)
+                                  StateFit, apply_table, fit_state)
 from calib_il.errors import NumericError
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
+from oracles import apply_bic, loss_gradient, loss_hessian, regularized_loss, softmax
 
 
 def make_logits(seed, sizes, state=None, n=30, scale=3.0):
@@ -32,30 +34,68 @@ def make_logits(seed, sizes, state=None, n=30, scale=3.0):
     return StateLogits(state, matrix, labels, sched)
 
 
+def fit_loss(matrix, labels, alpha, beta, sched, state, config):
+    """``_loss`` at (alpha, beta), and the softmax ``fit_state`` derives
+    from its buffer: exp(z) over its row sums."""
+    loss, q, sums = calibration._loss(matrix, labels, alpha, beta,
+                                      sched.column_groups(state) - 1, config)
+    q /= sums[:, None]
+    return loss, q
+
+
+def fit_gradient(matrix, labels, alpha, beta, sched, state, config):
+    """``_gradient`` at (alpha, beta), fed the softmax from ``_loss``."""
+    q = fit_loss(matrix, labels, alpha, beta, sched, state, config)[1]
+    return calibration._gradient(matrix, labels, q, alpha, beta,
+                                 calibration._group_starts(sched, state), config)
+
+
+def fit_hessian(matrix, labels, alpha, beta, sched, state, config):
+    """``_hessian`` at (alpha, beta), fed the softmax from ``_loss``."""
+    q = fit_loss(matrix, labels, alpha, beta, sched, state, config)[1]
+    return calibration._hessian(matrix, q, calibration._group_starts(sched, state), config)
+
+
+def fit_softmax(scores):
+    """The softmax of raw ``scores`` as the fit computes it: ``_loss`` at
+    the identity pairs of a schedule whose newest group holds the last
+    column."""
+    scores = np.atleast_2d(scores)
+    sched = StateSchedule((scores.shape[1] - 1, 1))
+    return fit_loss(scores, np.zeros(len(scores), dtype=np.int64), np.ones(2), np.zeros(2),
+                    sched, 2, CalibConfig())[1]
+
+
 class TestSoftmax:
+    """The softmax that the fit's gradient and Hessian read."""
+
     def test_matches_scalar_definition(self):
         scores = np.array([1.0, 2.0, -0.5])
         expect = [math.exp(v) / sum(math.exp(u) for u in scores) for v in scores]
-        np.testing.assert_allclose(softmax(scores), expect, rtol=1e-15)
+        np.testing.assert_allclose(fit_softmax(scores)[0], expect, rtol=1e-15)
 
     def test_overflow_safe(self):
-        out = softmax(np.array([[1e4, 1e4 - 1.0]]))
+        out = fit_softmax(np.array([[1e4, 1e4 - 1.0]]))
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out.sum(), 1.0, rtol=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            softmax(np.empty((0,)))
+        """An empty validation set leaves every group without a sample."""
+        logits = StateLogits(2, np.empty((0, 3)), np.empty(0, dtype=np.int64),
+                             StateSchedule((2, 1)))
+        with pytest.raises(ValueError, match=r"no samples for groups \[1, 2\]"):
+            fit_state(logits, CalibConfig())
 
     @settings(deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.floats(-50, 50))
     def test_rows_sum_to_one_and_shift_invariant(self, seed, shift):
         rng = np.random.default_rng(seed)
         z = rng.normal(0, 5, (4, 6))
-        p = softmax(z)
+        p = fit_softmax(z)
+        np.testing.assert_allclose(p, softmax(z), rtol=1e-14, atol=1e-300)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p >= 0)
-        np.testing.assert_allclose(softmax(z + shift), p, atol=1e-12)
+        np.testing.assert_allclose(fit_softmax(z + shift), p, atol=1e-12)
 
 
 class TestCalibrationTable:
@@ -104,9 +144,13 @@ class TestCalibrationTable:
 
 class TestApplyCorrections:
     def test_bic_elementwise_oracle(self):
-        """Newest-group columns become a*o+b, all earlier columns stay raw."""
+        """Under a collapsed table, as the ``bic`` row applies it, the
+        newest-group columns become a*o+b and all earlier columns stay raw."""
         logits = make_logits(1, (2, 3), n=8)
-        out = apply_bic(logits, 1.7, -0.3)
+        table = CalibrationTable.from_pairs(2, {(2, 1): (0.4, 2.0),
+                                                (2, 2): (1.7, -0.3)}.items())
+        out = apply_table(logits, table.collapse_to_single_pair())
+        np.testing.assert_array_equal(out, apply_bic(logits, 1.7, -0.3))
         for i in range(8):
             for j in range(5):
                 if j >= 2:
@@ -128,8 +172,6 @@ class TestApplyCorrections:
 
     def test_state1_rejected(self):
         logits = make_logits(3, (2, 2), state=1)
-        with pytest.raises(ValueError):
-            apply_bic(logits, 1.0, 0.0)
         with pytest.raises(ValueError):
             apply_table(logits, CalibrationTable.identity(2))
 
@@ -160,68 +202,90 @@ class TestApplyCorrections:
 
 
 def numeric_gradient(matrix, labels, alpha, beta, sched, state, config, h=1e-5):
-    """Central finite differences of the regularized loss."""
+    """Central finite differences of the fit's ``_loss``."""
+    def loss(a, b):
+        return fit_loss(matrix, labels, a, b, sched, state, config)[0]
+
     ga = np.zeros_like(alpha)
     gb = np.zeros_like(beta)
     for i in range(len(alpha)):
         ap, am = alpha.copy(), alpha.copy()
         ap[i] += h
         am[i] -= h
-        ga[i] = (regularized_loss(matrix, labels, ap, beta, sched, state, config)
-                 - regularized_loss(matrix, labels, am, beta, sched, state, config)) / (2 * h)
+        ga[i] = (loss(ap, beta) - loss(am, beta)) / (2 * h)
         bp, bm = beta.copy(), beta.copy()
         bp[i] += h
         bm[i] -= h
-        gb[i] = (regularized_loss(matrix, labels, alpha, bp, sched, state, config)
-                 - regularized_loss(matrix, labels, alpha, bm, sched, state, config)) / (2 * h)
+        gb[i] = (loss(alpha, bp) - loss(alpha, bm)) / (2 * h)
     return ga, gb
+
+
+def random_problems(seed, count):
+    """``count`` random fit problems at random pairs: (matrix, labels,
+    alpha, beta, schedule, state) with 2-5 states of 1-3 classes each."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        S = int(rng.integers(2, 6))
+        sched = StateSchedule(tuple(int(v) for v in rng.integers(1, 4, S)))
+        cols = sched.classes_through(S)
+        n = int(rng.integers(5, 40))
+        matrix = rng.normal(0, 3, (n, cols))
+        labels = rng.integers(0, cols, n)
+        yield matrix, labels, rng.normal(1, 0.5, S), rng.normal(0, 0.5, S), sched, S
+
+
+class TestOracles:
+    """The fit's ``_loss``, ``_gradient`` and ``_hessian`` against the
+    formulas that ``oracles`` states independently, with penalties of
+    both kinds in play."""
+
+    CONFIG = CalibConfig(l2_alpha=0.3, l2_beta=0.7)
+
+    def test_loss_matches_formula(self):
+        for matrix, labels, alpha, beta, sched, S in random_problems(44, 20):
+            got = fit_loss(matrix, labels, alpha, beta, sched, S, self.CONFIG)[0]
+            want = regularized_loss(matrix, labels, alpha, beta, sched, S, self.CONFIG)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_gradient_matches_formula(self):
+        for matrix, labels, alpha, beta, sched, S in random_problems(45, 20):
+            got = fit_gradient(matrix, labels, alpha, beta, sched, S, self.CONFIG)
+            want = loss_gradient(matrix, labels, alpha, beta, sched, S, self.CONFIG)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
+
+    def test_hessian_matches_formula(self):
+        for matrix, labels, alpha, beta, sched, S in random_problems(46, 20):
+            got = fit_hessian(matrix, labels, alpha, beta, sched, S, self.CONFIG)
+            want = loss_hessian(matrix, alpha, beta, sched, S, self.CONFIG)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 class TestGradient:
     def test_matches_finite_differences(self):
         config = CalibConfig()
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            S = int(rng.integers(2, 6))
-            sizes = tuple(int(v) for v in rng.integers(1, 4, S))
-            sched = StateSchedule(sizes)
-            cols = sched.classes_through(S)
-            n = int(rng.integers(5, 40))
-            matrix = rng.normal(0, 3, (n, cols))
-            labels = rng.integers(0, cols, n)
-            alpha = rng.normal(1, 0.5, S)
-            beta = rng.normal(0, 0.5, S)
-            ga, gb = loss_gradient(matrix, labels, alpha, beta, sched, S, config)
+        for matrix, labels, alpha, beta, sched, S in random_problems(42, 20):
+            ga, gb = fit_gradient(matrix, labels, alpha, beta, sched, S, config)
             na, nb = numeric_gradient(matrix, labels, alpha, beta, sched, S, config)
             np.testing.assert_allclose(ga, na, rtol=1e-4, atol=1e-8)
             np.testing.assert_allclose(gb, nb, rtol=1e-4, atol=1e-8)
 
     def test_hessian_matches_finite_differences_of_gradient(self):
         config = CalibConfig()
-        rng = np.random.default_rng(43)
         h = 1e-6
-        for _ in range(10):
-            S = int(rng.integers(2, 6))
-            sched = StateSchedule(tuple(int(v) for v in rng.integers(1, 4, S)))
-            cols = sched.classes_through(S)
-            n = int(rng.integers(5, 40))
-            matrix = rng.normal(0, 3, (n, cols))
-            labels = rng.integers(0, cols, n)
-            params = np.concatenate([rng.normal(1, 0.5, S), rng.normal(0, 0.5, S)])
+        for matrix, labels, alpha, beta, sched, S in random_problems(43, 10):
+            params = np.concatenate([alpha, beta])
             numeric = np.empty((2 * S, 2 * S))
             for j in range(2 * S):
                 up, down = params.copy(), params.copy()
                 up[j] += h
                 down[j] -= h
                 numeric[:, j] = (
-                    np.concatenate(loss_gradient(matrix, labels, up[:S], up[S:], sched, S,
-                                                 config))
-                    - np.concatenate(loss_gradient(matrix, labels, down[:S], down[S:],
-                                                   sched, S, config))) / (2 * h)
-            col = sched.column_groups(S) - 1
-            q = softmax(matrix * params[:S][col] + params[S:][col])
-            analytic = calibration._hessian(matrix, q, calibration._group_starts(sched, S),
-                                            config)
+                    np.concatenate(fit_gradient(matrix, labels, up[:S], up[S:], sched, S,
+                                                config))
+                    - np.concatenate(fit_gradient(matrix, labels, down[:S], down[S:],
+                                                  sched, S, config))) / (2 * h)
+            analytic = fit_hessian(matrix, labels, alpha, beta, sched, S, config)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     def test_single_sample_closed_form(self):
@@ -241,8 +305,8 @@ class TestGradient:
                      q2 * o2 + 2 * config.l2_alpha * (a[1] - 1.0)]
         expect_gb = [(q1 - 1.0) + 2 * config.l2_beta * b[0],
                      q2 + 2 * config.l2_beta * b[1]]
-        ga, gb = loss_gradient(np.array([[o1, o2]]), np.array([label]),
-                               np.array(a), np.array(b), sched, 2, config)
+        ga, gb = fit_gradient(np.array([[o1, o2]]), np.array([label]),
+                              np.array(a), np.array(b), sched, 2, config)
         np.testing.assert_allclose(ga, expect_ga, rtol=1e-12)
         np.testing.assert_allclose(gb, expect_gb, rtol=1e-12)
 
@@ -253,10 +317,10 @@ class TestGradient:
         zero_pen = CalibConfig(l2_alpha=0.0, l2_beta=0.0)
         with_pen = CalibConfig()
         a, b = np.ones(2), np.zeros(2)
-        ga0, gb0 = loss_gradient(logits.matrix, logits.labels, a, b,
-                                 logits.schedule, 2, zero_pen)
-        ga1, gb1 = loss_gradient(logits.matrix, logits.labels, a, b,
-                                 logits.schedule, 2, with_pen)
+        ga0, gb0 = fit_gradient(logits.matrix, logits.labels, a, b,
+                                logits.schedule, 2, zero_pen)
+        ga1, gb1 = fit_gradient(logits.matrix, logits.labels, a, b,
+                                logits.schedule, 2, with_pen)
         np.testing.assert_allclose(ga0, ga1, atol=1e-15)
         np.testing.assert_allclose(gb0, gb1, atol=1e-15)
 
@@ -281,14 +345,14 @@ class TestExactLoss:
         assert terms[2] > 30  # past the -log(1e-12) = 27.6 of a clamped probability
         expect = (sum(terms) / 3 + config.l2_alpha * sum((v - 1) ** 2 for v in a)
                   + config.l2_beta * sum(v**2 for v in b))
-        got = regularized_loss(self.MATRIX, self.LABELS, np.array(a), np.array(b), sched, 2,
-                               config)
+        got = fit_loss(self.MATRIX, self.LABELS, np.array(a), np.array(b), sched, 2,
+                       config)[0]
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_gradient_matches_finite_differences_at_an_underflowing_sample(self):
         sched, config = StateSchedule((1, 1)), CalibConfig()
         a, b = np.array([1.1, 0.9]), np.array([0.2, -0.1])
-        ga, gb = loss_gradient(self.MATRIX, self.LABELS, a, b, sched, 2, config)
+        ga, gb = fit_gradient(self.MATRIX, self.LABELS, a, b, sched, 2, config)
         na, nb = numeric_gradient(self.MATRIX, self.LABELS, a, b, sched, 2, config)
         np.testing.assert_allclose(ga, na, rtol=1e-6)
         np.testing.assert_allclose(gb, nb, rtol=1e-6)
@@ -352,7 +416,8 @@ def block_grid_search(logits, config, rounds=2):
 
     The objective is convex, so cycling the exact 2-D minimization between
     the pair blocks converges to the global optimum up to grid resolution;
-    no gradients involved, which makes it a fair oracle for the fit.
+    no gradients involved, and the loss is the formula in ``oracles``, which
+    makes it a fair oracle for the fit.
     """
     m, y, sched = logits.matrix, logits.labels, logits.schedule
     a1, b1, a2, b2 = 1.0, 0.0, 1.0, 0.0
@@ -424,10 +489,10 @@ class TestFit:
         a, b = rng.normal(1, 0.3, 2), rng.normal(0, 0.3, 2)
         args = (a, b, logits.schedule, 2, config)
         np.testing.assert_allclose(
-            regularized_loss(logits.matrix, logits.labels, *args),
-            regularized_loss(doubled, dlabels, *args), rtol=1e-13)
-        ga, gb = loss_gradient(logits.matrix, logits.labels, *args)
-        ga2, gb2 = loss_gradient(doubled, dlabels, *args)
+            fit_loss(logits.matrix, logits.labels, *args)[0],
+            fit_loss(doubled, dlabels, *args)[0], rtol=1e-13)
+        ga, gb = fit_gradient(logits.matrix, logits.labels, *args)
+        ga2, gb2 = fit_gradient(doubled, dlabels, *args)
         np.testing.assert_allclose(ga, ga2, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(gb, gb2, rtol=1e-12, atol=1e-15)
 
@@ -464,8 +529,8 @@ class TestFit:
         labels[:num_states] = np.cumsum((0,) + sched.classes_per_state[:-1])
         config = CalibConfig()
         fit = fit_state(StateLogits(num_states, z, labels, sched), config)
-        grad = np.concatenate(loss_gradient(z, labels, fit.alpha, fit.beta, sched,
-                                            num_states, config))
+        grad = np.concatenate(fit_gradient(z, labels, fit.alpha, fit.beta, sched,
+                                           num_states, config))
         assert np.linalg.norm(grad) <= GRAD_TOL
         assert fit.grad_norm == np.linalg.norm(grad)
         assert fit.final_loss <= fit.initial_loss

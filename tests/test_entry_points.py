@@ -1,0 +1,63 @@
+"""Every public function and class in ``src/calib_il`` is reached by the
+package's own code.
+
+A module-level def whose name no code in the package references is an
+entry point that only tests call; its oracle belongs in ``tests/oracles``.
+A reference is a ``Name`` or an ``Attribute`` anywhere in the package
+outside the def itself, or an import from another module; a docstring's
+mention is not one.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "calib_il"
+
+# Public names that no code in the package reaches, each with its reason.
+ALLOWED = {
+    # The dataset format's reader: tests use it as gen's round-trip oracle.
+    "storage.read_dataset",
+}
+
+
+def public_defs(tree: ast.Module):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def referenced_names(nodes) -> set[str]:
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreached_entry_points() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unreached = set()
+    for module, tree in trees.items():
+        elsewhere = referenced_names(other for name, other in trees.items() if name != module)
+        for node in public_defs(tree):
+            # Within its own module a def counts only from outside its body.
+            here = referenced_names(stmt for stmt in tree.body if stmt is not node)
+            if node.name not in elsewhere | here:
+                unreached.add(f"{module}.{node.name}")
+    return unreached
+
+
+def test_every_public_def_is_reached_by_the_package():
+    unreached = unreached_entry_points() - ALLOWED
+    assert not unreached, (f"public defs that no code in src/calib_il reaches: "
+                           f"{sorted(unreached)}; move test-only oracles to tests/oracles.py")
+
+
+def test_allowlist_is_not_stale():
+    assert ALLOWED <= unreached_entry_points(), "an allowed name is now reached or gone"

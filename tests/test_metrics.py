@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from calib_il.logits import StateLogits
-from calib_il.metrics import (avg_incremental_accuracy, compute_run_metrics,
-                              mean_scores_by_group, per_state_accuracy, predict)
+from calib_il.metrics import RunMetrics, avg_incremental_accuracy, per_state_accuracy, predict
 from calib_il.schedule import StateSchedule
+from oracles import mean_scores_by_group, run_metrics
 
 
 class TestPredict:
@@ -136,7 +136,7 @@ def make_run_scores(seed, sizes, n=30):
 class TestRunMetrics:
     def test_consistent_with_per_state_calls(self):
         scores, labels, sched = make_run_scores(0, (2, 1, 2))
-        metrics = compute_run_metrics(scores, labels, sched)
+        metrics = run_metrics(scores, labels, sched)
         for s in range(1, 4):
             overall, by_group = per_state_accuracy(
                 predict(scores[s - 1]), labels[s - 1], sched, s)
@@ -148,21 +148,25 @@ class TestRunMetrics:
 
     def test_single_state_run(self):
         scores, labels, sched = make_run_scores(1, (3,))
-        metrics = compute_run_metrics(scores, labels, sched)
+        metrics = run_metrics(scores, labels, sched)
         assert len(metrics.per_state_accuracy) == 1
         assert math.isnan(metrics.average_incremental_accuracy)
         assert metrics.group_accuracy.shape == (1, 1)
 
     def test_state_count_mismatch_rejected(self):
+        """Rows must be one per state 1..S, in order."""
         scores, labels, sched = make_run_scores(2, (2, 2))
-        with pytest.raises(ValueError):
-            compute_run_metrics(scores[:1], labels[:1], sched)
+        rows = [per_state_accuracy(predict(m), y, sched, s)
+                for s, (m, y) in enumerate(zip(scores, labels), start=1)]
+        for bad in (rows[1:], rows[::-1], rows + rows[:1], []):
+            with pytest.raises(ValueError, match="one row per state"):
+                RunMetrics.from_rows(bad)
 
 
 class TestAccuracyMatrix:
     def test_lower_triangular_layout(self):
         scores, labels, sched = make_run_scores(3, (2, 2, 2))
-        metrics = compute_run_metrics(scores, labels, sched)
+        metrics = run_metrics(scores, labels, sched)
         matrix = metrics.group_accuracy
         assert matrix.shape == (3, 3)
         for s in range(1, 4):

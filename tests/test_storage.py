@@ -16,12 +16,12 @@ from calib_il import storage
 from calib_il.calibration import CalibrationTable
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
-from calib_il.metrics import compute_run_metrics
 from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
                               read_metrics_rows, read_table, write_dataset,
                               write_logits, write_metrics, write_table)
 from calib_il.synth import SPLITS, StateBlock, StateDraw, SynthSpec, draw_states
+from oracles import run_metrics
 
 
 def one_block_draw(features, labels, split, name, seed=0):
@@ -497,7 +497,7 @@ class TestMetricsFile:
                   for s in range(1, len(sizes) + 1)]
         labels = [rng.integers(0, sched.classes_through(s), 20)
                   for s in range(1, len(sizes) + 1)]
-        return compute_run_metrics(scores, labels, sched)
+        return run_metrics(scores, labels, sched)
 
     def test_triangular_rows_plus_summary(self, tmp_path):
         metrics = self.make_metrics()
@@ -516,7 +516,7 @@ class TestMetricsFile:
         sched = StateSchedule((1, 1))
         scores = [np.zeros((3, 1)), np.zeros((3, 2))]
         labels = [np.zeros(3, dtype=int)] * 2  # group 2 has no samples
-        metrics = compute_run_metrics(scores, labels, sched)
+        metrics = run_metrics(scores, labels, sched)
         path = tmp_path / "m.csv"
         write_metrics(path, metrics)
         assert "2,2,nan" in path.read_text()

@@ -5,9 +5,10 @@ import pytest
 
 from calib_il.calibration import CalibrationTable, apply_table
 from calib_il.logits import StateLogits
-from calib_il.metrics import RunMetrics, compute_run_metrics
+from calib_il.metrics import RunMetrics
 from calib_il.schedule import StateSchedule
-from calib_il.transfer import average_tables, param_count, score_state
+from calib_il.transfer import average_tables, score_state
+from oracles import run_metrics
 
 
 def random_table(seed, num_states):
@@ -43,27 +44,32 @@ def make_run(seed, sizes, n=25):
     return out
 
 
+def table_scalars(table: CalibrationTable) -> int:
+    """The scalars a table serves: an alpha and a beta per (state, group)
+    pair."""
+    return 2 * sum(len(table.pairs_for_state(s)[0]) for s in range(2, table.num_states + 1))
+
+
 class TestParamCount:
+    """A table over S states holds 2*(2+3+...+S) = (S+2)(S-1) scalars."""
+
     def test_enumeration_oracle(self):
-        """Count the stored scalars directly: two per (s, k) pair."""
+        """Count the (s, k) pairs directly, on tables built from them."""
         for S in range(2, 13):
-            pairs = sum(1 for s in range(2, S + 1) for _ in range(1, s + 1))
-            assert param_count(S) == 2 * pairs
+            pairs = [(s, k) for s in range(2, S + 1) for k in range(1, s + 1)]
+            table = CalibrationTable.from_pairs(S, ((key, (1.5, 0.5)) for key in pairs))
+            assert table_scalars(table) == 2 * len(pairs) == (S + 2) * (S - 1)
 
     def test_reference_sizes(self):
-        assert param_count(5) == 28
-        assert param_count(10) == 108
-        assert param_count(20) == 418
+        assert [table_scalars(CalibrationTable.identity(S)) for S in (5, 10, 20)] \
+            == [28, 108, 418]
 
     def test_matches_identity_table(self):
+        """The closed form also matches the pair count a table's repr shows."""
         for S in (2, 5, 10, 20):
             table = CalibrationTable.identity(S)
-            pairs = sum(len(table.pairs_for_state(s)[0]) for s in range(2, S + 1))
-            assert param_count(S) == 2 * pairs
-
-    def test_small_states_rejected(self):
-        with pytest.raises(ValueError):
-            param_count(1)
+            assert table_scalars(table) == (S + 2) * (S - 1)
+            assert f"pairs={table_scalars(table) // 2})" in repr(table)
 
 
 class TestAverageTables:
@@ -104,14 +110,14 @@ class TestApplyTransfer:
         scores = [run[0].matrix] + [apply_table(lg, table) for lg in run[1:]]
         assert_same_metrics(
             score_run(run, [table]),
-            compute_run_metrics(scores, [lg.labels for lg in run], run[0].schedule))
+            run_metrics(scores, [lg.labels for lg in run], run[0].schedule))
 
     def test_none_table_scores_raw_run(self):
         run = make_run(1, (2, 2))
         assert_same_metrics(
             score_run(run, [None]),
-            compute_run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
-                                run[0].schedule))
+            run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
+                        run[0].schedule))
 
     def test_identity_table_equals_raw(self):
         run = make_run(2, (2, 2, 2))
