@@ -27,13 +27,12 @@ Training runs on stacks. A stack of R models is a ``Model`` whose weights
 carry a leading model axis (``w1`` is (R, h, d), ``eta`` is (R,)) and
 whose batches are (R, b, d), one dataset per slice; the models share one
 schedule.
-``update_state`` takes and returns a stack (None before state 1);
-``run_incremental_stack`` runs it through all states, reading R
-per-state draws through ``synth.StackedSets``, which pulls each state's
-block from every draw only when that state trains and keeps the
-evaluation sets the run reads. It yields each state as soon as the state
-is trained, and scores each model only when the caller reaches it. One
-model is a stack of one.
+``update_state`` takes a stack (None before state 1) and the state's
+stacked training set and returns the next stack; ``run_incremental_stack``
+runs it through all states in order, reading R per-state draws forward
+through ``synth.StackedSets``, each state right before it trains. It
+yields each state as soon as the state is trained, and scores each model
+only when the caller reaches it. One model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -63,7 +62,7 @@ from .config import BackboneConfig
 from .errors import NumericError, SpecError
 from .logits import StateLogits
 from .schedule import StateSchedule
-from .synth import StackedSets, StateDraw, StateView
+from .synth import StackedSets, StateDraw
 
 # Initial scale of the cosine-score multiplier; trained with the rest.
 ETA_INIT = 10.0
@@ -315,19 +314,20 @@ def _shared(rows: np.ndarray, num_models: int) -> np.ndarray:
     return np.repeat(rows[None], num_models, axis=0)
 
 
-def update_state(model: Model | None, view: StateView, schedule: StateSchedule,
-                 config: BackboneConfig) -> Model:
+def update_state(model: Model | None, state: int, train_x: np.ndarray, train_y: np.ndarray,
+                 schedule: StateSchedule, config: BackboneConfig) -> Model:
     """Advance a stack by one state with the update rule ``config.kind``
-    (see the module docstring); ``view`` is the state's stacked view.
-    ``model`` is None before state 1, which trains from scratch for
-    ``epochs_initial`` epochs; later states fine-tune the grown stack for
-    ``epochs_incremental`` epochs with the rule's teacher and restore."""
-    kind, state = config.kind, view.state
+    (see the module docstring) on the state's stacked training set
+    ``train_x`` (R, n, d), ``train_y`` (R, n). ``model`` is None before
+    state 1, which trains from scratch for ``epochs_initial`` epochs; later
+    states fine-tune the grown stack for ``epochs_incremental`` epochs with
+    the rule's teacher and restore."""
+    kind = config.kind
     sl = schedule.group_slice(state, state)
     past = 0 if model is None else model.num_classes
-    if view.train_y.size == 0:
+    if train_y.size == 0:
         raise SpecError(f"state {state} has no training samples")
-    if view.train_y.min() < sl.start or view.train_y.max() >= sl.stop:
+    if train_y.min() < sl.start or train_y.max() >= sl.stop:
         raise SpecError(f"state {state} training labels must lie in the new group "
                         f"[{sl.start}, {sl.stop})")
     if past != sl.start:
@@ -338,7 +338,7 @@ def update_state(model: Model | None, view: StateView, schedule: StateSchedule,
         head, got = ("cosine", "linear") if cosine else ("linear", "cosine")
         raise SpecError(f"{kind} updates need a {head}-head model, not a {got}-head one")
     rng = np.random.default_rng([config.seed, state])
-    r, _, d = view.train_x.shape
+    r, _, d = train_x.shape
     h = config.hidden_dim
     if model is None:  # an empty head on a freshly drawn first layer
         model = Model(w1=_shared(_init_rows(h, d, rng), r), b1=np.zeros((r, h)),
@@ -351,12 +351,11 @@ def update_state(model: Model | None, view: StateView, schedule: StateSchedule,
                   b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
                   cosine=cosine, eta=model.eta.copy())
     if past == 0:  # state 1 trains from scratch, with no rule to apply
-        return _sgd_epochs(grown, view.train_x, view.train_y, config,
-                           config.epochs_initial, rng)
+        return _sgd_epochs(grown, train_x, train_y, config, config.epochs_initial, rng)
     teacher = model if kind in ("lwf", "lucir_lite") else None
     lam = lucir_lambda(past, n_new, config.lucir_lambda_base) if cosine else 0.0
-    _sgd_epochs(grown, view.train_x, view.train_y, config, config.epochs_incremental,
-                rng, teacher=teacher, lam=lam)
+    _sgd_epochs(grown, train_x, train_y, config, config.epochs_incremental, rng,
+                teacher=teacher, lam=lam)
     if kind in ("ftplus", "siw"):
         grown.w2[:, :past] = model.w2
         grown.b2[:, :past] = model.b2
@@ -374,10 +373,6 @@ def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
     asks for it, so that the hidden activations and scores held are those
     of one model. A model with a non-finite score has diverged:
     ``NumericError``."""
-    if model.num_classes != schedule.classes_through(state):
-        raise SpecError(
-            f"model covers {model.num_classes} classes but state {state} "
-            f"has seen {schedule.classes_through(state)}")
     for r, one in enumerate(_unstack(model)):
         scores = one.scores(x[r])
         if not np.all(np.isfinite(scores)):
@@ -393,10 +388,10 @@ def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
     """Train one model per per-state draw (``synth.draw_states``) through
     all states, all in one lockstep.
 
-    A state's block is drawn from each draw only when the state trains,
-    and only the sets the run reads are kept (``StackedSets``). The draws
-    must share one schedule and have equal per-state sample counts, as the
-    draws of one spec do.
+    Each state's block is pulled from every draw right before the state
+    trains, and only the sets the run reads are kept (``StackedSets``).
+    The draws must share one schedule and have equal per-state sample
+    counts, as the draws of one spec do.
 
     A generator: right after each state is trained it yields ``(state,
     logits)``, where ``logits`` maps each entry of ``sets`` ("validation",
@@ -409,12 +404,9 @@ def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
     data = StackedSets(draws, sets)
     model = None
     for state in range(1, data.schedule.num_states + 1):
-        # Each state's training set is drawn here and dropped after use,
-        # so one is held besides the model and the evaluation sets.
-        view = StateView(state, *data.train(state))
-        model = update_state(model, view, data.schedule, config)
-        del view
-        logits = {name: _stack_logits(model, *data.evaluation(name, state), state,
+        # Only the call holds the state's training set: it is freed once trained.
+        model = update_state(model, state, *data.next_state(), data.schedule, config)
+        logits = {name: _stack_logits(model, *data.evaluation(name), state,
                                       data.schedule, draws, config.kind)
                   for name in sets}
         yield state, logits

@@ -66,11 +66,6 @@ class CalibrationTable:
         self.beta = beta
 
     @classmethod
-    def identity(cls, num_states: int) -> "CalibrationTable":
-        shape = (num_states - 1, num_states)
-        return cls(np.ones(shape), np.zeros(shape))
-
-    @classmethod
     def from_pairs(cls, num_states: int, items) -> "CalibrationTable":
         """Build a table from ``((state, group), (alpha, beta))`` items, which
         must name each group 1..s of each state 2..S exactly once."""

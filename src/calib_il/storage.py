@@ -139,6 +139,14 @@ def _one_of(options, kind: str):
     return parse
 
 
+def _target(text: str) -> str:
+    # Only a name that run-target writes: plot builds paths from it.
+    index = text.removeprefix("target_")
+    if not (index.isascii() and index.isdigit() and text == f"target_{int(index)}"):
+        raise ValueError(f"unknown target {text!r}, not target_<j>")
+    return text
+
+
 def _numeral(text: str) -> str:
     # A finite number, kept as written so that a message can quote it.
     _number(text)
@@ -498,14 +506,15 @@ def _expected(s: int, k: int) -> str:
 
 def read_per_state(path, methods, num_states) -> dict[tuple[str, str], list[tuple[int, float]]]:
     """The `(state, accuracy)` points of a ``per_state.csv`` by (target,
-    method), in state order. A method outside ``methods``, a state that is
-    not an integer in 1..``num_states(target)``, or a second row for one
-    (target, method, state) is a SchemaError naming the row; a target
-    without a row for each method and each of those states is one naming
-    the states a method lacks."""
+    method), in state order. A target not named ``target_<j>``, a method
+    outside ``methods``, a state that is not an integer in
+    1..``num_states(target)``, or a second row for one (target, method,
+    state) is a SchemaError naming the row; a target without a row for
+    each method and each of those states is one naming the states a
+    method lacks."""
     path = Path(path)
     rows = _read_csv(path, "input", {
-        "target": ("", str), "method": ("", _one_of(methods, "method")),
+        "target": ("", _target), "method": ("", _one_of(methods, "method")),
         "state": ("", str), "accuracy": ("accuracy", _number)})
     points: dict[tuple[str, str], dict[int, float]] = {}
     for i, (target, method, state, accuracy) in enumerate(rows, start=2):

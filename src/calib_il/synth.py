@@ -9,10 +9,10 @@ between datasets.
 
 A dataset is drawn on the run's ``StateSchedule`` one state at a time:
 ``draw_states`` returns a ``StateDraw``, which yields, state by state, the
-samples of the classes new in that state, and ``StackedSets`` pulls each
-state from R such draws only when that state trains. A draw is the only
-dataset the package builds, stacks, writes or reads: ``storage.read_dataset``
-returns a written one as the draw it was.
+samples of the classes new in that state, and ``StackedSets`` reads R
+such draws forward, one state per ``next_state``, as a run trains. A draw
+is the only dataset the package builds, stacks, writes or reads:
+``storage.read_dataset`` returns a written one as the draw it was.
 """
 
 from __future__ import annotations
@@ -137,64 +137,33 @@ def _block(rng: np.random.Generator, spec: SynthSpec, centers: np.ndarray, group
                       np.tile(tags, size))
 
 
-@dataclass
-class StateView:
-    """The training set of one state: the samples of the classes new in it.
-
-    In a stacked view each array carries a leading model axis, one slice
-    per dataset: ``train_x`` is then (R, n, d) and ``train_y`` (R, n).
-    """
-
-    state: int
-    train_x: np.ndarray
-    train_y: np.ndarray
+def _stacked(count: int, size: int, x: np.ndarray, y: np.ndarray):
+    """Empty stacked features (count, size, d) and labels (count, size),
+    typed like one dataset's rows ``x`` and ``y``."""
+    return np.empty((count, size) + x.shape[1:]), np.empty((count, size), dtype=y.dtype)
 
 
-class _Rows:
-    """Stacked features (count, size, d) and labels (count, size), filled
-    block by block: each block's rows go after the previous block's, so
-    the rows of the first k blocks are a prefix. ``size`` None holds one
-    block, as many rows as the first dataset has."""
-
-    def __init__(self, tag: str, count: int, size: int | None = None):
-        self.tag, self.count, self.size = tag, count, size
-        self.x = self.y = None
-        self.ends = [0]  # rows held through each block
-
-    def put(self, r: int, state: int, x: np.ndarray, y: np.ndarray) -> None:
-        """Place dataset ``r``'s rows of ``state`` as the newest block;
-        dataset 0 comes first."""
-        if r == 0:
-            if self.x is None:
-                size = len(y) if self.size is None else self.size
-                self.x = np.empty((self.count, size) + x.shape[1:])
-                self.y = np.empty((self.count, size), dtype=y.dtype)
-            self.ends.append(self.ends[-1] + len(y))
-        start, stop = self.ends[-2:]
-        if x.shape != (stop - start,) + self.x.shape[2:] or stop > self.x.shape[1]:
-            raise ValueError(
-                f"state {state} {self.tag} sets cannot be stacked: {len(y)} samples "
-                f"in dataset {r}, {stop - start} in dataset 0")
-        self.x[r, start:stop], self.y[r, start:stop] = x, y
-
-    def through(self, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the rows of the first ``blocks`` blocks."""
-        stop = self.ends[blocks]
-        return self.x[:, :stop], self.y[:, :stop]
+def _put(stack, r: int, rows: slice, x: np.ndarray, y: np.ndarray, what: str) -> None:
+    """Place dataset ``r``'s rows ``x``, ``y`` in ``rows`` of a stack of
+    (features, labels), as many as dataset 0 placed there."""
+    xs, ys = stack
+    if xs[r, rows].shape != x.shape:
+        raise ValueError(f"{what} sets cannot be stacked: {len(y)} samples in dataset {r}, "
+                         f"{len(ys[0, rows])} in dataset 0")
+    xs[r, rows], ys[r, rows] = x, y
 
 
 class StackedSets:
-    """What a lockstep run reads from R per-state draws, state by state,
+    """What a lockstep run reads from R per-state draws, state after state,
     stacked on a leading model axis: features (R, n, d) and labels (R, n).
 
-    A state's block is pulled from each draw only when that state is asked
-    for, one draw at a time, and released once its rows are placed: its
-    training set (the samples of the classes new in it) is stacked, and
-    its rows of the evaluation sets named in ``sets`` ("validation",
-    "test") are appended to one (R, n_final, d) array per set. A state's
-    evaluation set is then a prefix view of it: the classes seen by then,
-    group by group. Each state's training set can be taken once and is
-    released then. The draws must share the schedule and have equal
+    ``next_state`` pulls the next state's block from each draw in turn,
+    dropping each once its rows are placed. It appends the state's rows of
+    the evaluation sets named in ``sets`` ("validation", "test") to one
+    (R, n_final, d) array per set, and returns the state's training set
+    (the samples of the classes new in it), keeping no reference to it.
+    ``evaluation`` is a prefix view of a set's array: the classes seen so
+    far, group by group. The draws must share the schedule and have equal
     per-state sample counts, as the draws of one spec do.
     """
 
@@ -207,31 +176,34 @@ class StackedSets:
         if any(draw.schedule != self.schedule for draw in draws):
             raise ValueError("stacked sets need datasets with one schedule")
         self._blocks = [iter(draw.blocks) for draw in draws]
-        self._eval = {name: _Rows(name, len(draws), draws[0].sizes[name]) for name in sets}
-        self._train: dict[int, _Rows] = {}  # drawn, not yet taken
-        self._drawn = 0
+        self._sizes = {name: draws[0].sizes[name] for name in sets}
+        self._eval: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._ends = dict.fromkeys(sets, 0)  # rows of each set through the last state
+        self._state = 0  # the last state pulled
 
-    def _draw_through(self, state: int) -> None:
-        self.schedule.classes_through(state)  # refuses a state outside 1..S
-        while self._drawn < state:
-            drawn = self._drawn + 1
-            train = _Rows("train", len(self._blocks))
-            for r, blocks in enumerate(self._blocks):
-                block = next(blocks)
-                train.put(r, drawn, *block.subset("train"))
-                for name, rows in self._eval.items():
-                    rows.put(r, drawn, *block.subset(name))
-                del block  # before the next dataset's block is drawn
-            self._train[drawn], self._drawn = train, drawn
+    def next_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pull the next state and return its stacked training set."""
+        self._state += 1
+        count, train, rows = len(self._blocks), None, {}
+        for r, blocks in enumerate(self._blocks):
+            block = next(blocks)
+            x, y = block.subset("train")
+            if r == 0:
+                train = _stacked(count, len(y), x, y)
+            _put(train, r, slice(None), x, y, f"state {self._state} train")
+            for name, size in self._sizes.items():
+                x, y = block.subset(name)
+                if r == 0:
+                    if name not in self._eval:
+                        self._eval[name] = _stacked(count, size, x, y)
+                    rows[name] = slice(self._ends[name], self._ends[name] + len(y))
+                _put(self._eval[name], r, rows[name], x, y, f"state {self._state} {name}")
+            del block, x, y  # before the next dataset's block is drawn
+        self._ends = {name: rows[name].stop for name in self._sizes}
+        return train
 
-    def train(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked training set of ``state``, released from here."""
-        self._draw_through(state)
-        if state not in self._train:
-            raise ValueError(f"the state {state} training set was already taken")
-        return self._train.pop(state).through(1)
-
-    def evaluation(self, name: str, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked ``name`` set of ``state``: every class seen through it."""
-        self._draw_through(state)
-        return self._eval[name].through(state)
+    def evaluation(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked ``name`` set through the last state pulled: every
+        class seen by then."""
+        xs, ys = self._eval[name]
+        return xs[:, :self._ends[name]], ys[:, :self._ends[name]]

@@ -1,14 +1,16 @@
 """Reference implementations that tests check the package against.
 
-Each oracle is written from its formula in plain numpy. None imports from
-``calib_il.calibration`` or ``calib_il.backbones``: an oracle that shared
-a helper with the code it checks would share that code's mistakes. Models
-and logits are read through their public attributes only (``scores``,
-``hidden``, ``matrix``, ``labels``, ``schedule``, ``state``).
+Each oracle is written from its formula in plain numpy. None calls code
+of ``calib_il.calibration`` or ``calib_il.backbones``: an oracle that
+shared a helper with the code it checks would share that code's mistakes.
+Models and logits are read through their public attributes only
+(``scores``, ``hidden``, ``matrix``, ``labels``, ``schedule``, ``state``);
+a table is built through the ``CalibrationTable`` constructor only.
 """
 
 import numpy as np
 
+from calib_il.calibration import CalibrationTable
 from calib_il.metrics import RunMetrics, per_state_accuracy, predict
 
 
@@ -36,6 +38,13 @@ def corrected(matrix, alpha, beta, schedule, state) -> np.ndarray:
     for cols, a, b in zip(group_columns(schedule, state), alpha, beta, strict=True):
         out[:, cols] = a * out[:, cols] + b
     return out
+
+
+def identity_table(num_states) -> CalibrationTable:
+    """The table that changes no score: the pair (1, 0) for every group of
+    every state 2..num_states."""
+    shape = (num_states - 1, num_states)
+    return CalibrationTable(np.ones(shape), np.zeros(shape))
 
 
 def apply_bic(logits, alpha: float, beta: float) -> np.ndarray:

@@ -31,10 +31,10 @@ from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
                               read_table, write_dataset, write_logits,
                               write_metrics, write_table)
-from calib_il.synth import StackedSets, StateView, SynthSpec, draw_states
+from calib_il.synth import StackedSets, SynthSpec, draw_states
 from calib_il.transfer import average_tables, score_state
 from oracles import (apply_bic, distillation_loss, feature_distillation_loss,
-                     mean_scores_by_group, regularized_loss, run_metrics)
+                     identity_table, mean_scores_by_group, regularized_loss, run_metrics)
 from test_calibration import fit_gradient, fit_loss
 from test_synth import joined, subset
 
@@ -109,7 +109,7 @@ def test_criterion_01_identity_invariance():
     ok = True
     for S in (2, 5, 10):
         run = random_run(S, S)
-        identity = CalibrationTable.identity(S)
+        identity = identity_table(S)
         for lg in run[1:]:
             ok &= apply_table(lg, identity).tobytes() == lg.matrix.tobytes()
         raw = score_run(run, [None])
@@ -217,7 +217,7 @@ def test_criterion_04_param_count(tmp_path):
     got = []
     for S in (5, 10, 20):
         path = tmp_path / f"s{S}.table.json"
-        write_table(path, CalibrationTable.identity(S))
+        write_table(path, identity_table(S))
         entries = json.loads(path.read_text())["entries"]
         got.append(sum(len({"alpha", "beta"} & entry.keys()) for entry in entries))
     got = tuple(got)
@@ -302,13 +302,13 @@ def test_criterion_09_backbone_contracts():
     config = BackboneConfig(kind="ftplus", epochs_initial=20,
                             epochs_incremental=10)
     sets = StackedSets([draw_states(spec, data.schedule)], ())
-    view1, view2 = (StateView(s, *sets.train(s)) for s in (1, 2))
-    m1 = update_state(None, view1, data.schedule, config)
-    m2 = update_state(m1, view2, data.schedule, config)
+    train1, train2 = sets.next_state(), sets.next_state()
+    m1 = update_state(None, 1, *train1, data.schedule, config)
+    m2 = update_state(m1, 2, *train2, data.schedule, config)
     restored_ok = (m2.w2[:, :2].tobytes() == m1.w2.tobytes()
                    and m2.b2[:, :2].tobytes() == m1.b2.tobytes())
 
-    siw = update_state(m1, view2, data.schedule, dataclasses.replace(config, kind="siw"))
+    siw = update_state(m1, 2, *train2, data.schedule, dataclasses.replace(config, kind="siw"))
     mean_err = float(np.abs(siw.w2.mean(axis=-1)).max())
     std_err = float(np.abs(siw.w2.std(axis=-1) - 1.0).max())
     siw_ok = mean_err < 1e-9 and std_err < 1e-9

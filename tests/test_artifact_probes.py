@@ -212,6 +212,29 @@ class TestPerStateRows:
         assert_data_error(*run("plot", clean[0], out), "per_state.csv",
                           "a second row for target_1 raw state 1")
 
+    def test_target_name_that_leaves_out_exits_3(self, clean, out, run):
+        """Plot builds its read and write paths from the target name, so a
+        name that climbs out of --out is refused before any file outside
+        it is read or written, though the metrics files it names exist."""
+        trav = out.parent / "trav"
+        trav.mkdir()
+        for method in ("raw", "adbic"):
+            shutil.copy(out / "metrics" / f"target_0_{method}.csv", trav / f"evil_{method}.csv")
+        # Enough ".." to reach the root from any chart under out/plots.
+        evil = "/" + "../" * len((out / "plots" / "heat_").parts) + str(trav / "evil")[1:]
+        path = out / "per_state.csv"
+        path.write_text(path.read_text().replace("target_0,", evil + ","))
+        outside = sorted(p for p in out.parent.rglob("*") if out not in p.parents)
+        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
+                          f"row 2: unknown target {evil!r}")
+        assert sorted(p for p in out.parent.rglob("*") if out not in p.parents) == outside
+
+    @pytest.mark.parametrize("name", ["target_01", "target_", "target_1.0", "target_x"])
+    def test_target_name_run_target_does_not_write_exits_3(self, clean, out, run, name):
+        self.edit_row(out, 1, lambda cells: cells.__setitem__(0, name))
+        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
+                          f"row 2: unknown target {name!r}")
+
     def test_missing_point_exits_3(self, clean, out, run):
         # Row 3 is target_0 raw state 2.
         path = out / "per_state.csv"

@@ -18,18 +18,18 @@ from calib_il.config import KINDS
 from calib_il.errors import NumericError, SpecError
 from calib_il.metrics import per_state_accuracy
 from calib_il.schedule import StateSchedule
-from calib_il.synth import StateView, SynthSpec, draw_states
+from calib_il.synth import SynthSpec, draw_states
 from oracles import distillation_loss, feature_distillation_loss, mean_loss
 from test_synth import joined, subset
 
 
 def stacked(data, state):
-    """The stacked view of one dataset's state: the training set of the
+    """One dataset's stacked training set of a state: the samples of the
     state's new classes, all that training reads, with a model axis of
     length one."""
     group = data.schedule.group_slice(state, state)
     x, y = subset(data, "train", np.arange(group.start, group.stop))
-    return StateView(state, x[None], y[None])
+    return x[None], y[None]
 
 
 def seen(data, tag, state):
@@ -44,27 +44,27 @@ def one(stack):
 
 
 def train_one(config, data):
-    return update_state(None, stacked(data, 1), data.schedule, config)
+    return update_state(None, 1, *stacked(data, 1), data.schedule, config)
 
 
 def update_one(model, data, state, config):
-    return update_state(model, stacked(data, state), data.schedule, config)
+    return update_state(model, state, *stacked(data, state), data.schedule, config)
 
 
-def update_finetune(model, view, schedule, config):
+def update_finetune(model, state, train_x, train_y, schedule, config):
     """Plain finetuning on the new group with no forgetting protection,
     built from the draws and the SGD loop, not through ``update_state``:
     the state's rows appended to a copy of the head, then the whole model
     trained with no teacher."""
-    rng = np.random.default_rng([config.seed, view.state])
-    group = schedule.group_slice(view.state, view.state)
+    rng = np.random.default_rng([config.seed, state])
+    group = schedule.group_slice(state, state)
     n_new, (r, _, h) = group.stop - group.start, model.w2.shape
     rows = backbones._shared(backbones._init_rows(n_new, h, rng), r)
     grown = Model(w1=model.w1.copy(), b1=model.b1.copy(),
                   w2=np.concatenate([model.w2, rows], axis=1),
                   b2=np.concatenate([model.b2, np.zeros((r, n_new))], axis=1),
                   cosine=model.cosine, eta=model.eta.copy())
-    return backbones._sgd_epochs(grown, view.train_x, view.train_y, config,
+    return backbones._sgd_epochs(grown, train_x, train_y, config,
                                  config.epochs_incremental, rng)
 
 
@@ -170,11 +170,11 @@ class TestInitialTraining:
         assert loss_long < math.log(2)  # better than chance over 2 classes
 
     def test_wrong_state_rejected(self):
-        """A stack starts at state 1: no model and a state-2 view overlap
-        nothing but leave a gap."""
+        """A stack starts at state 1: no model and a state-2 training set
+        overlap nothing but leave a gap."""
         data = quick_dataset()
         with pytest.raises(SpecError):
-            update_state(None, stacked(data, 2), data.schedule, quick_config())
+            update_state(None, 2, *stacked(data, 2), data.schedule, quick_config())
 
     def test_deterministic(self):
         data = quick_dataset(seed=5)
@@ -196,7 +196,7 @@ class TestRestore:
         config = quick_config(kind)
         model = train_one(config, data)
         for state in (2, 3):
-            want = update_finetune(model, stacked(data, state), data.schedule, config)
+            want = update_finetune(model, state, *stacked(data, state), data.schedule, config)
             n_past = model.num_classes
             assert want.w2[:, :n_past].tobytes() != model.w2.tobytes()
             want.w2[:, :n_past] = model.w2
@@ -280,7 +280,7 @@ class TestLwF:
         config = quick_config("lwf", distill_weight=0.0)
         m1 = train_one(config, data)
         a = update_one(m1, data, 2, config)
-        b = update_finetune(m1, stacked(data, 2), data.schedule, config)
+        b = update_finetune(m1, 2, *stacked(data, 2), data.schedule, config)
         assert model_bytes(a) == model_bytes(b)
 
     def test_distillation_zero_at_teacher(self):
@@ -314,12 +314,12 @@ class TestLwF:
         data = quick_dataset()
         config = quick_config("lwf")
         teacher = train_one(config, data)
-        view = stacked(data, 2)
-        student = update_finetune(teacher, view, data.schedule, config)
-        targets = backbones._teacher_targets(teacher, view.train_x, config, 0.0)
+        train_x, train_y = stacked(data, 2)
+        student = update_finetune(teacher, 2, train_x, train_y, data.schedule, config)
+        targets = backbones._teacher_targets(teacher, train_x, config, 0.0)
         assert targets.shape == (1, 30, 2)
         idx = np.random.default_rng(6).permutation(30)[:7]
-        xb, yb = view.train_x[:, idx], view.train_y[:, idx]
+        xb, yb = train_x[:, idx], train_y[:, idx]
         per_batch = np.exp(backbones._log_softmax(
             teacher.scores(xb) / config.distill_temperature))
         got = backbones._grads_linear(student, xb, yb, config, targets[:, idx])
@@ -385,12 +385,12 @@ class TestLucirLite:
         data = quick_dataset()
         config = quick_config("lucir_lite")
         teacher = train_one(config, data)
-        view = stacked(data, 2)
-        student = update_finetune(teacher, view, data.schedule, config)
-        targets = backbones._teacher_targets(teacher, view.train_x, config, 2.5)
-        assert backbones._teacher_targets(teacher, view.train_x, config, 0.0) is None
+        train_x, train_y = stacked(data, 2)
+        student = update_finetune(teacher, 2, train_x, train_y, data.schedule, config)
+        targets = backbones._teacher_targets(teacher, train_x, config, 2.5)
+        assert backbones._teacher_targets(teacher, train_x, config, 0.0) is None
         idx = np.random.default_rng(6).permutation(30)[:7]
-        xb, yb = view.train_x[:, idx], view.train_y[:, idx]
+        xb, yb = train_x[:, idx], train_y[:, idx]
         per_batch, _, _ = backbones._normalize_rows(teacher.hidden(xb))
         got = backbones._grads_cosine(student, xb, yb, config, targets[:, idx], 2.5)
         want = backbones._grads_cosine(student, xb, yb, config, per_batch, 2.5)
@@ -446,9 +446,9 @@ class TestRunIncremental:
         updates = []
         real = backbones.update_state
 
-        def counting(model, view, schedule, config):
-            updates.append(view.state)
-            return real(model, view, schedule, config)
+        def counting(model, state, *args):
+            updates.append(state)
+            return real(model, state, *args)
 
         monkeypatch.setattr(backbones, "update_state", counting)
         stack = run_incremental_stack(quick_config(), [quick_draw(seed=9)], sets=("test",))
@@ -560,9 +560,10 @@ class TestGuards:
         data = quick_dataset()
         config = quick_config()
         m1 = train_one(config, data)
-        bad = dataclasses.replace(stacked(data, 2), train_y=stacked(data, 1).train_y)
+        train_x, _ = stacked(data, 2)
+        _, state_1_y = stacked(data, 1)
         with pytest.raises(SpecError, match="new group"):
-            update_state(m1, bad, data.schedule, config)
+            update_state(m1, 2, train_x, state_1_y, data.schedule, config)
 
     def test_skipping_a_state_rejected(self):
         data = quick_dataset()
@@ -570,15 +571,6 @@ class TestGuards:
         m1 = train_one(config, data)
         with pytest.raises(SpecError, match="overlap"):
             update_one(m1, data, 3, config)
-
-    def test_logits_require_matching_state(self):
-        data = quick_dataset()
-        config = quick_config()
-        m1 = train_one(config, data)
-        x, y = seen(data, "validation", 2)
-        with pytest.raises(SpecError, match="model covers"):
-            next(backbones._stack_logits(m1, x[None], y[None], 2, data.schedule,
-                                         [quick_draw()], "ftplus"))
 
     def test_mean_loss_hand_case(self):
         model = Model(w1=np.eye(2), b1=np.zeros(2),

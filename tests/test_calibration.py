@@ -21,7 +21,8 @@ from calib_il.calibration import (GRAD_TOL, CalibConfig, CalibrationTable,
 from calib_il.errors import NumericError
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
-from oracles import apply_bic, loss_gradient, loss_hessian, regularized_loss, softmax
+from oracles import (apply_bic, identity_table, loss_gradient, loss_hessian, regularized_loss,
+                     softmax)
 
 
 def make_logits(seed, sizes, state=None, n=30, scale=3.0):
@@ -101,7 +102,7 @@ class TestSoftmax:
 class TestCalibrationTable:
     def test_identity_has_triangular_count(self):
         for S in (2, 5, 10):
-            table = CalibrationTable.identity(S)
+            table = identity_table(S)
             assert table.alpha.shape == table.beta.shape == (S - 1, S)
             pairs = sum(len(table.pairs_for_state(s)[0]) for s in range(2, S + 1))
             assert pairs == (S + 2) * (S - 1) // 2
@@ -130,7 +131,7 @@ class TestCalibrationTable:
         alpha[0, 2] = 2.0  # state 2 has no group 3
         with pytest.raises(ValueError, match="identity pair"):
             CalibrationTable(alpha, np.zeros((2, 3)))
-        table = CalibrationTable.identity(3)
+        table = identity_table(3)
         with pytest.raises(ValueError, match="read-only"):
             table.alpha[0, 0] = 2.0
 
@@ -173,12 +174,12 @@ class TestApplyCorrections:
     def test_state1_rejected(self):
         logits = make_logits(3, (2, 2), state=1)
         with pytest.raises(ValueError):
-            apply_table(logits, CalibrationTable.identity(2))
+            apply_table(logits, identity_table(2))
 
     def test_table_too_small_rejected(self):
         logits = make_logits(4, (1, 1, 1))
         with pytest.raises(ValueError, match="covers states up to"):
-            apply_table(logits, CalibrationTable.identity(2))
+            apply_table(logits, identity_table(2))
 
     def test_reduction_to_single_pair(self):
         """With all past pairs at identity, the per-group correction and the
@@ -197,7 +198,7 @@ class TestApplyCorrections:
 
     def test_identity_table_is_noop(self):
         logits = make_logits(5, (2, 2, 2))
-        out = apply_table(logits, CalibrationTable.identity(3))
+        out = apply_table(logits, identity_table(3))
         np.testing.assert_array_equal(out, logits.matrix)
 
 

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_il import cli, flows
-from calib_il.calibration import CalibrationTable
 from calib_il.config import KINDS, BackboneConfig, CalibConfig
 from calib_il.errors import MetadataError, SchemaError, SpecError
 from calib_il.flows import (all_target_rows, build_all_references, cmd_gen, cmd_run_reference,
@@ -33,6 +32,7 @@ from calib_il.pipeline import (kv, load_run_spec, parse_run_spec, reference_seed
 from calib_il.plots import Series, cmd_plot, render_heat_grid, render_line_chart
 from calib_il.storage import read_logits, read_table, write_table
 from calib_il.transfer import average_tables, score_state
+from oracles import identity_table
 
 TINY = {
     "seed": 3,
@@ -280,7 +280,7 @@ class TestEvaluateTarget:
         spec = tiny_spec()
         for i in range(2):
             write_table(tmp_path / "tables" / f"ref_{i}.table.json",
-                        CalibrationTable.identity(2), spec_fingerprint(spec, calibration=True))
+                        identity_table(2), spec_fingerprint(spec, calibration=True))
         cmd_run_target(spec, tmp_path)
         for j in range(2):
             raw = (tmp_path / "metrics" / f"target_{j}_raw.csv").read_bytes()
@@ -466,7 +466,7 @@ class TestFlows:
         for i in range(2):
             table = read_table(flow_out / "tables" / f"ref_{i}.table.json")
             assert table.num_states == 2
-            assert table != CalibrationTable.identity(2)
+            assert table != identity_table(2)
             for s in (1, 2):
                 assert (flow_out / "logits" / f"ref_{i}_state_{s}.csv").exists()
 
@@ -559,7 +559,7 @@ class TestFlows:
         spec = tiny_spec()
         for i in range(2):
             write_table(tmp_path / "tables" / f"ref_{i}.table.json",
-                        CalibrationTable.identity(2),
+                        identity_table(2),
                         spec_fingerprint(spec, calibration=True))
         cmd_run_target(spec, tmp_path)
         for line in (tmp_path / "comparison.csv").read_text().splitlines()[1:]:
@@ -570,11 +570,11 @@ class TestFlows:
     def test_run_target_rebuilds_incomplete_tables(self, tmp_path):
         spec = tiny_spec()
         write_table(tmp_path / "tables" / "ref_0.table.json",
-                    CalibrationTable.identity(2))
+                    identity_table(2))
         cmd_run_target(spec, tmp_path)
         assert (tmp_path / "tables" / "ref_1.table.json").exists()
         assert read_table(tmp_path / "tables" / "ref_0.table.json") \
-            != CalibrationTable.identity(2)
+            != identity_table(2)
 
     def test_plot_without_inputs_raises_located_error(self, tmp_path):
         with pytest.raises(SchemaError, match="missing input file"):
@@ -831,7 +831,7 @@ class TestCLI:
     def test_corrupt_table_exits_3(self, spec_file, tmp_path):
         for i in range(2):
             write_table(tmp_path / "tables" / f"ref_{i}.table.json",
-                        CalibrationTable.identity(2))
+                        identity_table(2))
         path = tmp_path / "tables" / "ref_0.table.json"
         payload = json.loads(path.read_text())
         payload["entries"][0]["alpha"] = "oops"
@@ -845,7 +845,7 @@ class TestCLI:
         3-state spec: a data error before any target trains."""
         for i in range(2):
             write_table(tmp_path / "tables" / f"ref_{i}.table.json",
-                        CalibrationTable.identity(2))
+                        identity_table(2))
         raw = json.loads(json.dumps(TINY))
         raw["schedule"] = {"classes_per_state": [2, 1, 1]}
         path = tmp_path / "three.json"

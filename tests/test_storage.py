@@ -21,7 +21,7 @@ from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
                               read_metrics_rows, read_table, write_dataset,
                               write_logits, write_metrics, write_table)
 from calib_il.synth import SPLITS, StateBlock, StateDraw, SynthSpec, draw_states
-from oracles import run_metrics
+from oracles import identity_table, run_metrics
 
 
 def one_block_draw(features, labels, split, name, seed=0):
@@ -339,16 +339,16 @@ class TestFingerprint:
     def test_written_only_when_given(self, tmp_path):
         write_logits(tmp_path / "a.csv", tricky_logits())
         write_logits(tmp_path / "b.csv", tricky_logits(), "abc")
-        write_table(tmp_path / "t.json", CalibrationTable.identity(3), "def")
+        write_table(tmp_path / "t.json", identity_table(3), "def")
         assert "fingerprint" not in json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert read_fingerprint(tmp_path / "b.csv.meta.json") == "abc"
         assert read_fingerprint(tmp_path / "t.json") == "def"
         assert read_logits(tmp_path / "b.csv").matrix.tobytes() \
             == tricky_logits().matrix.tobytes()
-        assert read_table(tmp_path / "t.json") == CalibrationTable.identity(3)
+        assert read_table(tmp_path / "t.json") == identity_table(3)
 
     def test_missing_fingerprint_names_the_file(self, tmp_path):
-        write_table(tmp_path / "t.json", CalibrationTable.identity(2))
+        write_table(tmp_path / "t.json", identity_table(2))
         with pytest.raises(MetadataError, match="no spec fingerprint") as err:
             read_fingerprint(tmp_path / "t.json")
         assert err.value.path == str(tmp_path / "t.json")
@@ -368,7 +368,7 @@ class TestTableRoundTrip:
 
     def test_missing_pair_named(self, tmp_path):
         path = tmp_path / "t.table.json"
-        write_table(path, CalibrationTable.identity(3))
+        write_table(path, identity_table(3))
         payload = json.loads(path.read_text())
         payload["entries"] = [e for e in payload["entries"]
                               if not (e["s"] == 3 and e["k"] == 2)]
@@ -378,7 +378,7 @@ class TestTableRoundTrip:
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "t.table.json"
-        write_table(path, CalibrationTable.identity(2))
+        write_table(path, identity_table(2))
         payload = json.loads(path.read_text())
         payload["entries"].append(dict(payload["entries"][0]))
         path.write_text(json.dumps(payload))
@@ -398,7 +398,7 @@ class TestTableRoundTrip:
             "beta-list", "s-str", "k-null", "entry-int"])
     def test_unparseable_fields_rejected(self, tmp_path, mangle):
         path = tmp_path / "t.table.json"
-        write_table(path, CalibrationTable.identity(2))
+        write_table(path, identity_table(2))
         payload = json.loads(path.read_text())
         mangle(payload)
         path.write_text(json.dumps(payload))
@@ -407,7 +407,7 @@ class TestTableRoundTrip:
 
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "t.table.json"
-        write_table(path, CalibrationTable.identity(2))
+        write_table(path, identity_table(2))
         payload = json.loads(path.read_text())
         del payload["entries"][0]["alpha"]
         path.write_text(json.dumps(payload))
@@ -553,7 +553,7 @@ class TestMetricsFile:
 class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
         write_logits(tmp_path / "a.csv", tricky_logits())
-        write_table(tmp_path / "b.table.json", CalibrationTable.identity(2))
+        write_table(tmp_path / "b.table.json", identity_table(2))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 

@@ -1,6 +1,7 @@
 """Synthetic dataset generation, the per-state draw, state splitting,
 halving, and the checks on a written dataset read back."""
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,21 +269,25 @@ class TestSplitStates:
         data = small_draw()
         sets = StackedSets([data], ())
         assert data.schedule.classes_per_state == (2, 2)
-        (x1,), (y1,) = sets.train(1)
+        (x1,), (y1,) = sets.next_state()
         assert set(y1) == {0, 1}
-        assert set(sets.train(2)[1][0]) == {2, 3}
+        assert set(sets.next_state()[1][0]) == {2, 3}
         assert len(x1) == 20
 
     def test_val_and_test_are_cumulative(self):
         sets = StackedSets([small_draw()], ("validation", "test"))
-        assert set(sets.evaluation("validation", 1)[1][0]) == {0, 1}
-        assert set(sets.evaluation("validation", 2)[1][0]) == {0, 1, 2, 3}
-        assert len(sets.evaluation("test", 2)[0][0]) == 4 * 5
+        sets.next_state()
+        assert set(sets.evaluation("validation")[1][0]) == {0, 1}
+        sets.next_state()
+        assert set(sets.evaluation("validation")[1][0]) == {0, 1, 2, 3}
+        assert len(sets.evaluation("test")[0][0]) == 4 * 5
 
     def test_explicit_sizes(self):
         data = draw_states(small_spec(), StateSchedule((1, 3)))
         assert data.schedule.classes_per_state == (1, 3)
-        assert set(StackedSets([data], ()).train(2)[1][0]) == {1, 2, 3}
+        sets = StackedSets([data], ())
+        sets.next_state()
+        assert set(sets.next_state()[1][0]) == {1, 2, 3}
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError, match="covers 3 classes, the spec draws 4"):
@@ -296,33 +301,37 @@ class TestSplitStates:
 class TestStackedSets:
     @pytest.mark.parametrize("knobs, sizes", DRAWS)
     def test_evaluation_prefixes_equal_the_dataset_subsets(self, knobs, sizes):
-        """From per-state draws, each state's evaluation set is
-        ``subset(dataset, name, seen)`` of the whole draw, and a prefix view
-        of one array per set rather than a copy."""
+        """From per-state draws pulled in order, each state's training set is
+        the new classes' training subset of the whole draw, and each state's
+        evaluation set is ``subset(dataset, name, seen)`` of it: a prefix
+        view of one array per set rather than a copy, which the later
+        states leave as it was."""
         schedule = StateSchedule(sizes)
         specs = [small_spec(**dict(knobs, seed=seed)) for seed in (4, 5)]
         sets = StackedSets([draw_states(spec, schedule) for spec in specs],
                            ("validation", "test"))
         whole = [joined(draw_states(spec, schedule)) for spec in specs]
-        final = {name: sets.evaluation(name, schedule.num_states) for name in ("validation", "test")}
+        views = []
         for state in range(1, schedule.num_states + 1):
-            seen = np.arange(schedule.classes_through(state))
-            train = sets.train(state)
-            for name in ("validation", "test"):
-                xs, ys = sets.evaluation(name, state)
-                assert xs.base is final[name][0].base and ys.base is final[name][1].base
-                for r, data in enumerate(whole):
-                    x, y = subset(data, name, seen)
-                    assert xs[r].tobytes() == x.tobytes() and ys[r].tobytes() == y.tobytes()
+            train = sets.next_state()
             for r, data in enumerate(whole):
                 group = schedule.group_slice(state, state)
                 x, y = subset(data, "train", np.arange(group.start, group.stop))
                 assert train[0][r].tobytes() == x.tobytes()
                 assert train[1][r].tobytes() == y.tobytes()
+            views.append({name: sets.evaluation(name) for name in ("validation", "test")})
+        for state, held in enumerate(views, start=1):
+            seen = np.arange(schedule.classes_through(state))
+            for name, (xs, ys) in held.items():
+                final = views[-1][name]
+                assert xs.base is final[0].base and ys.base is final[1].base
+                for r, data in enumerate(whole):
+                    x, y = subset(data, name, seen)
+                    assert xs[r].tobytes() == x.tobytes() and ys[r].tobytes() == y.tobytes()
 
     def test_each_state_is_drawn_when_asked_for(self):
-        """No block is drawn before its state is asked for, and a block is
-        drawn once."""
+        """No block is drawn before its state is pulled, a block is drawn
+        once, and reading an evaluation set draws nothing."""
         schedule = StateSchedule((1, 2, 1))
         drawn = []
 
@@ -334,24 +343,34 @@ class TestStackedSets:
         sets = StackedSets([counting(small_spec(seed=1)), counting(small_spec(seed=2))],
                            ("validation",))
         assert drawn == []
-        sets.train(1)
+        sets.next_state()
         assert drawn == [1, 2]
-        sets.evaluation("validation", 2)
+        sets.evaluation("validation")
+        assert drawn == [1, 2]
+        sets.next_state()
+        sets.evaluation("validation")
         assert drawn == [1, 2, 1, 2]
-        sets.train(2)
-        sets.evaluation("validation", 1)
-        assert drawn == [1, 2, 1, 2]
-
-    def test_training_set_is_taken_once(self):
-        sets = StackedSets([small_draw(num_states=3, num_classes=6, seed=1)], ())
-        sets.train(1)
-        with pytest.raises(ValueError, match="already taken"):
-            sets.train(1)
 
     def test_unequal_sizes_rejected(self):
         sets = StackedSets([small_draw(), small_draw(train_per_class=4)], ())
         with pytest.raises(ValueError, match="cannot be stacked"):
-            sets.train(1)
+            sets.next_state()
+
+    def test_unequal_evaluation_sizes_rejected(self):
+        sets = StackedSets([small_draw(), small_draw(val_per_class=4)], ("validation",))
+        with pytest.raises(ValueError, match="state 1 validation sets cannot be stacked: "
+                                             "8 samples in dataset 1, 10 in dataset 0"):
+            sets.next_state()
+
+    def test_training_set_is_held_by_nothing_once_returned(self):
+        """Only the caller holds a state's training set, so it is freed
+        when the caller drops it, while the evaluation sets stay."""
+        sets = StackedSets([small_draw(), small_draw(seed=2)], ("test",))
+        train_x, train_y = sets.next_state()
+        dropped = weakref.ref(train_x)
+        del train_x, train_y
+        assert dropped() is None
+        assert sets.evaluation("test")[0].shape[:2] == (2, 2 * 5)
 
     def test_unknown_set_rejected(self):
         with pytest.raises(ValueError, match="'validation' or 'test'"):

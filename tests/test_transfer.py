@@ -8,7 +8,7 @@ from calib_il.logits import StateLogits
 from calib_il.metrics import RunMetrics
 from calib_il.schedule import StateSchedule
 from calib_il.transfer import average_tables, score_state
-from oracles import run_metrics
+from oracles import identity_table, run_metrics
 
 
 def random_table(seed, num_states):
@@ -61,13 +61,13 @@ class TestParamCount:
             assert table_scalars(table) == 2 * len(pairs) == (S + 2) * (S - 1)
 
     def test_reference_sizes(self):
-        assert [table_scalars(CalibrationTable.identity(S)) for S in (5, 10, 20)] \
+        assert [table_scalars(identity_table(S)) for S in (5, 10, 20)] \
             == [28, 108, 418]
 
     def test_matches_identity_table(self):
         """The closed form also matches the pair count a table's repr shows."""
         for S in (2, 5, 10, 20):
-            table = CalibrationTable.identity(S)
+            table = identity_table(S)
             assert table_scalars(table) == (S + 2) * (S - 1)
             assert f"pairs={table_scalars(table) // 2})" in repr(table)
 
@@ -91,8 +91,8 @@ class TestAverageTables:
         assert average_tables([table]) == table
 
     def test_identity_average_stays_identity(self):
-        tables = [CalibrationTable.identity(3)] * 5
-        assert average_tables(tables) == CalibrationTable.identity(3)
+        tables = [identity_table(3)] * 5
+        assert average_tables(tables) == identity_table(3)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError, match="same number of states"):
@@ -122,12 +122,12 @@ class TestApplyTransfer:
     def test_identity_table_equals_raw(self):
         run = make_run(2, (2, 2, 2))
         assert_same_metrics(score_run(run, [None]),
-                            score_run(run, [CalibrationTable.identity(3)]))
+                            score_run(run, [identity_table(3)]))
 
     def test_short_table_rejected(self):
         run = make_run(3, (2, 2, 2))
         with pytest.raises(ValueError, match="does not cover"):
-            score_run(run, [CalibrationTable.identity(2)])
+            score_run(run, [identity_table(2)])
 
     def test_states_must_be_ordered(self):
         run = make_run(4, (2, 2))
