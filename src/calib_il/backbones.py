@@ -30,9 +30,10 @@ schedule.
 ``update_state`` takes a stack (None before state 1) and the state's
 stacked training set and returns the next stack; ``run_incremental_stack``
 runs it through all states in order, reading R per-state draws forward
-through ``synth.StackedSets``, each state right before it trains. It
-yields each state as soon as the state is trained, and scores each model
-only when the caller reaches it. One model is a stack of one.
+through ``synth.StackedSets``, each state right before it trains. It is
+one flat stream: after each state trains, it yields a ``(set name,
+logits)`` pair per evaluation set and model, and scores each model only
+when the caller reaches it. One model is a stack of one.
 
 Lockstep is exact: each model of a stack ends with the bits it would have
 had if trained alone. Initial weights, the rows each state appends and
@@ -52,7 +53,6 @@ a ``siw`` row is thus standardized once and kept bitwise after that.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -109,17 +109,6 @@ class Model:
 def _t(x: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack (or of one matrix)."""
     return np.swapaxes(x, -1, -2)
-
-
-def _unstack(stack: Model) -> list[Model]:
-    """The models of a stack, as views of its arrays."""
-    return [
-        Model(
-            w1=stack.w1[r], b1=stack.b1[r], w2=stack.w2[r], b2=stack.b2[r],
-            cosine=stack.cosine, eta=float(stack.eta[r]),
-        )
-        for r in range(len(stack.w1))
-    ]
 
 
 def _normalize_rows(x: np.ndarray):
@@ -366,23 +355,6 @@ def update_state(model: Model | None, state: int, train_x: np.ndarray, train_y: 
     return grown
 
 
-def _stack_logits(model: Model, x: np.ndarray, labels: np.ndarray, state: int,
-                  schedule: StateSchedule, draws: list[StateDraw], backbone: str):
-    """Per-model logits of a stack on stacked inputs (R, n, d), each
-    labelled with its draw's name and seed and scored only when the caller
-    asks for it, so that the hidden activations and scores held are those
-    of one model. A model with a non-finite score has diverged:
-    ``NumericError``."""
-    for r, one in enumerate(_unstack(model)):
-        scores = one.scores(x[r])
-        if not np.all(np.isfinite(scores)):
-            raise NumericError(f"dataset {draws[r].name!r}, state {state}: {backbone} "
-                               "training diverged to non-finite scores")
-        yield StateLogits(state=state, matrix=scores, labels=labels[r], schedule=schedule,
-                          dataset=draws[r].name, backbone=backbone, seed=draws[r].seed)
-        del scores  # the caller's to drop before it asks for the next model
-
-
 def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
                           sets: tuple[str, ...] = ("validation", "test")):
     """Train one model per per-state draw (``synth.draw_states``) through
@@ -393,12 +365,13 @@ def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
     The draws must share one schedule and have equal per-state sample
     counts, as the draws of one spec do.
 
-    A generator: right after each state is trained it yields ``(state,
-    logits)``, where ``logits`` maps each entry of ``sets`` ("validation",
-    "test") to an iterator over the models' logits on that set. Each model
-    is scored when the caller reaches it; the models the caller leaves are
-    scored, and so checked, before the next state trains, which happens
-    only when the caller asks for it.
+    A generator of ``(set_name, logits)`` pairs: right after each state is
+    trained it walks ``sets`` ("validation", "test") and, within each set,
+    the models in order. Each model is scored from its slices of the stack
+    only when the caller asks for it, so the hidden activations and scores
+    held are those of one model. A model with a non-finite score has
+    diverged: ``NumericError``. The next state trains only when the caller
+    asks past the last model.
     """
     draws = list(draws)
     data = StackedSets(draws, sets)
@@ -406,9 +379,15 @@ def run_incremental_stack(config: BackboneConfig, draws: Iterable[StateDraw],
     for state in range(1, data.schedule.num_states + 1):
         # Only the call holds the state's training set: it is freed once trained.
         model = update_state(model, state, *data.next_state(), data.schedule, config)
-        logits = {name: _stack_logits(model, *data.evaluation(name), state,
-                                      data.schedule, draws, config.kind)
-                  for name in sets}
-        yield state, logits
-        for models in logits.values():
-            deque(models, maxlen=0)  # scores and checks the models left, holding none
+        for name in sets:
+            x, labels = data.evaluation(name)
+            for r, draw in enumerate(draws):
+                scores = Model(model.w1[r], model.b1[r], model.w2[r], model.b2[r],
+                               model.cosine, model.eta[r]).scores(x[r])
+                if not np.all(np.isfinite(scores)):
+                    raise NumericError(f"dataset {draw.name!r}, state {state}: {config.kind} "
+                                       "training diverged to non-finite scores")
+                yield name, StateLogits(state=state, matrix=scores, labels=labels[r],
+                                        schedule=data.schedule, dataset=draw.name,
+                                        backbone=config.kind, seed=draw.seed)
+                del scores  # the caller's to drop before it asks for the next model

@@ -4,11 +4,12 @@ sweep subcommands; ``cli`` imports this module only for those commands.
 Each dataset is drawn one state at a time (``synth.draw_states``): a
 stack of references or targets draws a state's block from each dataset
 only when that state trains, and ``gen`` writes each block as it is
-drawn, so no flow holds a whole dataset. The stack hands over each
-state as soon as it is trained and scores one model at a time; the flow
-writes, fits or scores each model's logits, under the name its draw
-gives them, before it asks for the next, so no flow holds more than one
-score matrix. Tables and results are written once every state is done.
+drawn, so no flow holds a whole dataset. The stack is one flat stream
+of each trained state's logits, model after model, each scored when the
+flow asks for it; the flow writes, fits or scores each model's logits,
+under the name its draw gives them, and drops them before it asks for
+the next, so no flow holds more than one score matrix. Tables and
+results are written once every state is done.
 
 ``run-target`` and ``sweep`` reuse the reference tables and the target
 logits under ``--out`` only when every file carries the spec's
@@ -53,14 +54,13 @@ def reference_runs(spec: RunSpec, indices, out: Path) -> list[tuple[CalibrationT
     state is trained; returns each reference's table and fits."""
     seeds, fingerprint = reference_seeds(spec), spec_fingerprint(spec)
     fits = {f"ref_{i}": [] for i in indices}
-    for state, by_set in run_incremental_stack(
+    for _, logits in run_incremental_stack(
             spec.backbone, [make_dataset(spec, seeds[i], name) for i, name in zip(indices, fits)],
             sets=("validation",)):
-        for logits in by_set["validation"]:
-            write_logits(_logits_path(out, logits.dataset, state), logits, fingerprint)
-            if state > 1:
-                fits[logits.dataset].append(fit_state(logits, spec.calibration))
-            del logits  # before the next model is scored
+        write_logits(_logits_path(out, logits.dataset, logits.state), logits, fingerprint)
+        if logits.state > 1:
+            fits[logits.dataset].append(fit_state(logits, spec.calibration))
+        del logits  # before the next model is scored
     return [(CalibrationTable.from_fits(per_ref), per_ref) for per_ref in fits.values()]
 
 
@@ -79,15 +79,14 @@ def target_rows(spec: RunSpec, indices, tables: dict, out: Path | None = None,
     each entry's per-state rows."""
     seeds, fingerprint = target_seeds(spec), spec_fingerprint(spec)
     rows = {f"target_{j}": {key: [] for key in tables} for j in indices}
-    for state, by_set in run_incremental_stack(
+    for _, logits in run_incremental_stack(
             spec.backbone, [make_dataset(spec, seeds[j], name, halve=halve)
                             for j, name in zip(indices, rows)],
             sets=("test",)):
-        for logits in by_set["test"]:
-            if out is not None:
-                write_logits(_logits_path(out, logits.dataset, state), logits, fingerprint)
-            _score(logits, tables, rows[logits.dataset])
-            del logits  # before the next model is scored
+        if out is not None:
+            write_logits(_logits_path(out, logits.dataset, logits.state), logits, fingerprint)
+        _score(logits, tables, rows[logits.dataset])
+        del logits  # before the next model is scored
     return list(rows.values())
 
 

@@ -63,8 +63,7 @@ def _escape(text: str) -> str:
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def render_line_chart(title: str, series: list[Series], x_label: str = "state",
-                      y_label: str = "accuracy") -> str:
+def render_line_chart(title: str, series: list[Series]) -> str:
     """Accuracy-vs-state chart; y axis fixed to [0, 1] for comparability."""
     if not series:
         raise ValueError("line chart needs at least one series")
@@ -99,10 +98,9 @@ def render_line_chart(title: str, series: list[Series], x_label: str = "state",
         out.append(f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 16}" '
                    f'text-anchor="middle">{tick:g}</text>')
     out.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 8}" '
-               f'text-anchor="middle">{_escape(x_label)}</text>')
+               'text-anchor="middle">state</text>')
     out.append(f'<text x="14" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" '
-               f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">'
-               f"{_escape(y_label)}</text>")
+               f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">accuracy</text>')
 
     for i, s in enumerate(series):
         if len(s.x) != len(s.y):

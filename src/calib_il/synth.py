@@ -74,10 +74,7 @@ def draw_states(spec: SynthSpec, schedule: StateSchedule, name: str = "",
     samples of each class.
 
     Determinism contract: the same spec and schedule always yield the same
-    rows bitwise. Without drift the rows do not depend on the schedule;
-    with drift each block is rotated by its own matrix product, and BLAS
-    may round a product of a few rows at a wide ``feature_dim`` (OpenBLAS's
-    small-matrix kernel) otherwise than one over more rows.
+    rows bitwise, and the rows do not depend on the schedule.
     """
     if schedule.num_classes != spec.num_classes:
         raise ValueError(f"the schedule covers {schedule.num_classes} classes, "
@@ -128,7 +125,9 @@ def _block(rng: np.random.Generator, spec: SynthSpec, centers: np.ndarray, group
     if len(rows) < per_class:
         x = by_class[:, rows].reshape(-1, dim)
     if rot is not None:
-        x = x @ rot
+        # einsum, not BLAS: a row's bits then do not depend on how many
+        # rows are multiplied, or on the BLAS kernel.
+        x = np.einsum("nd,de->ne", x, rot)
     if not np.all(np.isfinite(x)):
         raise SpecError(f"the features drawn for classes {group.start}..{group.stop - 1} "
                         "overflow to non-finite values: center_scale or noise_scale is "

@@ -16,7 +16,6 @@ import time
 import numpy as np
 import pytest
 
-from calib_il import backbones
 from calib_il.backbones import BackboneConfig, lucir_lambda, update_state
 from calib_il.calibration import (CalibConfig, CalibrationTable, apply_table,
                                   fit_state)
@@ -35,6 +34,7 @@ from calib_il.synth import StackedSets, SynthSpec, draw_states
 from calib_il.transfer import average_tables, score_state
 from oracles import (apply_bic, distillation_loss, feature_distillation_loss,
                      identity_table, mean_scores_by_group, regularized_loss, run_metrics)
+from test_backbones import one
 from test_calibration import fit_gradient, fit_loss
 from test_synth import joined, subset
 
@@ -314,7 +314,7 @@ def test_criterion_09_backbone_contracts():
     siw_ok = mean_err < 1e-9 and std_err < 1e-9
 
     x, _ = subset(data, "validation", np.arange(2))
-    (m1,) = backbones._unstack(m1)
+    m1 = one(m1)
     lwf_term = abs(distillation_loss(m1, m1, x, 2.0, 1.0))
     lucir_term = abs(feature_distillation_loss(m1, m1, x, 5.0))
     distill_ok = lwf_term < 1e-12 and lucir_term < 1e-12

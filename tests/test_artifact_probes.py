@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from calib_il import backbones, cli, flows
+from calib_il import cli, flows
 from calib_il.errors import NumericError
 from calib_il.flows import all_target_rows, cmd_run_reference, cmd_run_target, cmd_sweep
 from calib_il.pipeline import parse_run_spec
@@ -330,20 +330,22 @@ class TestFailedRuns:
     def test_a_failed_target_writes_no_results(self, clean, run, tmp_path, monkeypatch):
         out = tmp_path / "out"
         self.finish(run, clean[0], out, ("run-reference",))
-        real = backbones._stack_logits
+        real = flows.run_incremental_stack
 
-        def stack_logits(model, x, labels, state, schedule, draws, *rest):
-            if state == 3 and draws[0].name.startswith("target"):
-                raise NumericError(f"dataset {draws[0].name!r}, state 3: injected divergence")
-            return real(model, x, labels, state, schedule, draws, *rest)
+        def stream(config, draws, sets):
+            for name, logits in real(config, draws, sets):
+                if logits.state == 3 and logits.dataset.startswith("target"):
+                    raise NumericError(f"dataset {logits.dataset!r}, state 3: "
+                                       "injected divergence")
+                yield name, logits
 
-        monkeypatch.setattr(backbones, "_stack_logits", stack_logits)
+        monkeypatch.setattr(flows, "run_incremental_stack", stream)
         code, lines = run("run-target", clean[0], out)
         assert code == 4 and lines[-1].startswith("event=error kind=numeric"), lines[-3:]
         assert (out / "logits" / "target_1_state_2.csv").exists()
         assert not (out / "metrics").exists()
         assert not (out / "comparison.csv").exists() and not (out / "per_state.csv").exists()
-        monkeypatch.setattr(backbones, "_stack_logits", real)
+        monkeypatch.setattr(flows, "run_incremental_stack", real)
         code, lines = run("run-target", clean[0], out)
         assert code == 0, lines[-3:]
         assert "event=cache artifact=target_logits action=rebuild reason=missing" in lines

@@ -7,6 +7,7 @@ effectiveness check uses a paired-seed comparison on a fixed regime.
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -38,9 +39,10 @@ def seen(data, tag, state):
 
 
 def one(stack):
-    """The only model of a stack of one."""
-    (model,) = backbones._unstack(stack)
-    return model
+    """The only model of a stack of one, as views of its arrays."""
+    (eta,) = stack.eta
+    return Model(w1=stack.w1[0], b1=stack.b1[0], w2=stack.w2[0], b2=stack.b2[0],
+                 cosine=stack.cosine, eta=float(eta))
 
 
 def train_one(config, data):
@@ -91,13 +93,13 @@ def quick_config(kind="ftplus", **kw):
 
 def run_stack(config, draws, sets=("validation", "test")):
     """Every state's logits from ``run_incremental_stack``, gathered per
-    set and model: the whole run, as a test may hold it."""
+    set and model: the whole run, as a test may hold it. Each state gives
+    every set's models in draw order
+    (``test_yields_each_state_before_the_next_trains``)."""
     draws = list(draws)
     out = {name: [[] for _ in draws] for name in sets}
-    for _, logits in run_incremental_stack(config, draws, sets):
-        for name in sets:
-            for per_model, state_logits in zip(out[name], logits[name], strict=True):
-                per_model.append(state_logits)
+    for i, (name, logits) in enumerate(run_incremental_stack(config, draws, sets)):
+        out[name][i % len(draws)].append(logits)
     return tuple(out[name] for name in sets)
 
 
@@ -441,46 +443,91 @@ class TestRunIncremental:
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
     def test_yields_each_state_before_the_next_trains(self, monkeypatch):
-        """The stack is a generator: state s is handed over before state
-        s+1 trains, with the logits of the sets asked for only."""
-        updates = []
+        """After each state trains, the stack yields every set asked for
+        and, within a set, the models in draw order; the next state trains
+        only when the caller asks past the last model."""
+        events = []
         real = backbones.update_state
 
         def counting(model, state, *args):
-            updates.append(state)
+            events.append(("train", state))
             return real(model, state, *args)
 
         monkeypatch.setattr(backbones, "update_state", counting)
-        stack = run_incremental_stack(quick_config(), [quick_draw(seed=9)], sets=("test",))
-        assert updates == []
-        for want, (state, logits) in enumerate(stack, start=1):
-            assert state == want and updates == list(range(1, state + 1))
-            assert list(logits) == ["test"]
-            assert [lg.state for lg in logits["test"]] == [state]
-        assert want == 3
+        sets = ("validation", "test")
+        stream = run_incremental_stack(quick_config(), [quick_draw(seed=r, name=f"d{r}")
+                                                        for r in (1, 2)], sets)
+        assert events == []
+        want = []
+        for state in (1, 2, 3):
+            want.append(("train", state))
+            want += [(name, state, f"d{r}") for name in sets for r in (1, 2)]
+            for _ in range(2 * len(sets)):
+                name, logits = next(stream)
+                events.append((name, logits.state, logits.dataset))
+            assert events == want  # the last model is out; the next state waits
+        assert next(stream, None) is None and events == want
+
+    def test_sets_asked_for_only(self):
+        stream = run_incremental_stack(quick_config(), [quick_draw(seed=9)], sets=("test",))
+        assert [(name, lg.state) for name, lg in stream] == [("test", s) for s in (1, 2, 3)]
 
     def test_each_model_is_scored_when_reached(self, monkeypatch):
-        """A model is scored when the caller reaches it, and the models a
-        caller leaves are scored, and so checked for divergence, before
-        the next state trains."""
+        """A model is scored only when the caller asks for it."""
         scored = []
-        real = backbones._stack_logits
+        real = Model.scores
 
-        def scoring(model, x, labels, state, schedule, draws, backbone):
-            x = x.copy()
-            x[1, 0, 0] = np.nan  # the second model's scores are not finite
-            for logits in real(model, x, labels, state, schedule, draws, backbone):
-                scored.append(logits.dataset)
-                yield logits
+        def scoring(model, x):
+            scored.append(None)
+            return real(model, x)
 
-        monkeypatch.setattr(backbones, "_stack_logits", scoring)
-        stack = run_incremental_stack(quick_config(), [quick_draw(seed=r, name=f"d{r}")
-                                                       for r in (1, 2)], sets=("test",))
-        state, logits = next(stack)
-        assert state == 1 and scored == []
-        assert next(logits["test"]).dataset == "d1" and scored == ["d1"]
+        monkeypatch.setattr(Model, "scores", scoring)
+        stream = run_incremental_stack(quick_config(), [quick_draw(seed=r, name=f"d{r}")
+                                                        for r in (1, 2, 3)], sets=("test",))
+        assert scored == []
+        for count, want in enumerate(("d1", "d2", "d3", "d1"), start=1):
+            assert next(stream)[1].dataset == want
+            assert len(scored) == count
+
+    def test_diverged_model_raises_before_the_next_is_yielded(self, monkeypatch):
+        """A model with a non-finite score raises ``NumericError`` when it
+        is reached, and no later model is yielded."""
+        calls = []
+        real = Model.scores
+
+        def scoring(model, x):
+            out = real(model, x)
+            calls.append(None)
+            if len(calls) == 2:  # the second model of state 1
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(Model, "scores", scoring)
+        stream = run_incremental_stack(quick_config(), [quick_draw(seed=r, name=f"d{r}")
+                                                        for r in (1, 2, 3)], sets=("test",))
+        assert next(stream)[1].dataset == "d1"
         with pytest.raises(NumericError, match="'d2', state 1: ftplus training diverged"):
-            next(stack)
+            next(stream)
+        assert len(calls) == 2
+        assert next(stream, None) is None
+
+    def test_a_consumer_that_drops_each_logits_holds_one_score_matrix(self, monkeypatch):
+        """When each model is scored, no score matrix yielded before it is
+        alive: the stack keeps none of the scores it hands out."""
+        yielded, alive = [], []
+        real = Model.scores
+
+        def scoring(model, x):
+            alive.append(sum(ref() is not None for ref in yielded))
+            return real(model, x)
+
+        monkeypatch.setattr(Model, "scores", scoring)
+        for _, logits in run_incremental_stack(
+                quick_config(), [quick_draw(seed=r, name=f"d{r}") for r in (1, 2)]):
+            yielded.append(weakref.ref(logits.matrix))
+            del logits
+        assert len(alive) == len(yielded) == 3 * 2 * 2
+        assert alive == [0] * len(yielded)
 
 
 class TestLockstep:

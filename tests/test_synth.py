@@ -1,7 +1,11 @@
 """Synthetic dataset generation, the per-state draw, state splitting,
 halving, and the checks on a written dataset read back."""
 
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +53,8 @@ def reference_dataset(spec, schedule):
             tags.extend([tag] * n)
     x = np.concatenate(features, axis=0)
     if spec.drift_scale > 0:
-        x = x @ _cayley_rotation(spec.feature_dim, spec.drift_scale, rng).T
+        x = np.einsum("nd,de->ne", x, _cayley_rotation(spec.feature_dim, spec.drift_scale,
+                                                       rng).T)
     return SimpleNamespace(features=x, labels=np.asarray(labels),
                            split=np.asarray(tags, dtype=object), schedule=schedule)
 
@@ -96,8 +101,8 @@ def assert_same_rows(got, want):
 
 
 # (generator knobs, schedule) pairs: no drift and drift, equal and unequal
-# states; the drifted features are wide enough that every block takes the
-# BLAS path a whole-dataset product takes (see README, drift_scale).
+# states. The last one rotates a one-class block of 60 rows at feature_dim
+# 64, a product that BLAS kernels may round otherwise than the whole draw's.
 DRAWS = [
     (dict(), (2, 2)),
     (dict(seed=3), (1, 3)),
@@ -380,6 +385,56 @@ class TestStackedSets:
         other = draw_states(small_spec(), StateSchedule((1, 3)))
         with pytest.raises(ValueError, match="one schedule"):
             StackedSets([small_draw(), other], ())
+
+
+# Prints the name of the OpenBLAS kernel numpy runs on, or nothing when no
+# loaded OpenBLAS answers the query.
+CORE_NAME = r"""
+import ctypes, numpy
+try:
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+except OSError:
+    libs = []
+for lib in libs:
+    for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                   "openblas_get_corename64_", "openblas_get_corename"):
+        query = getattr(ctypes.CDLL(lib), symbol, None)
+        if query is not None:
+            query.argtypes, query.restype = [], ctypes.c_char_p
+            print(query().decode())
+            raise SystemExit
+"""
+
+DRAW_EQUALITY = [f"tests/test_synth.py::{test}" for test in (
+    "TestGeneration::test_equals_the_block_by_block_reference",
+    "TestGeneration::test_per_state_draw_equals_the_whole_draw",
+    "TestStackedSets::test_evaluation_prefixes_equal_the_dataset_subsets")]
+
+
+class TestOtherBlasKernel:
+    def test_draw_equality_holds_under_the_prescott_kernel(self):
+        """The draw-equality tests pass in a child process that runs
+        OpenBLAS's Prescott kernel, which rounds a product of a few rows
+        otherwise than this host's kernel may. Skipped when the child
+        cannot confirm that its kernel switched, as with an OpenBLAS built
+        without DYNAMIC_ARCH."""
+        root = Path(__file__).resolve().parents[1]
+        host = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        forced = dict(host, OPENBLAS_CORETYPE="Prescott")
+
+        def core(env):
+            return subprocess.run([sys.executable, "-c", CORE_NAME], env=env, check=True,
+                                  capture_output=True, text=True).stdout.strip()
+
+        default, prescott = core(host), core(forced)
+        if not prescott or prescott == default:
+            pytest.skip(f"OpenBLAS kernel did not switch ({default!r} -> {prescott!r})")
+        child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                *DRAW_EQUALITY], env=forced, cwd=root,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stdout[-3000:]
+        assert " passed" in child.stdout and " skipped" not in child.stdout
 
 
 class TestHalving:
