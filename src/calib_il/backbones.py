@@ -129,9 +129,11 @@ def _normalize_backward(d_unit, unit, norms, clipped):
     return out
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+def _log_softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise z - logsumexp(z); ``out=z`` builds it in z's own buffer."""
+    shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 def lucir_lambda(num_past: int, num_new: int, lambda_base: float) -> float:
@@ -145,16 +147,13 @@ def standardize_rows(w: np.ndarray) -> np.ndarray:
     """Rescale each row to mean 0 / population std 1; constant rows go to
     zero with a warning since they carry no class-specific direction.
     Accepts one matrix or a stack of them."""
-    mean = w.mean(axis=-1, keepdims=True)
     std = w.std(axis=-1, keepdims=True)
     flat = std[..., 0] == 0.0
+    out = (w - w.mean(axis=-1, keepdims=True)) / np.where(std == 0.0, 1.0, std)
+    out[flat] = 0.0
     if np.any(flat):
         warnings.warn(f"standardizing {int(flat.sum())} constant row(s) to zero")
-        std = np.where(std == 0.0, 1.0, std)
-        out = (w - mean) / std
-        out[flat] = 0.0
-        return out
-    return (w - mean) / std
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +247,7 @@ def _teacher_targets(teacher, x, config, lam):
     # temporary of its size is held beside it.
     z = teacher.scores(x)
     z /= config.distill_temperature
-    z -= z.max(axis=-1, keepdims=True)
-    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-    return np.exp(z, out=z)
+    return np.exp(_log_softmax(z, out=z), out=z)
 
 
 def _sgd_epochs(model, x, y, config, epochs, rng, teacher=None, lam=0.0):

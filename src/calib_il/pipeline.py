@@ -40,6 +40,7 @@ MAX_DATASET_FLOATS = 2**29
 
 # Types of the keys no dataclass declares; the data, backbone and
 # calibration keys take theirs from SynthSpec, BackboneConfig and CalibConfig.
+# "name" is a free label for the spec's reader: type-checked, then dropped.
 _TOP_TYPES = {"seed": "int", "name": "str", "data": "dict", "schedule": "dict",
               "backbone": "dict", "calibration": "dict", "sweep": "dict"}
 _COUNT_TYPES = {"num_references": "int", "num_targets": "int"}
@@ -58,7 +59,6 @@ class RunSpec:
     """A fully validated experiment description."""
 
     seed: int
-    name: str
     synth: SynthSpec
     num_references: int
     num_targets: int
@@ -161,9 +161,9 @@ def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
     if num_samplings < 1:
         raise SpecError("sweep num_samplings must be >= 1")
 
-    return RunSpec(seed=seed, name=top.get("name", "experiment"), synth=synth,
-                   num_references=num_references, num_targets=num_targets, schedule=schedule,
-                   backbone=backbone, calibration=calibration, sweep_r_values=r_values,
+    return RunSpec(seed=seed, synth=synth, num_references=num_references,
+                   num_targets=num_targets, schedule=schedule, backbone=backbone,
+                   calibration=calibration, sweep_r_values=r_values,
                    sweep_samplings=num_samplings, sweep_halved=sweep.get("halved", True))
 
 
@@ -171,8 +171,8 @@ def spec_fingerprint(spec: RunSpec, calibration: bool = False) -> str:
     """SHA-256 of the canonical JSON of the validated spec sections that
     determine an artifact: schema version, seed, synthetic data, schedule
     and backbone, plus the calibration penalties when ``calibration`` (for
-    tables). The name, the sweep grid and the reference and target counts
-    change no artifact, so they are left out."""
+    tables). The sweep grid and the reference and target counts change no
+    artifact, so they are left out."""
     payload = {"schema_version": SCHEMA_VERSION, "seed": spec.seed,
                "synth": dataclasses.asdict(spec.synth),
                "schedule": list(spec.schedule.classes_per_state),

@@ -30,24 +30,6 @@ class StateSchedule:
         object.__setattr__(self, "classes_per_state", sizes)
 
     @classmethod
-    def from_mapping(cls, class_to_state: dict[int, int]) -> "StateSchedule":
-        """Build a schedule from an explicit class-id -> first-state map."""
-        total = len(class_to_state)
-        if total < 1:
-            raise ValueError("schedule needs at least one class")
-        if sorted(class_to_state) != list(range(total)):
-            raise ValueError("class ids must be exactly 0..C-1")
-        states = [class_to_state[c] for c in range(total)]
-        steps = [b - a for a, b in zip(states, states[1:])]
-        if any(step < 0 for step in steps):
-            raise ValueError("class ids must be ordered by first-seen state")
-        # Checked step by step, so a huge state costs nothing: S <= C after.
-        if states[0] != 1 or any(step > 1 for step in steps):
-            raise ValueError("states must be consecutive starting at 1")
-        sizes = [states.count(s) for s in range(1, states[-1] + 1)]
-        return cls(tuple(sizes))
-
-    @classmethod
     def equal_split(cls, num_classes: int, num_states: int) -> "StateSchedule":
         if not 1 <= num_states <= num_classes or num_classes % num_states != 0:
             raise ValueError(

@@ -11,8 +11,9 @@ half-written artifact. UTF-8, LF line endings, '.' decimal point — no
 locale dependence. Table JSONs and logits sidecars may carry a
 ``fingerprint``: a digest of the spec sections that produced the artifact
 (see ``pipeline.spec_fingerprint``), which decides whether it may be reused.
-A dataset is written block by block from its per-state draw, and
-``read_dataset`` reads it back as that draw.
+A dataset is written block by block from its per-state draw. It is output
+only: every command draws its datasets again from the spec, so no reader
+of the dataset format exists.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain, product
+from itertools import chain, groupby, product
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,11 +41,9 @@ if TYPE_CHECKING:  # annotations only; each reader imports the type it builds
     from .synth import StateDraw
 
 # The fields of each artifact's metadata; all but the fingerprint are required.
-_SIDECAR = {"schema_version": "int", "num_states": "int", "class_to_state": "list[int]",
-            "seed": "int"}
-_LOGITS_META = {**_SIDECAR, "fingerprint": "str", "state": "int", "dataset": "str",
-                "backbone": "str"}
-_DATASET_META = {**_SIDECAR, "name": "str"}
+_LOGITS_META = {"schema_version": "int", "fingerprint": "str", "num_states": "int",
+                "class_to_state": "list[int]", "seed": "int", "state": "int",
+                "dataset": "str", "backbone": "str"}
 _TABLE = {"schema_version": "int", "fingerprint": "str", "num_states": "int",
           "entries": "list[dict]"}
 _TABLE_ENTRY = {"s": "int", "k": "int", "alpha": "float", "beta": "float"}
@@ -96,10 +95,17 @@ def stale_reason(paths, fingerprint: str) -> str | None:
 
 
 def _schedule_from_meta(meta: dict, path: Path) -> StateSchedule:
-    try:
-        schedule = StateSchedule.from_mapping(dict(enumerate(meta["class_to_state"])))
-    except ValueError as exc:
-        raise MetadataError(path, f"class_to_state: {exc}") from exc
+    """The schedule of a sidecar's ``class_to_state`` list: one state per
+    run of equal entries. A list that this schedule does not give back
+    exactly (empty, states out of order, not consecutive from 1), or a
+    ``num_states`` that disagrees, is a MetadataError."""
+    states = meta["class_to_state"]
+    # An empty list gets one class, which does not give it back.
+    schedule = StateSchedule(tuple(sum(1 for _ in run) for _, run in groupby(states))
+                             or (1,))
+    if schedule.class_to_state != states:
+        raise MetadataError(path, "class_to_state: states must be consecutive from 1, "
+                                  "with the class ids ordered by state")
     if schedule.num_states != meta["num_states"]:
         raise MetadataError(path, f"num_states {meta['num_states']} disagrees with the "
                                   f"class_to_state map ({schedule.num_states} states)")
@@ -406,52 +412,6 @@ def write_dataset(path, draw: StateDraw):
     _write_meta(_meta_path(path), None, num_states=draw.schedule.num_states,
                 class_to_state=list(draw.schedule.class_to_state),
                 name=draw.name, seed=draw.seed)
-
-
-def read_dataset(path) -> StateDraw:
-    """The draw that ``write_dataset`` wrote at ``path``: the sidecar's
-    schedule, name and seed, and the rows cut into one block per state, so
-    that writing it again gives the same bytes. A class without a sample
-    of each split, or a row of an earlier state than the row before it, is
-    a SchemaError naming the first."""
-    # Imported here: it loads numpy, which plot and the CLI's start-up never need.
-    import numpy as np
-
-    from .synth import SPLITS, StateBlock, StateDraw
-
-    path = Path(path)
-    meta_path = _meta_path(path)
-    meta = _read_meta(meta_path, "dataset", _DATASET_META)
-    schedule = _schedule_from_meta(meta, meta_path)
-
-    def columns(header):
-        features = {f"x{j}": (f"feature x{j}", _number) for j in range(len(header) - 2)}
-        if not features or header != [*features, "label", "split"]:
-            raise ValueError("dataset header must be x0..x<d-1>,label,split")
-        return {**features, "label": ("label", _integer(0, schedule.num_classes - 1)),
-                "split": ("", _one_of(SPLITS, "split tag"))}
-
-    rows = _read_csv(path, "dataset", columns)
-    labels = np.array([row[-2] for row in rows], dtype=np.int64)
-    split = np.array([row[-1] for row in rows], dtype=object)
-    # Samples per (class, tag) in row-major order, so that the first empty
-    # cell is the first class, and its first tag, that lacks one.
-    tags = sum(i * (split == tag) for i, tag in enumerate(SPLITS))
-    found = np.bincount(labels * len(SPLITS) + tags, minlength=schedule.num_classes * len(SPLITS))
-    if not found.all():
-        c, t = divmod(int(np.argmin(found)), len(SPLITS))
-        raise SchemaError(path, f"class {c} has no '{SPLITS[t]}' samples")
-    states = np.asarray(schedule.class_to_state)[labels]
-    back = np.flatnonzero(np.diff(states) < 0)
-    if back.size:
-        i = int(back[0]) + 1
-        raise SchemaError(path, f"row {i + 2}: class {labels[i]} of state {states[i]} "
-                                f"after a row of state {states[i - 1]}")
-    features = np.array([row[:-2] for row in rows], dtype=np.float64)
-    ends = np.searchsorted(states, np.arange(schedule.num_states + 1), side="right").tolist()
-    return StateDraw(schedule, {tag: int(np.sum(split == tag)) for tag in SPLITS},
-                     iter([StateBlock(features[a:b], labels[a:b], split[a:b])
-                           for a, b in zip(ends, ends[1:])]), meta["name"], meta["seed"])
 
 
 # ---------------------------------------------------------------------------

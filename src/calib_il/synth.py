@@ -11,8 +11,8 @@ A dataset is drawn on the run's ``StateSchedule`` one state at a time:
 ``draw_states`` returns a ``StateDraw``, which yields, state by state, the
 samples of the classes new in that state, and ``StackedSets`` reads R
 such draws forward, one state per ``next_state``, as a run trains. A draw
-is the only dataset the package builds, stacks, writes or reads:
-``storage.read_dataset`` returns a written one as the draw it was.
+is the only dataset the package builds, stacks or writes. No command reads
+a written dataset back: each one draws it again from the spec.
 """
 
 from __future__ import annotations

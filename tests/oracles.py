@@ -5,8 +5,15 @@ of ``calib_il.calibration`` or ``calib_il.backbones``: an oracle that
 shared a helper with the code it checks would share that code's mistakes.
 Models and logits are read through their public attributes only
 (``scores``, ``hidden``, ``matrix``, ``labels``, ``schedule``, ``state``);
-a table is built through the ``CalibrationTable`` constructor only.
+a table is built through the ``CalibrationTable`` constructor only. The
+dataset reader parses with ``csv``, ``float`` and ``json`` alone, and
+nothing of ``calib_il.storage``.
 """
+
+import csv
+import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,3 +151,17 @@ def run_metrics(per_state_scores, per_state_labels, schedule) -> RunMetrics:
         per_state_accuracy(predict(scores), labels, schedule, s)
         for s, (scores, labels) in enumerate(zip(per_state_scores, per_state_labels,
                                                  strict=True), start=1)])
+
+
+def read_dataset(path) -> SimpleNamespace:
+    """The dataset CSV ``path`` that ``gen`` writes, `x0..x<d-1>,label,split`,
+    as ``features`` (n, d) floats, ``labels`` (n,) ints and ``split`` (n,)
+    tag objects, with its sidecar JSON as ``meta``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f"x{j}" for j in range(len(header) - 2)] + ["label", "split"], header
+    return SimpleNamespace(
+        features=np.array([[float(cell) for cell in row[:-2]] for row in rows]),
+        labels=np.array([int(row[-2]) for row in rows]),
+        split=np.array([row[-1] for row in rows], dtype=object),
+        meta=json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8")))

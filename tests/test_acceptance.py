@@ -27,13 +27,14 @@ from calib_il.flows import (_sampling_indices, all_target_rows, build_all_refere
 from calib_il.pipeline import parse_run_spec
 from calib_il.plots import cmd_plot
 from calib_il.schedule import StateSchedule
-from calib_il.storage import (read_dataset, read_logits, read_metrics_rows,
-                              read_table, write_dataset, write_logits,
-                              write_metrics, write_table)
+from calib_il.storage import (read_logits, read_metrics_rows, read_table,
+                              write_dataset, write_logits, write_metrics,
+                              write_table)
 from calib_il.synth import StackedSets, SynthSpec, draw_states
 from calib_il.transfer import average_tables, score_state
 from oracles import (apply_bic, distillation_loss, feature_distillation_loss,
-                     identity_table, mean_scores_by_group, regularized_loss, run_metrics)
+                     identity_table, mean_scores_by_group, read_dataset, regularized_loss,
+                     run_metrics)
 from test_backbones import one
 from test_calibration import fit_gradient, fit_loss
 from test_synth import joined, subset
@@ -372,7 +373,7 @@ def test_criterion_11_serialization(tmp_path):
                      test_per_class=2, seed=8)
     data = joined(draw_states(spec, StateSchedule((2, 2)), name="d0"))
     write_dataset(tmp_path / "d.csv", draw_states(spec, data.schedule, name="d0"))
-    back = joined(read_dataset(tmp_path / "d.csv"))
+    back = read_dataset(tmp_path / "d.csv")
     dataset_ok = (back.features.tobytes() == data.features.tobytes()
                   and np.array_equal(back.labels, data.labels)
                   and np.array_equal(back.split, data.split))

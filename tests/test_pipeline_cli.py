@@ -103,7 +103,6 @@ def tiny_spec(**overrides):
 class TestParseRunSpec:
     def test_defaults_fill_in(self):
         spec = parse_run_spec(dict(MINIMAL))
-        assert spec.name == "experiment"
         assert spec.synth.train_per_class == 40
         assert spec.synth.val_per_class == 10
         assert spec.synth.test_per_class == 10
@@ -142,6 +141,7 @@ class TestParseRunSpec:
         (lambda r: r.update(backbone={"kind": "replay"}), "backbone"),
         (lambda r: r.update(calibration={"l2_alpha": -1.0}), "calibration"),
         (lambda r: r["data"].update(num_references=0), r"\[1, 500\]"),
+        (lambda r: r.update(name=5), "name must be str"),
     ])
     def test_invalid_specs_rejected(self, mangle, message):
         raw = json.loads(json.dumps(MINIMAL))

@@ -54,27 +54,6 @@ class TestStateSchedule:
             sched.group_slice(2, 3)
 
 
-class TestFromMapping:
-    def test_round_trips_the_constructor(self):
-        sched = StateSchedule((3, 1, 2))
-        rebuilt = StateSchedule.from_mapping(dict(enumerate(sched.class_to_state)))
-        assert rebuilt == sched
-
-    def test_rejects_gap_in_class_ids(self):
-        with pytest.raises(ValueError, match="0..C-1"):
-            StateSchedule.from_mapping({0: 1, 2: 1})
-
-    def test_rejects_unordered_assignment(self):
-        # class 0 in state 2 but class 1 in state 1 breaks the contiguous
-        # block layout that lets column j mean class j.
-        with pytest.raises(ValueError, match="ordered"):
-            StateSchedule.from_mapping({0: 2, 1: 1})
-
-    def test_rejects_skipped_state(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            StateSchedule.from_mapping({0: 1, 1: 3})
-
-
 @settings(deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8))
 def test_groups_are_disjoint_and_exhaustive(sizes):

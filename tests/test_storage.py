@@ -6,6 +6,7 @@ or raise a DataFileError subtype that names the offending file.
 
 import json
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -17,11 +18,12 @@ from calib_il.calibration import CalibrationTable
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
-from calib_il.storage import (read_dataset, read_fingerprint, read_logits,
-                              read_metrics_rows, read_table, write_dataset,
-                              write_logits, write_metrics, write_table)
+from calib_il.storage import (read_fingerprint, read_logits, read_metrics_rows,
+                              read_table, write_dataset, write_logits,
+                              write_metrics, write_table)
 from calib_il.synth import SPLITS, StateBlock, StateDraw, SynthSpec, draw_states
-from oracles import identity_table, run_metrics
+from oracles import identity_table, read_dataset, run_metrics
+from test_synth import assert_same_rows, joined
 
 
 def one_block_draw(features, labels, split, name, seed=0):
@@ -155,6 +157,40 @@ class TestLogitsRoundTrip:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(MetadataError, match="disagrees"):
             read_logits(path)
+
+    def test_uneven_schedule_round_trips(self, tmp_path):
+        path = tmp_path / "lg.csv"
+        schedule = StateSchedule((3, 1, 2))
+        write_logits(path, StateLogits(3, np.zeros((2, 6)), np.array([0, 5]), schedule,
+                                       dataset="d", backbone="b", seed=0))
+        assert read_logits(path).schedule == schedule
+
+    @pytest.mark.parametrize("class_to_state", [
+        [1, 1, 3, 3], [2, 2, 1, 1], [2, 2, 3, 3], [1, 2, 1, 2], [],
+    ], ids=["skipped-state", "unordered", "start-2", "interleaved", "empty"])
+    def test_class_to_state_of_no_schedule_is_refused(self, tmp_path, class_to_state):
+        """Class ids run in blocks of one state each, states 1, 2, ... in
+        order: any other list names no schedule."""
+        path = tmp_path / "lg.csv"
+        write_logits(path, tricky_logits())
+        sidecar = tmp_path / "lg.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["class_to_state"] = class_to_state
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MetadataError, match="class_to_state: states must be consecutive"):
+            read_logits(path)
+
+    def test_many_states_read_in_linear_time(self, tmp_path):
+        """A 20,000-state sidecar's schedule costs one pass over its list."""
+        path = tmp_path / "lg.csv"
+        schedule = StateSchedule((1,) * 20_000)
+        write_logits(path, StateLogits(2, np.zeros((3, 2)), np.array([0, 1, 0]), schedule,
+                                       dataset="d", backbone="b", seed=0))
+        start = time.perf_counter()
+        back = read_logits(path)
+        elapsed = time.perf_counter() - start
+        assert back.schedule == schedule
+        assert elapsed < 0.5, f"{elapsed:.2f} s"
 
     def test_error_carries_path(self, tmp_path):
         path = tmp_path / "absent.csv"
@@ -416,77 +452,20 @@ class TestTableRoundTrip:
 
 
 class TestDatasetRoundTrip:
-    def make(self):
-        spec = SynthSpec(num_classes=4, feature_dim=3, train_per_class=6,
-                         val_per_class=2, test_per_class=2, seed=8)
-        return draw_states(spec, StateSchedule((2, 2)), name="ref_1")
-
-    def test_bit_exact(self, tmp_path):
-        """The draw read back has the written draw's schedule, name, seed
-        and sizes, and its blocks hold the written blocks' rows."""
-        path = tmp_path / "d.csv"
-        write_dataset(path, self.make())
-        want, back = self.make(), read_dataset(path)
-        assert (back.schedule, back.name, back.seed, back.sizes) \
-            == (want.schedule, "ref_1", 8, want.sizes)
-        for got, block in zip(back.blocks, want.blocks, strict=True):
-            assert got.features.tobytes() == block.features.tobytes()
-            assert got.labels.tobytes() == block.labels.tobytes()
-            assert got.split.tolist() == block.split.tolist()
-
-    @pytest.mark.parametrize("drift_scale, halve", [(0.3, False), (0.0, True)],
-                             ids=["drift", "halved"])
-    def test_rewrite_is_byte_identical(self, tmp_path, drift_scale, halve):
-        """Writing the draw that ``read_dataset`` returns gives the CSV and
-        its sidecar byte for byte."""
+    @pytest.mark.parametrize("drift_scale, halve", [(0.0, False), (0.3, False), (0.0, True)],
+                             ids=["plain", "drift", "halved"])
+    def test_bit_exact(self, tmp_path, drift_scale, halve):
+        """The rows that a plain CSV parser reads back are the draw's rows,
+        bit for bit, and the sidecar holds its schedule, name and seed."""
         spec = SynthSpec(num_classes=6, feature_dim=5, train_per_class=7, val_per_class=3,
                          test_per_class=2, drift_scale=drift_scale, seed=4)
-        first, again = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_dataset(first, draw_states(spec, StateSchedule((1, 3, 2)), "d", halve=halve))
-        write_dataset(again, read_dataset(first))
-        assert again.read_bytes() == first.read_bytes()
-        assert (tmp_path / "b.csv.meta.json").read_bytes() \
-            == (tmp_path / "a.csv.meta.json").read_bytes()
-
-    @pytest.mark.parametrize("key,value", [("seed", [1]), ("num_states", None)])
-    def test_uncoercible_sidecar_field_is_metadata_error(self, tmp_path, key, value):
+        schedule = StateSchedule((1, 3, 2))
         path = tmp_path / "d.csv"
-        write_dataset(path, self.make())
-        sidecar = tmp_path / "d.csv.meta.json"
-        meta = json.loads(sidecar.read_text())
-        meta[key] = value
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(MetadataError, match=key):
-            read_dataset(path)
-
-    def test_label_outside_schedule_located(self, tmp_path):
-        path = tmp_path / "d.csv"
-        write_dataset(path, self.make())
-        lines = path.read_text().splitlines()
-        parts = lines[1].split(",")
-        parts[-2] = "9"
-        lines[1] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="row 2.*outside the schedule"):
-            read_dataset(path)
-
-    def test_unknown_split_tag_located(self, tmp_path):
-        path = tmp_path / "d.csv"
-        write_dataset(path, self.make())
-        lines = path.read_text().splitlines()
-        lines[3] = lines[3].replace("train", "extra")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="row 4.*split tag"):
-            read_dataset(path)
-
-    def test_wrong_feature_header_rejected(self, tmp_path):
-        path = tmp_path / "d.csv"
-        write_dataset(path, self.make())
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace("x0", "f0")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="x0..x"):
-            read_dataset(path)
+        write_dataset(path, draw_states(spec, schedule, "d", halve=halve))
+        back = read_dataset(path)
+        assert_same_rows(back, joined(draw_states(spec, schedule, "d", halve=halve)))
+        assert back.meta == {"schema_version": 1, "num_states": 3, "name": "d", "seed": 4,
+                             "class_to_state": [1, 2, 2, 2, 3, 3]}
 
 
 class TestMetricsFile:

@@ -1,5 +1,5 @@
-"""Synthetic dataset generation, the per-state draw, state splitting,
-halving, and the checks on a written dataset read back."""
+"""Synthetic dataset generation, the per-state draw, state splitting and
+halving."""
 
 import os
 import subprocess
@@ -11,9 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from calib_il.errors import SchemaError
 from calib_il.schedule import StateSchedule
-from calib_il.storage import read_dataset, write_dataset
 from calib_il.synth import SPLITS, StackedSets, SynthSpec, _cayley_rotation, draw_states
 
 
@@ -213,60 +211,6 @@ class TestGeneration:
         rot = _cayley_rotation(6, 0.4, rng)
         np.testing.assert_allclose(rot @ rot.T, np.eye(6), atol=1e-12)
         np.testing.assert_allclose(abs(np.linalg.det(rot)), 1.0, rtol=1e-12)
-
-
-class TestDatasetValidation:
-    """``read_dataset`` refuses a written dataset that no draw makes."""
-
-    def written(self, tmp_path, edit):
-        """The path of ``small_draw()`` written, its data rows then
-        replaced by ``edit(rows)``."""
-        path = tmp_path / "d.csv"
-        write_dataset(path, small_draw())
-        header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, *edit(rows)]) + "\n")
-        return path
-
-    def without(self, tmp_path, gaps):
-        """``written`` with the rows of each (class, split tag) of ``gaps``
-        dropped."""
-        return self.written(tmp_path, lambda rows: [
-            row for row in rows
-            if (int(row.split(",")[-2]), row.split(",")[-1]) not in gaps])
-
-    def test_missing_split_rejected(self, tmp_path):
-        with pytest.raises(SchemaError, match="class 2 has no 'test'"):
-            read_dataset(self.without(tmp_path, [(2, "test")]))
-
-    @pytest.mark.parametrize("gaps, first", [
-        ([(3, "train"), (2, "test")], "class 2 has no 'test'"),
-        ([(1, "test"), (1, "validation")], "class 1 has no 'validation'"),
-    ])
-    def test_first_missing_split_is_named(self, tmp_path, gaps, first):
-        """With several gaps, the error names the lowest class and, in it,
-        the first tag of SPLITS without samples."""
-        with pytest.raises(SchemaError, match=first):
-            read_dataset(self.without(tmp_path, gaps))
-
-    def test_unknown_tag_rejected(self, tmp_path):
-        path = self.written(tmp_path, lambda rows: [
-            rows[0].replace(",train", ",holdout"), *rows[1:]])
-        with pytest.raises(SchemaError, match="row 2: unknown split tag 'holdout'"):
-            read_dataset(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        path = self.written(tmp_path, lambda rows: [
-            "inf," + rows[0].split(",", 1)[1], *rows[1:]])
-        with pytest.raises(SchemaError, match="row 2 feature x0: non-finite value 'inf'"):
-            read_dataset(path)
-
-    def test_rows_out_of_state_order_rejected(self, tmp_path):
-        """Blocks are cut state by state, so a row of state 1 after one of
-        state 2 is refused, naming the row."""
-        path = self.written(tmp_path, lambda rows: [rows[-1], *rows[:-1]])
-        with pytest.raises(SchemaError,
-                           match="row 3: class 0 of state 1 after a row of state 2"):
-            read_dataset(path)
 
 
 class TestSplitStates:
