@@ -1,9 +1,10 @@
 """Affine score correction and the per-state convex calibration fit.
 
 A ``CalibrationTable`` keeps one (alpha, beta) pair per (current state,
-first-seen state), and ``apply_table`` maps the columns of group k at state
-s to alpha * o + beta with that state's pair k, so the amount of correction
-can differ for classes learned at different times. The classic single-pair
+first-seen state), and ``corrected_scores`` maps the columns of group k at
+state s to alpha * o + beta with that state's pair k, so the amount of
+correction can differ for classes learned at different times. The fit
+corrects its trial pairs with it, and ``transfer.score_state`` a table's. The classic single-pair
 correction, which rescales only the newest group, is the table that
 ``collapse_to_single_pair`` leaves: every past pair at the identity.
 
@@ -130,10 +131,12 @@ class CalibrationTable:
         return f"CalibrationTable(num_states={self.num_states}, pairs={pairs})"
 
 
-def apply_table(logits: StateLogits, table: CalibrationTable) -> np.ndarray:
-    """Apply the per-group pairs of ``table`` for the logits' state."""
-    alpha, beta = table.pairs_for_state(logits.state)
-    return _corrected(logits.matrix, alpha, beta, logits.schedule.column_groups(logits.state) - 1)
+def corrected_scores(matrix, alpha, beta, col) -> np.ndarray:
+    """Scores (n, C) with each column j mapped to alpha[g] * o + beta[g] by
+    the pairs (s,) of its group g = ``col[j]``."""
+    out = matrix * alpha[col]
+    out += beta[col]
+    return out
 
 
 def _group_starts(schedule: StateSchedule, state: int) -> np.ndarray:
@@ -149,14 +152,6 @@ _ARMIJO_SLOPE = 1e-4
 _MIN_STEP = 1e-10
 
 
-def _corrected(matrix, alpha, beta, col) -> np.ndarray:
-    """Scores (n, C) corrected by the pairs (s,); ``col`` maps columns to
-    groups."""
-    out = matrix * alpha[col]
-    out += beta[col]
-    return out
-
-
 def _loss(matrix, labels, alpha, beta, col, config: CalibConfig):
     """The fit's objective at (alpha, beta): the mean over samples of
     logsumexp(z) - z[label] of the max-shifted corrected scores z, exact
@@ -164,7 +159,7 @@ def _loss(matrix, labels, alpha, beta, col, config: CalibConfig):
     l2_alpha * sum((alpha - 1)^2) + l2_beta * sum(beta^2). ``col`` maps
     columns to groups. Returns the loss, exp(z) and its row sums, whose
     quotient is the softmax of z."""
-    shifted = _corrected(matrix, alpha, beta, col)
+    shifted = corrected_scores(matrix, alpha, beta, col)
     shifted -= shifted.max(axis=-1, keepdims=True)
     picked = shifted[np.arange(len(labels)), labels]
     sums = np.exp(shifted, out=shifted).sum(axis=-1)

@@ -87,13 +87,13 @@ def main(argv: list[str] | None = None) -> int:
             from .plots import cmd_plot
             cmd_plot(spec, args.out)
     except SpecError as exc:
-        log.error(kv(event="error", kind="spec", message=repr(str(exc))))
+        log.error(kv(event="error", kind="spec", message=str(exc)))
         return EXIT_SPEC
     except DataFileError as exc:
-        log.error(kv(event="error", kind="data", message=repr(str(exc))))
+        log.error(kv(event="error", kind="data", message=str(exc)))
         return EXIT_DATA
     except NumericError as exc:
-        log.error(kv(event="error", kind="numeric", message=repr(str(exc))))
+        log.error(kv(event="error", kind="numeric", message=str(exc)))
         return EXIT_NUMERIC
     log.info(kv(event="done", command=args.command))
     return EXIT_OK

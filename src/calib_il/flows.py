@@ -4,12 +4,14 @@ sweep subcommands; ``cli`` imports this module only for those commands.
 Each dataset is drawn one state at a time (``synth.draw_states``): a
 stack of references or targets draws a state's block from each dataset
 only when that state trains, and ``gen`` writes each block as it is
-drawn, so no flow holds a whole dataset. The stack is one flat stream
-of each trained state's logits, model after model, each scored when the
-flow asks for it; the flow writes, fits or scores each model's logits,
-under the name its draw gives them, and drops them before it asks for
-the next, so no flow holds more than one score matrix. Tables and
-results are written once every state is done.
+drawn, so no flow holds a whole dataset. One runner, ``_stack``, trains
+a role's stack: a flat stream of each trained state's logits, model
+after model, each scored when the runner asks for it. It writes each
+model's logits under the name its draw gives them, hands them to a
+per-state consumer (``_fit`` for references, ``_score`` for targets)
+and drops them before it asks for the next, so no flow holds more than
+one score matrix. Tables and results are written once every state is
+done.
 
 ``run-target`` and ``sweep`` reuse the reference tables and the target
 logits under ``--out`` only when every file carries the spec's
@@ -21,18 +23,19 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .backbones import run_incremental_stack
-from .calibration import CalibrationTable, fit_state
-from .metrics import RunMetrics
+from .calibration import CalibrationTable, StateFit, fit_state
+from .config import CalibConfig
 from .pipeline import METHODS, RunSpec, kv, reference_seeds, spec_fingerprint, target_seeds
 from .storage import (read_logits, read_table, stale_reason, write_dataset, write_logits,
                       write_metrics, write_rows, write_table)
 from .synth import StateDraw, draw_states
-from .transfer import average_tables, score_state
+from .transfer import RunMetrics, average_tables, score_state
 
 log = logging.getLogger("calib_il")
 
@@ -48,79 +51,67 @@ def _logits_path(out: Path, name: str, state: int) -> Path:
     return out / "logits" / f"{name}_state_{state}.csv"
 
 
-def reference_runs(spec: RunSpec, indices, out: Path) -> list[tuple[CalibrationTable, list]]:
-    """Train the references ``indices`` as one stack. Each model's
-    validation logits are written under ``out`` and fitted as soon as its
-    state is trained; returns each reference's table and fits."""
-    seeds, fingerprint = reference_seeds(spec), spec_fingerprint(spec)
-    fits = {f"ref_{i}": [] for i in indices}
+# Each role's dataset name prefix, seeds and the logits its stack gives.
+_ROLES = {"reference": ("ref", reference_seeds, ("validation",)),
+          "target": ("target", target_seeds, ("test",))}
+
+
+def _stack(spec: RunSpec, indices, role: str, consume, out: Path | None = None,
+           halve: bool = False) -> list[list]:
+    """Train the ``role`` datasets ``indices`` as one stack. As soon as a
+    state is trained, each model's logits are written under ``out``
+    (unless it is None) and handed to ``consume``; returns, per dataset,
+    what ``consume`` returned for each state 1..S."""
+    prefix, seeds_of, sets = _ROLES[role]
+    seeds, fingerprint = seeds_of(spec), spec_fingerprint(spec)
+    results = {f"{prefix}_{i}": [] for i in indices}
     for _, logits in run_incremental_stack(
-            spec.backbone, [make_dataset(spec, seeds[i], name) for i, name in zip(indices, fits)],
-            sets=("validation",)):
-        write_logits(_logits_path(out, logits.dataset, logits.state), logits, fingerprint)
-        if logits.state > 1:
-            fits[logits.dataset].append(fit_state(logits, spec.calibration))
-        del logits  # before the next model is scored
-    return [(CalibrationTable.from_fits(per_ref), per_ref) for per_ref in fits.values()]
-
-
-def _score(logits, tables: dict, rows: dict):
-    """Append ``logits``' row under each entry of ``tables`` (a list of
-    tables each, see ``score_state``) to ``rows``."""
-    for key, candidates in tables.items():
-        rows[key].append(score_state(logits, candidates))
-
-
-def target_rows(spec: RunSpec, indices, tables: dict, out: Path | None = None,
-                halve: bool = False) -> list[dict]:
-    """Train the targets ``indices`` as one stack. As soon as a state is
-    trained, each target's test logits are written under ``out`` (unless it
-    is None) and scored by every entry of ``tables``; returns, per target,
-    each entry's per-state rows."""
-    seeds, fingerprint = target_seeds(spec), spec_fingerprint(spec)
-    rows = {f"target_{j}": {key: [] for key in tables} for j in indices}
-    for _, logits in run_incremental_stack(
-            spec.backbone, [make_dataset(spec, seeds[j], name, halve=halve)
-                            for j, name in zip(indices, rows)],
-            sets=("test",)):
+            spec.backbone, [make_dataset(spec, seeds[i], name, halve=halve)
+                            for i, name in zip(indices, results)], sets=sets):
         if out is not None:
             write_logits(_logits_path(out, logits.dataset, logits.state), logits, fingerprint)
-        _score(logits, tables, rows[logits.dataset])
+        results[logits.dataset].append(consume(logits))
         del logits  # before the next model is scored
-    return list(rows.values())
+    return list(results.values())
 
 
-def _in_chunks(fn, spec: RunSpec, count: int, jobs: int, *extra) -> list:
-    """``fn(spec, indices, *extra)`` over ``range(count)`` split into
-    ``jobs`` contiguous chunks, one stack per worker process (one chunk
-    runs in-process); results in index order."""
+def _fit(config: CalibConfig, logits) -> StateFit | None:
+    """A reference state's calibration fit; state 1 has none."""
+    return fit_state(logits, config) if logits.state > 1 else None
+
+
+def _score(tables: dict, logits) -> dict:
+    """``logits``' row under each entry of ``tables`` (a list of tables
+    each, see ``score_state``)."""
+    return {key: score_state(logits, candidates) for key, candidates in tables.items()}
+
+
+def _stacks(spec: RunSpec, role: str, consume, out: Path | None = None, jobs: int = 1,
+            halve: bool = False) -> list[list]:
+    """``_stack`` over every ``role`` dataset, split into ``jobs``
+    contiguous chunks, one stack per worker process (one chunk runs
+    in-process); results in index order regardless of pool scheduling."""
+    count = len(_ROLES[role][1](spec))
     k = min(jobs, count)
     bounds = [count * c // k for c in range(k + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if len(chunks) == 1:
-        results = [fn(spec, chunks[0], *extra)]
+        results = [_stack(spec, chunks[0], role, consume, out, halve)]
     else:
         # Imported here: the pool machinery costs every --jobs 1 process ~1.6 MiB.
         from concurrent.futures import ProcessPoolExecutor
 
         # Under fork every worker is started up front, so start no idle one.
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(fn, spec, chunk, *extra) for chunk in chunks]
+            futures = [pool.submit(_stack, spec, chunk, role, consume, out, halve)
+                       for chunk in chunks]
             results = [future.result() for future in futures]
     return [item for chunk in results for item in chunk]
 
 
-def build_all_references(spec: RunSpec, out: Path, jobs: int = 1) -> list[tuple]:
-    """Every reference's table and fits, in index order regardless of pool
-    scheduling; their validation logits are written under ``out``."""
-    return _in_chunks(reference_runs, spec, spec.num_references, jobs, out)
-
-
-def all_target_rows(spec: RunSpec, tables: dict, out: Path | None = None, jobs: int = 1,
-                    halve: bool = False) -> list[dict]:
-    """``target_rows`` of every target, in index order regardless of pool
-    scheduling."""
-    return _in_chunks(target_rows, spec, spec.num_targets, jobs, tables, out, halve)
+def _metrics(rows: list[dict], key) -> RunMetrics:
+    """The metrics of one target's per-state rows under ``key``."""
+    return RunMetrics.from_rows([row[key] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +122,8 @@ def cmd_gen(spec: RunSpec, out: Path):
     """Materialize every reference and target dataset as CSV files, each
     written state by state as it is drawn."""
     out = Path(out)
-    for role, prefix, seeds in (("reference", "ref", reference_seeds(spec)),
-                                ("target", "target", target_seeds(spec))):
-        for index, seed in enumerate(seeds):
+    for role, (prefix, seeds_of, _) in _ROLES.items():
+        for index, seed in enumerate(seeds_of(spec)):
             name = f"{prefix}_{index}"
             path = out / "data" / f"{name}.csv"
             write_dataset(path, make_dataset(spec, seed, name))
@@ -147,17 +137,19 @@ def cmd_run_reference(spec: RunSpec, out: Path, jobs: int = 1) -> list[Calibrati
     reference is fitted, so a failed run leaves none to reuse."""
     out = Path(out)
     table_fp = spec_fingerprint(spec, calibration=True)
-    runs = build_all_references(spec, out, jobs=jobs)
-    for i, (table, fits) in enumerate(runs):
-        name = f"ref_{i}"
+    tables = []
+    for i, per_state in enumerate(_stacks(spec, "reference", partial(_fit, spec.calibration),
+                                          out, jobs)):
+        name, fits = f"ref_{i}", per_state[1:]
         for fit in fits:
             log.info(kv(event="fit", dataset=name, state=fit.state,
                         initial_loss=fit.initial_loss, final_loss=fit.final_loss,
                         iterations=fit.iterations, grad_norm=fit.grad_norm))
+        tables.append(CalibrationTable.from_fits(fits))
         path = out / "tables" / f"{name}.table.json"
-        write_table(path, table, table_fp)
+        write_table(path, tables[-1], table_fp)
         log.info(kv(event="table", dataset=name, path=path))
-    return [table for table, _ in runs]
+    return tables
 
 
 def _reusable(artifact: str, paths: list[Path], fingerprint: str) -> bool:
@@ -177,24 +169,22 @@ def _load_or_build_tables(spec: RunSpec, out: Path, jobs: int) -> list[Calibrati
     return [read_table(p, num_states=spec.schedule.num_states) for p in paths]
 
 
-def _target_rows(spec: RunSpec, out: Path, jobs: int, tables: dict) -> list[dict]:
-    """``target_rows`` of every target on its test logits: read from
-    ``out/logits`` one state at a time when they carry the spec's
+def _target_rows(spec: RunSpec, out: Path, jobs: int, tables: dict) -> list[list[dict]]:
+    """Per target, the ``_score`` row of each state's test logits: read
+    from ``out/logits`` one state at a time when they carry the spec's
     fingerprint, else trained and written there."""
+    score = partial(_score, tables)
     states = range(1, spec.schedule.num_states + 1)
     paths = [[_logits_path(out, f"target_{j}", s) for s in states]
              for j in range(spec.num_targets)]
     if not _reusable("target_logits", [p for per_target in paths for p in per_target],
                      spec_fingerprint(spec)):
-        return all_target_rows(spec, tables, out, jobs)
+        return _stacks(spec, "target", score, out, jobs)
     seeds, per_class = target_seeds(spec), spec.synth.test_per_class
-    all_rows = [{key: [] for key in tables} for _ in paths]
-    for j, (per_target, rows) in enumerate(zip(paths, all_rows)):
-        for s, path in zip(states, per_target):
-            _score(read_logits(path, expect=(f"target_{j}", seeds[j], s, spec.schedule,
-                                             per_class * spec.schedule.classes_through(s))),
-                   tables, rows)
-    return all_rows
+    return [[score(read_logits(path, expect=(f"target_{j}", seeds[j], s, spec.schedule,
+                                             per_class * spec.schedule.classes_through(s))))
+             for s, path in zip(states, per_target)]
+            for j, per_target in enumerate(paths)]
 
 
 def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1):
@@ -209,7 +199,7 @@ def cmd_run_target(spec: RunSpec, out: Path, jobs: int = 1):
     comparison, per_state = [], []
     for j, rows in enumerate(_target_rows(spec, out, jobs, methods)):
         name = f"target_{j}"
-        results = {method: RunMetrics.from_rows(rows[method]) for method in METHODS}
+        results = {method: _metrics(rows, method) for method in METHODS}
         raw_acc = results["raw"].average_incremental_accuracy
         for method in METHODS:
             metrics = results[method]
@@ -237,9 +227,9 @@ def _sampling_indices(spec: RunSpec, r: int) -> list[np.ndarray]:
             for _ in range(spec.sweep_samplings)]
 
 
-def _mean_accuracy(all_rows: list[dict], key) -> float:
+def _mean_accuracy(all_rows: list[list[dict]], key) -> float:
     """Mean over targets of the average incremental accuracy of ``key``'s rows."""
-    return float(np.mean([RunMetrics.from_rows(rows[key]).average_incremental_accuracy
+    return float(np.mean([_metrics(rows, key).average_incremental_accuracy
                           for rows in all_rows]))
 
 
@@ -264,11 +254,12 @@ def cmd_sweep(spec: RunSpec, out: Path, jobs: int = 1):
                                    "corrected_std", "gain_mean"], rows)
 
     if spec.sweep_halved:
-        halved = all_target_rows(spec, {"raw": [None], "adbic": [average_tables(tables)]},
-                                 jobs=jobs, halve=True)
+        halved = _stacks(spec, "target",
+                         partial(_score, {"raw": [None], "adbic": [average_tables(tables)]}),
+                         jobs=jobs, halve=True)
         rows, gains = [], []
-        for j, by_method in enumerate(halved):
-            raw, cor = (RunMetrics.from_rows(by_method[method]).average_incremental_accuracy
+        for j, by_state in enumerate(halved):
+            raw, cor = (_metrics(by_state, method).average_incremental_accuracy
                         for method in ("raw", "adbic"))
             gains.append(cor - raw)
             rows += [(f"target_{j}", "raw", raw, 0.0), (f"target_{j}", "adbic", cor, cor - raw)]

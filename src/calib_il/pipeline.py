@@ -49,9 +49,18 @@ _SWEEP_TYPES = {"r_values": "list[int]", "num_samplings": "int", "halved": "bool
 
 
 def kv(**fields) -> str:
-    """Render one key=value log record; floats use round-trip formatting."""
-    return " ".join(f"{key}={float(value)!r}" if isinstance(value, float) else f"{key}={value}"
-                    for key, value in fields.items())
+    """Render one key=value log record. Floats use round-trip formatting.
+    Any other value whose text holds whitespace, '=' or a quote is written
+    as the ``repr`` of that text: a Python string literal, which
+    ``ast.literal_eval`` reads back, so it cannot pass for two fields."""
+    return " ".join(f"{key}={_render(value)}" for key, value in fields.items())
+
+
+def _render(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    text = str(value)
+    return repr(text) if any(c.isspace() or c in "='\"" for c in text) else text
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .schedule import StateSchedule
 if TYPE_CHECKING:  # annotations only; each reader imports the type it builds
     from .calibration import CalibrationTable
     from .logits import StateLogits
-    from .metrics import RunMetrics
     from .synth import StateDraw
+    from .transfer import RunMetrics
 
 # The fields of each artifact's metadata; all but the fingerprint are required.
 _LOGITS_META = {"schema_version": "int", "fingerprint": "str", "num_states": "int",

@@ -1,13 +1,15 @@
 """Reference implementations that tests check the package against.
 
 Each oracle is written from its formula in plain numpy. None calls code
-of ``calib_il.calibration`` or ``calib_il.backbones``: an oracle that
-shared a helper with the code it checks would share that code's mistakes.
-Models and logits are read through their public attributes only
-(``scores``, ``hidden``, ``matrix``, ``labels``, ``schedule``, ``state``);
-a table is built through the ``CalibrationTable`` constructor only. The
-dataset reader parses with ``csv``, ``float`` and ``json`` alone, and
-nothing of ``calib_il.storage``.
+of ``calib_il.calibration``, ``calib_il.backbones`` or
+``transfer.score_state``: an oracle that shared a helper with the code it
+checks would share that code's mistakes. Models, logits and tables are
+read through their public attributes only (``scores``, ``hidden``,
+``matrix``, ``labels``, ``schedule``, ``state``, ``alpha``, ``beta``); a
+table is built through the ``CalibrationTable`` constructor only, and a
+run's rows are gathered by ``RunMetrics.from_rows``. The dataset reader
+parses with ``csv``, ``float`` and ``json`` alone, and nothing of
+``calib_il.storage``.
 """
 
 import csv
@@ -18,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from calib_il.calibration import CalibrationTable
-from calib_il.metrics import RunMetrics, per_state_accuracy, predict
+from calib_il.transfer import RunMetrics
 
 
 def softmax(scores) -> np.ndarray:
@@ -45,6 +47,33 @@ def corrected(matrix, alpha, beta, schedule, state) -> np.ndarray:
     for cols, a, b in zip(group_columns(schedule, state), alpha, beta, strict=True):
         out[:, cols] = a * out[:, cols] + b
     return out
+
+
+def apply_table(logits, table) -> np.ndarray:
+    """The logits' scores at state s >= 2 with group k's columns mapped to
+    alpha * o + beta by the table's pair (s, k)."""
+    s = logits.state
+    assert s >= 2, "state 1 has no pairs"
+    return corrected(logits.matrix, table.alpha[s - 2, :s], table.beta[s - 2, :s],
+                     logits.schedule, s)
+
+
+def predict(scores) -> np.ndarray:
+    """Top-1 class of each row: the lowest class id among the row's
+    largest scores."""
+    return np.array([min(j for j, v in enumerate(row) if v == max(row))
+                     for row in np.asarray(scores).tolist()], dtype=np.int64)
+
+
+def per_state_accuracy(predictions, labels, schedule, state) -> tuple[float, np.ndarray]:
+    """Fraction of ``predictions`` equal to ``labels``, and the same
+    fraction over the samples of each group k = 1..state: those whose true
+    class was first learned in state k. A group without samples is nan."""
+    hits = np.asarray(predictions) == np.asarray(labels)
+    groups = np.array([schedule.class_to_state[y] for y in labels])
+    return float(np.mean(hits)), np.array(
+        [np.mean(hits[groups == k]) if np.any(groups == k) else np.nan
+         for k in range(1, state + 1)])
 
 
 def identity_table(num_states) -> CalibrationTable:

@@ -12,18 +12,18 @@ module fixture; its wall-clock time is bounded by criterion 6.
 import dataclasses
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
+from calib_il import flows
 from calib_il.backbones import BackboneConfig, lucir_lambda, update_state
-from calib_il.calibration import (CalibConfig, CalibrationTable, apply_table,
-                                  fit_state)
+from calib_il.calibration import CalibConfig, CalibrationTable, fit_state
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
-from calib_il.metrics import RunMetrics
-from calib_il.flows import (_sampling_indices, all_target_rows, build_all_references,
-                            cmd_gen, cmd_run_reference, cmd_run_target, cmd_sweep)
+from calib_il.flows import (_sampling_indices, cmd_gen, cmd_run_reference, cmd_run_target,
+                            cmd_sweep)
 from calib_il.pipeline import parse_run_spec
 from calib_il.plots import cmd_plot
 from calib_il.schedule import StateSchedule
@@ -31,12 +31,12 @@ from calib_il.storage import (read_logits, read_metrics_rows, read_table,
                               write_dataset, write_logits, write_metrics,
                               write_table)
 from calib_il.synth import StackedSets, SynthSpec, draw_states
-from calib_il.transfer import average_tables, score_state
-from oracles import (apply_bic, distillation_loss, feature_distillation_loss,
+from calib_il.transfer import RunMetrics, average_tables, score_state
+from oracles import (apply_bic, apply_table, distillation_loss, feature_distillation_loss,
                      identity_table, mean_scores_by_group, read_dataset, regularized_loss,
                      run_metrics)
 from test_backbones import one
-from test_calibration import fit_gradient, fit_loss
+from test_calibration import correct, fit_gradient, fit_loss
 from test_synth import joined, subset
 
 HARNESS = {
@@ -91,12 +91,14 @@ def harness(tmp_path_factory):
     spec = parse_run_spec(dict(HARNESS))
     out = tmp_path_factory.mktemp("harness")
     start = time.perf_counter()
-    tables = [table for table, _ in build_all_references(spec, out)]
+    tables = [CalibrationTable.from_fits(fits[1:]) for fits in flows._stacks(
+        spec, "reference", partial(flows._fit, spec.calibration), out)]
     averaged = average_tables(tables)
     methods = {"raw": [None], "bic": [averaged.collapse_to_single_pair()],
                "adbic": [averaged], "oracle": tables}
-    results = [{method: RunMetrics.from_rows(rows[method]) for method in methods}
-               for rows in all_target_rows(spec, methods, out)]
+    results = [{method: RunMetrics.from_rows([row[method] for row in rows])
+                for method in methods}
+               for rows in flows._stacks(spec, "target", partial(flows._score, methods), out)]
     elapsed = time.perf_counter() - start
     targets = [[read_logits(out / "logits" / f"target_{j}_state_{s}.csv")
                 for s in range(1, spec.schedule.num_states + 1)]
@@ -112,7 +114,7 @@ def test_criterion_01_identity_invariance():
         run = random_run(S, S)
         identity = identity_table(S)
         for lg in run[1:]:
-            ok &= apply_table(lg, identity).tobytes() == lg.matrix.tobytes()
+            ok &= correct(lg, identity).tobytes() == lg.matrix.tobytes()
         raw = score_run(run, [None])
         ident = score_run(run, [identity])
         ok &= np.array_equal(raw.per_state_accuracy, ident.per_state_accuracy,
@@ -240,7 +242,7 @@ def test_criterion_05_reduction_to_single_pair():
         entries = {(s, k): (1.0, 0.0)
                    for s in range(2, S + 1) for k in range(1, s + 1)}
         entries[(S, S)] = (alpha, beta)
-        diff = np.abs(apply_table(logits, CalibrationTable.from_pairs(S, entries.items()))
+        diff = np.abs(correct(logits, CalibrationTable.from_pairs(S, entries.items()))
                       - apply_bic(logits, alpha, beta)).max()
         worst = max(worst, float(diff))
     ok = worst <= 1e-12

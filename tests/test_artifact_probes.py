@@ -16,6 +16,7 @@ import json
 import math
 import shutil
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from calib_il import cli, flows
 from calib_il.errors import NumericError
-from calib_il.flows import all_target_rows, cmd_run_reference, cmd_run_target, cmd_sweep
+from calib_il.flows import cmd_run_reference, cmd_run_target, cmd_sweep
 from calib_il.pipeline import parse_run_spec
 from calib_il.plots import cmd_plot
 
@@ -283,11 +284,12 @@ def test_pool_size_is_bounded_by_the_chunks(monkeypatch, tmp_path):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     spec = parse_run_spec(SPEC)
-    pooled = all_target_rows(spec, {"raw": [None]}, tmp_path / "pooled", jobs=10**9)
+    score = partial(flows._score, {"raw": [None]})
+    pooled = flows._stacks(spec, "target", score, tmp_path / "pooled", jobs=10**9)
     assert sizes == [spec.num_targets]
-    serial = all_target_rows(spec, {"raw": [None]}, tmp_path / "serial", jobs=1)
-    assert [[(acc, group.tobytes()) for acc, group in rows["raw"]] for rows in pooled] == \
-        [[(acc, group.tobytes()) for acc, group in rows["raw"]] for rows in serial]
+    serial = flows._stacks(spec, "target", score, tmp_path / "serial", jobs=1)
+    assert [[(row["raw"][0], row["raw"][1].tobytes()) for row in rows] for rows in pooled] == \
+        [[(row["raw"][0], row["raw"][1].tobytes()) for row in rows] for rows in serial]
     assert tree(tmp_path / "pooled") == tree(tmp_path / "serial")
 
 

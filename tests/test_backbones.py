@@ -17,10 +17,9 @@ from calib_il.backbones import (ETA_INIT, BackboneConfig, Model, lucir_lambda,
                                 run_incremental_stack, standardize_rows, update_state)
 from calib_il.config import KINDS
 from calib_il.errors import NumericError, SpecError
-from calib_il.metrics import per_state_accuracy
 from calib_il.schedule import StateSchedule
 from calib_il.synth import SynthSpec, draw_states
-from oracles import distillation_loss, feature_distillation_loss, mean_loss
+from oracles import distillation_loss, feature_distillation_loss, mean_loss, per_state_accuracy
 from test_synth import joined, subset
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from calib_il import calibration, cli
 from calib_il.calibration import (GRAD_TOL, CalibConfig, CalibrationTable,
-                                  StateFit, apply_table, fit_state)
+                                  StateFit, corrected_scores, fit_state)
 from calib_il.errors import NumericError
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
@@ -42,6 +42,15 @@ def fit_loss(matrix, labels, alpha, beta, sched, state, config):
                                       sched.column_groups(state) - 1, config)
     q /= sums[:, None]
     return loss, q
+
+
+def correct(logits, table):
+    """``corrected_scores`` of ``logits`` by ``table``'s pairs for their
+    state, each column taking its group's pair, as ``score_state``
+    corrects a candidate."""
+    state = logits.state
+    return corrected_scores(logits.matrix, *table.pairs_for_state(state),
+                            logits.schedule.column_groups(state) - 1)
 
 
 def fit_gradient(matrix, labels, alpha, beta, sched, state, config):
@@ -150,7 +159,7 @@ class TestApplyCorrections:
         logits = make_logits(1, (2, 3), n=8)
         table = CalibrationTable.from_pairs(2, {(2, 1): (0.4, 2.0),
                                                 (2, 2): (1.7, -0.3)}.items())
-        out = apply_table(logits, table.collapse_to_single_pair())
+        out = correct(logits, table.collapse_to_single_pair())
         np.testing.assert_array_equal(out, apply_bic(logits, 1.7, -0.3))
         for i in range(8):
             for j in range(5):
@@ -164,7 +173,7 @@ class TestApplyCorrections:
         entries = {(2, 1): (0.5, 0.1), (2, 2): (2.0, -1.0),
                    (3, 1): (1.1, 0.2), (3, 2): (0.9, -0.4), (3, 3): (3.0, 0.0)}
         table = CalibrationTable.from_pairs(3, entries.items())
-        out = apply_table(logits, table)
+        out = correct(logits, table)
         pair_by_col = [(1.1, 0.2), (0.9, -0.4), (0.9, -0.4), (3.0, 0.0), (3.0, 0.0)]
         for i in range(6):
             for j, (a, b) in enumerate(pair_by_col):
@@ -174,12 +183,12 @@ class TestApplyCorrections:
     def test_state1_rejected(self):
         logits = make_logits(3, (2, 2), state=1)
         with pytest.raises(ValueError):
-            apply_table(logits, identity_table(2))
+            correct(logits, identity_table(2))
 
     def test_table_too_small_rejected(self):
         logits = make_logits(4, (1, 1, 1))
         with pytest.raises(ValueError, match="covers states up to"):
-            apply_table(logits, identity_table(2))
+            correct(logits, identity_table(2))
 
     def test_reduction_to_single_pair(self):
         """With all past pairs at identity, the per-group correction and the
@@ -193,12 +202,12 @@ class TestApplyCorrections:
                        for s in range(2, S + 1) for k in range(1, s + 1)}
             entries[(S, S)] = (a, b)
             table = CalibrationTable.from_pairs(S, entries.items())
-            np.testing.assert_allclose(apply_table(logits, table),
+            np.testing.assert_allclose(correct(logits, table),
                                        apply_bic(logits, a, b), atol=1e-12)
 
     def test_identity_table_is_noop(self):
         logits = make_logits(5, (2, 2, 2))
-        out = apply_table(logits, identity_table(3))
+        out = correct(logits, identity_table(3))
         np.testing.assert_array_equal(out, logits.matrix)
 
 

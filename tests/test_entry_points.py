@@ -1,11 +1,14 @@
 """Every public function and class in ``src/calib_il``, and every public
-method of a public class, is reached by the package's own code.
+method of a public class, is reached by the package's own code; so is
+every private module-level def and constant.
 
 A module-level def, or a method, whose name no code in the package
 references is an entry point that only tests call; its oracle belongs in
-``tests/oracles``. A reference is a ``Name`` or an ``Attribute`` anywhere
-in the package outside the def itself, or an import from another module;
-a docstring's mention is not one. A method is matched by its name alone.
+``tests/oracles``. A private one (``_name``) is a leftover that nothing
+runs, and so is a private constant that nothing reads. A reference is a
+``Name`` or an ``Attribute`` anywhere in the package outside the def or
+the assignment itself, or an import from another module; a docstring's
+mention is not one. A method is matched by its name alone.
 """
 
 import ast
@@ -29,6 +32,21 @@ def public_defs(tree: ast.Module):
             if isinstance(node, ast.ClassDef):
                 yield from ((f"{node.name}.{item.name}", item) for item in node.body
                             if isinstance(item, FUNCTIONS) and not item.name.startswith("_"))
+
+
+def private_defs(tree: ast.Module):
+    """(name, node) of each private module-level def, class and constant;
+    a constant's node is the statement that assigns it."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_")
+                    and not name.startswith("__"))
 
 
 def referenced_names(nodes, skip=None) -> set[str]:
@@ -58,13 +76,29 @@ def unreached_entry_points() -> set[str]:
             # Within its own module a def counts only from outside its body.
             if node.name not in elsewhere | referenced_names([tree], skip=node):
                 unreached.add(f"{module}.{qualified}")
+        for name, node in private_defs(tree):
+            if name not in elsewhere | referenced_names([tree], skip=node):
+                unreached.add(f"{module}.{name}")
     return unreached
 
 
 def test_every_public_def_is_reached_by_the_package():
     unreached = unreached_entry_points() - ALLOWED
-    assert not unreached, (f"public defs that no code in src/calib_il reaches: "
-                           f"{sorted(unreached)}; move test-only oracles to tests/oracles.py")
+    assert not unreached, (f"defs that no code in src/calib_il reaches: {sorted(unreached)}; "
+                           f"move test-only oracles to tests/oracles.py and delete leftovers")
+
+
+def test_an_unread_private_def_or_constant_is_caught():
+    """The walk flags a private def and a private constant that nothing
+    reads, but neither a private def that a public one calls nor a
+    constant that a def reads."""
+    tree = ast.parse("_LIMIT = 3\n_UNUSED: int = 4\n"
+                     "def _helper():\n    return _LIMIT\n"
+                     "def _leftover():\n    return 1\n"
+                     "def entry():\n    return _helper()\n")
+    unreached = {name for name, node in private_defs(tree)
+                 if name not in referenced_names([tree], skip=node)}
+    assert unreached == {"_UNUSED", "_leftover"}
 
 
 def test_allowlist_is_not_stale():

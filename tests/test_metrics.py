@@ -1,4 +1,5 @@
-"""Accuracy bookkeeping, checked against loop-and-count oracles."""
+"""Accuracy bookkeeping, ``transfer.score_state``'s counts and
+``RunMetrics``, checked against loop-and-count oracles."""
 
 import math
 
@@ -6,18 +7,34 @@ import numpy as np
 import pytest
 
 from calib_il.logits import StateLogits
-from calib_il.metrics import RunMetrics, avg_incremental_accuracy, per_state_accuracy, predict
 from calib_il.schedule import StateSchedule
-from oracles import mean_scores_by_group, run_metrics
+from calib_il.transfer import RunMetrics, score_state
+from oracles import mean_scores_by_group, per_state_accuracy, predict, run_metrics
+
+
+def score_predictions(preds, labels, sched, state):
+    """``score_state``'s raw row for scores whose top-1 classes are
+    ``preds``: 1 at each row's predicted class and 0 elsewhere."""
+    scores = np.zeros((len(labels), sched.classes_through(state)))
+    scores[np.arange(len(labels)), preds] = 1.0
+    return score_state(StateLogits(state, scores, labels, sched), [None])
 
 
 class TestPredict:
+    """Top-1 picks, seen through ``score_state``'s accuracy."""
+
     def test_argmax_rows(self):
+        sched = StateSchedule((1, 2))
         scores = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(predict(scores), [1, 0])
+        for labels, accuracy in (([1, 0], 1.0), ([1, 1], 0.5), ([2, 2], 0.0)):
+            logits = StateLogits(2, scores, np.array(labels), sched)
+            assert score_state(logits, [None])[0] == accuracy
 
     def test_ties_take_lowest_index(self):
-        np.testing.assert_array_equal(predict(np.array([[1.0, 1.0, 1.0]])), [0])
+        sched = StateSchedule((1, 2))
+        for label, accuracy in ((0, 1.0), (1, 0.0), (2, 0.0)):
+            logits = StateLogits(2, np.array([[1.0, 1.0, 1.0]]), np.array([label]), sched)
+            assert score_state(logits, [None])[0] == accuracy
 
 
 class TestPerStateAccuracy:
@@ -26,7 +43,7 @@ class TestPerStateAccuracy:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 6, 50)
         preds = rng.integers(0, 6, 50)
-        overall, by_group = per_state_accuracy(preds, labels, sched, 3)
+        overall, by_group = score_predictions(preds, labels, sched, 3)
 
         hits = total = 0
         group_hits = {1: 0, 2: 0, 3: 0}
@@ -46,17 +63,19 @@ class TestPerStateAccuracy:
     def test_empty_group_reports_nan(self):
         sched = StateSchedule((1, 1))
         labels = np.zeros(5, dtype=int)  # only group 1 present
-        overall, by_group = per_state_accuracy(labels, labels, sched, 2)
+        overall, by_group = score_predictions(labels, labels, sched, 2)
         assert overall == 1.0
         assert by_group[0] == 1.0
         assert math.isnan(by_group[1])
 
     def test_misaligned_rejected(self):
+        """Scores and labels that do not align never reach the scorer, and
+        an empty evaluation set is refused by it."""
         sched = StateSchedule((1, 1))
-        with pytest.raises(ValueError):
-            per_state_accuracy(np.zeros(3, dtype=int), np.zeros(4, dtype=int), sched, 2)
-        with pytest.raises(ValueError):
-            per_state_accuracy(np.zeros(0, dtype=int), np.zeros(0, dtype=int), sched, 2)
+        with pytest.raises(ValueError, match="align"):
+            StateLogits(2, np.zeros((3, 2)), np.zeros(4, dtype=int), sched)
+        with pytest.raises(ValueError, match="empty evaluation set"):
+            score_predictions(np.zeros(0, dtype=int), np.zeros(0, dtype=int), sched, 2)
 
     def test_overall_is_sample_weighted_group_mean(self):
         """Overall accuracy must equal the group accuracies weighted by the
@@ -65,8 +84,8 @@ class TestPerStateAccuracy:
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 4, 37)
         preds = rng.integers(0, 4, 37)
-        overall, by_group = per_state_accuracy(preds, labels, sched, 2)
-        counts = {k: int(np.sum(sched.column_groups(2)[labels] == k)) for k in (1, 2)}
+        overall, by_group = score_predictions(preds, labels, sched, 2)
+        counts = {k: sum(sched.class_to_state[y] == k for y in labels) for k in (1, 2)}
         weighted = sum(by_group[k - 1] * counts[k] for k in (1, 2)) / len(labels)
         np.testing.assert_allclose(overall, weighted, rtol=1e-14)
 
@@ -84,9 +103,9 @@ class TestPerStateAccuracy:
             if trial % 5 == 0 and state > 1:  # empty out the newest group
                 labels = labels % sched.classes_through(state - 1)
             preds = np.where(rng.random(n) < rng.random(), labels, rng.integers(0, cols, n))
-            overall, by_group = per_state_accuracy(preds, labels, sched, state)
+            overall, by_group = score_predictions(preds, labels, sched, state)
             hits = preds == labels
-            label_groups = sched.column_groups(state)[labels]
+            label_groups = np.array([sched.class_to_state[y] for y in labels])
             assert overall == float(np.mean(hits))
             for k in range(1, state + 1):
                 mask = label_groups == k
@@ -100,12 +119,10 @@ class TestPerStateAccuracy:
 
 class TestAverages:
     def test_drops_first_state(self):
+        rows = [(0.9, [0.9]), (0.5, [0.4, 0.6]), (0.7, [0.7, 0.6, 0.8])]
         np.testing.assert_allclose(
-            avg_incremental_accuracy([0.9, 0.5, 0.7]), (0.5 + 0.7) / 2, rtol=1e-15)
-
-    def test_single_state_rejected(self):
-        with pytest.raises(ValueError):
-            avg_incremental_accuracy([0.9])
+            RunMetrics.from_rows(rows).average_incremental_accuracy, (0.5 + 0.7) / 2,
+            rtol=1e-15)
 
 
 class TestScoreStats:

@@ -5,15 +5,18 @@ spec; the CLI tests run real subprocesses to pin exit codes and the
 byte-identical-rerun guarantee end to end.
 """
 
+import ast
 import dataclasses
 import json
 import math
 import os
+import re
 import resource
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_il import cli, flows
+from calib_il.calibration import CalibrationTable
 from calib_il.config import KINDS, BackboneConfig, CalibConfig
 from calib_il.errors import MetadataError, SchemaError, SpecError
-from calib_il.flows import (all_target_rows, build_all_references, cmd_gen, cmd_run_reference,
-                            cmd_run_target, cmd_sweep, make_dataset)
-from calib_il.metrics import RunMetrics
+from calib_il.flows import cmd_gen, cmd_run_reference, cmd_run_target, cmd_sweep, make_dataset
 from calib_il.pipeline import (kv, load_run_spec, parse_run_spec, reference_seeds,
                                spec_fingerprint, target_seeds)
 from calib_il.plots import Series, cmd_plot, render_heat_grid, render_line_chart
 from calib_il.storage import read_logits, read_table, write_table
-from calib_il.transfer import average_tables, score_state
+from calib_il.transfer import RunMetrics, average_tables, score_state
 from oracles import identity_table
 
 TINY = {
@@ -98,6 +100,13 @@ def tiny_spec(**overrides):
     raw = json.loads(json.dumps(TINY))
     raw.update(overrides)
     return parse_run_spec(raw)
+
+
+def fit_references(spec, indices, out):
+    """The references ``indices`` trained as one stack, their validation
+    logits written under ``out``; each one's per-state fits (None at
+    state 1)."""
+    return flows._stack(spec, indices, "reference", partial(flows._fit, spec.calibration), out)
 
 
 class TestParseRunSpec:
@@ -267,6 +276,18 @@ class TestSeedsAndSplits:
         line = kv(event="fit", state=2, final_loss=0.5)
         assert line == "event=fit state=2 final_loss=0.5"
 
+    def test_kv_quotes_text_that_could_pass_for_two_fields(self):
+        """Text with whitespace, '=' or a quote becomes a string literal;
+        any other text, a path included, stays bare."""
+        texts = ["o sp/data/ref_0.csv", "a\tb", "k=v", "it's", 'say "x"', "both ' and \""]
+        for text in texts:
+            for value in (text, Path(text)):
+                rendered = kv(value=value).removeprefix("value=")
+                assert rendered == repr(str(value))
+                assert ast.literal_eval(rendered) == str(value)
+        assert kv(path=Path("out/data/ref_0.csv"), message="missing") == \
+            "path=out/data/ref_0.csv message=missing"
+
 
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -294,23 +315,29 @@ class TestEvaluateTarget:
         halved targets alike."""
         spec = tiny_spec()
         outs = {jobs: tmp_path / f"jobs_{jobs}" for jobs in (1, 2)}
-        serial, pooled = (build_all_references(spec, out, jobs=jobs) for jobs, out in outs.items())
+        serial, pooled = (flows._stacks(spec, "reference", partial(flows._fit, spec.calibration),
+                                        out, jobs)
+                          for jobs, out in outs.items())
         assert len(serial) == len(pooled) == 2
-        for (a_table, a_fits), (b_table, b_fits) in zip(serial, pooled, strict=True):
-            assert a_table == b_table
+        for a_fits, b_fits in zip(serial, pooled, strict=True):
+            assert a_fits[0] is b_fits[0] is None
+            assert (CalibrationTable.from_fits(a_fits[1:])
+                    == CalibrationTable.from_fits(b_fits[1:]))
             assert ([(f.alpha.tobytes(), f.beta.tobytes(), f.initial_loss, f.final_loss)
-                     for f in a_fits]
+                     for f in a_fits[1:]]
                     == [(f.alpha.tobytes(), f.beta.tobytes(), f.initial_loss, f.final_loss)
-                        for f in b_fits])
-        tables = [table for table, _ in serial]
+                        for f in b_fits[1:]])
+        tables = [CalibrationTable.from_fits(fits[1:]) for fits in serial]
         methods = {"raw": [None], "adbic": [average_tables(tables)], "oracle": tables}
         for halve in (False, True):
-            serial, pooled = (all_target_rows(spec, methods, None if halve else out, jobs, halve)
+            serial, pooled = (flows._stacks(spec, "target", partial(flows._score, methods),
+                                            None if halve else out, jobs, halve)
                               for jobs, out in outs.items())
             assert len(serial) == len(pooled) == 2
             for a, b in zip(serial, pooled, strict=True):
                 for method in methods:
-                    got, want = (RunMetrics.from_rows(rows[method]) for rows in (a, b))
+                    got, want = (RunMetrics.from_rows([row[method] for row in rows])
+                                 for rows in (a, b))
                     assert got.per_state_accuracy.tobytes() == want.per_state_accuracy.tobytes()
                     assert got.group_accuracy.tobytes() == want.group_accuracy.tobytes()
         assert len(tree_bytes(outs[1])) == 2 * 2 * 2 * 2  # refs+targets x states x sidecar
@@ -376,12 +403,12 @@ class TestStreamedLogits:
             "schedule": {"num_states": 4},
             "backbone": {"hidden_dim": 8, "epochs_initial": 1, "epochs_incremental": 1}})
         matrix = 8 * (200 * 10) * 200  # bytes of one last-state validation matrix
-        flows.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
+        fit_references(tiny_spec(), range(2), tmp_path / "warm")
         peaks = []
         for count in (1, 2):
             tracemalloc.start()
             try:
-                flows.reference_runs(spec, range(count), tmp_path / f"run_{count}")
+                fit_references(spec, range(count), tmp_path / f"run_{count}")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -403,10 +430,10 @@ class TestStreamedDraws:
             "backbone": {"hidden_dim": 4, "epochs_initial": 1, "epochs_incremental": 1,
                          "batch_size": 64}})
         training = 2 * 20 * 400 * 16 * 8  # bytes of both references' training features
-        flows.reference_runs(tiny_spec(), range(2), tmp_path / "warm")
+        fit_references(tiny_spec(), range(2), tmp_path / "warm")
         tracemalloc.start()
         try:
-            flows.reference_runs(spec, range(2), tmp_path / "run")
+            fit_references(spec, range(2), tmp_path / "run")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -756,7 +783,29 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
 
+def logged_paths(stdout: str) -> list[str]:
+    """Each ``path=`` value of a run's log, read back from its string
+    literal, or taken as it stands when it is bare."""
+    pattern = r"(?:^| )path=('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"|\S+)"
+    return [ast.literal_eval(value) if value[0] in "'\"" else value
+            for value in re.findall(pattern, stdout, re.MULTILINE)]
+
+
 class TestCLI:
+    def test_paths_with_a_space_are_logged_as_literals(self, spec_file, tmp_path):
+        """Every path a run logs under an --out with a space reads back, by
+        ast.literal_eval, as the file the run wrote."""
+        out = tmp_path / "o sp"
+        logged = []
+        for command in ("gen", "run-reference", "run-target", "plot"):
+            res = run_cli(command, "--spec", str(spec_file), "--out", str(out))
+            assert res.returncode == 0, res.stdout + res.stderr
+            logged += logged_paths(res.stdout)
+            assert res.stdout.count("path=") == len(logged_paths(res.stdout))
+        assert len(logged) == 2 + 2 + 2 + 3 * 2  # datasets, tables, plots
+        for path in logged:
+            assert path.startswith(str(out) + os.sep) and Path(path).is_file(), path
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         res = run_cli("gen", "--spec", str(tmp_path / "no.json"),
                       "--out", str(tmp_path))

@@ -18,7 +18,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # schedule and only synth.StackedSets cuts it into states; and the
 # whole-run helpers gone since each trained state is streamed to its writer,
 # fit and scorer: pipeline.all_target_logits and pipeline.evaluate_target
-# (now pipeline.all_target_rows, which scores each state as it is trained),
+# (now flows._stacks, which scores each state as it is trained),
 # pipeline.apply_transfer and pipeline.oracle_select (now one per-state
 # transfer.score_state), and transfer.compute_run_metrics (the rows build
 # a RunMetrics with RunMetrics.from_rows); and pipeline.gen_synthetic_dataset
@@ -28,7 +28,11 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # cli and pipeline when the CLI's start-up stopped loading numpy: cli
 # imports each cmd_* only when it runs it (cmd_plot from plots, the rest
 # from flows), pipeline keeps only the run-spec, and the flows that read,
-# write, train, average and render now live in flows and plots.
+# write, train, average and render now live in flows and plots. Then the
+# names transfer imported from calibration and metrics, gone since
+# transfer.score_state applies each candidate table and counts its hits
+# itself: transfer.apply_table, transfer.per_state_accuracy and
+# transfer.predict.
 STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax",
          "pipeline._atomic_write", "pipeline.split_states",
          "pipeline.all_target_logits", "pipeline.evaluate_target", "pipeline.apply_transfer",
@@ -39,7 +43,8 @@ STALE = {"pipeline.run_incremental", "pipeline.fit_table", "transfer.softmax",
          "pipeline.write_dataset", "pipeline.write_logits", "pipeline.write_table",
          "pipeline.write_metrics", "pipeline.read_table", "pipeline.read_logits",
          "pipeline.read_metrics_rows", "pipeline.render_line_chart",
-         "pipeline.render_heat_grid", "pipeline.write_svg"}
+         "pipeline.render_heat_grid", "pipeline.write_svg", "transfer.apply_table",
+         "transfer.per_state_accuracy", "transfer.predict"}
 
 
 def load_tracer():

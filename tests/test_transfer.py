@@ -1,14 +1,13 @@
-"""Table averaging, transfer application, and the per-state oracle."""
+"""Table averaging, the one-pass scorer, and the per-state oracle."""
 
 import numpy as np
 import pytest
 
-from calib_il.calibration import CalibrationTable, apply_table
+from calib_il.calibration import CalibrationTable
 from calib_il.logits import StateLogits
-from calib_il.metrics import RunMetrics
 from calib_il.schedule import StateSchedule
-from calib_il.transfer import average_tables, score_state
-from oracles import identity_table, run_metrics
+from calib_il.transfer import RunMetrics, average_tables, score_state
+from oracles import apply_table, identity_table, per_state_accuracy, predict, run_metrics
 
 
 def random_table(seed, num_states):
@@ -195,3 +194,26 @@ class TestOracle:
         for logits in run:
             with pytest.raises(ValueError, match="at least one table"):
                 score_state(logits, [])
+
+    def test_tied_candidates_give_the_first_ones_groups(self):
+        """Two tables tie on overall accuracy but split it differently over
+        the groups: the row is the first table's overall accuracy and the
+        first table's group breakdown, computed by the oracles."""
+        found = 0
+        for seed in range(200):
+            run = make_run(seed, (2, 2, 2), n=8)
+            tables = [random_table(1000 + 2 * seed + i, 3) for i in range(2)]
+            for logits in run[1:]:
+                first, second = (per_state_accuracy(predict(apply_table(logits, t)),
+                                                    logits.labels, logits.schedule,
+                                                    logits.state) for t in tables)
+                if first[0] != second[0] or np.array_equal(first[1], second[1],
+                                                           equal_nan=True):
+                    continue
+                found += 1
+                for order, expected in ((tables, first), (tables[::-1], second)):
+                    overall, groups = score_state(logits, order)
+                    assert overall == expected[0]
+                    np.testing.assert_array_equal(groups, expected[1])
+        assert found >= 5, f"only {found} tied states with different breakdowns"
+
