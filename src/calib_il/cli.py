@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Everything an experiment needs lives in one JSON run-spec file; flags only
-carry paths, parallelism and verbosity. Exit codes: 0 success, 2 run-spec
-problems, 3 data-file problems, 4 numeric failures.
+Everything an experiment needs lives in one JSON run-spec file, which
+every subcommand requires; flags only carry paths and parallelism. Exit
+codes: 0 success, 2 run-spec or argument problems, 3 data-file problems,
+4 numeric failures.
 
 Start-up loads only the argument parser and the numpy-free run-spec
 reader; ``main`` imports the one subcommand it runs once the spec is
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from .errors import DataFileError, NumericError, SpecError
@@ -27,8 +27,18 @@ EXIT_NUMERIC = 4
 log = logging.getLogger("calib_il")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are spec errors: a bad or missing
+    argument exits 2 with an ``event=error`` line like any bad input.
+    ``--help`` still prints its usage and exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SpecError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="calib-il",
         description=(
             "Memoryless class-incremental learning workbench with "
@@ -44,33 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spec", required=(name != "plot"),
-                       help="JSON run-spec file")
+        p.add_argument("--spec", required=True, help="JSON run-spec file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes (default 1)")
     return parser
 
 
-def _seed_override() -> int | None:
-    raw = os.environ.get("CALIB_IL_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecError(f"CALIB_IL_SEED must be an integer, got {raw!r}") from None
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
     try:
+        args = build_parser().parse_args(argv)
         if args.jobs < 1:
             raise SpecError("--jobs must be >= 1")
-        spec = None
-        if args.spec is not None:
-            spec = load_run_spec(args.spec, seed_override=_seed_override())
+        spec = load_run_spec(args.spec)
         if args.command == "gen":
             from .flows import cmd_gen
             cmd_gen(spec, args.out)

@@ -2,10 +2,11 @@
 
 One JSON run-spec file describes an experiment: synthetic data family,
 incremental schedule, backbone, calibration settings and sweep grid.
-``load_run_spec`` reads and validates it into a ``RunSpec``; the flows in
-``flows`` and ``plots.cmd_plot`` regenerate everything they need from it,
-so each subcommand is deterministic in isolation and reruns are
-byte-identical.
+``load_run_spec`` reads and validates it into a ``RunSpec``, the one
+source of a run's shape: the flows in ``flows`` and ``plots.cmd_plot``
+regenerate everything they need from it, and every file they read back
+is checked against it. So each subcommand is deterministic in isolation
+and reruns are byte-identical.
 
 Reference datasets keep a validation memory and produce one fitted
 calibration table each; targets are memoryless and receive the averaged
@@ -95,20 +96,20 @@ def _build(cls, where: str, values: dict):
         raise SpecError(f"invalid {where} section: {exc}") from exc
 
 
-def load_run_spec(path, seed_override: int | None = None) -> RunSpec:
+def load_run_spec(path) -> RunSpec:
     """Parse and validate a JSON run-spec file."""
     path = Path(path)
     if not path.exists():
         raise SpecError(f"run-spec file {path} does not exist")
     raw = load_json(path, "run-spec", lambda message: SpecError(f"{path}: {message}"))
-    return parse_run_spec(raw, seed_override=seed_override)
+    return parse_run_spec(raw)
 
 
-def parse_run_spec(raw: dict, seed_override: int | None = None) -> RunSpec:
+def parse_run_spec(raw: dict) -> RunSpec:
     top = read_fields(raw, "run-spec", _TOP_TYPES)
     if "seed" not in top:
         raise SpecError("run-spec must state a seed")
-    seed = top["seed"] if seed_override is None else seed_override
+    seed = top["seed"]
     if seed < 0:
         raise SpecError("seed must be >= 0")
 

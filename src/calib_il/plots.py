@@ -11,7 +11,6 @@ needs no numpy, so ``plot`` loads none.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -168,20 +167,20 @@ def render_heat_grid(title: str, matrix) -> str:
 
 
 def cmd_plot(spec: RunSpec, out: Path):
-    """Render accuracy line charts and group-accuracy heat grids from the
-    CSVs produced by run-target. Each state must be an integer in 1..S,
-    with S from the spec's schedule or, without a spec, from the
-    target's metrics files."""
+    """Render accuracy line charts and group-accuracy heat grids of the
+    spec's targets ``target_0..T-1`` over its states ``1..S``, from the
+    CSVs that run-target wrote for the spec. Every input is read, and must
+    hold exactly the rows written for that shape, before any chart is."""
     out = Path(out)
-    grid = functools.cache(lambda target, method: read_metrics_rows(
-        out / "metrics" / f"{target}_{method}.csv")[0])
-    points = read_per_state(out / "per_state.csv", METHODS, lambda target: (
-        len(grid(target, "raw")) if spec is None else spec.schedule.num_states))
-    targets = sorted({target for target, _ in points})
-    grids = {(target, method): grid(target, method)  # every input before any chart
+    num_states = spec.schedule.num_states
+    states = tuple(range(1, num_states + 1))
+    targets = [f"target_{j}" for j in range(spec.num_targets)]
+    points = read_per_state(out / "per_state.csv", targets, METHODS, num_states)
+    grids = {(target, method): read_metrics_rows(out / "metrics" / f"{target}_{method}.csv",
+                                                 num_states)
              for target in targets for method in ("raw", "adbic")}
     for target in targets:
-        series = [Series(method, *zip(*points[target, method]), dashed=(method == "raw"))
+        series = [Series(method, states, tuple(points[target, method]), dashed=(method == "raw"))
                   for method in METHODS]
         charts = {f"accuracy_{target}": render_line_chart(f"{target}: accuracy per state", series)}
         for method in ("raw", "adbic"):

@@ -11,6 +11,10 @@ half-written artifact. UTF-8, LF line endings, '.' decimal point — no
 locale dependence. Table JSONs and logits sidecars may carry a
 ``fingerprint``: a digest of the spec sections that produced the artifact
 (see ``pipeline.spec_fingerprint``), which decides whether it may be reused.
+Each reader checks its file against what the caller's spec makes: a
+logits sidecar against the dataset, seed, state and schedule, a table
+against the state count, and a metrics or ``per_state.csv`` file against
+the rows that run-target writes, one by one.
 A dataset is written block by block from its per-state draw. It is output
 only: every command draws its datasets again from the spec, so no reader
 of the dataset format exists.
@@ -26,13 +30,12 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain, groupby, product
+from itertools import chain, product, zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import SCHEMA_VERSION, _coerce, load_json, read_fields
 from .errors import DataFileError, MetadataError, SchemaError
-from .schedule import StateSchedule
 
 if TYPE_CHECKING:  # annotations only; each reader imports the type it builds
     from .calibration import CalibrationTable
@@ -94,24 +97,6 @@ def stale_reason(paths, fingerprint: str) -> str | None:
     return None if all(fp == fingerprint for fp in stored) else "fingerprint"
 
 
-def _schedule_from_meta(meta: dict, path: Path) -> StateSchedule:
-    """The schedule of a sidecar's ``class_to_state`` list: one state per
-    run of equal entries. A list that this schedule does not give back
-    exactly (empty, states out of order, not consecutive from 1), or a
-    ``num_states`` that disagrees, is a MetadataError."""
-    states = meta["class_to_state"]
-    # An empty list gets one class, which does not give it back.
-    schedule = StateSchedule(tuple(sum(1 for _ in run) for _, run in groupby(states))
-                             or (1,))
-    if schedule.class_to_state != states:
-        raise MetadataError(path, "class_to_state: states must be consecutive from 1, "
-                                  "with the class ids ordered by state")
-    if schedule.num_states != meta["num_states"]:
-        raise MetadataError(path, f"num_states {meta['num_states']} disagrees with the "
-                                  f"class_to_state map ({schedule.num_states} states)")
-    return schedule
-
-
 # ---------------------------------------------------------------------------
 # CSV rows
 
@@ -135,28 +120,6 @@ def _integer(low: int, high: int):
             raise ValueError(f"{text!r} outside the schedule's {low}..{high}")
         return int(value)
     return parse
-
-
-def _one_of(options, kind: str):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"unknown {kind} {text!r}")
-        return text
-    return parse
-
-
-def _target(text: str) -> str:
-    # Only a name that run-target writes: plot builds paths from it.
-    index = text.removeprefix("target_")
-    if not (index.isascii() and index.isdigit() and text == f"target_{int(index)}"):
-        raise ValueError(f"unknown target {text!r}, not target_<j>")
-    return text
-
-
-def _numeral(text: str) -> str:
-    # A finite number, kept as written so that a message can quote it.
-    _number(text)
-    return text
 
 
 @contextmanager
@@ -271,26 +234,26 @@ def write_logits(path, logits: StateLogits, fingerprint: str | None = None):
                 dataset=logits.dataset, backbone=logits.backbone, seed=logits.seed)
 
 
-def read_logits(path, expect: tuple | None = None) -> StateLogits:
-    """The logits at ``path``. ``expect``, when given, is the ``(dataset,
-    seed, state, schedule, rows)`` the caller's spec makes; a sidecar that
-    describes anything else is a MetadataError naming it, and a file with
-    another number of data rows a SchemaError."""
+def read_logits(path, expect: tuple) -> StateLogits:
+    """The logits at ``path``, which must be the ``(dataset, seed, state,
+    schedule, rows)`` of ``expect``, as the caller's spec makes them. A
+    sidecar field that differs from the spec's is a MetadataError naming
+    the first such field, and a file with another number of data rows a
+    SchemaError."""
     # Imported here, as numpy is: plot and the CLI's start-up read no logits.
     from .logits import StateLogits
 
     path = Path(path)
+    dataset, seed, state, schedule, num_rows = expect
     meta_path = _meta_path(path)
     meta = _read_meta(meta_path, "logits", _LOGITS_META)
-    schedule = _schedule_from_meta(meta, meta_path)
-    state = meta["state"]
-    if expect is not None and (meta["dataset"], meta["seed"], state, schedule) != expect[:4]:
-        raise MetadataError(meta_path, (
-            f"sidecar describes dataset {meta['dataset']!r} seed {meta['seed']} state "
-            f"{state}, but the spec makes {expect[0]!r} seed {expect[1]} state "
-            f"{expect[2]} on its own schedule"))
-    if not 1 <= state <= schedule.num_states:
-        raise MetadataError(meta_path, f"state {state} outside 1..{schedule.num_states}")
+    for key, value in {"dataset": dataset, "seed": seed, "state": state,
+                       "num_states": schedule.num_states,
+                       "class_to_state": schedule.class_to_state}.items():
+        if meta[key] != value:
+            raise MetadataError(meta_path, f"sidecar {key} " + (
+                "differs from the spec's" if key == "class_to_state"
+                else f"{meta[key]!r} is not the spec's {value!r}"))
     cols = schedule.classes_through(state)
     names = ["id", "label"] + [f"c{j}" for j in range(cols)]
     with _opened(path, "logits") as fh:  # '\r\n' and '\r' read as '\n'
@@ -307,12 +270,11 @@ def read_logits(path, expect: tuple | None = None) -> StateLogits:
         if not rows:
             raise SchemaError(path, "no data rows")
         parsed = [row[1] for row in rows], [row[2:] for row in rows]
-    if expect is not None and len(parsed[0]) != expect[4]:
-        raise SchemaError(path, f"{len(parsed[0])} data rows, but the spec makes {expect[4]}")
+    if len(parsed[0]) != num_rows:
+        raise SchemaError(path, f"{len(parsed[0])} data rows, but the spec makes {num_rows}")
     try:
-        return StateLogits(state=state, matrix=parsed[1], labels=parsed[0],
-                           schedule=schedule, dataset=meta["dataset"],
-                           backbone=meta["backbone"], seed=meta["seed"])
+        return StateLogits(state=state, matrix=parsed[1], labels=parsed[0], schedule=schedule,
+                           dataset=dataset, backbone=meta["backbone"], seed=seed)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -363,16 +325,16 @@ def write_table(path, table: CalibrationTable, fingerprint: str | None = None):
     _write_meta(Path(path), fingerprint, num_states=table.num_states, entries=entries)
 
 
-def read_table(path, num_states: int | None = None) -> CalibrationTable:
-    """The table at ``path``; ``num_states``, when given, is the state count
-    of the caller's spec, and a table of another is a MetadataError."""
+def read_table(path, num_states: int) -> CalibrationTable:
+    """The table at ``path``; ``num_states`` is the state count of the
+    caller's spec, and a table of another is a MetadataError."""
     # Imported here: it loads numpy, which plot and the CLI's start-up never need.
     from .calibration import CalibrationTable
 
     path = Path(path)
     meta = _read_meta(path, "calibration table", _TABLE)
     error = partial(MetadataError, path)
-    if num_states is not None and meta["num_states"] != num_states:
+    if meta["num_states"] != num_states:
         raise error(f"table covers {meta['num_states']} states but the spec's schedule "
                     f"has {num_states}")
     entries = [read_fields(entry, f"table entry {n}", _TABLE_ENTRY, error, required=_TABLE_ENTRY)
@@ -431,61 +393,42 @@ def write_metrics(path, metrics: RunMetrics):
         [(0, 0, metrics.average_incremental_accuracy)]))
 
 
-# An empty group's accuracy is nan.
-_METRICS_COLUMNS = {"state": ("state", _numeral), "group": ("group", _numeral),
-                    "accuracy": ("", lambda text: math.nan if text == "nan" else _number(text))}
+def _keyed_values(path: Path, what: str, header: list[str], keys, parse) -> list:
+    """The last cell of each data row of CSV ``path``, read by ``parse``.
+    The other cells of the rows must hold exactly ``keys``, in order, as
+    run-target writes them; any other row is a SchemaError naming the row,
+    the key expected and what the row held, or "end of file"."""
+    rows = _read_csv(path, what, dict.fromkeys(header, ("", str)))
+    values = []
+    for i, (key, row) in enumerate(zip_longest(keys, rows), start=2):
+        key = ",".join(map(str, key)) if key else "end of file"
+        held = ",".join(row[:-1]) if row else "end of file"
+        if held != key:
+            raise SchemaError(path, f"row {i}: expected {key}, got {held}")
+        values.append(_parse_cell(path, i, header[-1], parse, row[-1]))
+    return values
 
 
-def read_metrics_rows(path) -> tuple[list[list[float]], float]:
-    """The (S, S) group-accuracy matrix, as S lists of S floats with nan
-    above the diagonal, and the average that ``write_metrics`` wrote: rows
-    (s, k) for 1 <= k <= s <= S in order, then one `0,0` summary row. An
-    empty group's `nan` reads back as nan."""
-    path = Path(path)
-    rows = _read_csv(path, "metrics", _METRICS_COLUMNS)
-    cells, s, k = [], 1, 1  # (s, k) is the cell the next row must hold
-    for i, (state, group, value) in enumerate(rows, start=2):
-        where = (float(state), float(group))
-        if where == (s, k):
-            cells.append(value)
-            s, k = (s, k + 1) if k < s else (s + 1, 1)
-        elif where == (0, 0) and k == 1 and s > 1:
-            if i <= len(rows):
-                raise SchemaError(path, f"row {i + 1}: a row after the 0,0 summary row")
-            n, cells = s - 1, iter(cells)
-            return [[next(cells) if col <= row else math.nan for col in range(n)]
-                    for row in range(n)], value
-        else:
-            raise SchemaError(path, f"row {i}: expected {_expected(s, k)}, got {state},{group}")
-    raise SchemaError(path, f"row {len(rows) + 2}: expected {_expected(s, k)}, got end of file")
+def read_metrics_rows(path, num_states: int) -> list[list[float]]:
+    """The (S, S) group-accuracy matrix of a metrics file of ``num_states``
+    states, as S lists of S floats with nan above the diagonal: rows (s, k)
+    for 1 <= k <= s <= S in order, then the `0,0` summary row, which is
+    read but not returned. An empty group's `nan` reads back as nan."""
+    states = range(1, num_states + 1)
+    values = iter(_keyed_values(
+        Path(path), "metrics", ["state", "group", "accuracy"],
+        [*((s, k) for s in states for k in range(1, s + 1)), (0, 0)],
+        lambda text: math.nan if text == "nan" else _number(text)))
+    return [[next(values) if k <= s else math.nan for k in states] for s in states]
 
 
-def _expected(s: int, k: int) -> str:
-    return f"state {s} group {k}" + (" or the 0,0 summary row" if k == 1 and s > 1 else "")
-
-
-def read_per_state(path, methods, num_states) -> dict[tuple[str, str], list[tuple[int, float]]]:
-    """The `(state, accuracy)` points of a ``per_state.csv`` by (target,
-    method), in state order. A target not named ``target_<j>``, a method
-    outside ``methods``, a state that is not an integer in
-    1..``num_states(target)``, or a second row for one (target, method,
-    state) is a SchemaError naming the row; a target without a row for
-    each method and each of those states is one naming the states a
-    method lacks."""
-    path = Path(path)
-    rows = _read_csv(path, "input", {
-        "target": ("", _target), "method": ("", _one_of(methods, "method")),
-        "state": ("", str), "accuracy": ("accuracy", _number)})
-    points: dict[tuple[str, str], dict[int, float]] = {}
-    for i, (target, method, state, accuracy) in enumerate(rows, start=2):
-        s = _parse_cell(path, i, "state", _integer(1, num_states(target)), state)
-        series = points.setdefault((target, method), {})
-        if s in series:
-            raise SchemaError(path, f"row {i}: a second row for {target} {method} state {s}")
-        series[s] = accuracy
-    for target, method in product(dict.fromkeys(target for target, _ in points), methods):
-        missing = sorted(set(range(1, num_states(target) + 1))
-                         - points.get((target, method), {}).keys())
-        if missing:
-            raise SchemaError(path, f"{target} {method} has no rows for states {missing}")
-    return {key: sorted(series.items()) for key, series in points.items()}
+def read_per_state(path, targets, methods, num_states: int) -> dict[tuple[str, str], list[float]]:
+    """The accuracy at states 1..``num_states`` of each (target, method) of
+    ``targets`` and ``methods``, from the rows of a ``per_state.csv``:
+    ``target,method,state`` for each target, method and state, in that
+    order, as run-target writes them."""
+    series = list(product(targets, methods))
+    values = _keyed_values(Path(path), "input", ["target", "method", "state", "accuracy"],
+                           [(*key, s) for key in series for s in range(1, num_states + 1)],
+                           _number)
+    return {key: values[n * num_states:(n + 1) * num_states] for n, key in enumerate(series)}

@@ -24,7 +24,7 @@ from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
 from calib_il.flows import (_sampling_indices, cmd_gen, cmd_run_reference, cmd_run_target,
                             cmd_sweep)
-from calib_il.pipeline import parse_run_spec
+from calib_il.pipeline import parse_run_spec, target_seeds
 from calib_il.plots import cmd_plot
 from calib_il.schedule import StateSchedule
 from calib_il.storage import (read_logits, read_metrics_rows, read_table,
@@ -37,6 +37,7 @@ from oracles import (apply_bic, apply_table, distillation_loss, feature_distilla
                      run_metrics)
 from test_backbones import one
 from test_calibration import correct, fit_gradient, fit_loss
+from test_storage import expect_of
 from test_synth import joined, subset
 
 HARNESS = {
@@ -100,9 +101,11 @@ def harness(tmp_path_factory):
                 for method in methods}
                for rows in flows._stacks(spec, "target", partial(flows._score, methods), out)]
     elapsed = time.perf_counter() - start
-    targets = [[read_logits(out / "logits" / f"target_{j}_state_{s}.csv")
+    targets = [[read_logits(out / "logits" / f"target_{j}_state_{s}.csv",
+                            (f"target_{j}", seed, s, spec.schedule,
+                             spec.synth.test_per_class * spec.schedule.classes_through(s)))
                 for s in range(1, spec.schedule.num_states + 1)]
-               for j in range(spec.num_targets)]
+               for j, seed in enumerate(target_seeds(spec))]
     return {"spec": spec, "tables": tables, "targets": targets,
             "results": results, "elapsed": elapsed}
 
@@ -361,7 +364,7 @@ def test_criterion_11_serialization(tmp_path):
                          np.array([0, 3]), sched, dataset="d", backbone="b",
                          seed=4)
     write_logits(tmp_path / "lg.csv", logits)
-    logits_ok = read_logits(tmp_path / "lg.csv").matrix.tobytes() \
+    logits_ok = read_logits(tmp_path / "lg.csv", expect_of(logits)).matrix.tobytes() \
         == logits.matrix.tobytes()
 
     rng = np.random.default_rng(0)
@@ -369,7 +372,7 @@ def test_criterion_11_serialization(tmp_path):
                                                      float(rng.normal(0, 0.3)))
                                             for s in (2, 3) for k in range(1, s + 1)}.items())
     write_table(tmp_path / "t.table.json", table)
-    table_ok = read_table(tmp_path / "t.table.json") == table
+    table_ok = read_table(tmp_path / "t.table.json", 3) == table
 
     spec = SynthSpec(num_classes=4, feature_dim=3, train_per_class=6, val_per_class=2,
                      test_per_class=2, seed=8)
@@ -384,22 +387,23 @@ def test_criterion_11_serialization(tmp_path):
     metrics = run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
                           run[0].schedule)
     write_metrics(tmp_path / "m.csv", metrics)
-    matrix, average = read_metrics_rows(tmp_path / "m.csv")
+    matrix = read_metrics_rows(tmp_path / "m.csv", 2)
+    summary = (tmp_path / "m.csv").read_text().splitlines()[-1]
     metrics_ok = (np.array_equal(matrix, metrics.group_accuracy, equal_nan=True)
-                  and average == metrics.average_incremental_accuracy)
+                  and summary == f"0,0,{metrics.average_incremental_accuracy!r}")
 
     lines = (tmp_path / "lg.csv").read_text().splitlines()
     lines[1] = lines[1].replace("0.1", "oops")
     (tmp_path / "lg.csv").write_text("\n".join(lines) + "\n")
     try:
-        read_logits(tmp_path / "lg.csv")
+        read_logits(tmp_path / "lg.csv", expect_of(logits))
         located_ok = False
     except SchemaError as exc:
         located_ok = "row 2" in str(exc) and exc.path.endswith("lg.csv")
     payload = (tmp_path / "t.table.json").read_text().replace('"k": 2', '"k": 9')
     (tmp_path / "t.table.json").write_text(payload)
     try:
-        read_table(tmp_path / "t.table.json")
+        read_table(tmp_path / "t.table.json", 3)
         located_ok = False
     except MetadataError as exc:
         located_ok &= exc.path.endswith("t.table.json")

@@ -3,12 +3,12 @@
 Every probe runs ``cli.main`` in-process on a copy of one finished tiny
 run: a mistyped table field, bytes that are not UTF-8, a directory or an
 oversized cell where a file is read, a plain file where an output
-directory goes, per_state.csv rows that name an unknown method, repeat a
-point or leave points out, and a logits file cut at a row boundary. A run
-that fails part-way (exit 4) leaves nothing that a later command reuses. A
-derandomized property then mutates one artifact at a time and requires
-each consuming command to refuse it (exit 3) or to behave as on the clean
-tree.
+directory goes, plot inputs whose rows are not exactly those that
+run-target writes for the spec, and a logits file cut at a row boundary.
+A run that fails part-way (exit 4) leaves nothing that a later command
+reuses. A derandomized property then mutates one artifact at a time and
+requires each consuming command to refuse it (exit 3) or to behave as on
+the clean tree.
 """
 
 import concurrent.futures
@@ -54,10 +54,9 @@ def clean(tmp_path_factory):
 
 
 @pytest.fixture
-def run(caplog, monkeypatch):
+def run(caplog):
     """``run(command, out)``: the exit code of ``calib-il command --spec
     SPEC --out out`` and its log lines."""
-    monkeypatch.delenv("CALIB_IL_SEED", raising=False)
     caplog.set_level("INFO", logger="calib_il")
 
     def run(command, spec_path, out):
@@ -118,7 +117,8 @@ class TestMistypedJSON:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_data_error(*result, "target_0_state_3.csv.meta.json", "consecutive")
+        assert_data_error(*result, "target_0_state_3.csv.meta.json",
+                          "sidecar class_to_state differs from the spec's")
         assert peak < 2**22
 
 
@@ -188,69 +188,112 @@ class TestBlockedOutputs:
         assert [p.name for p in (out / rel).parent.iterdir() if p.suffix == ".tmp"] == []
 
 
-class TestPerStateRows:
-    def edit_row(self, out, row, edit):
-        path = out / "per_state.csv"
-        lines = path.read_text().splitlines()
+def decoy_traversal(out: Path, lines: list[str]) -> list[str]:
+    """``lines`` with target_0 renamed to a name that climbs out of --out
+    to metrics files that exist there: enough ".." to reach the root from
+    any chart under out/plots."""
+    trav = out.parent / "trav"
+    trav.mkdir()
+    for method in ("raw", "adbic"):
+        shutil.copy(out / "metrics" / f"target_0_{method}.csv", trav / f"evil_{method}.csv")
+    evil = "/" + "../" * len((out / "plots" / "heat_").parts) + str(trav / "evil")[1:]
+    return [line.replace("target_0,", evil + ",") for line in lines]
+
+
+def set_cell(row: int, column: int, value: str):
+    def edit(out, lines):
         cells = lines[row].split(",")
-        edit(cells)
-        lines[row] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        cells[column] = value
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return edit
 
-    def test_unknown_method_exits_3(self, clean, out, run):
-        self.edit_row(out, 4, lambda cells: cells.__setitem__(1, "bic2"))
-        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          "row 5: unknown method 'bic2'")
 
-    def test_duplicate_point_exits_3(self, clean, out, run):
-        # Row 3 is target_0 raw state 2; make row 2 (state 1) repeat it.
-        self.edit_row(out, 1, lambda cells: cells.__setitem__(2, "2"))
-        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          "row 3: a second row for target_0 raw state 2")
+# Edits of a file's lines, the header at 0.
+def swap(out, lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
 
-    def test_duplicate_point_from_another_target_exits_3(self, clean, out, run):
-        self.edit_row(out, 1, lambda cells: cells.__setitem__(0, "target_1"))
-        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          "a second row for target_1 raw state 1")
 
-    def test_target_name_that_leaves_out_exits_3(self, clean, out, run):
-        """Plot builds its read and write paths from the target name, so a
-        name that climbs out of --out is refused before any file outside
-        it is read or written, though the metrics files it names exist."""
-        trav = out.parent / "trav"
-        trav.mkdir()
-        for method in ("raw", "adbic"):
-            shutil.copy(out / "metrics" / f"target_0_{method}.csv", trav / f"evil_{method}.csv")
-        # Enough ".." to reach the root from any chart under out/plots.
-        evil = "/" + "../" * len((out / "plots" / "heat_").parts) + str(trav / "evil")[1:]
-        path = out / "per_state.csv"
-        path.write_text(path.read_text().replace("target_0,", evil + ","))
+def drop(out, lines):
+    return lines[:2] + lines[3:]
+
+
+def duplicate(out, lines):
+    return lines[:3] + lines[2:]
+
+
+def repeat_last(out, lines):
+    return lines + lines[-1:]
+
+
+def header_only(out, lines):
+    return lines[:1]
+
+
+# (file, edit, message). The spec has 2 targets and 3 states: per_state.csv
+# holds target_0's raw, bic, adbic and oracle rows for states 1..3 (rows
+# 2-13), then target_1's; a metrics file holds rows 1,1 2,1 2,2 3,1 3,2 3,3,
+# then the 0,0 summary.
+PER_STATE, METRICS = "per_state.csv", "metrics/target_0_adbic.csv"
+PLOT_INPUT_EDITS = {
+    "per_state-swapped": (PER_STATE, swap, "row 2: expected target_0,raw,1, got target_0,raw,2"),
+    "per_state-dropped": (PER_STATE, drop, "row 3: expected target_0,raw,2, got target_0,raw,3"),
+    "per_state-duplicated": (PER_STATE, duplicate,
+                             "row 4: expected target_0,raw,3, got target_0,raw,2"),
+    "per_state-after-end": (PER_STATE, repeat_last,
+                            "row 26: expected end of file, got target_1,oracle,3"),
+    "per_state-header-only": (PER_STATE, header_only,
+                              "row 2: expected target_0,raw,1, got end of file"),
+    "per_state-state-1.0": (PER_STATE, set_cell(1, 2, "1.0"),
+                            "row 2: expected target_0,raw,1, got target_0,raw,1.0"),
+    "per_state-unknown-method": (PER_STATE, set_cell(4, 1, "bic2"),
+                                 "row 5: expected target_0,bic,1, got target_0,bic2,1"),
+    "per_state-target_01": (PER_STATE, set_cell(1, 0, "target_01"),
+                            "row 2: expected target_0,raw,1, got target_01,raw,1"),
+    "per_state-traversal": (PER_STATE, decoy_traversal, "row 2: expected target_0,raw,1, got /"),
+    "metrics-swapped": (METRICS, swap, "row 2: expected 1,1, got 2,1"),
+    "metrics-dropped": (METRICS, drop, "row 3: expected 2,1, got 2,2"),
+    "metrics-duplicated": (METRICS, duplicate, "row 4: expected 2,2, got 2,1"),
+    "metrics-after-summary": (METRICS, repeat_last, "row 9: expected end of file, got 0,0"),
+    "metrics-header-only": (METRICS, header_only, "row 2: expected 1,1, got end of file"),
+    "metrics-summary-only": (METRICS, lambda out, lines: lines[:1] + lines[-1:],
+                             "row 2: expected 1,1, got 0,0"),
+    "metrics-state-1.0": (METRICS, set_cell(1, 0, "1.0"), "row 2: expected 1,1, got 1.0,1"),
+    "metrics-missing": (METRICS, None, "missing metrics file"),
+}
+
+
+class TestPlotInputRows:
+    """plot reads exactly the rows that run-target writes for the spec, in
+    its order; the spec alone names the targets and the states."""
+
+    @pytest.mark.parametrize("case", PLOT_INPUT_EDITS)
+    def test_unwritten_row_exits_3(self, clean, out, run, case):
+        """Nothing outside --out is written either: a traversal name is
+        refused before plot reads the files it names."""
+        rel, edit, message = PLOT_INPUT_EDITS[case]
+        path = out / rel
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_text("\n".join(edit(out, path.read_text().splitlines())) + "\n")
         outside = sorted(p for p in out.parent.rglob("*") if out not in p.parents)
-        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          f"row 2: unknown target {evil!r}")
+        assert_data_error(*run("plot", clean[0], out), path.name, message)
         assert sorted(p for p in out.parent.rglob("*") if out not in p.parents) == outside
+        assert not (out / "plots").exists() or tree(out / "plots") == tree(clean[1] / "plots")
 
-    @pytest.mark.parametrize("name", ["target_01", "target_", "target_1.0", "target_x"])
-    def test_target_name_run_target_does_not_write_exits_3(self, clean, out, run, name):
-        self.edit_row(out, 1, lambda cells: cells.__setitem__(0, name))
-        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          f"row 2: unknown target {name!r}")
+    def test_metrics_of_another_state_count_exits_3(self, clean, out, run):
+        """A 2-state triangle where the spec has 3 states."""
+        path = out / "metrics" / "target_0_raw.csv"
+        path.write_text("state,group,accuracy\n1,1,0.5\n2,1,0.5\n2,2,0.5\n0,0,0.5\n")
+        assert_data_error(*run("plot", clean[0], out), "target_0_raw.csv",
+                          "row 5: expected 3,1, got 0,0")
 
-    def test_missing_point_exits_3(self, clean, out, run):
-        # Row 3 is target_0 raw state 2.
+    def test_per_state_without_a_spec_target_exits_3(self, clean, out, run):
         path = out / "per_state.csv"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if not line.startswith("target_1,")))
         assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          "target_0 raw has no rows for states [2]")
-
-    def test_missing_series_exits_3(self, clean, out, run):
-        path = out / "per_state.csv"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(line for line in lines
-                                   if not line.startswith("target_0,oracle,")) + "\n")
-        assert_data_error(*run("plot", clean[0], out), "per_state.csv",
-                          "target_0 oracle has no rows for states [1, 2, 3]")
+                          "row 14: expected target_1,raw,1, got end of file")
 
 
 def test_a_logits_file_cut_at_a_row_boundary_exits_3(clean, out, run):

@@ -367,11 +367,10 @@ class TestExactLoss:
         np.testing.assert_allclose(ga, na, rtol=1e-6)
         np.testing.assert_allclose(gb, nb, rtol=1e-6)
 
-    def test_diverging_lwf_scores_still_certify(self, tmp_path, monkeypatch):
+    def test_diverging_lwf_scores_still_certify(self, tmp_path):
         """A valid spec with the default penalties whose lwf scores reach
         about 1e5: its fits start with validation samples far below any
         probability floor, and each certifies."""
-        monkeypatch.delenv("CALIB_IL_SEED", raising=False)
         spec = {"seed": 4, "data": {"num_classes": 7, "feature_dim": 8,
                                     "train_per_class": 20, "val_per_class": 2,
                                     "test_per_class": 1, "noise_scale": 1.0,

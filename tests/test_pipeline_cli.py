@@ -222,19 +222,14 @@ class TestParseRunSpec:
         assert spec.schedule.classes_per_state == (400_000,) * 5
         assert peak < 2**20
 
-    def test_overridden_seed_must_still_be_an_integer(self):
+    def test_seed_must_be_an_integer(self):
         with pytest.raises(SpecError, match="seed must be int"):
-            parse_run_spec(dict(MINIMAL, seed="abc"), seed_override=4)
-        assert parse_run_spec(dict(MINIMAL, seed=2.0), seed_override=4).seed == 4
+            parse_run_spec(dict(MINIMAL, seed="abc"))
+        assert parse_run_spec(dict(MINIMAL, seed=2.0)).seed == 2
 
     def test_explicit_classes_per_state(self):
         raw = dict(MINIMAL, schedule={"classes_per_state": [4, 3, 3]})
         assert parse_run_spec(raw).schedule.classes_per_state == (4, 3, 3)
-
-    def test_seed_override_wins(self):
-        spec = parse_run_spec(dict(MINIMAL), seed_override=9)
-        assert spec.seed == 9
-        assert reference_seeds(spec)[0] == 9000
 
     def test_config_seeds_default_to_spec_seed(self):
         spec = tiny_spec()
@@ -454,8 +449,7 @@ class TestEveryUpdateRule:
             "sweep": {"num_samplings": 2}}
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_every_subcommand_for_either_job_count(self, kind, tmp_path, monkeypatch):
-        monkeypatch.delenv("CALIB_IL_SEED", raising=False)
+    def test_every_subcommand_for_either_job_count(self, kind, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(
             dict(self.SPEC, backbone=dict(self.SPEC["backbone"], kind=kind))))
@@ -491,16 +485,16 @@ class TestFlows:
 
     def test_reference_outputs(self, flow_out):
         for i in range(2):
-            table = read_table(flow_out / "tables" / f"ref_{i}.table.json")
+            table = read_table(flow_out / "tables" / f"ref_{i}.table.json", 2)
             assert table.num_states == 2
             assert table != identity_table(2)
             for s in (1, 2):
                 assert (flow_out / "logits" / f"ref_{i}_state_{s}.csv").exists()
 
     def test_averaged_table_is_the_mean(self, flow_out):
-        tables = [read_table(flow_out / "tables" / f"ref_{i}.table.json")
+        tables = [read_table(flow_out / "tables" / f"ref_{i}.table.json", 2)
                   for i in range(2)]
-        averaged = read_table(flow_out / "tables" / "averaged.table.json")
+        averaged = read_table(flow_out / "tables" / "averaged.table.json", 2)
         for k in (1, 2):
             assert averaged.alpha[0, k - 1] == float(
                 np.mean([t.alpha[0, k - 1] for t in tables]))
@@ -527,12 +521,16 @@ class TestFlows:
         it scores at least what each one scores alone on the written target
         logits. (The averaged table is no single table: it can beat the
         oracle.)"""
-        tables = [read_table(flow_out / "tables" / f"ref_{i}.table.json") for i in range(2)]
+        spec = tiny_spec()
+        tables = [read_table(flow_out / "tables" / f"ref_{i}.table.json", 2) for i in range(2)]
         lines = (flow_out / "per_state.csv").read_text().splitlines()[1:]
         oracle = [line.split(",") for line in lines if ",oracle," in line]
         assert len(oracle) == 2 * 2  # targets x states
         for target, _, state, acc in oracle:
-            logits = read_logits(flow_out / "logits" / f"{target}_state_{state}.csv")
+            j, s = int(target.removeprefix("target_")), int(state)
+            logits = read_logits(flow_out / "logits" / f"{target}_state_{s}.csv", (
+                target, target_seeds(spec)[j], s, spec.schedule,
+                spec.synth.test_per_class * spec.schedule.classes_through(s)))
             for table in tables:
                 assert float(acc) >= score_state(logits, [table])[0]
 
@@ -600,7 +598,7 @@ class TestFlows:
                     identity_table(2))
         cmd_run_target(spec, tmp_path)
         assert (tmp_path / "tables" / "ref_1.table.json").exists()
-        assert read_table(tmp_path / "tables" / "ref_0.table.json") \
+        assert read_table(tmp_path / "tables" / "ref_0.table.json", 2) \
             != identity_table(2)
 
     def test_plot_without_inputs_raises_located_error(self, tmp_path):
@@ -723,7 +721,8 @@ class TestArtifactCache:
         meta = json.loads(sidecar.read_text())
         meta["seed"] = target_seeds(tiny_spec())[1]
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(MetadataError, match="seed 3501 state 1") as err:
+        with pytest.raises(MetadataError, match="sidecar seed 3501 is not the spec's 3500") \
+                as err:
             cmd_sweep(tiny_spec(), out)
         assert err.value.path == str(sidecar)
 
@@ -768,7 +767,6 @@ def spec_file(tmp_path_factory):
 
 def run_cli(*args, env_extra=None, **run_options):
     env = os.environ.copy()
-    env.pop("CALIB_IL_SEED", None)
     # The subprocess imports the package this test imported, installed or not.
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -813,11 +811,29 @@ class TestCLI:
         message = f"run-spec file {tmp_path / 'no.json'} does not exist"
         assert res.stdout.splitlines()[-1] == f"event=error kind=spec message={message!r}"
 
-    def test_bad_env_seed_exits_2(self, spec_file, tmp_path):
-        res = run_cli("gen", "--spec", str(spec_file), "--out", str(tmp_path),
-                      env_extra={"CALIB_IL_SEED": "not-a-number"})
-        assert res.returncode == 2
-        assert "CALIB_IL_SEED" in res.stdout
+    @pytest.mark.parametrize("args", [
+        ["plot", "--out", "x"],
+        ["run-target", "--spec", "run.json", "--out", "x", "--jobs", "two"],
+    ], ids=["no-spec", "jobs-two"])
+    def test_argument_errors_exit_2(self, tmp_path, args):
+        """A missing or unparseable argument is a spec error like any bad
+        input, and nothing is written."""
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout.splitlines()[-1].startswith("event=error kind=spec message=")
+        assert args[0] in res.stdout.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_seed_comes_from_the_spec_alone(self, spec_file, tmp_path):
+        """An environment variable that once overrode the seed changes
+        nothing."""
+        trees = []
+        for name, env in (("plain", None), ("env", {"CALIB_IL_SEED": "not-a-number"})):
+            res = run_cli("gen", "--spec", str(spec_file), "--out", str(tmp_path / name),
+                          env_extra=env)
+            assert res.returncode == 0, res.stdout + res.stderr
+            trees.append(tree_bytes(tmp_path / name))
+        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("mangle", [
         lambda r: r.update(seed="abc"),
@@ -923,19 +939,18 @@ class TestCLI:
         assert "target_0_state_2.csv.meta.json" in last and "state must be" in last
 
     def test_tables_of_another_seed_are_rebuilt(self, spec_file, tmp_path):
-        """run-reference at the spec seed, then run-target with the seed
-        overridden into the same --out: the tables are refitted, byte-equal
-        to a fresh run-reference at the overriding seed."""
+        """run-reference at the spec seed, then run-target with a spec of
+        seed 4 into the same --out: the tables are refitted, byte-equal to
+        a fresh run-reference at seed 4."""
         out, fresh = tmp_path / "out", tmp_path / "fresh"
-        seed4 = {"CALIB_IL_SEED": "4"}
+        seed4 = tmp_path / "seed4.json"
+        seed4.write_text(json.dumps(dict(TINY, seed=4)))
         assert run_cli("run-reference", "--spec", str(spec_file), "--out",
                        str(out)).returncode == 0
-        res = run_cli("run-target", "--spec", str(spec_file), "--out", str(out),
-                      env_extra=seed4)
+        res = run_cli("run-target", "--spec", str(seed4), "--out", str(out))
         assert res.returncode == 0, res.stdout + res.stderr
         assert "event=cache artifact=tables action=rebuild reason=fingerprint" in res.stdout
-        fresh_run = run_cli("run-reference", "--spec", str(spec_file), "--out", str(fresh),
-                            env_extra=seed4)
+        fresh_run = run_cli("run-reference", "--spec", str(seed4), "--out", str(fresh))
         assert fresh_run.returncode == 0
         fits = [[line for line in r.stdout.splitlines() if line.startswith("event=fit ")]
                 for r in (res, fresh_run)]
@@ -961,14 +976,14 @@ class TestCLI:
         assert res.returncode == 4, res.stdout + res.stderr
         assert res.stdout.splitlines()[-1].startswith("event=error kind=numeric")
 
-    @pytest.mark.parametrize("rel,row,column,value", [
-        ("metrics/target_0_raw.csv", 1, 0, "x"),
-        ("metrics/target_0_adbic.csv", 2, 1, "k"),
-        ("per_state.csv", 1, 2, "x"),
-        ("per_state.csv", 3, 3, "oops"),
+    @pytest.mark.parametrize("rel,row,column,value,message", [
+        ("metrics/target_0_raw.csv", 1, 0, "x", "row 2: expected 1,1, got x,1"),
+        ("metrics/target_0_adbic.csv", 2, 1, "k", "row 3: expected 2,1, got 2,k"),
+        ("per_state.csv", 1, 2, "x", "row 2: expected target_0,raw,1, got target_0,raw,x"),
+        ("per_state.csv", 3, 3, "oops", "row 4 accuracy: 'oops' is not a number"),
     ], ids=["metrics-state", "metrics-group", "per-state-state", "per-state-accuracy"])
-    def test_unparseable_plot_inputs_exit_3(self, flow_out, tmp_path, rel, row, column,
-                                            value):
+    def test_unparseable_plot_inputs_exit_3(self, flow_out, spec_file, tmp_path, rel, row,
+                                            column, value, message):
         out = tmp_path / "out"
         shutil.copytree(flow_out, out)
         lines = (out / rel).read_text().splitlines()
@@ -976,20 +991,18 @@ class TestCLI:
         cells[column] = value
         lines[row] = ",".join(cells)
         (out / rel).write_text("\n".join(lines) + "\n")
-        res = run_cli("plot", "--out", str(out))
+        res = run_cli("plot", "--spec", str(spec_file), "--out", str(out))
         assert res.returncode == 3, res.stdout + res.stderr
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=data")
-        assert f"row {row + 1}" in last and repr(value) in last
+        assert rel.rsplit("/", 1)[-1] in last and message in last
 
-    @pytest.mark.parametrize("value,spec", [
-        ("1e300", False), ("-5", False), ("2.5", False), ("0", False), ("3", False),
-        ("3", True),
-    ], ids=["huge", "negative", "non-integral", "zero", "past-last", "past-last-spec"])
+    @pytest.mark.parametrize("value", ["1e300", "-5", "2.5", "0", "3"],
+                             ids=["huge", "negative", "non-integral", "zero", "past-last"])
     def test_plot_state_outside_the_schedule_exits_3(self, flow_out, spec_file, tmp_path,
-                                                     value, spec):
-        """The tiny spec has 2 states; S comes from the spec when one is
-        given and from the target's metrics files otherwise."""
+                                                     value):
+        """The tiny spec has 2 states, and row 3 holds target_0's raw
+        accuracy at state 2."""
         out = tmp_path / "out"
         shutil.copytree(flow_out, out)
         lines = (out / "per_state.csv").read_text().splitlines()
@@ -997,11 +1010,11 @@ class TestCLI:
         cells[2] = value
         lines[2] = ",".join(cells)
         (out / "per_state.csv").write_text("\n".join(lines) + "\n")
-        res = run_cli("plot", "--out", str(out), *(["--spec", str(spec_file)] if spec else []))
+        res = run_cli("plot", "--spec", str(spec_file), "--out", str(out))
         assert res.returncode == 3, res.stdout + res.stderr
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=data")
-        assert f"row 3 state: {value!r}" in last
+        assert f"row 3: expected target_0,raw,2, got target_0,raw,{value}" in last
 
     def test_header_only_target_logits_fail_sweep_with_exit_3(self, flow_out, spec_file,
                                                               tmp_path):
@@ -1015,31 +1028,6 @@ class TestCLI:
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=data")
         assert "target_0_state_2.csv" in last and "no data rows" in last
-
-    @pytest.mark.parametrize("rows,message", [
-        ([], "row 2: expected state 1 group 1, got end of file"),
-        (["0,0,0.5"], "row 2: expected state 1 group 1, got 0,0"),
-        (["2,7,0.5"], "row 2: expected state 1 group 1, got 2,7"),
-        (["-3,1,0.5"], "row 2: expected state 1 group 1, got -3,1"),
-        (["1e9,1,0.5"], "row 2: expected state 1 group 1, got 1e9,1"),
-        (None, "missing metrics file"),
-    ], ids=["header-only", "summary-only", "group-past-state", "negative-state",
-            "huge-state", "missing"])
-    def test_malformed_metrics_files_fail_plot_with_exit_3(self, flow_out, tmp_path, rows,
-                                                           message):
-        out = tmp_path / "out"
-        shutil.copytree(flow_out, out)
-        path = out / "metrics" / "target_1_adbic.csv"
-        if rows is None:
-            path.unlink()
-        else:
-            path.write_text("\n".join(["state,group,accuracy", *rows]) + "\n")
-        res = run_cli("plot", "--out", str(out))
-        assert res.returncode == 3, res.stdout + res.stderr
-        assert "Traceback" not in res.stderr
-        last = res.stdout.splitlines()[-1]
-        assert last.startswith("event=error kind=data")
-        assert "target_1_adbic.csv" in last and message in last
 
     def test_diverging_backbone_exits_4(self, tmp_path):
         """The README demo spec with a huge learning rate drives the scores
@@ -1115,17 +1103,6 @@ class TestCLI:
         assert res.returncode == 3
         assert "event=error kind=data" in res.stdout
 
-    def test_env_seed_override_changes_data(self, spec_file, tmp_path):
-        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        assert run_cli("gen", "--spec", str(spec_file), "--out", str(a)).returncode == 0
-        assert run_cli("gen", "--spec", str(spec_file), "--out", str(b),
-                       env_extra={"CALIB_IL_SEED": "8"}).returncode == 0
-        assert run_cli("gen", "--spec", str(spec_file), "--out", str(c),
-                       env_extra={"CALIB_IL_SEED": "3"}).returncode == 0
-        ref0 = "data/ref_0.csv"
-        assert (a / ref0).read_bytes() != (b / ref0).read_bytes()
-        assert (a / ref0).read_bytes() == (c / ref0).read_bytes()
-
     def test_full_chain_reruns_byte_identical(self, spec_file, tmp_path):
         outs = (tmp_path / "a", tmp_path / "b")
         for out in outs:
@@ -1141,13 +1118,3 @@ class TestCLI:
         for rel in files_a:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
-
-class TestSeedOverrideHelper:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("CALIB_IL_SEED", raising=False)
-        assert cli._seed_override() is None
-        monkeypatch.setenv("CALIB_IL_SEED", "42")
-        assert cli._seed_override() == 42
-        monkeypatch.setenv("CALIB_IL_SEED", "4.5")
-        with pytest.raises(SpecError):
-            cli._seed_override()

@@ -35,7 +35,6 @@ def run_python(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     """``python -X importtime *args`` with ``src`` on the path; returns the
     finished process and the names of the modules it imported."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("CALIB_IL_SEED", None)
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, env=env, timeout=60)
     names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
@@ -49,9 +48,7 @@ def finished(tmp_path_factory):
     root = tmp_path_factory.mktemp("start_up")
     spec_path, out = root / "spec.json", root / "out"
     spec_path.write_text(json.dumps(SPEC))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("CALIB_IL_SEED", raising=False)
-        assert cli.main(["run-target", "--spec", str(spec_path), "--out", str(out)]) == 0
+    assert cli.main(["run-target", "--spec", str(spec_path), "--out", str(out)]) == 0
     return spec_path, out
 
 
@@ -81,11 +78,10 @@ def test_spec_error(tmp_path):
     assert not names & HEAVY
 
 
-@pytest.mark.parametrize("with_spec", [True, False])
-def test_plot(finished, with_spec):
+def test_plot(finished):
     spec_path, out = finished
-    spec_args = ["--spec", str(spec_path)] if with_spec else []
-    proc, names = run_python("-m", "calib_il.cli", "plot", *spec_args, "--out", str(out))
+    proc, names = run_python("-m", "calib_il.cli", "plot", "--spec", str(spec_path),
+                             "--out", str(out))
     assert proc.returncode == 0, proc.stdout[-500:]
     assert len(list((out / "plots").glob("*.svg"))) == 3 * SPEC["data"]["num_targets"]
     assert "calib_il.plots" in names

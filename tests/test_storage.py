@@ -33,6 +33,12 @@ def one_block_draw(features, labels, split, name, seed=0):
                      iter([StateBlock(features, labels, split)]), name, seed)
 
 
+def expect_of(logits: StateLogits) -> tuple:
+    """What ``read_logits`` checks a file of ``logits`` against: the
+    ``(dataset, seed, state, schedule, rows)`` of the spec that made it."""
+    return logits.dataset, logits.seed, logits.state, logits.schedule, len(logits.labels)
+
+
 def tricky_logits():
     """Values chosen to break naive float formatting: a decimal that has no
     exact binary form, a repeating fraction, and a subnormal-ish tiny."""
@@ -42,6 +48,8 @@ def tricky_logits():
     return StateLogits(2, matrix, np.array([0, 3]), sched,
                        dataset="ref_0", backbone="ftplus", seed=4)
 
+
+TRICKY = expect_of(tricky_logits())
 
 # Edits to the two data rows of a ``tricky_logits`` file, each row with its
 # line end, with the error both parses must report (None: both return the
@@ -77,7 +85,7 @@ class TestLogitsRoundTrip:
         path = tmp_path / "lg.csv"
         logits = tricky_logits()
         write_logits(path, logits)
-        back = read_logits(path)
+        back = read_logits(path, expect_of(logits))
         assert back.matrix.tobytes() == logits.matrix.tobytes()
         np.testing.assert_array_equal(back.labels, logits.labels)
         assert back.state == 2
@@ -96,21 +104,21 @@ class TestLogitsRoundTrip:
         write_logits(path, tricky_logits())
         os.unlink(tmp_path / "lg.csv.meta.json")
         with pytest.raises(MetadataError, match="missing logits metadata"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_invalid_sidecar_json(self, tmp_path):
         path = tmp_path / "lg.csv"
         write_logits(path, tricky_logits())
         (tmp_path / "lg.csv.meta.json").write_text("{not json")
         with pytest.raises(MetadataError, match="invalid JSON"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_sidecar_without_version(self, tmp_path):
         path = tmp_path / "lg.csv"
         write_logits(path, tricky_logits())
         (tmp_path / "lg.csv.meta.json").write_text("{}")
         with pytest.raises(MetadataError, match="schema_version"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_header_protocol_mismatch(self, tmp_path):
         path = tmp_path / "lg.csv"
@@ -119,7 +127,7 @@ class TestLogitsRoundTrip:
         lines[0] = "id,label,c0,c1,c2"  # one score column short
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="sidecar protocol"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_short_row_locates_line(self, tmp_path):
         path = tmp_path / "lg.csv"
@@ -128,7 +136,7 @@ class TestLogitsRoundTrip:
         lines[2] = "1,3,0.5,0.5,0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="row 3"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_non_numeric_score_locates_cell(self, tmp_path):
         path = tmp_path / "lg.csv"
@@ -137,7 +145,7 @@ class TestLogitsRoundTrip:
         lines[1] = lines[1].replace("0.1", "zero.one")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="row 2 column c0"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_non_finite_score_rejected(self, tmp_path):
         path = tmp_path / "lg.csv"
@@ -146,7 +154,7 @@ class TestLogitsRoundTrip:
         lines[1] = lines[1].replace("0.1", "inf")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="non-finite"):
-            read_logits(path)
+            read_logits(path, TRICKY)
 
     def test_sidecar_state_count_disagreement(self, tmp_path):
         path = tmp_path / "lg.csv"
@@ -155,39 +163,42 @@ class TestLogitsRoundTrip:
         meta = json.loads(sidecar.read_text())
         meta["num_states"] = 3
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(MetadataError, match="disagrees"):
-            read_logits(path)
+        with pytest.raises(MetadataError, match="sidecar num_states 3 is not the spec's 2"):
+            read_logits(path, TRICKY)
 
     def test_uneven_schedule_round_trips(self, tmp_path):
         path = tmp_path / "lg.csv"
         schedule = StateSchedule((3, 1, 2))
-        write_logits(path, StateLogits(3, np.zeros((2, 6)), np.array([0, 5]), schedule,
-                                       dataset="d", backbone="b", seed=0))
-        assert read_logits(path).schedule == schedule
+        logits = StateLogits(3, np.zeros((2, 6)), np.array([0, 5]), schedule,
+                             dataset="d", backbone="b", seed=0)
+        write_logits(path, logits)
+        assert read_logits(path, expect_of(logits)).schedule == schedule
 
     @pytest.mark.parametrize("class_to_state", [
         [1, 1, 3, 3], [2, 2, 1, 1], [2, 2, 3, 3], [1, 2, 1, 2], [],
     ], ids=["skipped-state", "unordered", "start-2", "interleaved", "empty"])
     def test_class_to_state_of_no_schedule_is_refused(self, tmp_path, class_to_state):
-        """Class ids run in blocks of one state each, states 1, 2, ... in
-        order: any other list names no schedule."""
+        """A list that is not the spec's schedule is refused without
+        being printed."""
         path = tmp_path / "lg.csv"
         write_logits(path, tricky_logits())
         sidecar = tmp_path / "lg.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         meta["class_to_state"] = class_to_state
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(MetadataError, match="class_to_state: states must be consecutive"):
-            read_logits(path)
+        with pytest.raises(MetadataError, match="sidecar class_to_state differs from the "
+                                                "spec's$"):
+            read_logits(path, TRICKY)
 
     def test_many_states_read_in_linear_time(self, tmp_path):
-        """A 20,000-state sidecar's schedule costs one pass over its list."""
+        """A 20,000-state sidecar is checked in one pass over its list."""
         path = tmp_path / "lg.csv"
         schedule = StateSchedule((1,) * 20_000)
-        write_logits(path, StateLogits(2, np.zeros((3, 2)), np.array([0, 1, 0]), schedule,
-                                       dataset="d", backbone="b", seed=0))
+        logits = StateLogits(2, np.zeros((3, 2)), np.array([0, 1, 0]), schedule,
+                             dataset="d", backbone="b", seed=0)
+        write_logits(path, logits)
         start = time.perf_counter()
-        back = read_logits(path)
+        back = read_logits(path, expect_of(logits))
         elapsed = time.perf_counter() - start
         assert back.schedule == schedule
         assert elapsed < 0.5, f"{elapsed:.2f} s"
@@ -195,7 +206,7 @@ class TestLogitsRoundTrip:
     def test_error_carries_path(self, tmp_path):
         path = tmp_path / "absent.csv"
         with pytest.raises(MetadataError) as err:
-            read_logits(path)
+            read_logits(path, TRICKY)
         assert str(tmp_path) in err.value.path
 
     @pytest.mark.parametrize("key,value", [
@@ -209,7 +220,7 @@ class TestLogitsRoundTrip:
         meta[key] = value
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(MetadataError, match=key) as err:
-            read_logits(path)
+            read_logits(path, TRICKY)
         assert err.value.path == str(sidecar)
 
     def test_bulk_parse_equals_cell_by_cell(self, tmp_path, monkeypatch):
@@ -226,7 +237,7 @@ class TestLogitsRoundTrip:
 
             def outcome():
                 try:
-                    back = read_logits(path)
+                    back = read_logits(path, expect_of(logits))
                 except SchemaError as exc:
                     return str(exc)
                 assert back.matrix.flags.c_contiguous
@@ -249,13 +260,13 @@ class TestLogitsRoundTrip:
         character); the first read warms numpy's parser."""
         rng = np.random.default_rng(0)
         path = tmp_path / "wide.csv"
-        write_logits(path, StateLogits(1, rng.normal(size=(1000, 100)),
-                                       rng.integers(0, 100, 1000),
-                                       StateSchedule.equal_split(100, 1)))
-        read_logits(path)
+        logits = StateLogits(1, rng.normal(size=(1000, 100)), rng.integers(0, 100, 1000),
+                             StateSchedule.equal_split(100, 1))
+        write_logits(path, logits)
+        read_logits(path, expect_of(logits))
         tracemalloc.start()
         try:
-            back = read_logits(path)
+            back = read_logits(path, expect_of(logits))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,13 +279,13 @@ class TestLogitsRoundTrip:
         here, 2.5 score matrices); the first read warms numpy's parser."""
         rng = np.random.default_rng(0)
         path = tmp_path / "wide.csv"
-        write_logits(path, StateLogits(1, rng.normal(size=(1000, 100)),
-                                       rng.integers(0, 100, 1000),
-                                       StateSchedule.equal_split(100, 1)))
-        read_logits(path)
+        logits = StateLogits(1, rng.normal(size=(1000, 100)), rng.integers(0, 100, 1000),
+                             StateSchedule.equal_split(100, 1))
+        write_logits(path, logits)
+        read_logits(path, expect_of(logits))
         tracemalloc.start()
         try:
-            back = read_logits(path)
+            back = read_logits(path, expect_of(logits))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,9 +390,9 @@ class TestFingerprint:
         assert "fingerprint" not in json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert read_fingerprint(tmp_path / "b.csv.meta.json") == "abc"
         assert read_fingerprint(tmp_path / "t.json") == "def"
-        assert read_logits(tmp_path / "b.csv").matrix.tobytes() \
+        assert read_logits(tmp_path / "b.csv", TRICKY).matrix.tobytes() \
             == tricky_logits().matrix.tobytes()
-        assert read_table(tmp_path / "t.json") == identity_table(3)
+        assert read_table(tmp_path / "t.json", 3) == identity_table(3)
 
     def test_missing_fingerprint_names_the_file(self, tmp_path):
         write_table(tmp_path / "t.json", identity_table(2))
@@ -400,7 +411,7 @@ class TestTableRoundTrip:
         write_table(path, table)
         payload = json.loads(path.read_text())
         assert len(payload["entries"]) == 14  # pairs for S=5: 2+3+4+5
-        assert read_table(path) == table
+        assert read_table(path, 5) == table
 
     def test_missing_pair_named(self, tmp_path):
         path = tmp_path / "t.table.json"
@@ -410,7 +421,7 @@ class TestTableRoundTrip:
                               if not (e["s"] == 3 and e["k"] == 2)]
         path.write_text(json.dumps(payload))
         with pytest.raises(MetadataError, match=r"missing pairs \[\(3, 2\)\]"):
-            read_table(path)
+            read_table(path, 3)
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "t.table.json"
@@ -419,7 +430,7 @@ class TestTableRoundTrip:
         payload["entries"].append(dict(payload["entries"][0]))
         path.write_text(json.dumps(payload))
         with pytest.raises(MetadataError, match="duplicate table entry"):
-            read_table(path)
+            read_table(path, 2)
 
     @pytest.mark.parametrize("mangle", [
         lambda p: p.update(entries=5),
@@ -439,7 +450,7 @@ class TestTableRoundTrip:
         mangle(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(MetadataError):
-            read_table(path)
+            read_table(path, 2)
 
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "t.table.json"
@@ -448,7 +459,7 @@ class TestTableRoundTrip:
         del payload["entries"][0]["alpha"]
         path.write_text(json.dumps(payload))
         with pytest.raises(MetadataError, match="malformed table entry"):
-            read_table(path)
+            read_table(path, 2)
 
 
 class TestDatasetRoundTrip:
@@ -487,9 +498,9 @@ class TestMetricsFile:
         assert len(lines) == 1 + S * (S + 1) // 2 + 1
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
             f"{s},{k}" for s in range(1, S + 1) for k in range(1, s + 1)] + ["0,0"]
-        matrix, average = read_metrics_rows(path)
+        assert lines[-1] == f"0,0,{metrics.average_incremental_accuracy!r}"
+        matrix = read_metrics_rows(path, S)
         assert np.asarray(matrix).tobytes() == metrics.group_accuracy.tobytes()
-        assert average == metrics.average_incremental_accuracy
 
     def test_empty_group_round_trips_as_nan(self, tmp_path):
         sched = StateSchedule((1, 1))
@@ -499,25 +510,24 @@ class TestMetricsFile:
         path = tmp_path / "m.csv"
         write_metrics(path, metrics)
         assert "2,2,nan" in path.read_text()
-        matrix, average = read_metrics_rows(path)
+        assert path.read_text().endswith("\n0,0,1.0\n")
+        matrix = read_metrics_rows(path, 2)
         np.testing.assert_array_equal(matrix, [[1.0, np.nan], [1.0, np.nan]])
-        assert average == 1.0
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda lines: lines + ["0,0,0.5"], "row 6: a row after the 0,0 summary row"),
-        (lambda lines: lines[:2] + lines[3:],
-         "row 3: expected state 2 group 1 or the 0,0 summary row, got 2,2"),
-        (lambda lines: lines[:3] + lines[4:], "row 4: expected state 2 group 2, got 0,0"),
-        (lambda lines: lines[:-1],
-         "row 5: expected state 3 group 1 or the 0,0 summary row, got end of file"),
-        (lambda lines: lines[:2] + ["2,1,inf"] + lines[3:], "row 3: non-finite value 'inf'"),
+        (lambda lines: lines + ["0,0,0.5"], "row 6: expected end of file, got 0,0"),
+        (lambda lines: lines[:2] + lines[3:], "row 3: expected 2,1, got 2,2"),
+        (lambda lines: lines[:3] + lines[4:], "row 4: expected 2,2, got 0,0"),
+        (lambda lines: lines[:-1], "row 5: expected 0,0, got end of file"),
+        (lambda lines: lines[:2] + ["2,1,inf"] + lines[3:],
+         "row 3 accuracy: non-finite value 'inf'"),
     ], ids=["row-after-summary", "missing-cell", "early-summary", "no-summary", "inf"])
     def test_anything_but_the_triangle_and_summary_rejected(self, tmp_path, edit, message):
         path = tmp_path / "m.csv"
         write_metrics(path, self.make_metrics(sizes=(1, 1)))
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(SchemaError, match=message):
-            read_metrics_rows(path)
+            read_metrics_rows(path, 2)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -526,7 +536,7 @@ class TestMetricsFile:
         lines[0] = "s,g,a"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="metrics header"):
-            read_metrics_rows(path)
+            read_metrics_rows(path, 3)
 
 
 class TestAtomicity:
