@@ -997,24 +997,28 @@ class TestCLI:
         assert last.startswith("event=error kind=data")
         assert rel.rsplit("/", 1)[-1] in last and message in last
 
-    @pytest.mark.parametrize("value", ["1e300", "-5", "2.5", "0", "3"],
-                             ids=["huge", "negative", "non-integral", "zero", "past-last"])
+    @pytest.mark.parametrize("row,value", [
+        (2, "1e300"), (2, "-5"), (2, "2.5"), (2, "0"), (2, "3"), (-1, "3"),
+    ], ids=["huge", "negative", "non-integral", "zero", "past-last", "past-last-spec"])
     def test_plot_state_outside_the_schedule_exits_3(self, flow_out, spec_file, tmp_path,
-                                                     value):
-        """The tiny spec has 2 states, and row 3 holds target_0's raw
-        accuracy at state 2."""
+                                                     row, value):
+        """The tiny spec has 2 states; row 3 holds target_0's raw accuracy
+        at state 2 and the last row target_1's oracle accuracy at state 2,
+        the spec's last point."""
         out = tmp_path / "out"
         shutil.copytree(flow_out, out)
         lines = (out / "per_state.csv").read_text().splitlines()
-        cells = lines[2].split(",")
+        cells = lines[row].split(",")
+        key = ",".join(cells[:2])
         cells[2] = value
-        lines[2] = ",".join(cells)
+        lines[row] = ",".join(cells)
         (out / "per_state.csv").write_text("\n".join(lines) + "\n")
         res = run_cli("plot", "--spec", str(spec_file), "--out", str(out))
         assert res.returncode == 3, res.stdout + res.stderr
         last = res.stdout.splitlines()[-1]
         assert last.startswith("event=error kind=data")
-        assert f"row 3: expected target_0,raw,2, got target_0,raw,{value}" in last
+        line_number = row % len(lines) + 1
+        assert f"row {line_number}: expected {key},2, got {key},{value}" in last
 
     def test_header_only_target_logits_fail_sweep_with_exit_3(self, flow_out, spec_file,
                                                               tmp_path):
