@@ -19,11 +19,6 @@ import sys
 from .errors import DataFileError, NumericError, SpecError
 from .pipeline import kv, load_run_spec
 
-EXIT_OK = 0
-EXIT_SPEC = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
 log = logging.getLogger("calib_il")
 
 
@@ -83,17 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "plot":
             from .plots import cmd_plot
             cmd_plot(spec, args.out)
-    except SpecError as exc:
-        log.error(kv(event="error", kind="spec", message=str(exc)))
-        return EXIT_SPEC
-    except DataFileError as exc:
-        log.error(kv(event="error", kind="data", message=str(exc)))
-        return EXIT_DATA
-    except NumericError as exc:
-        log.error(kv(event="error", kind="numeric", message=str(exc)))
-        return EXIT_NUMERIC
+    except (SpecError, DataFileError, NumericError) as exc:
+        log.error(kv(event="error", kind=exc.kind, message=str(exc)))
+        return exc.exit_code
     log.info(kv(event="done", command=args.command))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

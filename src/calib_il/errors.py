@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the split between
-spec problems, data problems and numeric problems intact.
+Each of the three kinds of error carries the ``kind`` that the CLI's
+``event=error`` line names and the exit code the CLI returns for it, so
+keep the split between spec, data and numeric problems intact.
 """
 
 
@@ -11,10 +12,12 @@ class CalibILError(Exception):
 
 class SpecError(CalibILError):
     """A run-spec file or configuration value is invalid."""
+    kind, exit_code = "spec", 2
 
 
 class DataFileError(CalibILError):
     """A data file on disk could not be used. Carries path context."""
+    kind, exit_code = "data", 3
 
     def __init__(self, path, message):
         self.path = str(path)
@@ -31,3 +34,4 @@ class MetadataError(DataFileError):
 
 class NumericError(CalibILError):
     """A numeric computation produced non-finite values or failed to fit."""
+    kind, exit_code = "numeric", 4

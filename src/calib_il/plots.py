@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .pipeline import METHODS, RunSpec, kv
@@ -25,14 +24,6 @@ WIDTH, HEIGHT = 480, 320
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 34, 44
 
 PALETTE = ("#1f3b73", "#b03a2e", "#1e8449", "#b9770e", "#6c3483", "#117a8b")
-
-
-@dataclass(frozen=True)
-class Series:
-    label: str
-    x: tuple
-    y: tuple
-    dashed: bool = False
 
 
 def _fmt(v: float) -> str:
@@ -62,23 +53,19 @@ def _escape(text: str) -> str:
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def render_line_chart(title: str, series: list[Series]) -> str:
-    """Accuracy-vs-state chart; y axis fixed to [0, 1] for comparability."""
-    if not series:
-        raise ValueError("line chart needs at least one series")
-    xs = sorted({float(v) for s in series for v in s.x})
-    if not xs:
-        raise ValueError("line chart needs at least one point")
-    x_lo, x_hi = xs[0], xs[-1]
-    span = (x_hi - x_lo) or 1.0
+def render_line_chart(title: str, num_states: int, series) -> str:
+    """Accuracy-vs-state chart of ``series``, an ordered mapping of each
+    method to its accuracies at states 1..``num_states`` (at least 2);
+    ``raw`` is dashed. The y axis is fixed to [0, 1] for comparability."""
+    states = range(1, num_states + 1)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(v):
-        return MARGIN_L + (float(v) - x_lo) / span * plot_w
+    def px(state):
+        return MARGIN_L + (state - 1) / (num_states - 1) * plot_w
 
     def py(v):
-        return MARGIN_T + (1.0 - float(v)) * plot_h
+        return MARGIN_T + (1.0 - v) * plot_h
 
     out = _header(title)
     out.append(
@@ -90,7 +77,7 @@ def render_line_chart(title: str, series: list[Series]) -> str:
                    f'y2="{_fmt(y)}" stroke="#444444"/>')
         out.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">'
                    f"{tick:.1f}</text>")
-    for tick in xs:
+    for tick in states:
         x = px(tick)
         out.append(f'<line x1="{_fmt(x)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(x)}" '
                    f'y2="{HEIGHT - MARGIN_B + 4}" stroke="#444444"/>')
@@ -101,15 +88,13 @@ def render_line_chart(title: str, series: list[Series]) -> str:
     out.append(f'<text x="14" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" '
                f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">accuracy</text>')
 
-    for i, s in enumerate(series):
-        if len(s.x) != len(s.y):
-            raise ValueError(f"series {s.label!r}: x and y lengths differ")
+    for i, (label, accuracies) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.y))
+        dash = ' stroke-dasharray="6 4"' if label == "raw" else ""
+        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(states, accuracies))
         out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
-        for x, y in zip(s.x, s.y):
+        for x, y in zip(states, accuracies):
             out.append(f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.5" '
                        f'fill="{color}"/>')
         ly = MARGIN_T + 14 + 14 * i
@@ -117,22 +102,19 @@ def render_line_chart(title: str, series: list[Series]) -> str:
                    f'x2="{WIDTH - MARGIN_R - 126}" y2="{ly - 4}" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
         out.append(f'<text x="{WIDTH - MARGIN_R - 120}" y="{ly}">'
-                   f"{_escape(s.label)}</text>")
+                   f"{_escape(label)}</text>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def render_heat_grid(title: str, matrix) -> str:
+def render_heat_grid(title: str, rows) -> str:
     """Lower-triangular heat grid of accuracy-per-group by state.
 
-    ``matrix`` is a sequence of n rows of n numbers (a list of lists or a
-    2-D array). Row s, column k holds the accuracy at state s on the
-    classes first seen in state k; the impossible cells (k > s) are masked.
+    Row s of ``rows`` holds s numbers: the accuracy at state s on the
+    classes first seen in each state k <= s. The cells k > s, which no
+    state has, are masked.
     """
-    matrix = [[float(value) for value in row] for row in matrix]
-    n = len(matrix)
-    if not n or any(len(row) != n for row in matrix):
-        raise ValueError("heat grid needs a square matrix")
+    n = len(rows)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
     cell = min(plot_w / n, plot_h / n)
@@ -147,7 +129,7 @@ def render_heat_grid(title: str, matrix) -> str:
                            f'width="{_fmt(cell)}" height="{_fmt(cell)}" '
                            f'fill="#eeeeee"/>')
                 continue
-            value = matrix[s - 1][k - 1]
+            value = rows[s - 1][k - 1]
             if math.isnan(value):
                 fill, text = "#eeeeee", "-"
             else:
@@ -173,16 +155,15 @@ def cmd_plot(spec: RunSpec, out: Path):
     hold exactly the rows written for that shape, before any chart is."""
     out = Path(out)
     num_states = spec.schedule.num_states
-    states = tuple(range(1, num_states + 1))
     targets = [f"target_{j}" for j in range(spec.num_targets)]
     points = read_per_state(out / "per_state.csv", targets, METHODS, num_states)
     grids = {(target, method): read_metrics_rows(out / "metrics" / f"{target}_{method}.csv",
                                                  num_states)
              for target in targets for method in ("raw", "adbic")}
     for target in targets:
-        series = [Series(method, states, tuple(points[target, method]), dashed=(method == "raw"))
-                  for method in METHODS]
-        charts = {f"accuracy_{target}": render_line_chart(f"{target}: accuracy per state", series)}
+        charts = {f"accuracy_{target}": render_line_chart(
+            f"{target}: accuracy per state", num_states,
+            {method: points[target, method] for method in METHODS})}
         for method in ("raw", "adbic"):
             charts[f"heat_{target}_{method}"] = render_heat_grid(
                 f"{target} {method}: group accuracy", grids[target, method])

@@ -139,36 +139,26 @@ def _parse_cell(path: Path, row: int, label: str, parse, text: str):
     try:
         return parse(text)
     except ValueError as exc:
-        where = f"row {row} {label}" if label else f"row {row}"
-        raise SchemaError(path, f"{where}: {exc}") from None
+        raise SchemaError(path, f"row {row} {label}: {exc}") from None
 
 
-def _read_csv(path: Path, what: str, columns) -> list[list]:
-    """The data rows of CSV file ``path``, each cell parsed by its column.
-    ``columns`` maps each header name, in order, to the column's label in
-    messages and its parse function, which raises ValueError for a cell it
-    refuses; it may also be a function of the header that returns that map
-    or raises ValueError. Each refusal is a SchemaError naming the row."""
+def _read_csv(path: Path, what: str, header: list[str]):
+    """Yield, in file order, each data row of CSV file ``path`` as its row
+    number and its string cells. The file's header must be ``header`` and
+    each row must hold one cell per name; anything else is a SchemaError,
+    raised when the reader reaches it."""
     with _opened(path, what, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        found = next(reader, None)
+        if found is None:
             raise SchemaError(path, f"empty {what} file")
-        try:
-            columns = columns(header) if callable(columns) else columns
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from None
-        if header != list(columns):
-            raise SchemaError(path, f"unexpected {what} header {header}")
-        parsers = list(columns.values())
-        rows = []
+        if found != header:
+            raise SchemaError(path, f"unexpected {what} header {found}")
         for i, cells in enumerate(reader, start=2):
-            if len(cells) != len(parsers):
-                raise SchemaError(path, f"row {i}: expected {len(parsers)} fields, "
+            if len(cells) != len(header):
+                raise SchemaError(path, f"row {i}: expected {len(header)} fields, "
                                         f"got {len(cells)}")
-            rows.append([_parse_cell(path, i, label, parse, text)
-                         for (label, parse), text in zip(parsers, cells)])
-    return rows
+            yield i, cells
 
 
 def _cell(value) -> str:
@@ -217,18 +207,25 @@ write_svg = _atomic_write  # one SVG string, written like every other artifact
 
 def write_logits(path, logits: StateLogits, fingerprint: str | None = None):
     """CSV `id,label,c<j>...` plus a JSON sidecar with the protocol and,
-    when given, the spec fingerprint."""
+    when given, the spec fingerprint. The old sidecar is removed before the
+    CSV is replaced, so a crash between the two writes leaves a CSV without
+    a sidecar, which reads as missing rather than as the old spec's."""
     # Imported here: loading it and building its tables take ~5 ms, which
     # the CLI's start-up and plot never need.
     from .floats import rows
 
     path = Path(path)
+    meta_path = _meta_path(path)
+    try:
+        meta_path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataFileError(meta_path, f"cannot write: {exc}") from exc
     cols = logits.matrix.shape[1]
     _atomic_write(path, chain(
         ["id,label," + ",".join(f"c{j}" for j in range(cols)) + "\n"],
         (f"{i},{label},{scores}\n"
          for i, (label, scores) in enumerate(zip(logits.labels.tolist(), rows(logits.matrix))))))
-    _write_meta(_meta_path(path), fingerprint, state=logits.state,
+    _write_meta(meta_path, fingerprint, state=logits.state,
                 num_states=logits.schedule.num_states,
                 class_to_state=list(logits.schedule.class_to_state),
                 dataset=logits.dataset, backbone=logits.backbone, seed=logits.seed)
@@ -257,19 +254,24 @@ def read_logits(path, expect: tuple) -> StateLogits:
     cols = schedule.classes_through(state)
     names = ["id", "label"] + [f"c{j}" for j in range(cols)]
     with _opened(path, "logits") as fh:  # '\r\n' and '\r' read as '\n'
-        parsed = _bulk_logits(fh, cols) if fh.readline() == ",".join(names) + "\n" else None
+        line = fh.readline()
+        if not line:
+            raise SchemaError(path, "empty logits file")
+        header = next(csv.reader([line]))
+        if header != names:
+            raise SchemaError(path, f"header {header[:4]}...({len(header) - 2} score columns) "
+                                    f"does not match the sidecar protocol ({cols} classes "
+                                    f"through state {state})")
+        parsed = _bulk_logits(fh, cols)
     if parsed is None:  # read cell by cell, so that an error names its row and column
-        def columns(header):
-            if header != names:
-                raise ValueError(f"header {header[:4]}...({len(header) - 2} score columns) "
-                                 f"does not match the sidecar protocol ({cols} classes "
-                                 f"through state {state})")
-            return dict(zip(names, [("", str), ("label", _integer(0, cols - 1)),
-                                    *((f"column c{j}", _number) for j in range(cols))]))
-        rows = _read_csv(path, "logits", columns)
+        label = _integer(0, cols - 1)
+        rows = [(_parse_cell(path, i, "label", label, cells[1]),
+                 [_parse_cell(path, i, f"column c{j}", _number, text)
+                  for j, text in enumerate(cells[2:])])
+                for i, cells in _read_csv(path, "logits", names)]
         if not rows:
             raise SchemaError(path, "no data rows")
-        parsed = [row[1] for row in rows], [row[2:] for row in rows]
+        parsed = [row[0] for row in rows], [row[1] for row in rows]
     if len(parsed[0]) != num_rows:
         raise SchemaError(path, f"{len(parsed[0])} data rows, but the spec makes {num_rows}")
     try:
@@ -397,8 +399,9 @@ def _keyed_values(path: Path, what: str, header: list[str], keys, parse) -> list
     """The last cell of each data row of CSV ``path``, read by ``parse``.
     The other cells of the rows must hold exactly ``keys``, in order, as
     run-target writes them; any other row is a SchemaError naming the row,
-    the key expected and what the row held, or "end of file"."""
-    rows = _read_csv(path, what, dict.fromkeys(header, ("", str)))
+    the key expected and what the row held, or "end of file". Every row's
+    field count is checked before any key."""
+    rows = [cells for _, cells in _read_csv(path, what, header)]
     values = []
     for i, (key, row) in enumerate(zip_longest(keys, rows), start=2):
         key = ",".join(map(str, key)) if key else "end of file"
@@ -410,16 +413,17 @@ def _keyed_values(path: Path, what: str, header: list[str], keys, parse) -> list
 
 
 def read_metrics_rows(path, num_states: int) -> list[list[float]]:
-    """The (S, S) group-accuracy matrix of a metrics file of ``num_states``
-    states, as S lists of S floats with nan above the diagonal: rows (s, k)
-    for 1 <= k <= s <= S in order, then the `0,0` summary row, which is
-    read but not returned. An empty group's `nan` reads back as nan."""
+    """The group-accuracy triangle of a metrics file of ``num_states``
+    states: row s holds the accuracies of groups 1..s at state s. The file
+    holds rows (s, k) for 1 <= k <= s <= S in order, then the `0,0`
+    summary row, which is read but not returned. An empty group's `nan`
+    reads back as nan."""
     states = range(1, num_states + 1)
     values = iter(_keyed_values(
         Path(path), "metrics", ["state", "group", "accuracy"],
         [*((s, k) for s in states for k in range(1, s + 1)), (0, 0)],
         lambda text: math.nan if text == "nan" else _number(text)))
-    return [[next(values) if k <= s else math.nan for k in states] for s in states]
+    return [[next(values) for _ in range(s)] for s in states]
 
 
 def read_per_state(path, targets, methods, num_states: int) -> dict[tuple[str, str], list[float]]:

@@ -387,9 +387,11 @@ def test_criterion_11_serialization(tmp_path):
     metrics = run_metrics([lg.matrix for lg in run], [lg.labels for lg in run],
                           run[0].schedule)
     write_metrics(tmp_path / "m.csv", metrics)
-    matrix = read_metrics_rows(tmp_path / "m.csv", 2)
+    triangle = read_metrics_rows(tmp_path / "m.csv", 2)
     summary = (tmp_path / "m.csv").read_text().splitlines()[-1]
-    metrics_ok = (np.array_equal(matrix, metrics.group_accuracy, equal_nan=True)
+    metrics_ok = ([len(row) for row in triangle] == [1, 2]
+                  and np.array_equal(sum(triangle, []),
+                                     metrics.group_accuracy[np.tril_indices(2)], equal_nan=True)
                   and summary == f"0,0,{metrics.average_incremental_accuracy!r}")
 
     lines = (tmp_path / "lg.csv").read_text().splitlines()

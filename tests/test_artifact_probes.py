@@ -5,8 +5,8 @@ run: a mistyped table field, bytes that are not UTF-8, a directory or an
 oversized cell where a file is read, a plain file where an output
 directory goes, plot inputs whose rows are not exactly those that
 run-target writes for the spec, and a logits file cut at a row boundary.
-A run that fails part-way (exit 4) leaves nothing that a later command
-reuses. A derandomized property then mutates one artifact at a time and
+A run that fails part-way (exit 4), or is killed between a logits file
+and its sidecar, leaves nothing that a later command reuses. A derandomized property then mutates one artifact at a time and
 requires each consuming command to refuse it (exit 3) or to behave as on
 the clean tree.
 """
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from calib_il import cli, flows
+from calib_il import cli, flows, storage
 from calib_il.errors import NumericError
 from calib_il.flows import cmd_run_reference, cmd_run_target, cmd_sweep
 from calib_il.pipeline import parse_run_spec
@@ -391,6 +391,36 @@ class TestFailedRuns:
         assert not (out / "metrics").exists()
         assert not (out / "comparison.csv").exists() and not (out / "per_state.csv").exists()
         monkeypatch.setattr(flows, "run_incremental_stack", real)
+        code, lines = run("run-target", clean[0], out)
+        assert code == 0, lines[-3:]
+        assert "event=cache artifact=target_logits action=rebuild reason=missing" in lines
+        self.finish(run, clean[0], out, ("sweep", "plot"))
+        assert tree(out) == tree(clean[1])
+
+    def test_a_crash_between_logits_and_sidecar_is_not_reused(self, clean, run, out, tmp_path,
+                                                             monkeypatch):
+        """A process killed between a logits file's rename and its
+        sidecar's leaves another spec's scores under the old sidecar. Spec
+        B (another learning rate) crashes there over spec A's tree; A's
+        rerun must rebuild, not reuse, and end with A's clean tree."""
+        spec_b = tmp_path / "spec_b.json"
+        spec_b.write_text(json.dumps({**SPEC, "backbone": {**SPEC["backbone"],
+                                                           "learning_rate": 0.03}}))
+
+        class Crash(BaseException):
+            pass
+
+        real = storage._write_meta
+
+        def write_meta(path, *args, **fields):
+            if path.name == "target_0_state_1.csv.meta.json":
+                raise Crash
+            return real(path, *args, **fields)
+
+        monkeypatch.setattr(storage, "_write_meta", write_meta)
+        with pytest.raises(Crash):
+            run("run-target", spec_b, out)
+        monkeypatch.setattr(storage, "_write_meta", real)
         code, lines = run("run-target", clean[0], out)
         assert code == 0, lines[-3:]
         assert "event=cache artifact=target_logits action=rebuild reason=missing" in lines

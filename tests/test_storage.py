@@ -147,6 +147,21 @@ class TestLogitsRoundTrip:
         with pytest.raises(SchemaError, match="row 2 column c0"):
             read_logits(path, TRICKY)
 
+    def test_first_fault_in_file_order_is_named(self, tmp_path):
+        """A bad cell in row 2 is named before a short row 5: each row is
+        parsed as soon as its field count is checked, not once every row's
+        count is."""
+        logits = StateLogits(2, np.arange(16.0).reshape(4, 4), np.arange(4),
+                             StateSchedule((2, 2)), dataset="ref_0", backbone="ftplus", seed=4)
+        path = tmp_path / "lg.csv"
+        write_logits(path, logits)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace(",1.0,", ",x,")  # id,label,c0,c1: c1 is 1.0
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="row 2 column c1: 'x' is not a number"):
+            read_logits(path, expect_of(logits))
+
     def test_non_finite_score_rejected(self, tmp_path):
         path = tmp_path / "lg.csv"
         write_logits(path, tricky_logits())
@@ -499,8 +514,10 @@ class TestMetricsFile:
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
             f"{s},{k}" for s in range(1, S + 1) for k in range(1, s + 1)] + ["0,0"]
         assert lines[-1] == f"0,0,{metrics.average_incremental_accuracy!r}"
-        matrix = read_metrics_rows(path, S)
-        assert np.asarray(matrix).tobytes() == metrics.group_accuracy.tobytes()
+        triangle = read_metrics_rows(path, S)
+        assert [len(row) for row in triangle] == [1, 2, 3]
+        assert np.array(sum(triangle, [])).tobytes() == \
+            metrics.group_accuracy[np.tril_indices(S)].tobytes()
 
     def test_empty_group_round_trips_as_nan(self, tmp_path):
         sched = StateSchedule((1, 1))
@@ -511,8 +528,9 @@ class TestMetricsFile:
         write_metrics(path, metrics)
         assert "2,2,nan" in path.read_text()
         assert path.read_text().endswith("\n0,0,1.0\n")
-        matrix = read_metrics_rows(path, 2)
-        np.testing.assert_array_equal(matrix, [[1.0, np.nan], [1.0, np.nan]])
+        triangle = read_metrics_rows(path, 2)
+        assert [len(row) for row in triangle] == [1, 2]
+        np.testing.assert_array_equal(sum(triangle, []), [1.0, 1.0, np.nan])
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines + ["0,0,0.5"], "row 6: expected end of file, got 0,0"),

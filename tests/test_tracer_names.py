@@ -23,7 +23,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # transfer.score_state), and transfer.compute_run_metrics (the rows build
 # a RunMetrics with RunMetrics.from_rows); and pipeline.gen_synthetic_dataset
 # and pipeline.halve_train_split, gone since each dataset is drawn one state
-# at a time (pipeline.make_dataset returns synth.draw_states's per-state
+# at a time (flows.make_dataset returns synth.draw_states's per-state
 # draw, which halves each state's block itself). Then the names that left
 # cli and pipeline when the CLI's start-up stopped loading numpy: cli
 # imports each cmd_* only when it runs it (cmd_plot from plots, the rest
