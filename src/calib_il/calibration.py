@@ -12,13 +12,14 @@ The fit at state s minimizes, over the s pairs, the mean over validation
 samples of logsumexp(z) - z[label] of the corrected scores z, plus
 l2_alpha * sum((alpha - 1)^2) + l2_beta * sum(beta^2), a penalty anchored
 at the identity pair (alpha=1, beta=0). Corrected scores are linear in the
-parameters, so the objective is convex. Its gradient per group k is the
-sum over samples and over k's columns of (q - onehot) / n, with q the
-softmax of z, weighted by the raw scores for alpha_k and by 1 for beta_k,
-plus the penalty's 2 * l2_alpha * (alpha_k - 1) and 2 * l2_beta * beta_k.
+parameters, so the objective is convex. With q the softmax of z and y the
+label, its gradient per group k is the sample mean of sum(q * o) minus
+[y in k] * o[y] (alpha_k) and of sum(q) minus [y in k] (beta_k), summing
+over k's columns, plus 2 * l2_alpha * (alpha_k - 1) and 2 * l2_beta * beta_k.
 Its Hessian is the mean of J^T (diag q - q q^T) J over samples plus the
-penalty's diagonal. The loss is exact (no probability floor): the very
-convex function that the gradient and Hessian differentiate.
+penalty's diagonal. J^T q holds those group sums, so one pass over q gives
+both. The loss is exact (no probability floor): the very convex function
+that the gradient and Hessian differentiate.
 ``fit_state`` solves it with damped Newton steps until the gradient norm is
 below ``GRAD_TOL``; a fit that cannot be certified raises ``NumericError``.
 """
@@ -169,37 +170,26 @@ def _loss(matrix, labels, alpha, beta, col, config: CalibConfig):
     return float(data + penalty), shifted, sums
 
 
-def _gradient(matrix, labels, q, alpha, beta, starts, config: CalibConfig):
-    """Gradient of ``_loss`` given ``q``, the softmax of the corrected scores:
-    per group k, the sum over samples and k's columns of (q - onehot) / n,
-    weighted by the raw scores for alpha_k and by 1 for beta_k, plus
-    2 * l2_alpha * (alpha_k - 1) and 2 * l2_beta * beta_k. ``starts`` holds
-    each group's first column."""
-    residual = q.copy()
-    n = len(labels)
-    residual[np.arange(n), labels] -= 1.0
-    residual /= n
-    grad_beta = np.add.reduceat(residual.sum(axis=0), starts)
-    residual *= matrix
-    grad_alpha = np.add.reduceat(residual.sum(axis=0), starts)
-    grad_alpha += 2.0 * config.l2_alpha * (alpha - 1.0)
-    grad_beta += 2.0 * config.l2_beta * beta
-    return grad_alpha, grad_beta
-
-
-def _hessian(matrix, q, starts, config: CalibConfig) -> np.ndarray:
-    """Hessian of the regularized loss in (alpha, beta), given ``q``.
-
-    J_i^T q_i stacks the group sums of q_i * o_i (alpha) and of q_i (beta);
-    J_i^T diag(q_i) J_i is block diagonal over groups.
-    """
+def _newton_system(matrix, labels, q, alpha, beta, col, starts, config: CalibConfig):
+    """Gradient and Hessian of ``_loss`` at (alpha, beta), given ``q``, the
+    softmax of the corrected scores. Row i of ``u`` stacks J_i^T q_i, the
+    group sums of q_i * o_i (alpha) and of q_i (beta); the gradient is its
+    mean less the labels' per-group sums of raw score and of one, over n.
+    J_i^T diag(q_i) J_i is block diagonal over groups. ``col`` maps columns
+    to groups, ``starts`` holds each group's first column."""
     n, s = len(q), len(starts)
     weighted = q * matrix
     u = np.concatenate([np.add.reduceat(weighted, starts, axis=1),
                         np.add.reduceat(q, starts, axis=1)], axis=1)
+    sums = u.sum(axis=0) / n
+    groups = col[labels]
+    grad = sums - np.concatenate([
+        np.bincount(groups, matrix[np.arange(n), labels], minlength=s),
+        np.bincount(groups, minlength=s)]) / n
+    grad[:s] += 2.0 * config.l2_alpha * (alpha - 1.0)
+    grad[s:] += 2.0 * config.l2_beta * beta
     hess = u.T @ u
     hess /= -n
-    sums = u.sum(axis=0) / n
     k = np.arange(s)
     weighted *= matrix
     hess[k, k] += (np.add.reduceat(weighted.sum(axis=0), starts) / n
@@ -207,7 +197,7 @@ def _hessian(matrix, q, starts, config: CalibConfig) -> np.ndarray:
     hess[k, k + s] += sums[:s]
     hess[k + s, k] += sums[:s]
     hess[k + s, k + s] += sums[s:] + 2.0 * config.l2_beta
-    return hess
+    return grad, hess
 
 
 @dataclass
@@ -254,8 +244,8 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
         loss = initial_loss
         for iterations in range(MAX_NEWTON_STEPS + 1):
             q /= sums[:, None]  # the softmax at params, from the accepted loss's buffer
-            grad = np.concatenate(_gradient(matrix, labels, q, params[:s], params[s:],
-                                            starts, config))
+            grad, hess = _newton_system(matrix, labels, q, params[:s], params[s:], col,
+                                        starts, config)
             grad_norm = float(np.linalg.norm(grad))
             if not np.isfinite(loss) or not np.isfinite(grad_norm):
                 raise fail(f"has a non-finite loss or gradient after {iterations} steps")
@@ -264,7 +254,6 @@ def fit_state(logits: StateLogits, config: CalibConfig) -> StateFit:
                                 loss, iterations, grad_norm)
             if iterations == MAX_NEWTON_STEPS:
                 break
-            hess = _hessian(matrix, q, starts, config)
             del q  # freed before the line search, which builds its own
             if not np.all(np.isfinite(hess)):
                 raise fail(f"has a non-finite Hessian after {iterations} steps")

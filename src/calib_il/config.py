@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import SpecError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 KINDS = ("ftplus", "siw", "lwf", "lucir_lite")
 

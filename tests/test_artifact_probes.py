@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from calib_il import cli, flows, storage
+from calib_il.config import SCHEMA_VERSION
 from calib_il.errors import NumericError
 from calib_il.flows import cmd_run_reference, cmd_run_target, cmd_sweep
 from calib_il.pipeline import parse_run_spec
@@ -91,9 +92,10 @@ class TestMistypedJSON:
         (lambda t: t["entries"][1].update(alpha=True), "alpha must be float, got True"),
         (lambda t: t.update(num_states="3"), "num_states must be int, got '3'"),
         (lambda t: t["entries"][2].update(k=None), "k must be int, got None"),
-        (lambda t: t.update(schema_version=2), "schema_version 2 is not 1"),
+        (lambda t: t.update(schema_version=SCHEMA_VERSION + 1),
+         f"schema_version {SCHEMA_VERSION + 1} is not {SCHEMA_VERSION}"),
         (lambda t: t["entries"][0].update(gamma=1.0), "unknown keys ['gamma']"),
-    ], ids=["s-2.5", "alpha-true", "num-states-str", "k-null", "version-2", "extra-key"])
+    ], ids=["s-2.5", "alpha-true", "num-states-str", "k-null", "version-next", "extra-key"])
     def test_table_field_exits_3(self, clean, out, run, edit, message):
         edit_json(out / "tables" / "ref_1.table.json", edit)
         assert_data_error(*run("run-target", clean[0], out), "ref_1.table.json", message)

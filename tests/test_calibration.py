@@ -1,10 +1,10 @@
 """Core correction-layer and convex-fit tests.
 
-The fit's own loss, gradient and Hessian (``calibration._loss``,
-``_gradient`` and ``_hessian``, fed as ``fit_state`` feeds them) are
-checked against independent oracles: the formulas in ``oracles``,
-elementwise reimplementations with plain Python floats, central finite
-differences, and a block-coordinate grid search for the full fit.
+The fit's own loss, gradient and Hessian (``calibration._loss`` and
+``_newton_system``, fed as ``fit_state`` feeds them) are checked against
+independent oracles: the formulas in ``oracles``, elementwise
+reimplementations with plain Python floats, central finite differences,
+and a block-coordinate grid search for the full fit.
 """
 
 import json
@@ -53,17 +53,22 @@ def correct(logits, table):
                             logits.schedule.column_groups(state) - 1)
 
 
-def fit_gradient(matrix, labels, alpha, beta, sched, state, config):
-    """``_gradient`` at (alpha, beta), fed the softmax from ``_loss``."""
+def newton_system(matrix, labels, alpha, beta, sched, state, config):
+    """``_newton_system`` at (alpha, beta), fed the softmax from ``_loss``."""
     q = fit_loss(matrix, labels, alpha, beta, sched, state, config)[1]
-    return calibration._gradient(matrix, labels, q, alpha, beta,
-                                 calibration._group_starts(sched, state), config)
+    return calibration._newton_system(matrix, labels, q, alpha, beta,
+                                      sched.column_groups(state) - 1,
+                                      calibration._group_starts(sched, state), config)
 
 
-def fit_hessian(matrix, labels, alpha, beta, sched, state, config):
-    """``_hessian`` at (alpha, beta), fed the softmax from ``_loss``."""
-    q = fit_loss(matrix, labels, alpha, beta, sched, state, config)[1]
-    return calibration._hessian(matrix, q, calibration._group_starts(sched, state), config)
+def fit_gradient(*args):
+    """The gradient from ``newton_system``, as its alpha and beta halves."""
+    return np.split(newton_system(*args)[0], 2)
+
+
+def fit_hessian(*args):
+    """The Hessian from ``newton_system``."""
+    return newton_system(*args)[1]
 
 
 def fit_softmax(scores):
@@ -245,9 +250,9 @@ def random_problems(seed, count):
 
 
 class TestOracles:
-    """The fit's ``_loss``, ``_gradient`` and ``_hessian`` against the
-    formulas that ``oracles`` states independently, with penalties of
-    both kinds in play."""
+    """The fit's ``_loss`` and ``_newton_system`` against the formulas
+    that ``oracles`` states independently, with penalties of both kinds
+    in play."""
 
     CONFIG = CalibConfig(l2_alpha=0.3, l2_beta=0.7)
 

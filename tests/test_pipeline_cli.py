@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calib_il import cli, flows
+from calib_il import cli, config, flows, pipeline, storage
 from calib_il.calibration import CalibrationTable
 from calib_il.config import KINDS, BackboneConfig, CalibConfig
 from calib_il.errors import MetadataError, SchemaError, SpecError
@@ -673,9 +673,18 @@ class TestArtifactCache:
             assert (out / name).read_bytes() == (flow_out / name).read_bytes()
 
     def test_irrelevant_changes_reuse_and_relevant_ones_rebuild(
-            self, flow_out, tmp_path, caplog):
-        out = tmp_path / "out"
+            self, flow_out, tmp_path, caplog, monkeypatch):
+        out, old = tmp_path / "out", tmp_path / "old"
         shutil.copytree(flow_out, out)
+        # The previous schema's artifacts, written as a build before the
+        # last bump of SCHEMA_VERSION wrote them.
+        previous = config.SCHEMA_VERSION - 1
+        with monkeypatch.context() as patch:
+            for module in (config, pipeline, storage):
+                patch.setattr(module, "SCHEMA_VERSION", previous)
+            cmd_run_target(tiny_spec(), old)
+        assert json.loads((old / "tables" / "ref_0.table.json").read_text())[
+            "schema_version"] == previous
         caplog.set_level("INFO", logger="calib_il")
         cmd_run_target(tiny_variant(name="renamed", sweep={"num_samplings": 9}), out)
         assert cache_lines(caplog) == [
@@ -683,19 +692,21 @@ class TestArtifactCache:
             "event=cache artifact=target_logits action=reuse"]
         for rel in ("comparison.csv", "per_state.csv"):
             assert (out / rel).read_bytes() == (flow_out / rel).read_bytes()
-        for changed in (tiny_variant(backbone={"learning_rate": 0.02}),
-                        tiny_variant(data={"noise_scale": 1.5})):
+        for changed, where in ((tiny_variant(backbone={"learning_rate": 0.02}), out),
+                               (tiny_variant(data={"noise_scale": 1.5}), out),
+                               (tiny_spec(), old)):
             caplog.clear()
-            cmd_run_target(changed, out)
+            cmd_run_target(changed, where)
             assert cache_lines(caplog) == [
                 "event=cache artifact=tables action=rebuild reason=fingerprint",
                 "event=cache artifact=target_logits action=rebuild reason=fingerprint"]
-            table = out / "tables" / "ref_0.table.json"
-            sidecar = out / "logits" / "target_1_state_2.csv.meta.json"
-            assert json.loads(table.read_text())["fingerprint"] == \
-                spec_fingerprint(changed, calibration=True)
-            assert json.loads(sidecar.read_text())["fingerprint"] == \
-                spec_fingerprint(changed)
+            table = json.loads((where / "tables" / "ref_0.table.json").read_text())
+            sidecar = json.loads(
+                (where / "logits" / "target_1_state_2.csv.meta.json").read_text())
+            assert table["fingerprint"] == spec_fingerprint(changed, calibration=True)
+            assert sidecar["fingerprint"] == spec_fingerprint(changed)
+            assert table["schema_version"] == sidecar["schema_version"] == \
+                config.SCHEMA_VERSION
 
     def test_missing_files_are_logged_as_missing(self, tmp_path, caplog):
         caplog.set_level("INFO", logger="calib_il")

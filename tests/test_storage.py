@@ -15,6 +15,7 @@ import pytest
 
 from calib_il import storage
 from calib_il.calibration import CalibrationTable
+from calib_il.config import SCHEMA_VERSION
 from calib_il.errors import MetadataError, SchemaError
 from calib_il.logits import StateLogits
 from calib_il.schedule import StateSchedule
@@ -96,7 +97,7 @@ class TestLogitsRoundTrip:
         path = tmp_path / "lg.csv"
         write_logits(path, tricky_logits())
         meta = json.loads((tmp_path / "lg.csv.meta.json").read_text())
-        assert meta["schema_version"] == 1
+        assert meta["schema_version"] == SCHEMA_VERSION
         assert meta["class_to_state"] == [1, 1, 2, 2]
 
     def test_missing_sidecar_is_metadata_error(self, tmp_path):
@@ -490,8 +491,8 @@ class TestDatasetRoundTrip:
         write_dataset(path, draw_states(spec, schedule, "d", halve=halve))
         back = read_dataset(path)
         assert_same_rows(back, joined(draw_states(spec, schedule, "d", halve=halve)))
-        assert back.meta == {"schema_version": 1, "num_states": 3, "name": "d", "seed": 4,
-                             "class_to_state": [1, 2, 2, 2, 3, 3]}
+        assert back.meta == {"schema_version": SCHEMA_VERSION, "num_states": 3, "name": "d",
+                             "seed": 4, "class_to_state": [1, 2, 2, 2, 3, 3]}
 
 
 class TestMetricsFile:

@@ -7,9 +7,13 @@ stale names, so that a rename in the package fails here instead.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Names the pipeline stopped calling before the tracer moved to the stacked
 # entry points (see ROADMAP item 1); pipeline._atomic_write, whose writes
@@ -59,3 +63,18 @@ def test_every_wrapped_name_exists_or_is_known_stale():
                for module, attr, _, _ in load_tracer().BOUNDARIES
                if not hasattr(importlib.import_module(f"calib_il.{module}"), attr)}
     assert missing <= STALE, f"the tracer wraps names the package lost: {missing - STALE}"
+
+
+def test_install_wraps_the_package_without_error():
+    """``install`` also rebinds ``StateSchedule.column_groups`` with no
+    guard, so a rename of that method would fail every traced subcommand.
+    It runs in a child process, because it rebinds package names."""
+    code = ("import importlib.util, sys; "
+            "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1]); "
+            "tracer = importlib.util.module_from_spec(spec); "
+            "spec.loader.exec_module(tracer); tracer.install(tracer.Tracer('probe'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(TRACER)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
